@@ -21,6 +21,7 @@ from scipy.special import ndtri
 from .config import AntennaPattern, ChannelParams, PathlossParams
 from .geometry import segments_blocked
 from .scenario import Environment, Sector
+from .units import db_to_linear, linear_to_db
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _USER_KEY_BASE = np.uint64(1) << np.uint64(32)
@@ -126,7 +127,7 @@ class DropChannel:
         self.shadow = ShadowField(shadow_seed)
         self.users_xy = np.atleast_2d(np.asarray(users_xy, dtype=float))
         self.user_keys = user_keys(user_ids)
-        self._site_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._site_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -138,15 +139,27 @@ class DropChannel:
             los[los_idx[blocked]] = False
         return los
 
-    def _site_view(self, sector: Sector) -> tuple[np.ndarray, np.ndarray]:
-        """Distance and LOS of every dropped user towards a site (cached)."""
+    def _site_view(self, sector: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Negated pathloss, azimuth (deg) and shadowing of every dropped user
+        towards the sector's site, cached per site.
+
+        All three depend on the site alone (every sector of a site shares its
+        position and kind), so the sectors of a site differ only in the
+        antenna term that user_sector_gain_db adds.
+        """
         cached = self._site_cache.get(sector.site_id)
         if cached is None:
             site = np.array([sector.x, sector.y])
             delta = self.users_xy - site
             dist = np.hypot(delta[:, 0], delta[:, 1])
             los = self._los_mask(self.users_xy, np.broadcast_to(site, self.users_xy.shape), dist)
-            cached = (dist, los)
+            pl_params = self._link_params(sector.kind)
+            neg_pl = -pathloss_db(dist, los, pl_params, self.params.min_distance_m)
+            azimuth = np.degrees(np.arctan2(delta[:, 1], delta[:, 0]))
+            shadow = self.shadow.sample_db(
+                LINK_CLASS[sector.kind], self.user_keys, site_key(sector.site_id),
+                pl_params.shadow_sigma_db)
+            cached = (neg_pl, azimuth, shadow)
             self._site_cache[sector.site_id] = cached
         return cached
 
@@ -162,17 +175,9 @@ class DropChannel:
     def user_sector_gain_db(self, user_idx, sector: Sector) -> np.ndarray:
         """Channel gain (dB, antenna included) between users and a sector."""
         idx = np.asarray(user_idx, dtype=int)
-        dist, los = self._site_view(sector)
-        dist, los = dist[idx], los[idx]
-        pl_params = self._link_params(sector.kind)
-        pl = pathloss_db(dist, los, pl_params, self.params.min_distance_m)
-        delta = self.users_xy[idx] - np.array([sector.x, sector.y])
-        azimuth = np.degrees(np.arctan2(delta[:, 1], delta[:, 0]))
-        ant = antenna_gain_db(sector.antenna, azimuth - sector.boresight_deg)
-        shadow = self.shadow.sample_db(
-            LINK_CLASS[sector.kind], self.user_keys[idx], site_key(sector.site_id),
-            pl_params.shadow_sigma_db)
-        return -pl + ant + shadow
+        neg_pl, azimuth, shadow = self._site_view(sector)
+        ant = antenna_gain_db(sector.antenna, azimuth[idx] - sector.boresight_deg)
+        return neg_pl[idx] + ant + shadow[idx]
 
     def dl_rx_power_dbm(self, user_idx, sector: Sector) -> np.ndarray:
         """Downlink reference power at the users; drives association."""
@@ -231,11 +236,11 @@ def build_gain_set(
     tx = np.asarray(pair_tx_idx, dtype=int)
     rx = np.asarray(pair_rx_idx, dtype=int)
     m, n = len(cell_idx), len(tx)
-    lin = lambda db: 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-    h_cell = lin(channel.user_sector_gain_db(cell_idx, sector)) if m else np.zeros(0)
-    h_d2d = lin(channel.user_user_gain_db(tx, rx)) if n else np.zeros(0)
-    h_d2d_bs = lin(channel.user_sector_gain_db(tx, sector)) if n else np.zeros(0)
-    h_cross = lin(channel.cross_gain_db(rx, cell_idx)) if (n and m) else np.zeros((n, m))
+    h_cell = db_to_linear(channel.user_sector_gain_db(cell_idx, sector)) if m else np.zeros(0)
+    h_d2d = db_to_linear(channel.user_user_gain_db(tx, rx)) if n else np.zeros(0)
+    h_d2d_bs = db_to_linear(channel.user_sector_gain_db(tx, sector)) if n else np.zeros(0)
+    h_cross = (db_to_linear(channel.cross_gain_db(rx, cell_idx)) if (n and m)
+               else np.zeros((n, m)))
     return GainSet(
         sector_id=sector.sector_id,
         cell_users=cell_idx,
@@ -249,13 +254,13 @@ def build_gain_set(
 
 def gain_set_csv(gains: GainSet) -> str:
     """Debug dump: one line per link as ``link_id,class,gain_db``."""
-    db = lambda h: 10.0 * np.log10(h)
     lines = ["link_id,class,gain_db"]
     for j, u in enumerate(gains.cell_users):
-        lines.append(f"cell:{int(u)},cell-uplink,{db(gains.h_cell[j]):.6f}")
+        lines.append(f"cell:{int(u)},cell-uplink,{linear_to_db(gains.h_cell[j]):.6f}")
     for i, p in enumerate(gains.pairs):
-        lines.append(f"pair:{int(p)},d2d-link,{db(gains.h_d2d[i]):.6f}")
-        lines.append(f"pair:{int(p)},d2d-to-bs,{db(gains.h_d2d_bs[i]):.6f}")
+        lines.append(f"pair:{int(p)},d2d-link,{linear_to_db(gains.h_d2d[i]):.6f}")
+        lines.append(f"pair:{int(p)},d2d-to-bs,{linear_to_db(gains.h_d2d_bs[i]):.6f}")
         for j, u in enumerate(gains.cell_users):
-            lines.append(f"pair:{int(p)}<-cell:{int(u)},cross,{db(gains.h_cross[i, j]):.6f}")
+            gain_db = linear_to_db(gains.h_cross[i, j])
+            lines.append(f"pair:{int(p)}<-cell:{int(u)},cross,{gain_db:.6f}")
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import engine, rrm, signaling
 from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig,
-                     apply_scenario, load_config)
+                     apply_scenario, load_config, validate_config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated scheme list (default: all)")
     run_p.add_argument("--out", default="out", help="output directory (CSV + summary)")
     run_p.add_argument("--workers", type=int, default=None,
-                       help=f"parallel drop workers (default ${engine.WORKERS_ENV} or 1)")
+                       help=f"parallel drop workers, capped at the CPU count "
+                            f"(default ${engine.WORKERS_ENV} or 1)")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     val_p = sub.add_parser("validate-config", help="check a config file and exit")
@@ -57,22 +59,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
+    """Config file (or defaults), then preset, then --drops/--seed; validated."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if getattr(args, "scenario", None):
+    if args.scenario:
         cfg = apply_scenario(cfg, args.scenario)
-    import dataclasses
-
     overrides = {}
-    if getattr(args, "drops", None) is not None:
+    if args.drops is not None:
         overrides["num_drops"] = args.drops
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    cfg = dataclasses.replace(cfg, **overrides)
+    validate_config(cfg)
+    return cfg
 
 
 def _cmd_run(args) -> int:
     try:
         cfg = _load(args)
+        workers = engine.resolve_workers(args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -83,7 +87,7 @@ def _cmd_run(args) -> int:
             return 2
     progress = None if args.quiet else (lambda msg: print(msg, flush=True))
     campaign = engine.run_campaign(cfg, schemes, out_dir=args.out,
-                                   progress=progress, workers=args.workers)
+                                   progress=progress, workers=workers)
     for scheme in schemes:
         o = campaign.overall_gain(scheme)
         c = campaign.cellular_gain(scheme)

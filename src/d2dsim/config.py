@@ -203,8 +203,13 @@ def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
 
 def load_config(path: str) -> ScenarioConfig:
     """Load and validate a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import DropChannel, build_gain_set, noise_power_watts
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .feasibility import (SinrTargets, baseline_cell_sinr, feasibility_context,
                           sinr_cell_matrix)
 from .metrics import CapacityReport, SectorState, aggregate_gain, evaluate_drop
@@ -269,6 +269,23 @@ class CampaignResult:
         return float(np.mean([r.clip_rate for r in self.reports[scheme]]))
 
 
+def resolve_workers(workers: int | None = None) -> int:
+    """Worker count from the argument, else $D2DSIM_WORKERS, else 1.
+
+    Capped at os.cpu_count(); a count below 1 or a non-integer environment
+    value raises ConfigError.
+    """
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV) or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def _drop_task(args) -> DropResult:
     cfg, seed, schemes = args
     return run_drop(cfg, seed, schemes)
@@ -283,11 +300,10 @@ def run_campaign(
 ) -> CampaignResult:
     """Run cfg.num_drops paired drops and optionally write CSV/summary files.
 
-    Worker count comes from the argument, else the D2DSIM_WORKERS environment
-    variable, else 1.  Results and files are identical for any worker count.
+    Worker count comes from resolve_workers(workers).  Results and files are
+    identical for any worker count.
     """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
+    workers = resolve_workers(workers)
     seeds = [drop_seed(cfg.seed, i) for i in range(cfg.num_drops)]
     tasks = [(cfg, s, tuple(schemes)) for s in seeds]
     results: list[DropResult] = []

@@ -12,6 +12,9 @@ import numpy as np
 # Shrink rectangles by this margin before the blocking test so that a ray
 # grazing exactly along a wall does not count as obstructed.
 _EDGE_EPS = 1e-9
+# Widen a chunk's segment bounding box by this much before dropping the rects
+# outside it, so rounding at the box edge can never drop a blocking rect.
+_PRUNE_MARGIN = 1e-6
 
 
 def rect_area(rects: np.ndarray) -> np.ndarray:
@@ -33,7 +36,7 @@ def points_in_rects(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
 
 def _slab_interval(p, d, lo, hi):
     """Per-axis parametric entry/exit of p + t*d through the [lo, hi] slab."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ta = (lo - p) / d
         tb = (hi - p) / d
     near = np.minimum(ta, tb)
@@ -52,7 +55,10 @@ def segments_blocked(
     """True for each segment p0[i]->p1[i] that crosses the interior of any rect.
 
     Liang-Barsky slab clipping, vectorized over (segments x rects) in chunks.
-    Touching a wall or corner exactly does not block.
+    Touching a wall or corner exactly does not block.  Each chunk tests only
+    the rects that overlap its segments' bounding box (widened by
+    _PRUNE_MARGIN); a rect outside that box cannot block any of them, so the
+    result equals the test against every rect.
     """
     a = np.atleast_2d(np.asarray(p0, dtype=float))
     b = np.atleast_2d(np.asarray(p1, dtype=float))
@@ -69,10 +75,15 @@ def segments_blocked(
     for s in range(0, n, chunk):
         e = min(s + chunk, n)
         pa = a[s:e]
-        d = b[s:e] - pa
+        pb = b[s:e]
+        lo = np.minimum(pa, pb).min(axis=0) - _PRUNE_MARGIN
+        hi = np.maximum(pa, pb).max(axis=0) + _PRUNE_MARGIN
+        near = np.flatnonzero((r[:, 0] <= hi[0]) & (r[:, 2] >= lo[0])
+                              & (r[:, 1] <= hi[1]) & (r[:, 3] >= lo[1]))
+        d = pb - pa
         # (seg, rect) broadcasting
-        nx, fx = _slab_interval(pa[:, 0:1], d[:, 0:1], rx0, rx1)
-        ny, fy = _slab_interval(pa[:, 1:2], d[:, 1:2], ry0, ry1)
+        nx, fx = _slab_interval(pa[:, 0:1], d[:, 0:1], rx0[near], rx1[near])
+        ny, fy = _slab_interval(pa[:, 1:2], d[:, 1:2], ry0[near], ry1[near])
         t_lo = np.maximum(np.maximum(nx, ny), 0.0)
         t_hi = np.minimum(np.minimum(fx, fy), 1.0)
         out[s:e] = (t_lo < t_hi).any(axis=1)

@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from d2dsim.channel import (DropChannel, ShadowField, antenna_gain_db,
+from d2dsim.channel import (LINK_CLASS, DropChannel, ShadowField, antenna_gain_db,
                             build_gain_set, gain_set_csv, noise_power_watts,
-                            pathloss_db)
-from d2dsim.config import AntennaPattern, PathlossParams, ScenarioConfig
+                            pathloss_db, site_key)
+from d2dsim.config import (AntennaPattern, PathlossParams, ScenarioConfig,
+                           apply_scenario)
 from d2dsim.geometry import segments_blocked
-from d2dsim.scenario import generate_environment
+from d2dsim.scenario import drop_users, generate_environment
 from conftest import tiny_config
 
 UE_PL = PathlossParams(42.0, 22.0, 44.0, 14.0, 7.0)
@@ -209,3 +210,42 @@ def test_site_view_cache_consistent():
     first = ch.user_sector_gain_db([0, 1], sectors[0])
     again = ch.user_sector_gain_db([0, 1], sectors[0])
     np.testing.assert_array_equal(first, again)
+
+
+def per_sector_gain_db(ch, idx, sector):
+    """Reference: the per-sector formula, recomputing pathloss, azimuth and
+    shadowing for each sector."""
+    site = np.array([sector.x, sector.y])
+    delta = ch.users_xy - site
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    los = dist <= ch.params.los_max_distance_m
+    los_idx = np.flatnonzero(los)
+    blocked = segments_blocked(ch.users_xy[los_idx], np.broadcast_to(site, (len(los_idx), 2)),
+                               ch.env.building_rects)
+    los[los_idx[blocked]] = False
+    dist, los = dist[idx], los[idx]
+    pl_params = ch.params.macro_link if sector.kind == "macro" else ch.params.micro_link
+    pl = pathloss_db(dist, los, pl_params, ch.params.min_distance_m)
+    delta = ch.users_xy[idx] - site
+    azimuth = np.degrees(np.arctan2(delta[:, 1], delta[:, 0]))
+    ant = antenna_gain_db(sector.antenna, azimuth - sector.boresight_deg)
+    shadow = ch.shadow.sample_db(LINK_CLASS[sector.kind], ch.user_keys[idx],
+                                 site_key(sector.site_id), pl_params.shadow_sigma_db)
+    return -pl + ant + shadow
+
+
+def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
+    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    rng = np.random.default_rng(5)
+    env = generate_environment(cfg, rng)
+    users = drop_users(cfg, env, rng)
+    xy = np.array([(u.x, u.y) for u in users])
+    ch = DropChannel(env, cfg.channel, 77, xy, np.arange(len(xy)))
+    everyone = np.arange(len(xy))
+    subset = rng.permutation(len(xy))[: len(xy) // 3]
+    assert {s.kind for s in env.sectors} == {"macro", "micro"}
+    for sector in env.sectors:
+        for idx in (everyone, subset):
+            np.testing.assert_array_equal(ch.user_sector_gain_db(idx, sector),
+                                          per_sector_gain_db(ch, idx, sector))
+    assert sorted(ch._site_cache) == sorted({s.site_id for s in env.sectors})

@@ -8,9 +8,10 @@ import pytest
 from conftest import tiny_config
 
 from d2dsim import cli, engine
-from d2dsim.config import config_to_dict
+from d2dsim.config import ConfigError, config_to_dict
 from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
-                           run_campaign, run_drop, schedule, write_outputs)
+                           resolve_workers, run_campaign, run_drop, schedule,
+                           write_outputs)
 from d2dsim.rrm import allocate_none, allocate_proposed
 from d2dsim.signaling import run_single_cell
 
@@ -172,6 +173,24 @@ def test_campaign_workers_from_environment(tmp_path, monkeypatch):
     assert len(campaign.reports["none"]) == 1
 
 
+def test_resolve_workers(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    assert resolve_workers() == 1
+    monkeypatch.setenv(WORKERS_ENV, "")
+    assert resolve_workers() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert resolve_workers(2) == 1  # capped at the CPU count
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    assert resolve_workers() == 1
+    for bad, message in (("abc", "must be an integer"), ("1.5", "must be an integer"),
+                         ("0", ">= 1"), ("-3", ">= 1")):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(ConfigError, match=message):
+            resolve_workers()
+    with pytest.raises(ConfigError, match=">= 1"):
+        resolve_workers(0)
+
+
 def test_write_outputs_schema(tmp_path):
     cfg = tiny_config(num_drops=2)
     campaign = run_campaign(cfg, SCHEMES)
@@ -265,3 +284,29 @@ def test_cli_oracle(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
+
+
+@pytest.mark.parametrize("extra, env, message", [
+    (["--drops", "0"], None, "num_drops must be >= 1"),
+    (["--seed", "-1"], None, "seed must be >= 0"),
+    (["--workers", "0"], None, "worker count must be >= 1"),
+    ([], "abc", f"{WORKERS_ENV} must be an integer"),
+    (["--config", "no/such/file.json"], None, "cannot read"),
+    (["--config", "binary.json"], None, "not UTF-8 text"),
+])
+def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
+                                                extra, env, message):
+    if env is None:
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(WORKERS_ENV, env)
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "x"
+    code = cli.main(["run", "--config", write_tiny_json(tmp_path), *extra,
+                     "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dsim.geometry import (points_in_rects, rect_area, sample_outdoor_points,
-                             segments_blocked)
+from d2dsim import channel, engine
+from d2dsim.config import ScenarioConfig, apply_scenario
+from d2dsim.geometry import (_EDGE_EPS, _slab_interval, points_in_rects, rect_area,
+                             sample_outdoor_points, segments_blocked)
 
 RECT = np.array([[10.0, 10.0, 20.0, 30.0]])
 
@@ -96,6 +98,72 @@ def test_blocking_agrees_with_dense_sampling(seed):
         assert blocked
     if not blocked:
         assert not strictly_inside.any()
+
+
+def unpruned_segments_blocked(p0, p1, rects):
+    """Oracle: the slab test against every rect, without bounding-box pruning."""
+    a = np.atleast_2d(np.asarray(p0, dtype=float))
+    d = np.atleast_2d(np.asarray(p1, dtype=float)) - a
+    r = np.atleast_2d(np.asarray(rects, dtype=float))
+    nx, fx = _slab_interval(a[:, 0:1], d[:, 0:1], r[:, 0] + _EDGE_EPS, r[:, 2] - _EDGE_EPS)
+    ny, fy = _slab_interval(a[:, 1:2], d[:, 1:2], r[:, 1] + _EDGE_EPS, r[:, 3] - _EDGE_EPS)
+    t_lo = np.maximum(np.maximum(nx, ny), 0.0)
+    t_hi = np.minimum(np.minimum(fx, fy), 1.0)
+    return (t_lo < t_hi).any(axis=1)
+
+
+# Grid coordinates put endpoints exactly on walls and corners; free floats
+# cover general position.
+_coord = st.one_of(st.integers(-4, 24).map(lambda v: v * 2.5),
+                   st.floats(-10.0, 60.0, allow_nan=False))
+
+
+@st.composite
+def _rect(draw):
+    x0, x1, y0, y1 = (draw(_coord) for _ in range(4))
+    return (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+
+
+@st.composite
+def _segment(draw):
+    x0, y0, x1, y1 = (draw(_coord) for _ in range(4))
+    shape = draw(st.sampled_from(("free", "vertical", "horizontal", "point")))
+    if shape == "vertical":
+        x1 = x0
+    elif shape == "horizontal":
+        y1 = y0
+    elif shape == "point":
+        x1, y1 = x0, y0
+    return (x0, y0, x1, y1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rects=st.lists(_rect(), max_size=8),
+       segs=st.lists(_segment(), min_size=1, max_size=30),
+       chunk=st.integers(1, 8))
+def test_pruned_blocking_equals_unpruned_slab_test(rects, segs, chunk):
+    r = np.array(rects, dtype=float).reshape(-1, 4)
+    s = np.array(segs, dtype=float)
+    want = unpruned_segments_blocked(s[:, :2], s[:, 2:], r)
+    np.testing.assert_array_equal(segments_blocked(s[:, :2], s[:, 2:], r, chunk=chunk), want)
+    np.testing.assert_array_equal(segments_blocked(s[:, :2], s[:, 2:], r), want)
+
+
+def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
+    """Every site link and UE-UE cross link LOS test of one hetnet drop."""
+    calls = []
+
+    def recording(p0, p1, rects):
+        calls.append((np.array(p0), np.array(p1), rects))
+        return segments_blocked(p0, p1, rects)
+
+    monkeypatch.setattr(channel, "segments_blocked", recording)
+    engine.build_drop(apply_scenario(ScenarioConfig(), "hetnet"), engine.drop_seed(0, 0))
+    site_calls = sum(len(np.unique(p1, axis=0)) == 1 for _, p1, _ in calls)
+    assert site_calls > 0 and len(calls) > site_calls  # both link kinds were tested
+    for p0, p1, rects in calls:
+        np.testing.assert_array_equal(segments_blocked(p0, p1, rects),
+                                      unpruned_segments_blocked(p0, p1, rects))
 
 
 def test_sample_outdoor_points_avoids_obstacles(rng):
