@@ -21,7 +21,7 @@ from scipy.special import ndtri
 from .config import AntennaPattern, ChannelParams, PathlossParams
 from .geometry import segments_blocked
 from .scenario import Environment, Sector
-from .units import db_to_linear, linear_to_db
+from .units import db_to_linear, dbm_to_watts, linear_to_db
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _USER_KEY_BASE = np.uint64(1) << np.uint64(32)
@@ -87,7 +87,7 @@ def noise_power_watts(
 ) -> float:
     """sigma^2 = 10^((N0 + NF + 10 log10 B)/10) mW -> W."""
     dbm = thermal_density_dbm_hz + noise_figure_db + 10.0 * np.log10(bandwidth_hz)
-    return float(10.0 ** (dbm / 10.0) * 1e-3)
+    return float(dbm_to_watts(dbm))
 
 
 @dataclass

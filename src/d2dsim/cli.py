@@ -12,6 +12,7 @@ import numpy as np
 from . import engine, rrm, signaling
 from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig,
                      apply_scenario, load_config, validate_config)
+from .feasibility import FeasibilityMatrix
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,8 +102,8 @@ def _cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     print(f"OK: {args.config} (seed={cfg.seed}, drops={cfg.num_drops}, "
           f"micro={'on' if cfg.micro_enabled else 'off'})")
     return 0
@@ -144,16 +145,18 @@ def _cmd_oracle(args) -> int:
     rng = np.random.default_rng(args.seed)
     ok = True
 
-    mismatches = 0
+    size_bad = lex_bad = 0
     for _ in range(args.matching_instances):
         n = int(rng.integers(0, 7))
         m = int(rng.integers(0, 7))
         adj = rng.random((n, m)) < rng.uniform(0.1, 0.9)
-        if rrm.max_matching_size(adj) != rrm.brute_force_max_matching(adj):
-            mismatches += 1
-    line = "PASS" if mismatches == 0 else f"FAIL ({mismatches} mismatches)"
-    print(f"matching oracle [{args.matching_instances} instances]: {line}")
-    ok &= mismatches == 0
+        size_bad += rrm.max_matching_size(adj) != rrm.brute_force_max_matching(adj)
+        chosen = rrm.allocate_proposed(FeasibilityMatrix(adj, mode="exact"))
+        lex_bad += chosen.resource_of_pair != rrm.brute_force_lex_matching(adj)
+    for name, bad in (("matching", size_bad), ("lexicographic", lex_bad)):
+        line = "PASS" if bad == 0 else f"FAIL ({bad} mismatches)"
+        print(f"{name} oracle [{args.matching_instances} instances]: {line}")
+        ok &= bad == 0
 
     mismatches = 0
     for _ in range(args.assignment_instances):

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import GainSet
+from .units import db_to_linear
 
 __all__ = [
     "SinrTargets",
@@ -104,17 +105,15 @@ class SinrTargets:
             raise ValueError("gamma_cell_db mode needs baseline_cell_sinr")
 
     def d2d_threshold_linear(self, n_pairs: int) -> np.ndarray:
-        t = np.broadcast_to(np.asarray(self.d2d_target_db, dtype=float), (n_pairs,))
-        return 10.0 ** (t / 10.0)
+        return db_to_linear(np.broadcast_to(self.d2d_target_db, (n_pairs,)))
 
     def cell_threshold_linear(self, n_cells: int) -> np.ndarray:
         if self.cell_target_db is not None:
-            t = np.broadcast_to(np.asarray(self.cell_target_db, dtype=float), (n_cells,))
-            return 10.0 ** (t / 10.0)
+            return db_to_linear(np.broadcast_to(self.cell_target_db, (n_cells,)))
         base = np.asarray(self.baseline_cell_sinr, dtype=float)
         if base.shape != (n_cells,):
             raise ValueError("baseline_cell_sinr length must match the cellular count")
-        return base * 10.0 ** (-self.gamma_cell_db / 10.0)
+        return base * db_to_linear(-self.gamma_cell_db)
 
     def ratio_floor(self, pair_distance_m: np.ndarray) -> np.ndarray:
         d = np.asarray(pair_distance_m, dtype=float)

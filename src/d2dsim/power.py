@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import dbm_to_watts
+from .units import db_to_linear, dbm_to_watts
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ def open_loop_power_w(
     if sigma2_w <= 0:
         raise ValueError("noise power must be positive")
     p_max = float(dbm_to_watts(max_power_dbm))
-    wanted = sigma2_w * 10.0 ** (target / 10.0) / gain
+    wanted = sigma2_w * db_to_linear(target) / gain
     clipped = wanted > p_max
     return np.where(clipped, p_max, wanted), clipped
 

@@ -11,8 +11,11 @@ resource inside a sector):
 * random        — uniform injective assignment, feasibility ignored;
 * none          — keep every pair silent (baseline).
 
-The matching is an augmenting-path search over column bitmasks; the
-brute-force enumerator exists only as a test oracle.
+The proposed scheme finds one maximum matching by iterative augmenting-path
+search over column bitmasks, then walks the rows in order and moves each
+onto the smallest column that some maximum matching still gives it; one
+alternating-path search per candidate column decides.  The brute-force
+enumerators exist only as oracles.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "Allocation",
     "max_matching_size",
     "brute_force_max_matching",
+    "brute_force_lex_matching",
     "max_total_assignment",
     "allocate_proposed",
     "allocate_capacity_max",
@@ -52,45 +56,92 @@ class Allocation:
         return [(m, r) for m, r in enumerate(self.resource_of_pair) if r >= 0]
 
 
-def _row_masks(adj: np.ndarray) -> list[int]:
-    """Boolean (N, M) adjacency -> per-row column bitmask integers."""
-    a = np.asarray(adj, dtype=bool)
-    masks = []
-    for row in a:
-        mask = 0
-        for n in np.flatnonzero(row):
-            mask |= 1 << int(n)
-        masks.append(mask)
-    return masks
+class _Matching:
+    """A bipartite matching of rows (pairs) to columns (resources).
 
+    Rows are column bitmasks; ``owner[c]`` is the row holding column c and
+    ``match[r]`` the column row r holds (-1 when free).  ``free`` is the
+    bitmask of unowned columns.  Augmenting paths are found by an iterative
+    depth-first search, so no instance size meets the recursion limit.
+    """
 
-def _kuhn_size(masks: list[int], n_cols: int, start_row: int = 0, banned: int = 0) -> int:
-    """Maximum matching size over rows[start_row:] avoiding banned columns."""
-    match_row = {}  # col -> row
+    def __init__(self, adj: np.ndarray):
+        n, m = adj.shape
+        packed = np.packbits(adj, axis=1, bitorder="little")
+        self.masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self.owner = [-1] * m
+        self.match = [-1] * n
+        self.free = (1 << m) - 1
+        for r in range(n):
+            self.augment(r, 0)
 
-    def augment(r: int, visited: int) -> tuple[bool, int]:
-        while True:
-            free = masks[r] & ~banned & ~visited
-            if not free:
-                return False, visited
-            bit = free & -free
-            visited |= bit
-            col = bit.bit_length() - 1
-            owner = match_row.get(col)
-            if owner is None:
-                match_row[col] = r
-                return True, visited
-            ok, visited = augment(owner, visited)
-            if ok:
-                match_row[col] = r
-                return True, visited
+    def augment(self, root: int, seen: int) -> tuple[bool, int]:
+        """Seat the unmatched row ``root`` along an alternating path.
 
-    size = 0
-    for r in range(start_row, len(masks)):
-        ok, _ = augment(r, 0)
-        if ok:
-            size += 1
-    return size
+        The search enters no column in ``seen`` and adds every column it
+        enters, so a failed search's ``seen`` can be passed on to the next
+        root while the matching is unchanged.  Returns (found, seen).
+        """
+        masks, owner, match = self.masks, self.owner, self.match
+        rows = [root]
+        cols: list[int] = []  # cols[i] is taken by rows[i] from rows[i + 1]
+        while rows:
+            cand = masks[rows[-1]] & ~seen
+            hit = cand & self.free
+            if hit:
+                col = (hit & -hit).bit_length() - 1
+                self.free ^= 1 << col
+                cols.append(col)
+                for r, c in zip(rows, cols):
+                    owner[c] = r
+                    match[r] = c
+                return True, seen
+            if cand:
+                bit = cand & -cand
+                seen |= bit
+                col = bit.bit_length() - 1
+                cols.append(col)
+                rows.append(owner[col])
+            else:
+                rows.pop()
+                if cols:
+                    cols.pop()
+        return False, seen
+
+    def reseat(self, r: int, col: int, fixed: int) -> bool:
+        """Move row r onto column col if the matching stays maximum.
+
+        Only the rows after r and the columns outside ``fixed`` may move.
+        When col has an owner and r had a column, the owner loses its seat;
+        the move holds if some unmatched later row (the owner included) then
+        finds an alternating path to a free column, r's old one among them.
+        Otherwise nothing changes and False is returned.
+        """
+        owner, match = self.owner, self.match
+        old, rival = match[r], owner[col]
+        owner[col], match[r] = r, col
+        if rival >= 0:
+            match[rival] = -1
+        else:
+            self.free ^= 1 << col
+        if old >= 0:
+            owner[old] = -1
+            self.free |= 1 << old
+        if rival < 0 or old < 0:
+            return True
+        seen = fixed | 1 << col
+        for z in range(r + 1, len(match)):
+            if match[z] < 0:
+                found, seen = self.augment(z, seen)
+                if found:
+                    return True
+        owner[col], match[rival] = rival, col
+        owner[old], match[r] = r, old
+        self.free ^= 1 << old
+        return False
+
+    def size(self) -> int:
+        return len(self.owner) - self.free.bit_count()
 
 
 def max_matching_size(adj: np.ndarray) -> int:
@@ -98,7 +149,7 @@ def max_matching_size(adj: np.ndarray) -> int:
     a = np.asarray(adj, dtype=bool)
     if a.ndim != 2:
         raise ValueError("adjacency must be 2-D")
-    return _kuhn_size(_row_masks(a), a.shape[1])
+    return _Matching(a).size()
 
 
 def brute_force_max_matching(adj: np.ndarray) -> int:
@@ -120,34 +171,55 @@ def brute_force_max_matching(adj: np.ndarray) -> int:
     return best(0, 0)
 
 
+def brute_force_lex_matching(adj: np.ndarray) -> tuple[int, ...]:
+    """Oracle: the lexicographically smallest maximum matching (-1 sorts last).
+
+    Enumerates assignment vectors in lexicographic order and returns the
+    first of maximum size; refuses anything bigger than 8x8.
+    """
+    a = np.asarray(adj, dtype=bool)
+    n, m = a.shape
+    target = brute_force_max_matching(a)
+
+    def first(r: int, used: int, size: int) -> list[int] | None:
+        if size + n - r < target:
+            return None
+        if r == n:
+            return []
+        for c in [c for c in range(m) if a[r, c] and not used & (1 << c)] + [-1]:
+            rest = first(r + 1, used | (1 << c) if c >= 0 else used, size + (c >= 0))
+            if rest is not None:
+                return [c, *rest]
+        return None
+
+    return tuple(first(0, 0, 0))
+
+
 def allocate_proposed(feasibility: FeasibilityMatrix) -> Allocation:
     """Maximum matching with a deterministic, lexicographically smallest result.
 
     Rows are processed in pair order; each takes the smallest feasible column
     that still lets the remaining rows complete a maximum matching, else
     stays unassigned.  The assignment vector (with unassigned sorted last) is
-    therefore the lexicographic minimum over all maximum matchings.
+    therefore the lexicographic minimum over all maximum matchings.  Starting
+    from one maximum matching, a row tries only the columns below its current
+    one, each decided by ``_Matching.reseat``.
     """
-    adj = feasibility.entries.astype(bool)
-    n, m = adj.shape
-    masks = _row_masks(adj)
-    remaining = _kuhn_size(masks, m)
-    banned = 0
-    out = [-1] * n
-    for r in range(n):
-        if remaining == 0:
-            break
-        free = masks[r] & ~banned
-        while free:
-            bit = free & -free
-            free ^= bit
-            col = bit.bit_length() - 1
-            if _kuhn_size(masks, m, r + 1, banned | bit) >= remaining - 1:
-                out[r] = col
-                banned |= bit
-                remaining -= 1
+    mt = _Matching(feasibility.entries.astype(bool))
+    fixed = 0  # the columns of the rows already decided
+    for r, row in enumerate(mt.masks):
+        old = mt.match[r]
+        cand = row & ~fixed
+        if old >= 0:
+            cand &= (1 << old) - 1  # only a smaller column improves on old
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            if mt.reseat(r, bit.bit_length() - 1, fixed):
                 break
-    return Allocation(scheme="proposed", resource_of_pair=tuple(out))
+        if mt.match[r] >= 0:
+            fixed |= 1 << mt.match[r]
+    return Allocation(scheme="proposed", resource_of_pair=tuple(mt.match))
 
 
 def max_total_assignment(score: np.ndarray) -> tuple[list[tuple[int, int]], float]:

@@ -240,26 +240,36 @@ def pair_users(
     k = int(round(cfg.d2d_fraction * n))
     if k < 2:
         return []
-    eligible = np.sort(rng.permutation(n)[:k])
-    pos = np.array([(users[i].x, users[i].y) for i in eligible])
-    tree = cKDTree(pos)
-    neighbours = tree.query_ball_tree(tree, r=cfg.max_pair_distance_m)
-    paired = np.zeros(k, dtype=bool)
+    ids = np.sort(rng.permutation(n)[:k]).tolist()
+    chosen = [users[i] for i in ids]
+    pos = np.column_stack(([u.x for u in chosen], [u.y for u in chosen]))
+    # (a, b) with a < b: a user scanned later than b never pairs with b,
+    # because b, unpaired and within reach of an unpaired a, pairs first.
+    a_idx, b_idx = cKDTree(pos).query_pairs(cfg.max_pair_distance_m,
+                                            output_type="ndarray").T
+    dist = np.hypot(pos[b_idx, 0] - pos[a_idx, 0], pos[b_idx, 1] - pos[a_idx, 1])
+    # each user's candidates by (distance, index): ties go to the lowest index.
+    # Complex numbers sort by real part, then imaginary part.
+    _, rank = np.unique(dist + 1j * b_idx, return_inverse=True)
+    order = np.argsort(a_idx * len(a_idx) + rank)
+    cand = b_idx[order].tolist()
+    cand_dist = dist[order].tolist()
+    ends = np.cumsum(np.bincount(a_idx, minlength=k)).tolist()
+    paired = [False] * k
     pairs: list[D2DPair] = []
-    for a in range(k):
-        if paired[a]:
-            continue
-        cands = [b for b in neighbours[a] if b != a and not paired[b]]
-        if not cands:
-            continue
-        d = np.hypot(pos[cands, 0] - pos[a, 0], pos[cands, 1] - pos[a, 1])
-        b = cands[int(np.argmin(d))]  # ties resolve to the lowest index
-        paired[a] = paired[b] = True
-        tx, rx = int(eligible[a]), int(eligible[b])
-        users[tx].role = ROLE_D2D_TX
-        users[rx].role = ROLE_D2D_RX
-        pairs.append(D2DPair(len(pairs), tx, rx, float(np.hypot(
-            users[tx].x - users[rx].x, users[tx].y - users[rx].y))))
+    start = 0
+    for a, end in enumerate(ends):
+        if not paired[a]:
+            for j in range(start, end):
+                b = cand[j]
+                if not paired[b]:
+                    paired[a] = paired[b] = True
+                    tx, rx = ids[a], ids[b]
+                    users[tx].role = ROLE_D2D_TX
+                    users[rx].role = ROLE_D2D_RX
+                    pairs.append(D2DPair(len(pairs), tx, rx, cand_dist[j]))
+                    break
+        start = end
     return pairs
 
 

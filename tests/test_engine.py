@@ -12,7 +12,8 @@ from d2dsim.config import ConfigError, config_to_dict
 from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, schedule,
                            write_outputs)
-from d2dsim.rrm import allocate_none, allocate_proposed
+from d2dsim.feasibility import FeasibilityMatrix
+from d2dsim.rrm import Allocation, allocate_none, allocate_proposed
 from d2dsim.signaling import run_single_cell
 
 
@@ -221,8 +222,8 @@ def test_cli_validate_config(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("OK:")
     bad = tmp_path / "bad.json"
     bad.write_text('{"no_such_knob": 1}', encoding="utf-8")
-    assert cli.main(["validate-config", "--config", str(bad)]) == 1
-    assert "invalid:" in capsys.readouterr().err
+    assert cli.main(["validate-config", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_run_writes_outputs(tmp_path, capsys):
@@ -283,7 +284,25 @@ def test_cli_oracle(capsys):
                      "--assignment-instances", "10", "--seed", "1"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 2
+    assert out.count("PASS") == 3
+    assert "lexicographic oracle [40 instances]: PASS" in out
+
+
+def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
+    def largest_first(feasibility):  # maximum, but prefers large columns
+        flipped = feasibility.entries[:, ::-1]
+        m = flipped.shape[1]
+        picked = allocate_proposed(FeasibilityMatrix(flipped, mode="exact"))
+        return Allocation("proposed", tuple(m - 1 - c if c >= 0 else -1
+                                            for c in picked.resource_of_pair))
+
+    monkeypatch.setattr(cli.rrm, "allocate_proposed", largest_first)
+    code = cli.main(["oracle", "--matching-instances", "40",
+                     "--assignment-instances", "1", "--seed", "1"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "matching oracle [40 instances]: PASS" in out
+    assert "lexicographic oracle [40 instances]: FAIL" in out
 
 
 @pytest.mark.parametrize("extra, env, message", [

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from d2dsim.feasibility import FeasibilityMatrix
 from d2dsim.rrm import (allocate_capacity_max, allocate_none, allocate_proposed,
-                        allocate_random, brute_force_max_matching,
-                        max_matching_size, max_total_assignment)
+                        allocate_random, brute_force_lex_matching,
+                        brute_force_max_matching, max_matching_size,
+                        max_total_assignment)
 
 
 def feas(entries) -> FeasibilityMatrix:
@@ -42,6 +43,69 @@ def lex_key(vec, m):
     return tuple(v if v >= 0 else m for v in vec)
 
 
+def kuhn_allocate(adj):
+    """Frozen reference: the matcher allocate_proposed used to be.
+
+    Row by row, each row takes the smallest column for which a fresh
+    recursive Kuhn matching of the later rows still reaches the maximum.
+    """
+    a = np.asarray(adj, dtype=bool)
+    n, m = a.shape
+    masks = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in a]
+
+    def kuhn_size(start_row, banned):
+        match_row = {}
+
+        def augment(r, visited):
+            while True:
+                free = masks[r] & ~banned & ~visited
+                if not free:
+                    return False, visited
+                bit = free & -free
+                visited |= bit
+                col = bit.bit_length() - 1
+                owner = match_row.get(col)
+                if owner is None:
+                    match_row[col] = r
+                    return True, visited
+                ok, visited = augment(owner, visited)
+                if ok:
+                    match_row[col] = r
+                    return True, visited
+
+        return sum(augment(r, 0)[0] for r in range(start_row, n))
+
+    remaining = kuhn_size(0, 0)
+    banned = 0
+    out = [-1] * n
+    for r in range(n):
+        if remaining == 0:
+            break
+        free = masks[r] & ~banned
+        while free:
+            bit = free & -free
+            free ^= bit
+            if kuhn_size(r + 1, banned | bit) >= remaining - 1:
+                out[r] = bit.bit_length() - 1
+                banned |= bit
+                remaining -= 1
+                break
+    return tuple(out)
+
+
+def chain(n):
+    """Rows 0..n-2 reach columns {i, i+1}; the last row reaches column 0 only.
+
+    Seating the last row shifts every earlier row one column up, so a
+    matcher that recurses once per path step needs depth n.
+    """
+    adj = np.zeros((n, n), dtype=bool)
+    i = np.arange(n - 1)
+    adj[i, i] = adj[i, i + 1] = True
+    adj[n - 1, 0] = True
+    return adj
+
+
 def test_known_matchings():
     assert max_matching_size(np.array([[1, 0], [0, 1]], dtype=bool)) == 2
     assert max_matching_size(np.array([[1, 1], [1, 0]], dtype=bool)) == 2
@@ -65,13 +129,35 @@ def test_brute_force_size_cap():
 
 def test_proposed_is_lexicographically_smallest(rng):
     for _ in range(150):
-        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         adj = rng.random((n, m)) < rng.uniform(0.2, 0.9)
         alloc = allocate_proposed(feas(adj))
         vecs, best = all_max_matchings(adj)
         assert alloc.enabled_pairs == best == max_matching_size(adj)
         want = min(lex_key(v, m) for v in vecs)
         assert lex_key(alloc.resource_of_pair, m) == want
+        assert lex_key(brute_force_lex_matching(adj), m) == want
+
+
+def test_proposed_matches_kuhn_reference():
+    """Sector-sized instances (N, M <= 40, N*M <= 1000) at densities 0.05-0.95."""
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 10_000:
+        n, m = (int(x) for x in rng.integers(0, 41, size=2))
+        if n * m > 1000:
+            continue
+        adj = rng.random((n, m)) < rng.uniform(0.05, 0.95)
+        assert allocate_proposed(feas(adj)).resource_of_pair == kuhn_allocate(adj)
+        checked += 1
+
+
+def test_matcher_has_no_recursion_limit():
+    adj = chain(1500)
+    assert max_matching_size(adj) == 1500
+    alloc = allocate_proposed(feas(adj))
+    assert alloc.enabled_pairs == 1500
+    assert alloc.resource_of_pair == (*range(1, 1500), 0)
 
 
 def test_proposed_uses_only_feasible_edges(rng):

@@ -1,15 +1,21 @@
 """Deployment generation: grid layout, sites, user drops, pairing, association."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from d2dsim.config import ScenarioConfig
+from d2dsim.config import ScenarioConfig, apply_scenario
+from d2dsim.engine import _stream
 from d2dsim.geometry import points_in_rects
 from d2dsim.scenario import (MAIN_STREET_Y, ROLE_CELLULAR, ROLE_D2D_RX,
-                             ROLE_D2D_TX, associate_users, drop_users,
-                             generate_environment, outdoor_fraction, pair_users)
+                             ROLE_D2D_TX, D2DPair, UserTerminal,
+                             associate_users, drop_users, generate_environment,
+                             outdoor_fraction, pair_users)
 from conftest import tiny_config
 
 
@@ -149,6 +155,84 @@ def test_pair_users_respects_distance_cap():
     users = drop_users(cfg, env, np.random.default_rng(6))
     pairs = pair_users(cfg, users, np.random.default_rng(7))
     assert all(p.distance_m <= 5.0 for p in pairs)
+
+
+def pair_users_loop(cfg, users, rng):
+    """Frozen reference: the per-user query_ball_tree loop pair_users replaced."""
+    n = len(users)
+    k = int(round(cfg.d2d_fraction * n))
+    if k < 2:
+        return []
+    eligible = np.sort(rng.permutation(n)[:k])
+    pos = np.array([(users[i].x, users[i].y) for i in eligible])
+    tree = cKDTree(pos)
+    neighbours = tree.query_ball_tree(tree, r=cfg.max_pair_distance_m)
+    paired = np.zeros(k, dtype=bool)
+    pairs = []
+    for a in range(k):
+        if paired[a]:
+            continue
+        cands = [b for b in neighbours[a] if b != a and not paired[b]]
+        if not cands:
+            continue
+        d = np.hypot(pos[cands, 0] - pos[a, 0], pos[cands, 1] - pos[a, 1])
+        b = cands[int(np.argmin(d))]
+        paired[a] = paired[b] = True
+        tx, rx = int(eligible[a]), int(eligible[b])
+        users[tx].role = ROLE_D2D_TX
+        users[rx].role = ROLE_D2D_RX
+        pairs.append(D2DPair(len(pairs), tx, rx, float(np.hypot(
+            users[tx].x - users[rx].x, users[tx].y - users[rx].y))))
+    return pairs
+
+
+def assert_pairing_matches_loop(cfg, users, make_rng):
+    got_users, want_users = copy.deepcopy(users), copy.deepcopy(users)
+    got = pair_users(cfg, got_users, make_rng())
+    want = pair_users_loop(cfg, want_users, make_rng())
+    key = lambda p: (p.pair_id, p.tx_user, p.rx_user, type(p.distance_m),
+                     p.distance_m.hex())
+    assert [key(p) for p in got] == [key(p) for p in want]
+    assert [u.role for u in got_users] == [u.role for u in want_users]
+
+
+@st.composite
+def pairing_layouts(draw):
+    """User positions with distance ties, duplicates and points at exactly r."""
+    r = draw(st.sampled_from([35.0, 7.5, 1.0, 0.3, 0.1]))
+    count = draw(st.integers(0, 60))
+    layout = draw(st.sampled_from(["grid", "duplicates", "scattered"]))
+    if layout == "grid":  # spacing r: neighbours sit on the boundary
+        cells = st.tuples(st.integers(0, 6), st.integers(0, 6))
+        pts = [(i * r, j * r) for i, j in draw(st.lists(cells, min_size=count,
+                                                        max_size=count))]
+    elif layout == "duplicates":
+        coord = st.floats(0.0, 3.0 * r, allow_nan=False)
+        sites = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+        pts = draw(st.lists(st.sampled_from(sites), min_size=count, max_size=count))
+    else:
+        coord = st.floats(-10.0 * r, 10.0 * r, allow_nan=False)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=count, max_size=count))
+    fraction = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    cfg = dataclasses.replace(ScenarioConfig(), d2d_fraction=fraction,
+                              max_pair_distance_m=r)
+    users = [UserTerminal(i, x, y, 1.5, 0) for i, (x, y) in enumerate(pts)]
+    return cfg, users, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing_layouts())
+def test_pair_users_matches_loop(case):
+    cfg, users, seed = case
+    assert_pairing_matches_loop(cfg, users, lambda: np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("preset", ["macro-scheme1", "hetnet"])
+def test_pair_users_matches_loop_on_real_drops(preset):
+    cfg = apply_scenario(ScenarioConfig(), preset)
+    env = generate_environment(cfg, _stream(0, "env"))
+    users = drop_users(cfg, env, _stream(0, "users"))
+    assert_pairing_matches_loop(cfg, users, lambda: _stream(0, "pairing"))
 
 
 class _StubChannel:
