@@ -21,7 +21,7 @@ from scipy.special import ndtri
 from .config import AntennaPattern, ChannelParams, PathlossParams
 from .geometry import segments_blocked
 from .scenario import Environment, Sector
-from .units import db_to_linear, dbm_to_watts, linear_to_db
+from .units import db_to_linear, dbm_to_watts
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _USER_KEY_BASE = np.uint64(1) << np.uint64(32)
@@ -250,17 +250,3 @@ def build_gain_set(
         h_d2d_bs=h_d2d_bs,
         h_cross=h_cross,
     )
-
-
-def gain_set_csv(gains: GainSet) -> str:
-    """Debug dump: one line per link as ``link_id,class,gain_db``."""
-    lines = ["link_id,class,gain_db"]
-    for j, u in enumerate(gains.cell_users):
-        lines.append(f"cell:{int(u)},cell-uplink,{linear_to_db(gains.h_cell[j]):.6f}")
-    for i, p in enumerate(gains.pairs):
-        lines.append(f"pair:{int(p)},d2d-link,{linear_to_db(gains.h_d2d[i]):.6f}")
-        lines.append(f"pair:{int(p)},d2d-to-bs,{linear_to_db(gains.h_d2d_bs[i]):.6f}")
-        for j, u in enumerate(gains.cell_users):
-            gain_db = linear_to_db(gains.h_cross[i, j])
-            lines.append(f"pair:{int(p)}<-cell:{int(u)},cross,{gain_db:.6f}")
-    return "\n".join(lines) + "\n"

@@ -44,10 +44,8 @@ class AntennaPattern:
 
 @dataclass(frozen=True)
 class SiteParams:
-    carrier_hz: float = 8.0e8
     uplink_bandwidth_hz: float = 10.0e6
     sectors_per_site: int = 3
-    height_m: float = 25.0
     dl_power_dbm: float = 46.0  # reference signal power used for association
     selection_offset_db: float = 0.0  # cell-range-expansion bias, association only
     sector_rotation_deg: float = 0.0  # boresight of sector 0; others spaced evenly
@@ -62,10 +60,8 @@ def _macro_site() -> SiteParams:
 
 def _micro_site() -> SiteParams:
     return SiteParams(
-        carrier_hz=2.6e9,
         uplink_bandwidth_hz=40.0e6,
         sectors_per_site=2,
-        height_m=10.0,
         dl_power_dbm=30.0,
         selection_offset_db=15.0,
         antenna=AntennaPattern(max_gain_dbi=7.0, beamwidth_deg=70.0, front_to_back_db=20.0),
@@ -96,7 +92,6 @@ class ChannelParams:
     )
     los_max_distance_m: float = 300.0  # beyond this a link is NLOS outright
     min_distance_m: float = 1.0
-    shadow_decorrelation_m: float = 0.0  # only 0 (independent links) is supported
 
 
 @dataclass(frozen=True)
@@ -112,13 +107,9 @@ class ScenarioConfig:
     grid_width_m: float = 387.0
     grid_height_m: float = 552.0
     replica_rings: int = 1  # 1 -> 3x3 tiling, central grid measured
-    min_floors: int = 8
-    max_floors: int = 15
-    floor_height_m: float = 3.5
     # users
     user_density_per_km2: float = 1000.0
     fixed_user_count: int | None = None  # override Poisson draw (tests)
-    ue_height_m: float = 1.5
     ue_max_power_dbm: float = 24.0
     # D2D candidates
     d2d_fraction: float = 0.85  # fraction of users eligible for pairing
@@ -228,9 +219,6 @@ def _check(cond: bool, msg: str) -> None:
 
 def validate_config(cfg: ScenarioConfig) -> None:
     _check(cfg.grid_width_m > 0 and cfg.grid_height_m > 0, "grid dimensions must be positive")
-    _check(1 <= cfg.min_floors <= cfg.max_floors,
-           "floor range must satisfy 1 <= min_floors <= max_floors")
-    _check(cfg.floor_height_m > 0, "floor_height_m must be positive")
     _check(cfg.user_density_per_km2 >= 0, "user_density_per_km2 must be >= 0")
     if cfg.fixed_user_count is not None:
         _check(cfg.fixed_user_count >= 0, "fixed_user_count must be >= 0")
@@ -243,7 +231,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _check(cfg.gamma_cell_db >= 0, "gamma_cell_db must be >= 0")
     _check(cfg.distance_ratio_threshold >= 0, "distance_ratio_threshold must be >= 0")
     for site_name, site in (("macro", cfg.macro), ("micro", cfg.micro)):
-        _check(site.carrier_hz > 0, f"{site_name}.carrier_hz must be positive")
         _check(site.uplink_bandwidth_hz > 0, f"{site_name}.uplink_bandwidth_hz must be positive")
         _check(site.sectors_per_site >= 1, f"{site_name}.sectors_per_site must be >= 1")
         _check(site.antenna.beamwidth_deg > 0, f"{site_name}.antenna.beamwidth_deg must be positive")
@@ -259,8 +246,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         _check(pl.shadow_sigma_db >= 0, f"channel.{link_name}.shadow_sigma_db must be >= 0")
     _check(cfg.channel.los_max_distance_m > 0, "channel.los_max_distance_m must be positive")
     _check(cfg.channel.min_distance_m > 0, "channel.min_distance_m must be positive")
-    _check(cfg.channel.shadow_decorrelation_m == 0.0,
-           "channel.shadow_decorrelation_m: only 0 (independent shadowing) is supported")
     _check(cfg.replica_rings in (0, 1), "replica_rings must be 0 or 1")
     _check(cfg.num_drops >= 1, "num_drops must be >= 1")
     _check(cfg.seed >= 0, "seed must be >= 0")

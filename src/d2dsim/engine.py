@@ -24,13 +24,13 @@ from .rrm import (Allocation, allocate_capacity_max, allocate_none,
                   allocate_proposed, allocate_random)
 from .scenario import (ROLE_CELLULAR, associate_users, drop_users,
                        generate_environment, pair_users)
-from .signaling import ProtocolTrace, run_multi_cell, run_single_cell
 
 SCHEMES = ("proposed", "capacity-max", "random", "none")
 
 WORKERS_ENV = "D2DSIM_WORKERS"
 
-_STREAMS = {"env": 1, "users": 2, "pairing": 3, "targets-cell": 4,
+# Fixed stream ids: a stream never moves when another is added or retired.
+_STREAMS = {"users": 2, "pairing": 3, "targets-cell": 4,
             "targets-d2d": 5, "random-alloc": 6, "shadow": 7}
 
 
@@ -59,12 +59,11 @@ class DropState:
     n_measured_users: int
     serving: np.ndarray
     states: list[SectorState]
-    pair_topology: list[tuple[int, bool]]  # (pair_id, same_site) for measured pairs
 
 
 def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     """Generate environment, users, pairs, gains, powers and feasibility."""
-    env = generate_environment(cfg, _stream(seed, "env"))
+    env = generate_environment(cfg)
     users = drop_users(cfg, env, _stream(seed, "users"))
     pairs = pair_users(cfg, users, _stream(seed, "pairing"))
     n = len(users)
@@ -88,8 +87,6 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         pairs_of_sector.setdefault(int(serving[p.tx_user]), []).append(p.pair_id)
 
     states: list[SectorState] = []
-    pair_topology: list[tuple[int, bool]] = []
-    site_of_sector = {s.sector_id: s.site_id for s in env.sectors}
     for sector in env.sectors:
         cell_idx = np.array(cell_of_sector.get(sector.sector_id, ()), dtype=int)
         pair_ids = np.array(pairs_of_sector.get(sector.sector_id, ()), dtype=int)
@@ -140,13 +137,8 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
             cross_distance_m=cross_dist,
             cell_measured=cell_measured,
             pair_measured=pair_measured,
-            targets=targets,
             feas_context=feas,
         ))
-        for k, p in enumerate(pair_ids):
-            if pair_measured[k]:
-                same_site = site_of_sector[int(serving[pairs[p].rx_user])] == sector.site_id
-                pair_topology.append((int(p), bool(same_site)))
 
     return DropState(
         seed=seed,
@@ -155,7 +147,6 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         n_measured_users=int(grid0.sum()),
         serving=serving,
         states=states,
-        pair_topology=sorted(pair_topology),
     )
 
 
@@ -184,7 +175,6 @@ class DropResult:
     n_users: int
     n_pairs: int
     reports: dict[str, CapacityReport]
-    trace: ProtocolTrace | None = None
     # (sector_id, scheme, pair_row, resource_col) per granted reuse
     alloc_rows: list[tuple[int, str, int, int]] = field(default_factory=list)
 
@@ -193,7 +183,6 @@ def run_drop(
     cfg: ScenarioConfig,
     seed: int,
     schemes: tuple[str, ...] = SCHEMES,
-    with_trace: bool = False,
 ) -> DropResult:
     """One deployment, scheduled and evaluated under every requested scheme."""
     for s in schemes:
@@ -201,37 +190,17 @@ def run_drop(
             raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
     drop = build_drop(cfg, seed)
     reports: dict[str, CapacityReport] = {}
-    proposed_alloc: dict[int, Allocation] = {}
     alloc_rows: list[tuple[int, str, int, int]] = []
     for scheme in SCHEMES:  # canonical order keeps the random stream stable
         if scheme not in schemes:
             continue
         rng_random = _stream(seed, "random-alloc") if scheme == "random" else None
         allocations = {st.sector_id: schedule(st, scheme, rng_random) for st in drop.states}
-        if scheme == "proposed":
-            proposed_alloc = allocations
         for st in drop.states:
             for m, col in allocations[st.sector_id].pairs():
                 alloc_rows.append((st.sector_id, scheme, m, col))
         reports[scheme] = evaluate_drop(drop.states, allocations, scheme)
-
-    trace = None
-    if with_trace and drop.pair_topology:
-        pair_id, same_site = drop.pair_topology[0]
-        granted = False
-        for st in drop.states:
-            alloc = proposed_alloc.get(st.sector_id)
-            if alloc is None:
-                continue
-            where = np.flatnonzero(st.gains.pairs == pair_id)
-            if where.size:
-                granted = alloc.resource_of_pair[int(where[0])] >= 0
-                break
-        if same_site:
-            trace = run_single_cell(granted)
-        else:
-            trace = run_multi_cell(granted, granted)
-    return DropResult(drop.seed, drop.n_users, drop.n_pairs, reports, trace, alloc_rows)
+    return DropResult(drop.seed, drop.n_users, drop.n_pairs, reports, alloc_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ inputs are converted once on entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "baseline_cell_sinr",
     "feasibility_exact",
     "feasibility_context",
-    "feasibility_csv",
 ]
 
 
@@ -86,15 +84,14 @@ class SinrTargets:
     side runs in one of two modes: a fixed target (cell_target_db) or a
     tolerated-degradation offset below the no-reuse SINR (gamma_cell_db with
     baseline_cell_sinr, linear).  ratio_threshold is the distance-ratio
-    floor of the context proxy — a constant, or a callable mapping the (N,)
-    pair link lengths to per-pair floors.
+    floor of the context proxy, one constant for every pair.
     """
 
     d2d_target_db: float | np.ndarray = 0.0
     cell_target_db: float | None = None
     gamma_cell_db: float | None = None
     baseline_cell_sinr: np.ndarray | None = None
-    ratio_threshold: float | Callable[[np.ndarray], np.ndarray] = 1.0
+    ratio_threshold: float = 1.0
 
     def __post_init__(self):
         fixed = self.cell_target_db is not None
@@ -117,8 +114,6 @@ class SinrTargets:
 
     def ratio_floor(self, pair_distance_m: np.ndarray) -> np.ndarray:
         d = np.asarray(pair_distance_m, dtype=float)
-        if callable(self.ratio_threshold):
-            return np.broadcast_to(np.asarray(self.ratio_threshold(d), dtype=float), d.shape)
         return np.full(d.shape, float(self.ratio_threshold))
 
 
@@ -180,13 +175,3 @@ def feasibility_context(
     cell_ok = sinr_cell_matrix(gains, p_cell_w, p_d2d_w, sigma2_cell_w) \
         >= targets.cell_threshold_linear(m)[None, :]
     return FeasibilityMatrix(entries=(ratio_ok & cell_ok), mode="context")
-
-
-def feasibility_csv(matrix: FeasibilityMatrix, sector_id: int) -> str:
-    """Debug dump: ``mode,sector,pair_row,resource_col,feasible`` per entry."""
-    lines = ["mode,sector,pair_row,resource_col,feasible"]
-    n, m = matrix.shape
-    for i in range(n):
-        for j in range(m):
-            lines.append(f"{matrix.mode},{sector_id},{i},{j},{int(matrix.entries[i, j])}")
-    return "\n".join(lines) + "\n"

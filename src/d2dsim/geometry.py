@@ -17,11 +17,6 @@ _EDGE_EPS = 1e-9
 _PRUNE_MARGIN = 1e-6
 
 
-def rect_area(rects: np.ndarray) -> np.ndarray:
-    r = np.atleast_2d(np.asarray(rects, dtype=float))
-    return (r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])
-
-
 def points_in_rects(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
     """True for each point lying inside (closed) any of the rectangles."""
     p = np.atleast_2d(np.asarray(points, dtype=float))  # (P, 2)

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import GainSet
-from .feasibility import FeasibilityMatrix, SinrTargets, sinr_cell_matrix, sinr_d2d_matrix
+from .feasibility import FeasibilityMatrix, sinr_cell_matrix, sinr_d2d_matrix
 from .rrm import Allocation
 
 __all__ = ["SectorState", "CapacityReport", "sector_rates", "evaluate_drop",
-           "relative_gain", "aggregate_gain"]
+           "aggregate_gain"]
 
 
 @dataclass
@@ -39,7 +39,6 @@ class SectorState:
     cross_distance_m: np.ndarray  # (N, M)
     cell_measured: np.ndarray  # (M,) bool, True = central-grid terminal
     pair_measured: np.ndarray  # (N,) bool
-    targets: SinrTargets | None = None
     feas_context: FeasibilityMatrix | None = None
 
     @property
@@ -89,7 +88,6 @@ class CapacityReport:
     enabled_pairs: int  # measured pairs actually scheduled
     clip_rate: float  # clipped transmitters / all measured transmitters
     by_kind: dict[str, dict[str, float]] = field(default_factory=dict)
-    baseline_cell_sinr: np.ndarray | None = None  # measured users, linear
 
 
 def evaluate_drop(
@@ -100,7 +98,6 @@ def evaluate_drop(
     enabled = 0
     clipped = total_tx = 0
     by_kind: dict[str, dict[str, float]] = {}
-    base_sinr: list[np.ndarray] = []
     for st in states:
         alloc = allocations[st.sector_id]
         cell_bps, d2d_bps, _ = sector_rates(st, alloc)
@@ -112,7 +109,6 @@ def evaluate_drop(
         enabled += int(((res >= 0) & pm).sum()) if pm.size else 0
         clipped += int(st.cell_clipped[cm].sum()) + int(st.d2d_clipped[pm].sum())
         total_tx += int(cm.sum()) + int(pm.sum())
-        base_sinr.append(st.baseline_sinr[cm])
         agg = by_kind.setdefault(st.kind, {"cell_bps": 0.0, "d2d_bps": 0.0,
                                            "overall_bps": 0.0, "baseline_cell_bps": 0.0})
         agg["cell_bps"] += c
@@ -131,15 +127,7 @@ def evaluate_drop(
         enabled_pairs=enabled,
         clip_rate=(clipped / total_tx) if total_tx else 0.0,
         by_kind=by_kind,
-        baseline_cell_sinr=np.concatenate(base_sinr) if base_sinr else np.zeros(0),
     )
-
-
-def relative_gain(value: float, baseline: float) -> float | None:
-    """(value - baseline) / baseline, or None when the baseline is zero."""
-    if baseline == 0.0:
-        return None
-    return (value - baseline) / baseline
 
 
 def aggregate_gain(values: list[float], baselines: list[float]) -> float | None:

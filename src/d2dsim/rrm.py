@@ -46,7 +46,6 @@ class Allocation:
 
     scheme: str
     resource_of_pair: tuple[int, ...]
-    overflow: int = 0  # pairs that could not get a resource for lack of columns
 
     @property
     def enabled_pairs(self) -> int:
@@ -253,11 +252,7 @@ def allocate_capacity_max(
         rows, cols = linear_sum_assignment(benefit, maximize=True)
         for r, c in zip(rows, cols):
             out[int(r)] = int(c)
-    return Allocation(
-        scheme="capacity-max",
-        resource_of_pair=tuple(out),
-        overflow=max(0, n - m),
-    )
+    return Allocation(scheme="capacity-max", resource_of_pair=tuple(out))
 
 
 def allocate_random(
@@ -271,11 +266,7 @@ def allocate_random(
         chosen_cols = rng.permutation(n_resources)[:k]
         for p, c in zip(chosen_pairs, chosen_cols):
             out[int(p)] = int(c)
-    return Allocation(
-        scheme="random",
-        resource_of_pair=tuple(out),
-        overflow=max(0, n_pairs - n_resources),
-    )
+    return Allocation(scheme="random", resource_of_pair=tuple(out))
 
 
 def allocate_none(n_pairs: int) -> Allocation:

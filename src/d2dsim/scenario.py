@@ -5,6 +5,7 @@ separated by 21 m streets (10.5 m half-streets at the rim).  The centre block
 of the second row is a park, and the four corner blocks are split in two by a
 6 m alley, giving 15 buildings plus the park.  The main street runs
 horizontally between the second and third rows; all radio sites stand on it.
+Everything is flat: only the 2D footprints enter the line-of-sight test.
 The measured grid sits at the centre of a 3 x 3 tiling of identical replicas
 so that cell-border users see realistic neighbour sectors.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import AntennaPattern, ScenarioConfig
-from .geometry import points_in_rects, sample_outdoor_points
+from .geometry import sample_outdoor_points
 
 ROLE_CELLULAR = "cellular"
 ROLE_D2D_TX = "d2d-tx"
@@ -36,19 +37,6 @@ MAIN_STREET_Y = (265.5, 286.5)  # between rows 1 and 2
 
 
 @dataclass(frozen=True)
-class Building:
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
-    height_m: float
-
-    @property
-    def rect(self) -> tuple[float, float, float, float]:
-        return (self.xmin, self.ymin, self.xmax, self.ymax)
-
-
-@dataclass(frozen=True)
 class Sector:
     sector_id: int
     site_id: int
@@ -56,9 +44,7 @@ class Sector:
     kind: str  # "macro" | "micro"
     x: float
     y: float
-    height_m: float
     boresight_deg: float
-    carrier_hz: float
     bandwidth_hz: float
     dl_power_dbm: float
     selection_offset_db: float
@@ -70,10 +56,8 @@ class UserTerminal:
     user_id: int
     x: float
     y: float
-    z: float
     grid_index: int  # 0 = measured central grid
     role: str = ROLE_CELLULAR
-    serving_sector: int | None = None
 
 
 @dataclass(frozen=True)
@@ -89,9 +73,7 @@ class Environment:
     width_m: float
     height_m: float
     offsets: np.ndarray  # (G, 2) grid origin offsets, row 0 = central grid
-    buildings: list[Building]
-    building_rects: np.ndarray  # (B, 4) cache for blocking tests
-    park_rect: tuple[float, float, float, float]  # central grid
+    building_rects: np.ndarray  # (B, 4) footprints of every replica grid
     sectors: list[Sector]
 
     @property
@@ -109,18 +91,16 @@ class Environment:
         return np.array([lookup.get((x, y), -1) for x, y in zip(ix, iy)], dtype=int)
 
 
-def _block_rects(width: float, height: float) -> tuple[list[tuple], tuple]:
-    """Building footprints and the park rect for one grid at origin (0, 0)."""
+def _block_rects(width: float, height: float) -> list[tuple]:
+    """The 15 building footprints of one grid at origin (0, 0)."""
     sx = width / _REF_W
     sy = height / _REF_H
     rects: list[tuple] = []
-    park = None
     for c, (x0, x1) in enumerate(_COL_X):
         for r, (y0, y1) in enumerate(_ROW_Y):
-            rect = (x0 * sx, y0 * sy, x1 * sx, y1 * sy)
             if (c, r) == _PARK_BLOCK:
-                park = rect
                 continue
+            rect = (x0 * sx, y0 * sy, x1 * sx, y1 * sy)
             if (c, r) in _SPLIT_BLOCKS:
                 ymid = 0.5 * (rect[1] + rect[3])
                 half = 0.5 * _ALLEY_M * sy
@@ -128,8 +108,7 @@ def _block_rects(width: float, height: float) -> tuple[list[tuple], tuple]:
                 rects.append((rect[0], ymid + half, rect[2], rect[3]))
             else:
                 rects.append(rect)
-    assert park is not None and len(rects) == 15
-    return rects, park
+    return rects
 
 
 def _grid_offsets(width: float, height: float, rings: int) -> np.ndarray:
@@ -143,23 +122,16 @@ def _grid_offsets(width: float, height: float, rings: int) -> np.ndarray:
     return np.array(offs)
 
 
-def generate_environment(cfg: ScenarioConfig, rng: np.random.Generator) -> Environment:
-    """Buildings and radio sites for all replica grids.
+def generate_environment(cfg: ScenarioConfig) -> Environment:
+    """Building footprints and radio sites for all replica grids.
 
-    The only randomness is the 15 building heights (uniform integer floor
-    counts); replicas share identical footprints and heights.
+    Deterministic: replicas repeat the central grid's footprints and sites.
     """
     w, h = cfg.grid_width_m, cfg.grid_height_m
-    base_rects, park = _block_rects(w, h)
-    floors = rng.integers(cfg.min_floors, cfg.max_floors + 1, size=len(base_rects))
-    heights = floors * cfg.floor_height_m
+    base_rects = _block_rects(w, h)
     offsets = _grid_offsets(w, h, cfg.replica_rings)
-
-    buildings: list[Building] = []
-    for ox, oy in offsets:
-        for rect, bh in zip(base_rects, heights):
-            buildings.append(Building(rect[0] + ox, rect[1] + oy, rect[2] + ox, rect[3] + oy, bh))
-    rects = np.array([b.rect for b in buildings])
+    rects = np.array([(x0 + ox, y0 + oy, x1 + ox, y1 + oy)
+                      for ox, oy in offsets for x0, y0, x1, y1 in base_rects])
 
     street_mid = 0.5 * (MAIN_STREET_Y[0] + MAIN_STREET_Y[1]) * (h / _REF_H)
     sectors: list[Sector] = []
@@ -183,10 +155,8 @@ def generate_environment(cfg: ScenarioConfig, rng: np.random.Generator) -> Envir
                     kind=kind,
                     x=sx,
                     y=sy,
-                    height_m=params.height_m,
                     boresight_deg=(params.sector_rotation_deg
                                    + 360.0 * k / params.sectors_per_site) % 360.0,
-                    carrier_hz=params.carrier_hz,
                     bandwidth_hz=params.uplink_bandwidth_hz,
                     dl_power_dbm=params.dl_power_dbm,
                     selection_offset_db=params.selection_offset_db,
@@ -199,9 +169,7 @@ def generate_environment(cfg: ScenarioConfig, rng: np.random.Generator) -> Envir
         width_m=w,
         height_m=h,
         offsets=offsets,
-        buildings=buildings,
         building_rects=rects,
-        park_rect=park,
         sectors=sectors,
     )
 
@@ -220,10 +188,8 @@ def drop_users(cfg: ScenarioConfig, env: Environment, rng: np.random.Generator) 
         count = int(rng.poisson(cfg.user_density_per_km2 * area_km2))
     pts = sample_outdoor_points(count, env.bounds, env.building_rects, rng)
     grids = env.grid_index_of(pts) if count else np.empty(0, dtype=int)
-    return [
-        UserTerminal(i, float(pts[i, 0]), float(pts[i, 1]), cfg.ue_height_m, int(grids[i]))
-        for i in range(count)
-    ]
+    return [UserTerminal(i, x, y, g)
+            for i, ((x, y), g) in enumerate(zip(pts.tolist(), grids.tolist()))]
 
 
 def pair_users(
@@ -277,8 +243,7 @@ def associate_users(users: list[UserTerminal], env: Environment, channel) -> np.
     """Attach every user to the sector with the strongest biased DL power.
 
     `channel` provides dl_rx_power_dbm(user_indices, sector); ties resolve to
-    the lowest sector id.  Returns the serving sector id per user and writes
-    it back onto the terminals.
+    the lowest sector id.  Returns the serving sector id per user.
     """
     n = len(users)
     serving = np.full(n, -1, dtype=int)
@@ -291,14 +256,4 @@ def associate_users(users: list[UserTerminal], env: Environment, channel) -> np.
         better = p > best
         serving[better] = sector.sector_id
         best[better] = p[better]
-    for u, s in zip(users, serving):
-        u.serving_sector = int(s)
     return serving
-
-
-def outdoor_fraction(env: Environment, samples: int = 20000, seed: int = 0) -> float:
-    """Monte-Carlo outdoor area fraction (diagnostics only)."""
-    rng = np.random.default_rng(seed)
-    xmin, ymin, xmax, ymax = env.bounds
-    pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(samples, 2))
-    return float(1.0 - points_in_rects(pts, env.building_rects).mean())

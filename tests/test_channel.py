@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from d2dsim.channel import (LINK_CLASS, DropChannel, ShadowField, antenna_gain_db,
-                            build_gain_set, gain_set_csv, noise_power_watts,
+                            build_gain_set, noise_power_watts,
                             pathloss_db, site_key)
 from d2dsim.config import (AntennaPattern, PathlossParams, ScenarioConfig,
                            apply_scenario)
@@ -77,7 +77,7 @@ def test_shadow_field_properties():
 
 def make_channel(users_xy, shadow=False, **cfg_overrides):
     cfg = tiny_config(**cfg_overrides)
-    env = generate_environment(cfg, np.random.default_rng(0))
+    env = generate_environment(cfg)
     params = cfg.channel if shadow else no_shadow(cfg)
     xy = np.asarray(users_xy, dtype=float)
     return cfg, env, DropChannel(env, params, 99, xy, np.arange(len(xy)))
@@ -117,7 +117,7 @@ def test_los_distance_cutoff():
     # clear path but longer than los_max_distance_m -> NLOS slope applies
     xy = [[193.5, 276.0], [193.5 + 350.0, 276.0]]
     cfg = tiny_config()
-    env = generate_environment(cfg, np.random.default_rng(0))
+    env = generate_environment(cfg)
     params = dataclasses.replace(no_shadow(cfg), los_max_distance_m=300.0)
     ch = DropChannel(env, params, 1, np.asarray(xy), np.arange(2))
     g = ch.user_user_gain_db([0], [1])[0]
@@ -190,20 +190,6 @@ def test_empty_gain_set():
     assert gs.h_cell.size == 0 and gs.h_d2d.size == 0
 
 
-def test_gain_set_csv_schema(rng):
-    from conftest import random_gain_set
-
-    gs = random_gain_set(rng, 2, 3)
-    text = gain_set_csv(gs)
-    lines = text.strip().split("\n")
-    assert lines[0] == "link_id,class,gain_db"
-    # 3 cell + 2 * (1 d2d + 1 d2d-bs + 3 cross) = 13 link rows
-    assert len(lines) == 1 + 3 + 2 * (2 + 3)
-    assert lines[1].startswith("cell:0,cell-uplink,")
-    db = float(lines[1].split(",")[2])
-    assert db == pytest.approx(10.0 * np.log10(gs.h_cell[0]), abs=1e-5)
-
-
 def test_site_view_cache_consistent():
     cfg, env, ch = make_channel([[100.0, 276.0], [150.0, 300.0]], shadow=True)
     sectors = [s for s in env.sectors]
@@ -237,7 +223,7 @@ def per_sector_gain_db(ch, idx, sector):
 def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     rng = np.random.default_rng(5)
-    env = generate_environment(cfg, rng)
+    env = generate_environment(cfg)
     users = drop_users(cfg, env, rng)
     xy = np.array([(u.x, u.y) for u in users])
     ch = DropChannel(env, cfg.channel, 77, xy, np.arange(len(xy)))

@@ -87,6 +87,8 @@ def test_top_level_must_be_object(tmp_path):
 @pytest.mark.parametrize("patch,msg", [
     ({"gamma_cell_db": -1.0}, "gamma_cell_db"),
     ({"d2d_fraction": 1.5}, "d2d_fraction"),
+    # min_floors, max_floors, shadow_decorrelation_m and the keys at the end
+    # were removed (no output read them): refused as unknown keys, by name
     ({"min_floors": 0}, "floor"),
     ({"min_floors": 9, "max_floors": 8}, "floor"),
     ({"replica_rings": 2}, "replica_rings"),
@@ -96,6 +98,12 @@ def test_top_level_must_be_object(tmp_path):
     ({"macro": {"sectors_per_site": 0}}, "sectors_per_site"),
     ({"num_drops": 0}, "num_drops"),
     ({"seed": -4}, "seed"),
+    ({"macro": {"carrier_hz": 8e8}}, "unknown config key: 'macro.carrier_hz'"),
+    ({"micro": {"carrier_hz": 2.6e9}}, "unknown config key: 'micro.carrier_hz'"),
+    ({"macro": {"height_m": 25.0}}, "unknown config key: 'macro.height_m'"),
+    ({"micro": {"height_m": 10.0}}, "unknown config key: 'micro.height_m'"),
+    ({"floor_height_m": 3.5}, "unknown config key: 'floor_height_m'"),
+    ({"ue_height_m": 1.5}, "unknown config key: 'ue_height_m'"),
 ])
 def test_validation_rejects(patch, msg):
     with pytest.raises(ConfigError, match=msg):

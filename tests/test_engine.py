@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import tiny_config
 
-from d2dsim import cli, engine
+from d2dsim import cli
 from d2dsim.config import ConfigError, config_to_dict
 from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, schedule,
@@ -38,7 +38,6 @@ def test_build_drop_reproducible():
     assert a.n_pairs == b.n_pairs
     assert np.array_equal(a.serving, b.serving)
     assert first_state_fingerprint(a) == first_state_fingerprint(b)
-    assert a.pair_topology == b.pair_topology
     c = build_drop(cfg, 43)
     assert first_state_fingerprint(a) != first_state_fingerprint(c)
 
@@ -52,7 +51,7 @@ def test_build_drop_states_are_measured_and_shared():
         assert st.cell_measured.any() or st.pair_measured.any()
         if env is None:
             from d2dsim.scenario import generate_environment
-            env = generate_environment(cfg, engine._stream(7, "env"))
+            env = generate_environment(cfg)
         sector = next(s for s in env.sectors if s.sector_id == st.sector_id)
         m = len(st.gains.cell_users)
         assert st.share_bw_hz == pytest.approx(sector.bandwidth_hz / max(m, 1))
@@ -113,20 +112,6 @@ def test_run_drop_alloc_rows():
         n_pairs, n_cols = shapes[sector]
         assert 0 <= m < n_pairs
         assert 0 <= col < n_cols
-
-
-def test_run_drop_trace_matches_topology():
-    cfg = tiny_config()
-    drop = build_drop(cfg, 3)
-    result = run_drop(cfg, 3, with_trace=True)
-    if drop.pair_topology:
-        assert result.trace is not None
-        want = "single-cell" if drop.pair_topology[0][1] else "multi-cell"
-        assert result.trace.topology == want
-        again = run_drop(cfg, 3, with_trace=True)
-        assert again.trace.to_text() == result.trace.to_text()
-    else:
-        assert result.trace is None
 
 
 def test_campaign_single_drop_equals_run_drop():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from d2dsim.channel import GainSet
 from d2dsim.feasibility import (FeasibilityMatrix, SinrTargets,
                                 baseline_cell_sinr, feasibility_context,
-                                feasibility_csv, feasibility_exact, sinr_cell,
+                                feasibility_exact, sinr_cell,
                                 sinr_cell_matrix, sinr_d2d, sinr_d2d_matrix)
 from conftest import random_gain_set
 
@@ -66,11 +66,9 @@ def test_targets_validation(rng):
         g.cell_threshold_linear(3)
 
 
-def test_ratio_floor_constant_and_callable():
+def test_ratio_floor_constant():
     t = SinrTargets(cell_target_db=10.0, ratio_threshold=2.0)
     np.testing.assert_allclose(t.ratio_floor(np.array([5.0, 9.0])), [2.0, 2.0])
-    t2 = SinrTargets(cell_target_db=10.0, ratio_threshold=lambda d: 1.0 + d / 10.0)
-    np.testing.assert_allclose(t2.ratio_floor(np.array([5.0, 20.0])), [1.5, 3.0])
 
 
 def exact_oracle(gs, p_cell, p_d2d, s2c, s2d, targets):
@@ -184,16 +182,6 @@ def test_shape_validation(rng):
                             np.ones(2), np.ones((3, 2)), targets)
     with pytest.raises(ValueError, match="2-D"):
         FeasibilityMatrix(entries=np.ones(4), mode="exact")
-
-
-def test_feasibility_csv(rng):
-    fm = FeasibilityMatrix(entries=np.array([[1, 0], [0, 1]]), mode="context")
-    text = feasibility_csv(fm, sector_id=7)
-    lines = text.strip().split("\n")
-    assert lines[0] == "mode,sector,pair_row,resource_col,feasible"
-    assert lines[1] == "context,7,0,0,1"
-    assert lines[2] == "context,7,0,1,0"
-    assert len(lines) == 5
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 from d2dsim import channel, engine
 from d2dsim.config import ScenarioConfig, apply_scenario
-from d2dsim.geometry import (_EDGE_EPS, _slab_interval, points_in_rects, rect_area,
+from d2dsim.geometry import (_EDGE_EPS, _slab_interval, points_in_rects,
                              sample_outdoor_points, segments_blocked)
 
 RECT = np.array([[10.0, 10.0, 20.0, 30.0]])
-
-
-def test_rect_area():
-    np.testing.assert_allclose(rect_area(RECT), [200.0])
-    np.testing.assert_allclose(rect_area(np.array([[0, 0, 1, 1], [0, 0, 2, 3]])),
-                               [1.0, 6.0])
 
 
 def test_points_in_rects_closed_boundary():

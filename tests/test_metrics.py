@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from d2dsim.channel import GainSet
-from d2dsim.metrics import (SectorState, aggregate_gain, evaluate_drop,
-                            relative_gain, sector_rates)
+from d2dsim.metrics import SectorState, aggregate_gain, evaluate_drop, sector_rates
 from d2dsim.rrm import Allocation, allocate_none
 
 SHARE_HZ = 1000.0
@@ -115,7 +114,6 @@ def test_evaluate_drop_measured_only():
     assert report.enabled_pairs == 1  # pair 1 is scheduled but off-grid
     # clipped measured transmitters: cell user 0 of {0,1} + neither pair
     assert report.clip_rate == pytest.approx(1.0 / 3.0)
-    assert report.baseline_cell_sinr == pytest.approx([100.0, 400.0])
 
 
 def test_evaluate_drop_by_kind_split():
@@ -147,13 +145,7 @@ def test_evaluate_drop_empty():
     report = evaluate_drop([], {}, "none")
     assert report.overall_bps == 0.0
     assert report.clip_rate == 0.0
-    assert report.baseline_cell_sinr.shape == (0,)
-
-
-def test_relative_gain():
-    assert relative_gain(130.0, 100.0) == pytest.approx(0.30)
-    assert relative_gain(70.0, 100.0) == pytest.approx(-0.30)
-    assert relative_gain(5.0, 0.0) is None
+    assert report.baseline_cell_bps == 0.0
 
 
 def test_aggregate_gain():

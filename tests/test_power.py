@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dsim.power import (draw_snr_targets, open_loop_power, open_loop_power_w,
-                          power_dump_csv)
+from d2dsim.power import draw_snr_targets, open_loop_power_w
 from d2dsim.units import dbm_to_watts
 
 
@@ -40,13 +39,6 @@ def test_vectorized_mixed():
     p, c = open_loop_power_w([0.0, 0.0], [1e-9, 1e-20], 1e-13, 24.0)
     assert not c[0] and c[1]
     assert p.shape == (2,)
-
-
-def test_scalar_wrapper():
-    pa = open_loop_power(7.0, 1e-9, 1e-13, 24.0)
-    p, c = open_loop_power_w(7.0, 1e-9, 1e-13, 24.0)
-    assert pa.power_w == float(p) and pa.clipped == bool(c)
-    assert pa.snr_target_db == 7.0
 
 
 def test_invalid_inputs():
@@ -85,13 +77,3 @@ def test_draw_snr_targets():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError, match="low"):
         draw_snr_targets((5.0, 1.0), 3, rng)
-
-
-def test_power_dump_csv():
-    text = power_dump_csv(["cell:3", "pair:1"], [1e-3, 0.25], [False, True])
-    lines = text.strip().split("\n")
-    assert lines[0] == "link_id,power_dbm,clipped"
-    assert lines[1] == "cell:3,0.000000,0"
-    assert lines[2].startswith("pair:1,23.979400,1")
-    with pytest.raises(ValueError, match="equal length"):
-        power_dump_csv(["a"], [1e-3, 1e-3], [False, False])

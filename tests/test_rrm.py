@@ -221,7 +221,6 @@ def test_capacity_max_matches_exhaustive(n, m, rng):
         base = rng.uniform(0.0, 8.0, m)
         alloc = allocate_capacity_max(cap, base)
         assert alloc.enabled_pairs == min(n, m)  # never declines
-        assert alloc.overflow == max(0, n - m)
         got = realized_total(cap, base, alloc)
         assert got == pytest.approx(capacity_oracle(cap, base), abs=1e-9)
 
@@ -253,7 +252,6 @@ def test_allocate_random_properties():
         assert len(cols) == min(n, m)
         assert len(set(cols)) == len(cols)
         assert all(0 <= c < m for c in cols)
-        assert alloc.overflow == max(0, n - m)
     a = allocate_random(6, 6, np.random.default_rng(9))
     b = allocate_random(6, 6, np.random.default_rng(9))
     assert a == b

@@ -15,17 +15,17 @@ from d2dsim.geometry import points_in_rects
 from d2dsim.scenario import (MAIN_STREET_Y, ROLE_CELLULAR, ROLE_D2D_RX,
                              ROLE_D2D_TX, D2DPair, UserTerminal,
                              associate_users, drop_users, generate_environment,
-                             outdoor_fraction, pair_users)
+                             pair_users)
 from conftest import tiny_config
 
 
-def env_for(cfg, seed=0):
-    return generate_environment(cfg, np.random.default_rng(seed))
+def env_for(cfg):
+    return generate_environment(cfg)
 
 
 def test_single_grid_block_count():
     env = env_for(tiny_config())
-    assert len(env.buildings) == 15
+    assert env.building_rects.shape == (15, 4)
     assert env.offsets.shape == (1, 2)
     w, h = env.width_m, env.height_m
     assert env.bounds == (0.0, 0.0, w, h)
@@ -33,7 +33,7 @@ def test_single_grid_block_count():
 
 def test_replica_tiling():
     env = env_for(dataclasses.replace(tiny_config(), replica_rings=1))
-    assert len(env.buildings) == 9 * 15
+    assert env.building_rects.shape == (9 * 15, 4)
     assert env.offsets.shape == (9, 2)
     assert tuple(env.offsets[0]) == (0.0, 0.0)  # central grid first
     xmin, ymin, xmax, ymax = env.bounds
@@ -42,19 +42,9 @@ def test_replica_tiling():
 
 
 def test_environment_deterministic():
-    a = env_for(tiny_config(), seed=5)
-    b = env_for(tiny_config(), seed=5)
-    assert [x.rect for x in a.buildings] == [x.rect for x in b.buildings]
-    assert [x.height_m for x in a.buildings] == [x.height_m for x in b.buildings]
-
-
-def test_building_heights_follow_floor_range():
-    cfg = tiny_config()
-    env = env_for(cfg)
-    lo = cfg.min_floors * cfg.floor_height_m
-    hi = cfg.max_floors * cfg.floor_height_m
-    hs = np.array([b.height_m for b in env.buildings])
-    assert (hs >= lo).all() and (hs <= hi).all()
+    a = env_for(tiny_config())
+    b = env_for(tiny_config())
+    np.testing.assert_array_equal(a.building_rects, b.building_rects)
 
 
 def test_macro_only_sector_layout():
@@ -67,7 +57,7 @@ def test_macro_only_sector_layout():
     for s in env.sectors:
         assert s.x == cfg.grid_width_m / 2
         assert s.y == street_mid
-        assert s.carrier_hz == cfg.macro.carrier_hz
+        assert s.bandwidth_hz == cfg.macro.uplink_bandwidth_hz
 
 
 def test_hetnet_sector_layout():
@@ -102,7 +92,7 @@ def test_drop_users_fixed_count_outdoor():
     assert not points_in_rects(pts, env.building_rects).any()
     assert all(u.role == ROLE_CELLULAR for u in users)
     assert all(u.grid_index == 0 for u in users)  # single grid
-    assert all(u.z == cfg.ue_height_m for u in users)
+    assert all(type(u.x) is float and type(u.grid_index) is int for u in users)
 
 
 def test_drop_users_poisson_mean():
@@ -230,7 +220,7 @@ def test_pair_users_matches_loop(case):
 @pytest.mark.parametrize("preset", ["macro-scheme1", "hetnet"])
 def test_pair_users_matches_loop_on_real_drops(preset):
     cfg = apply_scenario(ScenarioConfig(), preset)
-    env = generate_environment(cfg, _stream(0, "env"))
+    env = generate_environment(cfg)
     users = drop_users(cfg, env, _stream(0, "users"))
     assert_pairing_matches_loop(cfg, users, lambda: _stream(0, "pairing"))
 
@@ -259,7 +249,6 @@ def test_associate_users_picks_strongest_biased_power():
     assert serving[0] == 2
     assert serving[1] == 0
     assert serving[2] == 5
-    assert all(u.serving_sector == s for u, s in zip(users, serving))
 
 
 def test_associate_bias_changes_choice():
@@ -280,14 +269,16 @@ def test_associate_empty():
 
 
 def test_outdoor_fraction_matches_footprints():
+    # disjoint footprints: a uniform sample lands outdoors at 1 - built/total
     env = env_for(tiny_config())
-    total = env.width_m * env.height_m
-    built = sum((b.xmax - b.xmin) * (b.ymax - b.ymin) for b in env.buildings)
-    park = env.park_rect
-    want = 1.0 - built / total
-    got = outdoor_fraction(env, samples=40000, seed=1)
-    assert abs(got - want) < 0.01
-    assert (park[2] - park[0]) > 0  # park exists and is open ground
+    r = env.building_rects
+    built = ((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])).sum()
+    pts = np.random.default_rng(1).uniform((0.0, 0.0), (env.width_m, env.height_m),
+                                           size=(40000, 2))
+    outdoor = 1.0 - points_in_rects(pts, r).mean()
+    assert abs(outdoor - (1.0 - built / (env.width_m * env.height_m))) < 0.01
+    park_centre = [[0.5 * (141.5 + 251.5), 0.5 * (148.5 + 265.5)]]  # block (1, 1)
+    assert not points_in_rects(park_centre, r)[0]
 
 
 def test_users_follow_rng_stream():
