@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import json
 import sys
 
 import numpy as np
 
 from . import engine, rrm, signaling
-from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig,
+from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig, _merge,
                      apply_scenario, load_config, validate_config)
 from .feasibility import FeasibilityMatrix
 
@@ -25,7 +26,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a Monte-Carlo campaign")
     run_p.add_argument("--config", help="JSON config file (defaults apply otherwise)")
     run_p.add_argument("--scenario", choices=SCENARIO_PRESETS,
-                       help="named preset applied on top of the config")
+                       help="named preset, applied after --config and before --set")
+    run_p.add_argument("--set", dest="sets", action="append", default=[],
+                       metavar="KEY=JSON",
+                       help="override one dotted config key with a JSON value, "
+                            "e.g. 'd2d_snr_target_db=[7,12]' (repeatable, "
+                            "applied in order)")
     run_p.add_argument("--drops", type=int, help="override the number of drops")
     run_p.add_argument("--seed", type=int, help="override the campaign seed")
     run_p.add_argument("--scheme", "--schemes", dest="schemes",
@@ -59,11 +65,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override(arg: str) -> dict:
+    """`--set a.b=<JSON>` as the one-leaf tree {"a": {"b": value}}."""
+    key, sep, text = arg.partition("=")
+    if not sep:
+        raise ConfigError(f"--set {arg!r}: expected dotted.key=<JSON value>")
+    try:
+        tree = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--set {arg!r}: value must be JSON ({exc.msg})") from None
+    for part in reversed(key.strip().split(".")):
+        tree = {part: tree}
+    return tree
+
+
 def _load(args) -> ScenarioConfig:
-    """Config file (or defaults), then preset, then --drops/--seed; validated."""
+    """Config file (or defaults), preset, each --set, --drops/--seed; validated."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.scenario:
         cfg = apply_scenario(cfg, args.scenario)
+    for arg in args.sets:
+        cfg = _merge(cfg, _override(arg), "")
     overrides = {}
     if args.drops is not None:
         overrides["num_drops"] = args.drops
@@ -74,18 +96,30 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
+def _schemes(text: str) -> tuple[str, ...]:
+    schemes = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not schemes:
+        raise ConfigError("empty scheme list")
+    for i, s in enumerate(schemes):
+        if s not in engine.SCHEMES:
+            raise ConfigError(f"unknown scheme {s!r}; choose from {engine.SCHEMES}")
+        if s in schemes[:i]:
+            raise ConfigError(f"scheme {s!r} listed twice")
+    return schemes
+
+
+def _refuse(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = _load(args)
+        schemes = _schemes(args.schemes)
         workers = engine.resolve_workers(args.workers)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    for s in schemes:
-        if s not in engine.SCHEMES:
-            print(f"unknown scheme {s!r}; choose from {engine.SCHEMES}", file=sys.stderr)
-            return 2
+        return _refuse(f"config error: {exc}")
     progress = None if args.quiet else (lambda msg: print(msg, flush=True))
     campaign = engine.run_campaign(cfg, schemes, out_dir=args.out,
                                    progress=progress, workers=workers)
@@ -102,8 +136,7 @@ def _cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"config error: {exc}")
     print(f"OK: {args.config} (seed={cfg.seed}, drops={cfg.num_drops}, "
           f"micro={'on' if cfg.micro_enabled else 'off'})")
     return 0
@@ -111,9 +144,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_trace(args) -> int:
     if args.out_of_coverage and args.topology != "single-cell":
-        print("--out-of-coverage applies to the single-cell topology only",
-              file=sys.stderr)
-        return 2
+        return _refuse("--out-of-coverage applies to the single-cell topology only")
+    if args.retries < 0:
+        return _refuse("--retries must be >= 0")
     response_at = args.retries + 2 if args.outcome == "timeout" else 1
     if args.topology == "single-cell":
         trace = signaling.run_single_cell(
@@ -135,13 +168,21 @@ def _cmd_trace(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _refuse(f"{args.out}: cannot write: {exc.strerror or exc}")
         print(f"trace written to {args.out}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    for flag, value, low in (("--matching-instances", args.matching_instances, 1),
+                             ("--assignment-instances", args.assignment_instances, 1),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            return _refuse(f"{flag} must be >= {low}")
     rng = np.random.default_rng(args.seed)
     ok = True
 

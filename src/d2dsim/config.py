@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -136,14 +137,11 @@ class ScenarioConfig:
 # dict <-> dataclass plumbing
 
 _TUPLE_FIELDS = {"cell_snr_target_db", "d2d_snr_target_db"}
+_NULLABLE_FIELDS = {"fixed_user_count"}
 
 
 def _coerced(current: Any, value: Any, dotted: str) -> Any:
     """Light type check of a JSON leaf against the default it replaces."""
-    if current is None or value is None:  # only fixed_user_count is nullable
-        if value is not None and not isinstance(value, int):
-            raise ConfigError(f"{dotted}: expected an integer or null")
-        return value
     if isinstance(current, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{dotted}: expected true/false")
@@ -155,6 +153,8 @@ def _coerced(current: Any, value: Any, dotted: str) -> Any:
     if isinstance(current, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{dotted}: expected a number")
+        if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+            raise ConfigError(f"{dotted}: expected a finite number")
         return float(value)
     raise ConfigError(f"{dotted}: unsupported value {value!r}")
 
@@ -176,7 +176,9 @@ def _merge(base: Any, data: dict[str, Any], path: str) -> Any:
         elif key in _TUPLE_FIELDS:
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ConfigError(f"{dotted}: expected [low, high]")
-            updates[key] = (float(value[0]), float(value[1]))
+            updates[key] = tuple(_coerced(0.0, v, dotted) for v in value)
+        elif key in _NULLABLE_FIELDS:
+            updates[key] = None if value is None else _coerced(0, value, dotted)
         else:
             updates[key] = _coerced(current, value, dotted)
     return dataclasses.replace(base, **updates)

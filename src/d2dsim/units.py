@@ -14,14 +14,5 @@ def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
 
 
-def linear_to_db(value):
-    """10*log10(x). Input must be > 0."""
-    return 10.0 * np.log10(np.asarray(value, dtype=float))
-
-
 def dbm_to_watts(value_dbm):
-    return 10.0 ** (np.asarray(value_dbm, dtype=float) / 10.0) * 1e-3
-
-
-def watts_to_dbm(value_w):
-    return 10.0 * np.log10(np.asarray(value_w, dtype=float) * 1e3)
+    return db_to_linear(value_dbm) * 1e-3

@@ -52,6 +52,13 @@ def test_type_errors():
         config_from_dict({"micro_enabled": 1})
     with pytest.raises(ConfigError, match="expected an object"):
         config_from_dict({"channel": 3})
+    with pytest.raises(ConfigError, match="gamma_cell_db: expected a number"):
+        config_from_dict({"gamma_cell_db": None})
+    with pytest.raises(ConfigError, match="micro_enabled: expected true/false"):
+        config_from_dict({"micro_enabled": None})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="intercept_db: expected a finite number"):
+            config_from_dict({"channel": {"ue_link": {"intercept_db": bad}}})
 
 
 def test_interval_fields():
@@ -59,6 +66,9 @@ def test_interval_fields():
     assert cfg.d2d_snr_target_db == (2.0, 8.0)
     with pytest.raises(ConfigError, match="low, high"):
         config_from_dict({"d2d_snr_target_db": [2.0]})
+    for bad in (["a", 1], [True, 1], [None, 1]):
+        with pytest.raises(ConfigError, match="d2d_snr_target_db: expected a number"):
+            config_from_dict({"d2d_snr_target_db": bad})
     with pytest.raises(ConfigError, match="low must be <= high"):
         config_from_dict({"d2d_snr_target_db": [9.0, 2.0]})
 
@@ -66,8 +76,9 @@ def test_interval_fields():
 def test_nullable_fixed_user_count():
     assert config_from_dict({"fixed_user_count": None}).fixed_user_count is None
     assert config_from_dict({"fixed_user_count": 25}).fixed_user_count == 25
-    with pytest.raises(ConfigError):
-        config_from_dict({"fixed_user_count": 2.5})
+    for bad in (2.5, True):
+        with pytest.raises(ConfigError, match="fixed_user_count: expected an integer"):
+            config_from_dict({"fixed_user_count": bad})
 
 
 def test_json_error_reports_position(tmp_path):

@@ -297,6 +297,18 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     ([], "abc", f"{WORKERS_ENV} must be an integer"),
     (["--config", "no/such/file.json"], None, "cannot read"),
     (["--config", "binary.json"], None, "not UTF-8 text"),
+    (["--set", "foo.bar=1"], None, "unknown config key: 'foo'"),
+    (["--set", "channel.ue_link.sigma_los_db=5"], None,
+     "unknown config key: 'channel.ue_link.sigma_los_db'"),
+    (["--set", "gamma_cell_db=abc"], None, "value must be JSON"),
+    (["--set", "gamma_cell_db=6,10"], None, "value must be JSON"),
+    (["--set", "gamma_cell_db=-1"], None, "gamma_cell_db must be >= 0"),
+    (["--set", "gamma_cell_db"], None, "expected dotted.key=<JSON value>"),
+    (["--set", "macro=1"], None, "macro: expected an object"),
+    (["--set", "micro_enabled=null"], None, "micro_enabled: expected true/false"),
+    (["--schemes", ","], None, "empty scheme list"),
+    (["--schemes", "proposed,proposed"], None, "scheme 'proposed' listed twice"),
+    (["--schemes", "proposed,bogus"], None, "unknown scheme 'bogus'"),
 ])
 def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
                                                 extra, env, message):
@@ -314,3 +326,38 @@ def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and message in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_run_applies_set_after_scenario_and_before_drops(tmp_path):
+    args = cli._build_parser().parse_args([
+        "run", "--config", write_tiny_json(tmp_path), "--scenario", "macro-scheme1",
+        "--set", "d2d_snr_target_db=[7,12]", "--set", "micro_enabled=true",
+        "--set", "num_drops=5", "--set", 'channel.ue_link={"intercept_db": 40}',
+        "--drops", "2"])
+    cfg = cli._load(args)
+    assert cfg.d2d_snr_target_db == (7.0, 12.0) and cfg.micro_enabled
+    assert cfg.channel.ue_link.intercept_db == 40.0
+    assert cfg.num_drops == 2
+
+
+def test_cli_run_refuses_unknown_scenario(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--scenario", "nonsense"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace-protocol", "--retries", "-1"], "--retries must be >= 0"),
+    (["trace-protocol", "--out", "no/such/dir/trace.txt"], "cannot write"),
+    (["oracle", "--seed", "-1"], "--seed must be >= 0"),
+    (["oracle", "--matching-instances", "-3"], "--matching-instances must be >= 1"),
+    (["oracle", "--assignment-instances", "0"], "--assignment-instances must be >= 1"),
+])
+def test_cli_tools_reject_bad_flags_in_one_line(tmp_path, capsys, monkeypatch,
+                                                argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1

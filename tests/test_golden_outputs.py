@@ -34,11 +34,24 @@ GOLDEN = {
 }
 
 
+def run_digests(args, out):
+    assert cli.main(["run", *args, "--drops", "3", "--seed", "3",
+                     "--out", str(out), "--quiet"]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN["hetnet"]}
+
+
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_campaign_outputs_match_pinned_digests(scenario, tmp_path):
-    out = tmp_path / scenario
-    assert cli.main(["run", "--scenario", scenario, "--drops", "3", "--seed", "3",
-                     "--out", str(out), "--quiet"]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in GOLDEN[scenario]}
-    assert got == GOLDEN[scenario]
+    assert run_digests(["--scenario", scenario], tmp_path / scenario) == GOLDEN[scenario]
+
+
+@pytest.mark.parametrize("scenario, override, same_as", [
+    ("macro-scheme1", "d2d_snr_target_db=[7,12]", "macro-scheme2"),
+    ("macro-scheme1", "micro_enabled=true", "hetnet"),
+    ("hetnet", "micro_enabled=false", "macro-scheme1"),
+])
+def test_set_overrides_the_preset(scenario, override, same_as, tmp_path):
+    """`--set` lands after `--scenario`, so it turns one preset into another."""
+    got = run_digests(["--scenario", scenario, "--set", override], tmp_path / "out")
+    assert got == GOLDEN[same_as]

@@ -184,6 +184,8 @@ def assert_pairing_matches_loop(cfg, users, make_rng):
                      p.distance_m.hex())
     assert [key(p) for p in got] == [key(p) for p in want]
     assert [u.role for u in got_users] == [u.role for u in want_users]
+    paired = {u for p in got for u in (p.tx_user, p.rx_user)}
+    assert all(u.role == ROLE_CELLULAR for i, u in enumerate(got_users) if i not in paired)
 
 
 @st.composite
@@ -206,7 +208,7 @@ def pairing_layouts(draw):
     fraction = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     cfg = dataclasses.replace(ScenarioConfig(), d2d_fraction=fraction,
                               max_pair_distance_m=r)
-    users = [UserTerminal(i, x, y, 1.5, 0) for i, (x, y) in enumerate(pts)]
+    users = [UserTerminal(i, x, y, 0) for i, (x, y) in enumerate(pts)]
     return cfg, users, draw(st.integers(0, 2 ** 32 - 1))
 
 
