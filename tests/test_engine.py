@@ -309,6 +309,8 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--schemes", ","], None, "empty scheme list"),
     (["--schemes", "proposed,proposed"], None, "scheme 'proposed' listed twice"),
     (["--schemes", "proposed,bogus"], None, "unknown scheme 'bogus'"),
+    (["--set", "num_drops=0"], None, "num_drops must be >= 1"),
+    ([], "-3", "worker count must be >= 1"),
 ])
 def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
                                                 extra, env, message):
