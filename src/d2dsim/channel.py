@@ -99,8 +99,6 @@ class GainSet:
     """
 
     sector_id: int
-    cell_users: np.ndarray  # (M,) global user indices
-    pairs: np.ndarray  # (N,) global pair indices
     h_cell: np.ndarray  # (M,) cellular UE -> serving sector
     h_d2d: np.ndarray  # (N,) pair tx end -> pair rx end
     h_d2d_bs: np.ndarray  # (N,) pair tx end -> sector
@@ -112,7 +110,10 @@ class GainSet:
 
 
 class DropChannel:
-    """Frozen per-drop channel: geometry, LOS, shadowing; caches per-site views."""
+    """Frozen per-drop channel: geometry, LOS, shadowing; caches per-site views.
+
+    A user is its row of users_xy, and its shadowing key is built from that row.
+    """
 
     def __init__(
         self,
@@ -120,13 +121,12 @@ class DropChannel:
         params: ChannelParams,
         shadow_seed: int,
         users_xy: np.ndarray,
-        user_ids: np.ndarray,
     ):
         self.env = env
         self.params = params
         self.shadow = ShadowField(shadow_seed)
         self.users_xy = np.atleast_2d(np.asarray(users_xy, dtype=float))
-        self.user_keys = user_keys(user_ids)
+        self.user_keys = user_keys(np.arange(len(self.users_xy)))
         self._site_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- geometry helpers ---------------------------------------------------
@@ -222,7 +222,6 @@ def build_gain_set(
     channel: DropChannel,
     sector: Sector,
     cell_user_idx: np.ndarray,
-    pair_ids: np.ndarray,
     pair_tx_idx: np.ndarray,
     pair_rx_idx: np.ndarray,
 ) -> GainSet:
@@ -243,8 +242,6 @@ def build_gain_set(
                else np.zeros((n, m)))
     return GainSet(
         sector_id=sector.sector_id,
-        cell_users=cell_idx,
-        pairs=np.asarray(pair_ids, dtype=int),
         h_cell=h_cell,
         h_d2d=h_d2d,
         h_d2d_bs=h_d2d_bs,

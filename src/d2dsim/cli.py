@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -120,6 +121,10 @@ def _cmd_run(args) -> int:
         workers = engine.resolve_workers(args.workers)
     except ConfigError as exc:
         return _refuse(f"config error: {exc}")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _refuse(f"{args.out}: cannot create output directory: {exc.strerror or exc}")
     progress = None if args.quiet else (lambda msg: print(msg, flush=True))
     campaign = engine.run_campaign(cfg, schemes, out_dir=args.out,
                                    progress=progress, workers=workers)

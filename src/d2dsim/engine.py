@@ -5,6 +5,10 @@ substreams, so any scheme subset sees byte-identical deployments and a rerun
 of a campaign reproduces its output files exactly.  Only sectors containing
 at least one measured (central-grid) terminal are scheduled and evaluated;
 replica-grid sectors exist to keep border association honest.
+
+A drop's users are rows of one (N, 2) position array and its D2D pairs rows
+of one (P, 2) array of (tx, rx) user rows.  A user is cellular unless it ends
+a pair, and a pair belongs to the sector serving its transmitting end.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from .metrics import CapacityReport, SectorState, aggregate_gain, evaluate_drop
 from .power import draw_snr_targets, open_loop_power_w
 from .rrm import (Allocation, allocate_capacity_max, allocate_none,
                   allocate_proposed, allocate_random)
-from .scenario import (ROLE_CELLULAR, associate_users, drop_users,
-                       generate_environment, pair_users)
+from .scenario import associate_users, drop_users, generate_environment, pair_users
 
 SCHEMES = ("proposed", "capacity-max", "random", "none")
 
@@ -56,7 +59,6 @@ class DropState:
     seed: int
     n_users: int
     n_pairs: int
-    n_measured_users: int
     serving: np.ndarray
     states: list[SectorState]
 
@@ -64,36 +66,36 @@ class DropState:
 def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     """Generate environment, users, pairs, gains, powers and feasibility."""
     env = generate_environment(cfg)
-    users = drop_users(cfg, env, _stream(seed, "users"))
-    pairs = pair_users(cfg, users, _stream(seed, "pairing"))
-    n = len(users)
-    users_xy = np.array([(u.x, u.y) for u in users]) if n else np.zeros((0, 2))
-    channel = DropChannel(env, cfg.channel, _shadow_seed(seed), users_xy, np.arange(n))
-    serving = associate_users(users, env, channel)
+    xy = drop_users(cfg, env, _stream(seed, "users"))
+    pairs = pair_users(cfg, xy, _stream(seed, "pairing"))
+    n = len(xy)
+    channel = DropChannel(env, cfg.channel, _shadow_seed(seed), xy)
+    serving = associate_users(xy, env, channel)
 
     cell_targets = draw_snr_targets(cfg.cell_snr_target_db, n, _stream(seed, "targets-cell"))
     d2d_targets = draw_snr_targets(cfg.d2d_snr_target_db, len(pairs), _stream(seed, "targets-d2d"))
 
-    grid0 = np.array([u.grid_index == 0 for u in users], dtype=bool)
-    roles = np.array([u.role for u in users])
-
-    # group members by serving sector
-    cell_of_sector: dict[int, list[int]] = {}
-    pairs_of_sector: dict[int, list[int]] = {}
-    for i in range(n):
-        if roles[i] == ROLE_CELLULAR:
-            cell_of_sector.setdefault(int(serving[i]), []).append(i)
-    for p in pairs:
-        pairs_of_sector.setdefault(int(serving[p.tx_user]), []).append(p.pair_id)
+    measured = env.grid_index_of(xy) == 0
+    cellular = np.ones(n, dtype=bool)
+    cellular[pairs] = False
+    pair_of_tx = np.full(n, -1)
+    pair_of_tx[pairs[:, 0]] = np.arange(len(pairs))
+    # A sector's members are the users it serves, in ascending index order
+    # (sector ids are the indices of env.sectors); its pairs are those whose
+    # transmitting end it serves, in ascending id order because pair ids
+    # ascend with their tx user.
+    members_of_sector = np.split(
+        np.argsort(serving, kind="stable"),
+        np.cumsum(np.bincount(serving, minlength=len(env.sectors)))[:-1])
 
     states: list[SectorState] = []
-    for sector in env.sectors:
-        cell_idx = np.array(cell_of_sector.get(sector.sector_id, ()), dtype=int)
-        pair_ids = np.array(pairs_of_sector.get(sector.sector_id, ()), dtype=int)
-        cell_measured = grid0[cell_idx] if cell_idx.size else np.zeros(0, dtype=bool)
-        tx_idx = np.array([pairs[p].tx_user for p in pair_ids], dtype=int)
-        rx_idx = np.array([pairs[p].rx_user for p in pair_ids], dtype=int)
-        pair_measured = grid0[tx_idx] if tx_idx.size else np.zeros(0, dtype=bool)
+    for sector, members in zip(env.sectors, members_of_sector):
+        cell_idx = members[cellular[members]]
+        pair_ids = pair_of_tx[members]
+        pair_ids = pair_ids[pair_ids >= 0]
+        tx_idx, rx_idx = pairs[pair_ids].T
+        cell_measured = measured[cell_idx]
+        pair_measured = measured[tx_idx]
         if not (cell_measured.any() or pair_measured.any()):
             continue  # replica-only sector: association fodder, never evaluated
 
@@ -103,24 +105,21 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
                                         cfg.noise.thermal_density_dbm_hz)
         sigma2_d2d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
                                        cfg.noise.thermal_density_dbm_hz)
-        gains = build_gain_set(channel, sector, cell_idx, pair_ids, tx_idx, rx_idx)
+        gains = build_gain_set(channel, sector, cell_idx, tx_idx, rx_idx)
         p_cell, cell_clip = open_loop_power_w(
-            cell_targets[cell_idx] if m else np.zeros(0), gains.h_cell,
-            sigma2_cell, cfg.ue_max_power_dbm)
+            cell_targets[cell_idx], gains.h_cell, sigma2_cell, cfg.ue_max_power_dbm)
         p_d2d, d2d_clip = open_loop_power_w(
-            d2d_targets[pair_ids] if pair_ids.size else np.zeros(0), gains.h_d2d,
-            sigma2_d2d, cfg.ue_max_power_dbm)
+            d2d_targets[pair_ids], gains.h_d2d, sigma2_d2d, cfg.ue_max_power_dbm)
         baseline = baseline_cell_sinr(gains, p_cell, sigma2_cell)
-        pair_dist = channel.distances(tx_idx, rx_idx) if pair_ids.size else np.zeros(0)
-        cross_dist = channel.distance_matrix(rx_idx, cell_idx)
         targets = SinrTargets(
-            d2d_target_db=d2d_targets[pair_ids] if pair_ids.size else 0.0,
+            d2d_target_db=d2d_targets[pair_ids],
             gamma_cell_db=cfg.gamma_cell_db,
             baseline_cell_sinr=baseline,
             ratio_threshold=cfg.distance_ratio_threshold,
         )
         feas = feasibility_context(gains, p_cell, p_d2d, sigma2_cell,
-                                   pair_dist, cross_dist, targets)
+                                   channel.distances(tx_idx, rx_idx),
+                                   channel.distance_matrix(rx_idx, cell_idx), targets)
         states.append(SectorState(
             sector_id=sector.sector_id,
             kind=sector.kind,
@@ -133,8 +132,6 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
             sigma2_d2d_w=sigma2_d2d,
             share_bw_hz=share,
             baseline_sinr=baseline,
-            pair_distance_m=pair_dist,
-            cross_distance_m=cross_dist,
             cell_measured=cell_measured,
             pair_measured=pair_measured,
             feas_context=feas,
@@ -144,7 +141,6 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         seed=seed,
         n_users=n,
         n_pairs=len(pairs),
-        n_measured_users=int(grid0.sum()),
         serving=serving,
         states=states,
     )

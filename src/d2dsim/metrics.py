@@ -35,8 +35,6 @@ class SectorState:
     sigma2_d2d_w: float
     share_bw_hz: float  # per-resource bandwidth share
     baseline_sinr: np.ndarray  # (M,) no-reuse cellular SINR, linear
-    pair_distance_m: np.ndarray  # (N,)
-    cross_distance_m: np.ndarray  # (N, M)
     cell_measured: np.ndarray  # (M,) bool, True = central-grid terminal
     pair_measured: np.ndarray  # (N,) bool
     feas_context: FeasibilityMatrix | None = None

@@ -8,6 +8,10 @@ horizontally between the second and third rows; all radio sites stand on it.
 Everything is flat: only the 2D footprints enter the line-of-sight test.
 The measured grid sits at the centre of a 3 x 3 tiling of identical replicas
 so that cell-border users see realistic neighbour sectors.
+
+A drop's users are one (N, 2) array of positions, a user's id being its row;
+its D2D pairs are one (P, 2) int array of (tx, rx) user rows, a pair's id
+being its row.
 """
 
 from __future__ import annotations
@@ -19,10 +23,6 @@ from scipy.spatial import cKDTree
 
 from .config import AntennaPattern, ScenarioConfig
 from .geometry import sample_outdoor_points
-
-ROLE_CELLULAR = "cellular"
-ROLE_D2D_TX = "d2d-tx"
-ROLE_D2D_RX = "d2d-rx"
 
 # Canonical block layout on the 387 x 552 m reference grid (scaled for other
 # dimensions).  Tuples are (min, max) coordinates of building columns/rows.
@@ -49,23 +49,6 @@ class Sector:
     dl_power_dbm: float
     selection_offset_db: float
     antenna: AntennaPattern
-
-
-@dataclass
-class UserTerminal:
-    user_id: int
-    x: float
-    y: float
-    grid_index: int  # 0 = measured central grid
-    role: str = ROLE_CELLULAR
-
-
-@dataclass(frozen=True)
-class D2DPair:
-    pair_id: int
-    tx_user: int  # user_id of the transmitting end (protocol initiator)
-    rx_user: int
-    distance_m: float
 
 
 @dataclass
@@ -174,11 +157,11 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
     )
 
 
-def drop_users(cfg: ScenarioConfig, env: Environment, rng: np.random.Generator) -> list[UserTerminal]:
+def drop_users(cfg: ScenarioConfig, env: Environment, rng: np.random.Generator) -> np.ndarray:
     """Drop outdoor users uniformly over all replica grids.
 
     The user count is Poisson with mean density x total area unless
-    `fixed_user_count` overrides it.
+    `fixed_user_count` overrides it.  Returns the (N, 2) user positions.
     """
     xmin, ymin, xmax, ymax = env.bounds
     area_km2 = (xmax - xmin) * (ymax - ymin) * 1e-6
@@ -186,29 +169,24 @@ def drop_users(cfg: ScenarioConfig, env: Environment, rng: np.random.Generator) 
         count = cfg.fixed_user_count
     else:
         count = int(rng.poisson(cfg.user_density_per_km2 * area_km2))
-    pts = sample_outdoor_points(count, env.bounds, env.building_rects, rng)
-    grids = env.grid_index_of(pts) if count else np.empty(0, dtype=int)
-    return [UserTerminal(i, x, y, g)
-            for i, ((x, y), g) in enumerate(zip(pts.tolist(), grids.tolist()))]
+    return sample_outdoor_points(count, env.bounds, env.building_rects, rng)
 
 
-def pair_users(
-    cfg: ScenarioConfig, users: list[UserTerminal], rng: np.random.Generator
-) -> list[D2DPair]:
+def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Form D2D candidate pairs by greedy nearest-neighbour matching.
 
     A d2d_fraction share of users is eligible; eligible users are scanned in
     id order and paired with their nearest unpaired eligible neighbour within
-    max_pair_distance_m.  Users left unpaired keep their cellular role.  The
-    lower-id end of each pair transmits (and initiates the protocol).
+    max_pair_distance_m.  A user is cellular unless it is an end of a pair.
+    The lower-id end of each pair transmits (and initiates the protocol), so
+    the (P, 2) int array of (tx, rx) user rows returned has ascending tx.
     """
-    n = len(users)
+    n = len(xy)
     k = int(round(cfg.d2d_fraction * n))
     if k < 2:
-        return []
-    ids = np.sort(rng.permutation(n)[:k]).tolist()
-    chosen = [users[i] for i in ids]
-    pos = np.column_stack(([u.x for u in chosen], [u.y for u in chosen]))
+        return np.zeros((0, 2), dtype=int)
+    ids = np.sort(rng.permutation(n)[:k])
+    pos = xy[ids]
     # (a, b) with a < b: a user scanned later than b never pairs with b,
     # because b, unpaired and within reach of an unpaired a, pairs first.
     a_idx, b_idx = cKDTree(pos).query_pairs(cfg.max_pair_distance_m,
@@ -217,12 +195,10 @@ def pair_users(
     # each user's candidates by (distance, index): ties go to the lowest index.
     # Complex numbers sort by real part, then imaginary part.
     _, rank = np.unique(dist + 1j * b_idx, return_inverse=True)
-    order = np.argsort(a_idx * len(a_idx) + rank)
-    cand = b_idx[order].tolist()
-    cand_dist = dist[order].tolist()
+    cand = b_idx[np.argsort(a_idx * len(a_idx) + rank)].tolist()
     ends = np.cumsum(np.bincount(a_idx, minlength=k)).tolist()
     paired = [False] * k
-    pairs: list[D2DPair] = []
+    pairs: list[tuple[int, int]] = []
     start = 0
     for a, end in enumerate(ends):
         if not paired[a]:
@@ -230,22 +206,19 @@ def pair_users(
                 b = cand[j]
                 if not paired[b]:
                     paired[a] = paired[b] = True
-                    tx, rx = ids[a], ids[b]
-                    users[tx].role = ROLE_D2D_TX
-                    users[rx].role = ROLE_D2D_RX
-                    pairs.append(D2DPair(len(pairs), tx, rx, cand_dist[j]))
+                    pairs.append((a, b))
                     break
         start = end
-    return pairs
+    return ids[np.array(pairs, dtype=int).reshape(-1, 2)]
 
 
-def associate_users(users: list[UserTerminal], env: Environment, channel) -> np.ndarray:
+def associate_users(xy: np.ndarray, env: Environment, channel) -> np.ndarray:
     """Attach every user to the sector with the strongest biased DL power.
 
     `channel` provides dl_rx_power_dbm(user_indices, sector); ties resolve to
-    the lowest sector id.  Returns the serving sector id per user.
+    the lowest sector id.  Returns the serving sector id per row of xy.
     """
-    n = len(users)
+    n = len(xy)
     serving = np.full(n, -1, dtype=int)
     if n == 0:
         return serving

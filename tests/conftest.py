@@ -30,8 +30,6 @@ def random_gain_set(rng: np.random.Generator, n_pairs: int, n_cells: int,
     g = lambda size: 10.0 ** rng.uniform(-12.0, -4.0, size=size)
     return GainSet(
         sector_id=sector_id,
-        cell_users=np.arange(n_cells),
-        pairs=np.arange(n_pairs),
         h_cell=g(n_cells),
         h_d2d=g(n_pairs),
         h_d2d_bs=g(n_pairs),

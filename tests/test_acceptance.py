@@ -99,8 +99,6 @@ def test_capacity_allocator_equals_permutation_max():
 def random_reuse_instance(rng, n, m):
     gains = GainSet(
         sector_id=0,
-        cell_users=np.arange(m),
-        pairs=np.arange(n),
         h_cell=10.0 ** rng.uniform(-12, -4, m),
         h_d2d=10.0 ** rng.uniform(-12, -4, n),
         h_d2d_bs=10.0 ** rng.uniform(-14, -6, n),

@@ -80,7 +80,7 @@ def make_channel(users_xy, shadow=False, **cfg_overrides):
     env = generate_environment(cfg)
     params = cfg.channel if shadow else no_shadow(cfg)
     xy = np.asarray(users_xy, dtype=float)
-    return cfg, env, DropChannel(env, params, 99, xy, np.arange(len(xy)))
+    return cfg, env, DropChannel(env, params, 99, xy)
 
 
 def test_user_sector_gain_hand_computed():
@@ -119,7 +119,7 @@ def test_los_distance_cutoff():
     cfg = tiny_config()
     env = generate_environment(cfg)
     params = dataclasses.replace(no_shadow(cfg), los_max_distance_m=300.0)
-    ch = DropChannel(env, params, 1, np.asarray(xy), np.arange(2))
+    ch = DropChannel(env, params, 1, np.asarray(xy))
     g = ch.user_user_gain_db([0], [1])[0]
     pl = pathloss_db(350.0, False, params.ue_link)
     assert g == pytest.approx(-pl, abs=1e-9)
@@ -164,13 +164,11 @@ def test_build_gain_set_shapes_and_convention():
     cfg, env, ch = make_channel(xy, shadow=True)
     sector = env.sectors[0]
     cell_idx = np.array([0, 1])
-    pair_ids = np.array([4, 7])
     tx = np.array([2, 3])
     rx = np.array([4, 5])
-    gs = build_gain_set(ch, sector, cell_idx, pair_ids, tx, rx)
+    gs = build_gain_set(ch, sector, cell_idx, tx, rx)
     assert gs.shape == (2, 2)
     assert gs.h_cell.shape == (2,) and gs.h_d2d.shape == (2,)
-    np.testing.assert_array_equal(gs.pairs, pair_ids)
     # linear conversion and the cross convention: h_cross[m, n] is cellular n
     # into the receiving end of pair m
     want = 10.0 ** (ch.user_user_gain_db([rx[1]], [cell_idx[0]])[0] / 10.0)
@@ -184,8 +182,7 @@ def test_build_gain_set_shapes_and_convention():
 def test_empty_gain_set():
     cfg, env, ch = make_channel([[30.0, 276.0]])
     gs = build_gain_set(ch, env.sectors[0], np.zeros(0, dtype=int),
-                        np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                        np.zeros(0, dtype=int))
+                        np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     assert gs.shape == (0, 0)
     assert gs.h_cell.size == 0 and gs.h_d2d.size == 0
 
@@ -224,9 +221,8 @@ def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     rng = np.random.default_rng(5)
     env = generate_environment(cfg)
-    users = drop_users(cfg, env, rng)
-    xy = np.array([(u.x, u.y) for u in users])
-    ch = DropChannel(env, cfg.channel, 77, xy, np.arange(len(xy)))
+    xy = drop_users(cfg, env, rng)
+    ch = DropChannel(env, cfg.channel, 77, xy)
     everyone = np.arange(len(xy))
     subset = rng.permutation(len(xy))[: len(xy) // 3]
     assert {s.kind for s in env.sectors} == {"macro", "micro"}

@@ -1,19 +1,23 @@
 """Drop pipeline, campaign determinism, CSV outputs, and the CLI front end."""
 
+import importlib.util
+import inspect
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import tiny_config
 
-from d2dsim import cli
+from d2dsim import channel, cli, engine
 from d2dsim.config import ConfigError, config_to_dict
 from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, schedule,
                            write_outputs)
 from d2dsim.feasibility import FeasibilityMatrix
 from d2dsim.rrm import Allocation, allocate_none, allocate_proposed
+from d2dsim.scenario import generate_environment
 from d2dsim.signaling import run_single_cell
 
 
@@ -50,12 +54,10 @@ def test_build_drop_states_are_measured_and_shared():
     for st in drop.states:
         assert st.cell_measured.any() or st.pair_measured.any()
         if env is None:
-            from d2dsim.scenario import generate_environment
             env = generate_environment(cfg)
         sector = next(s for s in env.sectors if s.sector_id == st.sector_id)
-        m = len(st.gains.cell_users)
+        n_pairs, m = st.shape
         assert st.share_bw_hz == pytest.approx(sector.bandwidth_hz / max(m, 1))
-        n_pairs = len(st.gains.pairs)
         assert st.feas_context.entries.shape == (n_pairs, m)
 
 
@@ -328,6 +330,54 @@ def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and message in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_run_refuses_unusable_out_before_any_drop(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    calls = []
+    inner = engine.run_drop
+    monkeypatch.setattr(engine, "run_drop",
+                        lambda *args, **kwargs: calls.append(args) or inner(*args, **kwargs))
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code = cli.main(["run", "--config", write_tiny_json(tmp_path), "--drops", "2",
+                     "--out", str(blocker / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err and err.count("\n") == 1
+    assert calls == []
+
+
+def load_perfbench_child():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_hooks_count_every_drop(tmp_path, monkeypatch):
+    """The benchmark's tracer still sees each drop's users, pairs and association."""
+    cfg = tiny_config()
+    n_sectors = len(generate_environment(cfg).sectors)
+    drops = [build_drop(cfg, drop_seed(cfg.seed, i)) for i in range(cfg.num_drops)]
+    want = {"scenario.users": sum(d.n_users for d in drops),
+            "scenario.pairs": sum(d.n_pairs for d in drops),
+            "scenario.associate.evals": sum(d.n_users for d in drops) * n_sectors}
+    assert want["scenario.pairs"] > 0
+    # the tracer wraps functions in place; setting each to itself first lets
+    # monkeypatch's undo put the originals back
+    for target in (engine, channel, channel.DropChannel):
+        for name, value in list(vars(target).items()):
+            if inspect.isfunction(value):
+                monkeypatch.setattr(target, name, value)
+    tracer = load_perfbench_child().Tracer()
+    tracer.install()
+    code = cli.main(["run", "--config", write_tiny_json(tmp_path), "--workers", "1",
+                     "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0
+    assert {name: tracer.counts[name] for name in want} == want
+    assert tracer.proposed and tracer.check_proposed() == []
 
 
 def test_cli_run_applies_set_after_scenario_and_before_drops(tmp_path):

@@ -136,8 +136,7 @@ def test_feasibility_context_matches_oracle(rng):
 
 def test_inclusive_boundary_d2d():
     # engineered so sinr_d2d == threshold exactly: inclusive >= admits it
-    gs = GainSet(0, np.arange(1), np.arange(1),
-                 h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
+    gs = GainSet(0, h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
                  h_d2d_bs=np.array([1e-30]), h_cross=np.array([[0.0]]))
     targets = SinrTargets(d2d_target_db=0.0, cell_target_db=-300.0)
     fm = feasibility_exact(gs, np.array([1.0]), np.array([1.0]), 1e-3, 1.0, targets)
@@ -146,8 +145,7 @@ def test_inclusive_boundary_d2d():
 
 
 def test_inclusive_boundary_ratio():
-    gs = GainSet(0, np.arange(1), np.arange(1),
-                 h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
+    gs = GainSet(0, h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
                  h_d2d_bs=np.array([1e-30]), h_cross=np.array([[1e-12]]))
     targets = SinrTargets(cell_target_db=-300.0, ratio_threshold=1.0)
     fm = feasibility_context(gs, np.array([1.0]), np.array([1.0]), 1e-3,

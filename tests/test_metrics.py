@@ -19,8 +19,6 @@ def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
     sigma2_cell = 1e-9
     gains = GainSet(
         sector_id=sector_id,
-        cell_users=np.array([0, 1, 2]),
-        pairs=np.array([10, 11]),
         h_cell=h_cell,
         h_d2d=np.array([1e-5, 2e-5]),
         h_d2d_bs=np.array([1e-8, 2e-8]),
@@ -38,8 +36,6 @@ def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
         sigma2_d2d_w=1e-10,
         share_bw_hz=share,
         baseline_sinr=h_cell * p_cell / sigma2_cell,  # [100, 400, 25]
-        pair_distance_m=np.zeros(2),
-        cross_distance_m=np.zeros((2, 3)),
         cell_measured=np.array(cell_measured),
         pair_measured=np.array(pair_measured),
     )
@@ -88,8 +84,7 @@ def test_sector_rates_validation():
 def test_sector_rates_empty_resources():
     state = make_state()
     state.gains = GainSet(
-        sector_id=0, cell_users=np.zeros(0, dtype=int),
-        pairs=np.array([10, 11]), h_cell=np.zeros(0),
+        sector_id=0, h_cell=np.zeros(0),
         h_d2d=np.array([1e-5, 2e-5]), h_d2d_bs=np.array([1e-8, 2e-8]),
         h_cross=np.zeros((2, 0)))
     state.p_cell_w = np.zeros(0)

@@ -1,6 +1,5 @@
 """Deployment generation: grid layout, sites, user drops, pairing, association."""
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -12,10 +11,8 @@ from scipy.spatial import cKDTree
 from d2dsim.config import ScenarioConfig, apply_scenario
 from d2dsim.engine import _stream
 from d2dsim.geometry import points_in_rects
-from d2dsim.scenario import (MAIN_STREET_Y, ROLE_CELLULAR, ROLE_D2D_RX,
-                             ROLE_D2D_TX, D2DPair, UserTerminal,
-                             associate_users, drop_users, generate_environment,
-                             pair_users)
+from d2dsim.scenario import (MAIN_STREET_Y, associate_users, drop_users,
+                             generate_environment, pair_users)
 from conftest import tiny_config
 
 
@@ -86,13 +83,10 @@ def test_sector_ids_ascend_over_replicas():
 def test_drop_users_fixed_count_outdoor():
     cfg = tiny_config(fixed_user_count=60)
     env = env_for(cfg)
-    users = drop_users(cfg, env, np.random.default_rng(2))
-    assert len(users) == 60
-    pts = np.array([(u.x, u.y) for u in users])
-    assert not points_in_rects(pts, env.building_rects).any()
-    assert all(u.role == ROLE_CELLULAR for u in users)
-    assert all(u.grid_index == 0 for u in users)  # single grid
-    assert all(type(u.x) is float and type(u.grid_index) is int for u in users)
+    xy = drop_users(cfg, env, np.random.default_rng(2))
+    assert xy.shape == (60, 2) and xy.dtype == np.float64
+    assert not points_in_rects(xy, env.building_rects).any()
+    assert (env.grid_index_of(xy) == 0).all()  # single grid
 
 
 def test_drop_users_poisson_mean():
@@ -113,48 +107,54 @@ def test_grid_index_of_replicas():
     assert (got[1:] > 0).all()
 
 
+def link_lengths(xy, pairs):
+    return np.hypot(*(xy[pairs[:, 0]] - xy[pairs[:, 1]]).T)
+
+
+def assert_valid_pairing(xy, pairs, max_distance_m):
+    """(tx, rx) rows: lower id transmits, ends disjoint, links within reach."""
+    assert pairs.dtype == int and pairs.ndim == 2 and pairs.shape[1] == 2
+    assert (pairs[:, 0] < pairs[:, 1]).all()  # scan order makes the lower id transmit
+    assert (np.diff(pairs[:, 0]) > 0).all()  # pair ids ascend with the tx user
+    assert (link_lengths(xy, pairs) <= max_distance_m).all()
+    cellular = np.ones(len(xy), dtype=bool)
+    cellular[pairs] = False
+    assert (~cellular).sum() == 2 * len(pairs)  # no user ends two pairs
+
+
 def test_pair_users_basic_properties():
     cfg = tiny_config(fixed_user_count=80, d2d_fraction=0.8)
     env = env_for(cfg)
-    users = drop_users(cfg, env, np.random.default_rng(4))
-    pairs = pair_users(cfg, users, np.random.default_rng(5))
-    assert pairs, "expected at least one pair at this density"
-    seen = set()
-    for p in pairs:
-        assert p.distance_m <= cfg.max_pair_distance_m
-        assert p.tx_user < p.rx_user  # scan order makes the lower id transmit
-        assert users[p.tx_user].role == ROLE_D2D_TX
-        assert users[p.rx_user].role == ROLE_D2D_RX
-        assert p.tx_user not in seen and p.rx_user not in seen
-        seen.update((p.tx_user, p.rx_user))
-    assert [p.pair_id for p in pairs] == list(range(len(pairs)))
-    n_d2d = sum(u.role != ROLE_CELLULAR for u in users)
-    assert n_d2d == 2 * len(pairs)
+    xy = drop_users(cfg, env, np.random.default_rng(4))
+    pairs = pair_users(cfg, xy, np.random.default_rng(5))
+    assert len(pairs), "expected at least one pair at this density"
+    assert_valid_pairing(xy, pairs, cfg.max_pair_distance_m)
 
 
 def test_pair_users_zero_fraction():
     cfg = tiny_config(fixed_user_count=50, d2d_fraction=0.0)
     env = env_for(cfg)
-    users = drop_users(cfg, env, np.random.default_rng(4))
-    assert pair_users(cfg, users, np.random.default_rng(5)) == []
+    xy = drop_users(cfg, env, np.random.default_rng(4))
+    pairs = pair_users(cfg, xy, np.random.default_rng(5))
+    assert pairs.shape == (0, 2) and pairs.dtype == int
 
 
 def test_pair_users_respects_distance_cap():
     cfg = tiny_config(fixed_user_count=200, d2d_fraction=1.0, max_pair_distance_m=5.0)
     env = env_for(cfg)
-    users = drop_users(cfg, env, np.random.default_rng(6))
-    pairs = pair_users(cfg, users, np.random.default_rng(7))
-    assert all(p.distance_m <= 5.0 for p in pairs)
+    xy = drop_users(cfg, env, np.random.default_rng(6))
+    pairs = pair_users(cfg, xy, np.random.default_rng(7))
+    assert_valid_pairing(xy, pairs, 5.0)
 
 
-def pair_users_loop(cfg, users, rng):
+def pair_users_loop(cfg, xy, rng):
     """Frozen reference: the per-user query_ball_tree loop pair_users replaced."""
-    n = len(users)
+    n = len(xy)
     k = int(round(cfg.d2d_fraction * n))
     if k < 2:
-        return []
+        return np.zeros((0, 2), dtype=int)
     eligible = np.sort(rng.permutation(n)[:k])
-    pos = np.array([(users[i].x, users[i].y) for i in eligible])
+    pos = xy[eligible]
     tree = cKDTree(pos)
     neighbours = tree.query_ball_tree(tree, r=cfg.max_pair_distance_m)
     paired = np.zeros(k, dtype=bool)
@@ -168,24 +168,19 @@ def pair_users_loop(cfg, users, rng):
         d = np.hypot(pos[cands, 0] - pos[a, 0], pos[cands, 1] - pos[a, 1])
         b = cands[int(np.argmin(d))]
         paired[a] = paired[b] = True
-        tx, rx = int(eligible[a]), int(eligible[b])
-        users[tx].role = ROLE_D2D_TX
-        users[rx].role = ROLE_D2D_RX
-        pairs.append(D2DPair(len(pairs), tx, rx, float(np.hypot(
-            users[tx].x - users[rx].x, users[tx].y - users[rx].y))))
-    return pairs
+        pairs.append((eligible[a], eligible[b]))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
 
 
-def assert_pairing_matches_loop(cfg, users, make_rng):
-    got_users, want_users = copy.deepcopy(users), copy.deepcopy(users)
-    got = pair_users(cfg, got_users, make_rng())
-    want = pair_users_loop(cfg, want_users, make_rng())
-    key = lambda p: (p.pair_id, p.tx_user, p.rx_user, type(p.distance_m),
-                     p.distance_m.hex())
-    assert [key(p) for p in got] == [key(p) for p in want]
-    assert [u.role for u in got_users] == [u.role for u in want_users]
-    paired = {u for p in got for u in (p.tx_user, p.rx_user)}
-    assert all(u.role == ROLE_CELLULAR for i, u in enumerate(got_users) if i not in paired)
+def assert_pairing_matches_loop(cfg, xy, make_rng):
+    before = xy.copy()
+    got = pair_users(cfg, xy, make_rng())
+    want = pair_users_loop(cfg, xy, make_rng())
+    assert got.dtype == int and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(xy, before)  # positions are only read
+    if int(round(cfg.d2d_fraction * len(xy))) < 2:
+        assert got.shape == (0, 2)
 
 
 @st.composite
@@ -208,23 +203,23 @@ def pairing_layouts(draw):
     fraction = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     cfg = dataclasses.replace(ScenarioConfig(), d2d_fraction=fraction,
                               max_pair_distance_m=r)
-    users = [UserTerminal(i, x, y, 0) for i, (x, y) in enumerate(pts)]
-    return cfg, users, draw(st.integers(0, 2 ** 32 - 1))
+    xy = np.array(pts, dtype=float).reshape(-1, 2)
+    return cfg, xy, draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(pairing_layouts())
 def test_pair_users_matches_loop(case):
-    cfg, users, seed = case
-    assert_pairing_matches_loop(cfg, users, lambda: np.random.default_rng(seed))
+    cfg, xy, seed = case
+    assert_pairing_matches_loop(cfg, xy, lambda: np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("preset", ["macro-scheme1", "hetnet"])
 def test_pair_users_matches_loop_on_real_drops(preset):
     cfg = apply_scenario(ScenarioConfig(), preset)
     env = generate_environment(cfg)
-    users = drop_users(cfg, env, _stream(0, "users"))
-    assert_pairing_matches_loop(cfg, users, lambda: _stream(0, "pairing"))
+    xy = drop_users(cfg, env, _stream(0, "users"))
+    assert_pairing_matches_loop(cfg, xy, lambda: _stream(0, "pairing"))
 
 
 class _StubChannel:
@@ -240,14 +235,14 @@ class _StubChannel:
 def test_associate_users_picks_strongest_biased_power():
     cfg = tiny_config(micro_enabled=True)
     env = env_for(cfg)
-    users = drop_users(cfg, env, np.random.default_rng(8))[:3]
+    xy = drop_users(cfg, env, np.random.default_rng(8))[:3]
     offsets = np.array([s.selection_offset_db for s in env.sectors])
     table = np.zeros((3, len(env.sectors)))
     table[0, 2] = 50.0            # user 0: sector 2 wins outright
     table[1, :] = -offsets        # user 1: biased power ties at 0 -> lowest id
     table[2, 5] = 100.0 - offsets[5]
     table[2, 6] = 99.0 - offsets[6]
-    serving = associate_users(users, env, _StubChannel(table))
+    serving = associate_users(xy, env, _StubChannel(table))
     assert serving[0] == 2
     assert serving[1] == 0
     assert serving[2] == 5
@@ -256,18 +251,19 @@ def test_associate_users_picks_strongest_biased_power():
 def test_associate_bias_changes_choice():
     cfg = tiny_config(micro_enabled=True)
     env = env_for(cfg)
-    users = drop_users(cfg, env, np.random.default_rng(8))[:1]
+    xy = drop_users(cfg, env, np.random.default_rng(8))[:1]
     micro_id = next(s.sector_id for s in env.sectors if s.kind == "micro")
     table = np.full((1, len(env.sectors)), -200.0)
     table[0, 0] = -60.0           # macro, offset 0
     table[0, micro_id] = -70.0    # micro, offset 15 -> biased -55 wins
-    assert associate_users(users, env, _StubChannel(table))[0] == micro_id
+    assert associate_users(xy, env, _StubChannel(table))[0] == micro_id
 
 
 def test_associate_empty():
     cfg = tiny_config()
     env = env_for(cfg)
-    assert associate_users([], env, _StubChannel(np.zeros((0, 3)))).shape == (0,)
+    assert associate_users(np.zeros((0, 2)), env,
+                           _StubChannel(np.zeros((0, 3)))).shape == (0,)
 
 
 def test_outdoor_fraction_matches_footprints():
@@ -288,4 +284,4 @@ def test_users_follow_rng_stream():
     env = env_for(cfg)
     a = drop_users(cfg, env, np.random.default_rng(11))
     b = drop_users(cfg, env, np.random.default_rng(11))
-    assert [(u.x, u.y) for u in a] == [(u.x, u.y) for u in b]
+    np.testing.assert_array_equal(a, b)
