@@ -9,11 +9,17 @@ swapping the ends returns the same value.
 
 Linear channel gain = 10^(-(pathloss + shadow - antenna)/10); every consumer
 works on these linear gains.
+
+A drop's site links are built in one pass, a few sites at a time, into
+(sites x users) arrays; a sector reads its site's row and adds its antenna
+term.  The UE-UE links of every evaluated sector are built in one
+user_user_gain_db call, which the engine slices per sector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,11 +29,14 @@ from .geometry import segments_blocked
 from .scenario import Environment, Sector
 from .units import db_to_linear, dbm_to_watts
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _USER_KEY_BASE = np.uint64(1) << np.uint64(32)
 _SITE_KEY_BASE = np.uint64(1) << np.uint64(33)
 
 LINK_CLASS = {"macro": 1, "micro": 2, "ue": 3}
+
+# Sites per slab of the site pass: a slab's (sites x users) temporaries stay
+# small, and its LOS call covers whole sites.
+_SITE_SLAB = 4
 
 
 def user_keys(user_ids) -> np.ndarray:
@@ -39,9 +48,10 @@ def site_key(site_id: int) -> np.ndarray:
 
 
 def _splitmix(x: np.ndarray) -> np.ndarray:
-    z = (x + np.uint64(0x9E3779B97F4A7C15)) & _MASK
-    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK
-    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK
+    # uint64 array arithmetic wraps modulo 2**64
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
@@ -51,14 +61,16 @@ class ShadowField:
     def __init__(self, seed: int):
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
-    def sample_db(self, link_class: int, keys_a, keys_b, sigma_db: float) -> np.ndarray:
+    def sample_db(self, link_class, keys_a, keys_b, sigma_db) -> np.ndarray:
+        """Shadowing (dB) of the links keys_a[i] - keys_b[i]; link_class and
+        sigma_db broadcast against the keys."""
         a = np.asarray(keys_a, dtype=np.uint64)
         b = np.asarray(keys_b, dtype=np.uint64)
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         h = _splitmix(self.seed ^ lo)
         h = _splitmix(h ^ hi)
-        h = _splitmix(h ^ np.uint64(link_class))
+        h = _splitmix(h ^ np.asarray(link_class, dtype=np.uint64))
         # top 53 bits -> uniform strictly inside (0, 1) -> standard normal
         u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
         return sigma_db * ndtri(u)
@@ -67,7 +79,10 @@ class ShadowField:
 def pathloss_db(
     distance_m, los, params: PathlossParams, min_distance_m: float = 1.0
 ) -> np.ndarray:
-    """Log-distance pathloss; NLOS adds a steeper slope plus a fixed penalty."""
+    """Log-distance pathloss; NLOS adds a steeper slope plus a fixed penalty.
+
+    The fields of params may be arrays that broadcast against distance_m.
+    """
     d = np.maximum(np.asarray(distance_m, dtype=float), min_distance_m)
     logd = np.log10(d)
     pl_los = params.intercept_db + params.slope_los_db * logd
@@ -77,7 +92,11 @@ def pathloss_db(
 
 def antenna_gain_db(pattern: AntennaPattern, off_boresight_deg) -> np.ndarray:
     """Parabolic-in-dB pattern with a front-to-back floor."""
-    a = (np.asarray(off_boresight_deg, dtype=float) + 180.0) % 360.0 - 180.0
+    # (x + 180) % 360 - 180, bit for bit: numpy's float remainder is fmod
+    # plus the divisor when negative, and +0.0 when zero (-0.0 + 0.0 = +0.0)
+    a = np.fmod(np.asarray(off_boresight_deg, dtype=float) + 180.0, 360.0)
+    a += 360.0 * (a < 0.0)
+    a -= 180.0
     att = 12.0 * (a / pattern.beamwidth_deg) ** 2
     return pattern.max_gain_dbi - np.minimum(att, pattern.front_to_back_db)
 
@@ -110,7 +129,7 @@ class GainSet:
 
 
 class DropChannel:
-    """Frozen per-drop channel: geometry, LOS, shadowing; caches per-site views.
+    """Frozen per-drop channel: geometry, LOS, shadowing and site links.
 
     A user is its row of users_xy, and its shadowing key is built from that row.
     """
@@ -127,41 +146,53 @@ class DropChannel:
         self.shadow = ShadowField(shadow_seed)
         self.users_xy = np.atleast_2d(np.asarray(users_xy, dtype=float))
         self.user_keys = user_keys(np.arange(len(self.users_xy)))
-        self._site_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _los_mask(self, p0: np.ndarray, p1: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    def _los_mask(self, dist: np.ndarray, ends) -> np.ndarray:
+        """Links within los_max_distance_m whose segment no building blocks;
+        ends(i) gives the two ends of the links at flat indices i."""
         los = dist <= self.params.los_max_distance_m
-        if np.any(los):
-            los_idx = np.flatnonzero(los)
-            blocked = segments_blocked(p0[los_idx], p1[los_idx], self.env.building_rects)
-            los[los_idx[blocked]] = False
+        los_idx = np.flatnonzero(los)
+        if len(los_idx):
+            blocked = segments_blocked(*ends(los_idx), self.env.building_rects)
+            los.flat[los_idx[blocked]] = False
         return los
 
-    def _site_view(self, sector: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Negated pathloss, azimuth (deg) and shadowing of every dropped user
-        towards the sector's site, cached per site.
+    @cached_property
+    def site_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Negated pathloss, azimuth (deg) and shadowing of every link from a
+        user to a site, as (sites x users) arrays indexed by site id.
 
         All three depend on the site alone (every sector of a site shares its
         position and kind), so the sectors of a site differ only in the
-        antenna term that user_sector_gain_db adds.
+        antenna term that user_sector_gain_db adds.  Built on first use,
+        _SITE_SLAB sites at a time, with one LOS call and one shadow hash per
+        slab.
         """
-        cached = self._site_cache.get(sector.site_id)
-        if cached is None:
-            site = np.array([sector.x, sector.y])
-            delta = self.users_xy - site
-            dist = np.hypot(delta[:, 0], delta[:, 1])
-            los = self._los_mask(self.users_xy, np.broadcast_to(site, self.users_xy.shape), dist)
-            pl_params = self._link_params(sector.kind)
-            neg_pl = -pathloss_db(dist, los, pl_params, self.params.min_distance_m)
-            azimuth = np.degrees(np.arctan2(delta[:, 1], delta[:, 0]))
-            shadow = self.shadow.sample_db(
-                LINK_CLASS[sector.kind], self.user_keys, site_key(sector.site_id),
-                pl_params.shadow_sigma_db)
-            cached = (neg_pl, azimuth, shadow)
-            self._site_cache[sector.site_id] = cached
-        return cached
+        # sectors come in site order, and site ids are 0..S-1
+        sites = list({s.site_id: s for s in self.env.sectors}.values())
+        site_xy = np.array([(site.x, site.y) for site in sites])
+        n = len(self.users_xy)
+        x, y = self.users_xy.T
+        neg_pl, azimuth, shadow = (np.empty((len(sites), n)) for _ in range(3))
+        for s0 in range(0, len(sites), _SITE_SLAB):
+            slab = sites[s0:s0 + _SITE_SLAB]
+            rows = slice(s0, s0 + len(slab))
+            dx = x - site_xy[rows, 0:1]
+            dy = y - site_xy[rows, 1:2]
+            dist = np.hypot(dx, dy)
+            los = self._los_mask(
+                dist, lambda i: (self.users_xy[i % n], site_xy[s0 + i // n]))
+            # each row's link parameters, as columns that broadcast per row
+            pl = PathlossParams(*(np.array(col)[:, None] for col in zip(
+                *(astuple(self._link_params(site.kind)) for site in slab))))
+            neg_pl[rows] = -pathloss_db(dist, los, pl, self.params.min_distance_m)
+            azimuth[rows] = np.degrees(np.arctan2(dy, dx))
+            shadow[rows] = self.shadow.sample_db(
+                np.array([[LINK_CLASS[site.kind]] for site in slab]), self.user_keys,
+                site_key(np.array([[site.site_id] for site in slab])), pl.shadow_sigma_db)
+        return neg_pl, azimuth, shadow
 
     def _link_params(self, kind: str) -> PathlossParams:
         if kind == "macro":
@@ -173,15 +204,14 @@ class DropChannel:
     # -- gains ----------------------------------------------------------------
 
     def user_sector_gain_db(self, user_idx, sector: Sector) -> np.ndarray:
-        """Channel gain (dB, antenna included) between users and a sector."""
-        idx = np.asarray(user_idx, dtype=int)
-        neg_pl, azimuth, shadow = self._site_view(sector)
-        ant = antenna_gain_db(sector.antenna, azimuth[idx] - sector.boresight_deg)
-        return neg_pl[idx] + ant + shadow[idx]
+        """Channel gain (dB, antenna included) between users and a sector.
 
-    def dl_rx_power_dbm(self, user_idx, sector: Sector) -> np.ndarray:
-        """Downlink reference power at the users; drives association."""
-        return sector.dl_power_dbm + self.user_sector_gain_db(user_idx, sector)
+        user_idx is any numpy index of users; slice(None) takes them all.
+        """
+        neg_pl, azimuth, shadow = self.site_links
+        s = sector.site_id
+        ant = antenna_gain_db(sector.antenna, azimuth[s, user_idx] - sector.boresight_deg)
+        return neg_pl[s, user_idx] + ant + shadow[s, user_idx]
 
     def user_user_gain_db(self, idx_a, idx_b) -> np.ndarray:
         """Element-wise UE-to-UE gains (no antenna directivity)."""
@@ -189,7 +219,7 @@ class DropChannel:
         b = np.asarray(idx_b, dtype=int)
         pa, pb = self.users_xy[a], self.users_xy[b]
         dist = np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])
-        los = self._los_mask(pa, pb, dist)
+        los = self._los_mask(dist, lambda i: (pa[i], pb[i]))
         pl = pathloss_db(dist, los, self.params.ue_link, self.params.min_distance_m)
         shadow = self.shadow.sample_db(
             LINK_CLASS["ue"], self.user_keys[a], self.user_keys[b],
@@ -218,32 +248,36 @@ class DropChannel:
         return np.hypot(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1])
 
 
+def ue_links(cell_idx: np.ndarray, tx_idx: np.ndarray, rx_idx: np.ndarray) -> np.ndarray:
+    """(2, L) user rows (from, to) of the UE-UE links a sector's gain set
+    needs: its D2D links tx -> rx, then its cross links rx x cellular,
+    row-major."""
+    n, m = len(tx_idx), len(cell_idx)
+    return np.array([np.concatenate([tx_idx, np.repeat(rx_idx, m)]),
+                     np.concatenate([rx_idx, np.tile(cell_idx, n)])], dtype=int)
+
+
 def build_gain_set(
     channel: DropChannel,
     sector: Sector,
     cell_user_idx: np.ndarray,
     pair_tx_idx: np.ndarray,
-    pair_rx_idx: np.ndarray,
+    ue_gain_db: np.ndarray,
 ) -> GainSet:
     """Assemble the linear gains a sector needs to schedule reuse.
 
-    cell_user_idx are the sector's cellular uplink users; pair_tx/rx_idx are
-    the user indices of its D2D pairs' ends (rows of h_cross follow pair
-    order, columns follow cellular order).
+    cell_user_idx are the sector's cellular uplink users and pair_tx_idx the
+    transmitting ends of its D2D pairs; ue_gain_db is user_user_gain_db over
+    the sector's ue_links (rows of h_cross follow pair order, columns follow
+    cellular order).
     """
     cell_idx = np.asarray(cell_user_idx, dtype=int)
     tx = np.asarray(pair_tx_idx, dtype=int)
-    rx = np.asarray(pair_rx_idx, dtype=int)
     m, n = len(cell_idx), len(tx)
-    h_cell = db_to_linear(channel.user_sector_gain_db(cell_idx, sector)) if m else np.zeros(0)
-    h_d2d = db_to_linear(channel.user_user_gain_db(tx, rx)) if n else np.zeros(0)
-    h_d2d_bs = db_to_linear(channel.user_sector_gain_db(tx, sector)) if n else np.zeros(0)
-    h_cross = (db_to_linear(channel.cross_gain_db(rx, cell_idx)) if (n and m)
-               else np.zeros((n, m)))
     return GainSet(
         sector_id=sector.sector_id,
-        h_cell=h_cell,
-        h_d2d=h_d2d,
-        h_d2d_bs=h_d2d_bs,
-        h_cross=h_cross,
+        h_cell=db_to_linear(channel.user_sector_gain_db(cell_idx, sector)),
+        h_d2d=db_to_linear(ue_gain_db[:n]),
+        h_d2d_bs=db_to_linear(channel.user_sector_gain_db(tx, sector)),
+        h_cross=db_to_linear(ue_gain_db[n:]).reshape(n, m),
     )

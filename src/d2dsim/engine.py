@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DropChannel, build_gain_set, noise_power_watts
+from .channel import DropChannel, build_gain_set, noise_power_watts, ue_links
 from .config import ConfigError, ScenarioConfig
 from .feasibility import (SinrTargets, baseline_cell_sinr, feasibility_context,
                           sinr_cell_matrix)
@@ -88,24 +88,29 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         np.argsort(serving, kind="stable"),
         np.cumsum(np.bincount(serving, minlength=len(env.sectors)))[:-1])
 
-    states: list[SectorState] = []
+    evaluated = []
     for sector, members in zip(env.sectors, members_of_sector):
         cell_idx = members[cellular[members]]
         pair_ids = pair_of_tx[members]
         pair_ids = pair_ids[pair_ids >= 0]
         tx_idx, rx_idx = pairs[pair_ids].T
-        cell_measured = measured[cell_idx]
-        pair_measured = measured[tx_idx]
-        if not (cell_measured.any() or pair_measured.any()):
-            continue  # replica-only sector: association fodder, never evaluated
+        # a replica-only sector is association fodder, never evaluated
+        if measured[cell_idx].any() or measured[tx_idx].any():
+            evaluated.append((sector, cell_idx, pair_ids, tx_idx, rx_idx))
+    # one UE-UE pass over the D2D and cross links of every evaluated sector
+    links = [ue_links(cell, tx, rx) for _, cell, _, tx, rx in evaluated]
+    ue_db = channel.user_user_gain_db(*np.hstack([np.zeros((2, 0), dtype=int), *links]))
+    ue_db_of = np.split(ue_db, np.cumsum([link.shape[1] for link in links])[:-1])
 
+    states: list[SectorState] = []
+    for (sector, cell_idx, pair_ids, tx_idx, rx_idx), sector_ue_db in zip(evaluated, ue_db_of):
         m = len(cell_idx)
         share = sector.bandwidth_hz / max(m, 1)
         sigma2_cell = noise_power_watts(share, cfg.noise.bs_noise_figure_db,
                                         cfg.noise.thermal_density_dbm_hz)
         sigma2_d2d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
                                        cfg.noise.thermal_density_dbm_hz)
-        gains = build_gain_set(channel, sector, cell_idx, tx_idx, rx_idx)
+        gains = build_gain_set(channel, sector, cell_idx, tx_idx, sector_ue_db)
         p_cell, cell_clip = open_loop_power_w(
             cell_targets[cell_idx], gains.h_cell, sigma2_cell, cfg.ue_max_power_dbm)
         p_d2d, d2d_clip = open_loop_power_w(
@@ -132,8 +137,8 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
             sigma2_d2d_w=sigma2_d2d,
             share_bw_hz=share,
             baseline_sinr=baseline,
-            cell_measured=cell_measured,
-            pair_measured=pair_measured,
+            cell_measured=measured[cell_idx],
+            pair_measured=measured[tx_idx],
             feas_context=feas,
         ))
 

@@ -15,6 +15,11 @@ _EDGE_EPS = 1e-9
 # Widen a chunk's segment bounding box by this much before dropping the rects
 # outside it, so rounding at the box edge can never drop a blocking rect.
 _PRUNE_MARGIN = 1e-6
+# Side of the square cells segments_blocked sorts segment midpoints by, so
+# that a chunk holds nearby segments and its bounding box stays small.
+_MIDPOINT_CELL_M = 50.0
+# Side of the square cells sample_outdoor_points buckets obstacles by.
+_BUCKET_M = 64.0
 
 
 def points_in_rects(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
@@ -45,15 +50,16 @@ def _slab_interval(p, d, lo, hi):
 
 
 def segments_blocked(
-    p0: np.ndarray, p1: np.ndarray, rects: np.ndarray, chunk: int = 4096
+    p0: np.ndarray, p1: np.ndarray, rects: np.ndarray, chunk: int = 256
 ) -> np.ndarray:
     """True for each segment p0[i]->p1[i] that crosses the interior of any rect.
 
-    Liang-Barsky slab clipping, vectorized over (segments x rects) in chunks.
-    Touching a wall or corner exactly does not block.  Each chunk tests only
-    the rects that overlap its segments' bounding box (widened by
-    _PRUNE_MARGIN); a rect outside that box cannot block any of them, so the
-    result equals the test against every rect.
+    Liang-Barsky slab clipping, vectorized over (segments x rects) in chunks
+    of segments sorted by the cell of their midpoint.  Touching a wall or
+    corner exactly does not block.  Each chunk tests only the rects that
+    overlap its segments' bounding box (widened by _PRUNE_MARGIN); a rect
+    outside that box cannot block any of them, so the result equals the test
+    against every rect.
     """
     a = np.atleast_2d(np.asarray(p0, dtype=float))
     b = np.atleast_2d(np.asarray(p1, dtype=float))
@@ -67,10 +73,12 @@ def segments_blocked(
     ry0 = r[:, 1] + _EDGE_EPS
     rx1 = r[:, 2] - _EDGE_EPS
     ry1 = r[:, 3] - _EDGE_EPS
+    cell = np.floor((a + b) * (0.5 / _MIDPOINT_CELL_M))
+    order = np.lexsort((cell[:, 0], cell[:, 1]))
     for s in range(0, n, chunk):
-        e = min(s + chunk, n)
-        pa = a[s:e]
-        pb = b[s:e]
+        sel = order[s:s + chunk]
+        pa = a[sel]
+        pb = b[sel]
         lo = np.minimum(pa, pb).min(axis=0) - _PRUNE_MARGIN
         hi = np.maximum(pa, pb).max(axis=0) + _PRUNE_MARGIN
         near = np.flatnonzero((r[:, 0] <= hi[0]) & (r[:, 2] >= lo[0])
@@ -81,8 +89,54 @@ def segments_blocked(
         ny, fy = _slab_interval(pa[:, 1:2], d[:, 1:2], ry0[near], ry1[near])
         t_lo = np.maximum(np.maximum(nx, ny), 0.0)
         t_hi = np.minimum(np.minimum(fx, fy), 1.0)
-        out[s:e] = (t_lo < t_hi).any(axis=1)
+        out[sel] = (t_lo < t_hi).any(axis=1)
     return out
+
+
+class RectBuckets:
+    """Rects bucketed by the square cells of a grid over `bounds`.
+
+    contains(points) equals points_in_rects(points, rects) but tests each
+    point only against the rects of its cell.  A rect joins every cell its
+    closed extent overlaps.  Subtraction, division by the positive cell side,
+    floor and clipping never reverse an order, so a point inside a rect lands
+    in a cell between the rect's first and last, and the comparisons made are
+    the very ones points_in_rects makes.
+    """
+
+    def __init__(self, rects: np.ndarray, bounds: tuple[float, float, float, float]):
+        r = np.asarray(rects, dtype=float).reshape(-1, 4)
+        self.origin = np.array(bounds[:2], dtype=float)
+        self.shape = np.maximum(
+            np.ceil((np.array(bounds[2:]) - self.origin) / _BUCKET_M).astype(int), 1)
+        lo = self._cell(r[:, :2])
+        hi = self._cell(r[:, 2:])
+        ix = np.arange(self.shape[0])[:, None, None]
+        iy = np.arange(self.shape[1])[None, :, None]
+        hit = ((lo[:, 0] <= ix) & (ix <= hi[:, 0])
+               & (lo[:, 1] <= iy) & (iy <= hi[:, 1])).reshape(self.shape.prod(), len(r))
+        # each cell's rects in rect order, padded with a NaN rect that
+        # contains nothing
+        cell, rect = np.nonzero(hit)
+        count = hit.sum(axis=1)
+        slot = np.arange(len(cell)) - (np.cumsum(count) - count)[cell]
+        cand = np.full((len(hit), max(int(count.max(initial=0)), 1)), len(r))
+        cand[cell, slot] = rect
+        self.cell_rects = np.vstack([r, np.full((1, 4), np.nan)])[cand]  # (C, W, 4)
+
+    def _cell(self, p: np.ndarray) -> np.ndarray:
+        c = np.floor((p - self.origin) / _BUCKET_M)
+        return np.clip(c, 0, self.shape - 1).astype(int)
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """True for each (finite) point lying inside (closed) any of the rects."""
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        c = self._cell(p)
+        r = self.cell_rects[c[:, 0] * self.shape[1] + c[:, 1]]  # (P, W, 4)
+        x = p[:, 0:1]
+        y = p[:, 1:2]
+        inside = (x >= r[..., 0]) & (x <= r[..., 2]) & (y >= r[..., 1]) & (y <= r[..., 3])
+        return inside.any(axis=1)
 
 
 def sample_outdoor_points(
@@ -99,12 +153,13 @@ def sample_outdoor_points(
     xmin, ymin, xmax, ymax = bounds
     if count == 0:
         return np.empty((0, 2))
+    buckets = RectBuckets(obstacles, bounds)
     got: list[np.ndarray] = []
     need = count
     for _ in range(max_tries):
         m = max(int(need * 1.8) + 8, 16)
         pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(m, 2))
-        keep = pts[~points_in_rects(pts, obstacles)]
+        keep = pts[~buckets.contains(pts)]
         got.append(keep[:need])
         need -= len(keep[:need])
         if need == 0:

@@ -66,12 +66,21 @@ class Environment:
         return (xs.min(), ys.min(), xs.max() + self.width_m, ys.max() + self.height_m)
 
     def grid_index_of(self, xy: np.ndarray) -> np.ndarray:
-        """Map positions to the replica grid that contains them."""
-        p = np.atleast_2d(xy)
-        ix = np.floor(p[:, 0] / self.width_m) * self.width_m
-        iy = np.floor(p[:, 1] / self.height_m) * self.height_m
-        lookup = {(ox, oy): g for g, (ox, oy) in enumerate(map(tuple, self.offsets))}
-        return np.array([lookup.get((x, y), -1) for x, y in zip(ix, iy)], dtype=int)
+        """Map positions to the replica grid that contains them (-1: none).
+
+        Grid g covers the tile offsets[g] / (width, height); a position's
+        tile is the floor of its coordinates over the grid size.
+        """
+        size = np.array([self.width_m, self.height_m])
+        tiles = np.rint(self.offsets / size).astype(int)
+        first = tiles.min(axis=0)
+        table = np.full(tiles.max(axis=0) - first + 1, -1)
+        table[tuple((tiles - first).T)] = np.arange(len(tiles))
+        t = np.floor(np.atleast_2d(xy) / size) - first
+        inside = ((t >= 0) & (t < table.shape)).all(axis=1)
+        out = np.full(len(t), -1)
+        out[inside] = table[tuple(t[inside].astype(int).T)]
+        return out
 
 
 def _block_rects(width: float, height: float) -> list[tuple]:
@@ -215,17 +224,19 @@ def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) ->
 def associate_users(xy: np.ndarray, env: Environment, channel) -> np.ndarray:
     """Attach every user to the sector with the strongest biased DL power.
 
-    `channel` provides dl_rx_power_dbm(user_indices, sector); ties resolve to
-    the lowest sector id.  Returns the serving sector id per row of xy.
+    A sector's biased power at a user is its dl_power_dbm, plus
+    channel.user_sector_gain_db(slice(None), sector) (the gain of every row
+    of xy), plus its selection_offset_db; ties resolve to the lowest sector
+    id.  Returns the serving sector id per row of xy.
     """
     n = len(xy)
     serving = np.full(n, -1, dtype=int)
     if n == 0:
         return serving
-    idx = np.arange(n)
     best = np.full(n, -np.inf)
     for sector in env.sectors:  # ascending sector_id, so strict > keeps lowest id on ties
-        p = channel.dl_rx_power_dbm(idx, sector) + sector.selection_offset_db
+        p = (sector.dl_power_dbm + channel.user_sector_gain_db(slice(None), sector)
+             + sector.selection_offset_db)
         better = p > best
         serving[better] = sector.sector_id
         best[better] = p[better]

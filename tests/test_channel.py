@@ -7,11 +7,12 @@ import pytest
 
 from d2dsim.channel import (LINK_CLASS, DropChannel, ShadowField, antenna_gain_db,
                             build_gain_set, noise_power_watts,
-                            pathloss_db, site_key)
+                            pathloss_db, site_key, ue_links)
 from d2dsim.config import (AntennaPattern, PathlossParams, ScenarioConfig,
                            apply_scenario)
 from d2dsim.geometry import segments_blocked
-from d2dsim.scenario import drop_users, generate_environment
+from d2dsim.scenario import associate_users, drop_users, generate_environment
+from d2dsim.units import db_to_linear
 from conftest import tiny_config
 
 UE_PL = PathlossParams(42.0, 22.0, 44.0, 14.0, 7.0)
@@ -53,6 +54,23 @@ def test_antenna_pattern():
     assert antenna_gain_db(pat, 180.0) == pytest.approx(-8.0)  # front-to-back floor
     # wraparound: 350 deg == -10 deg
     assert antenna_gain_db(pat, 350.0) == pytest.approx(antenna_gain_db(pat, -10.0))
+
+
+def test_antenna_wrap_is_bitwise_float_remainder():
+    """The fmod wrap gives the bits of (x + 180) % 360 - 180, signed zeros too."""
+    pat = AntennaPattern(17.0, 65.0, 25.0)
+    special = [0.0, -0.0, 180.0, -180.0, 360.0, -360.0, 540.0, -540.0, -1e-300, 1e-300,
+               179.99999999999997, -180.00000000000003, 1e6 + 0.1, -1e6 - 0.1]
+    rng = np.random.default_rng(4)
+    x = np.concatenate([special, rng.uniform(-720.0, 720.0, 5000),
+                        rng.uniform(-1e5, 1e5, 5000)])
+    a = (x + 180.0) % 360.0 - 180.0
+    att = 12.0 * (a / pat.beamwidth_deg) ** 2
+    want = pat.max_gain_dbi - np.minimum(att, pat.front_to_back_db)
+    got = antenna_gain_db(pat, x)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for i, v in enumerate(special):  # scalar input too
+        assert np.float64(antenna_gain_db(pat, v)).view(np.int64) == want[i].view(np.int64)
 
 
 def test_shadow_field_properties():
@@ -132,11 +150,17 @@ def test_user_user_gain_symmetric_with_shadow():
     assert ab == ba
 
 
-def test_dl_rx_power_is_gain_plus_tx_power():
-    cfg, env, ch = make_channel([[200.0, 276.0]])
-    s = env.sectors[1]
-    assert ch.dl_rx_power_dbm([0], s)[0] == pytest.approx(
-        s.dl_power_dbm + ch.user_sector_gain_db([0], s)[0])
+def test_associate_users_equals_per_sector_dl_power():
+    """Serving sector = first argmax of dl_power + gain + offset over sectors."""
+    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    env = generate_environment(cfg)
+    xy = drop_users(cfg, env, np.random.default_rng(6))
+    ch = DropChannel(env, cfg.channel, 13, xy)
+    everyone = np.arange(len(xy))
+    power = np.array([s.dl_power_dbm + per_sector_gain_db(ch, everyone, s) + s.selection_offset_db
+                      for s in env.sectors])
+    assert [s.sector_id for s in env.sectors] == list(range(len(env.sectors)))
+    np.testing.assert_array_equal(associate_users(xy, env, ch), power.argmax(axis=0))
 
 
 def test_cross_gain_matrix_matches_elementwise():
@@ -166,7 +190,8 @@ def test_build_gain_set_shapes_and_convention():
     cell_idx = np.array([0, 1])
     tx = np.array([2, 3])
     rx = np.array([4, 5])
-    gs = build_gain_set(ch, sector, cell_idx, tx, rx)
+    gs = build_gain_set(ch, sector, cell_idx, tx,
+                        ch.user_user_gain_db(*ue_links(cell_idx, tx, rx)))
     assert gs.shape == (2, 2)
     assert gs.h_cell.shape == (2,) and gs.h_d2d.shape == (2,)
     # linear conversion and the cross convention: h_cross[m, n] is cellular n
@@ -181,10 +206,15 @@ def test_build_gain_set_shapes_and_convention():
 
 def test_empty_gain_set():
     cfg, env, ch = make_channel([[30.0, 276.0]])
-    gs = build_gain_set(ch, env.sectors[0], np.zeros(0, dtype=int),
-                        np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    none = np.zeros(0, dtype=int)
+    gs = build_gain_set(ch, env.sectors[0], none, none,
+                        ch.user_user_gain_db(*ue_links(none, none, none)))
     assert gs.shape == (0, 0)
     assert gs.h_cell.size == 0 and gs.h_d2d.size == 0
+    one = np.array([0])
+    gs = build_gain_set(ch, env.sectors[0], none, one,
+                        ch.user_user_gain_db(*ue_links(none, one, one)))
+    assert gs.shape == (1, 0) and gs.h_cross.dtype == float
 
 
 def test_site_view_cache_consistent():
@@ -193,6 +223,7 @@ def test_site_view_cache_consistent():
     first = ch.user_sector_gain_db([0, 1], sectors[0])
     again = ch.user_sector_gain_db([0, 1], sectors[0])
     np.testing.assert_array_equal(first, again)
+    assert ch.site_links is ch.site_links  # built once per drop
 
 
 def per_sector_gain_db(ch, idx, sector):
@@ -230,4 +261,43 @@ def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
         for idx in (everyone, subset):
             np.testing.assert_array_equal(ch.user_sector_gain_db(idx, sector),
                                           per_sector_gain_db(ch, idx, sector))
-    assert sorted(ch._site_cache) == sorted({s.site_id for s in env.sectors})
+    neg_pl, azimuth, shadow = ch.site_links
+    n_sites = len({s.site_id for s in env.sectors})
+    assert neg_pl.shape == azimuth.shape == shadow.shape == (n_sites, len(xy))
+    assert n_sites > 4  # more than one slab of the site pass
+    for sector in env.sectors:
+        s = sector.site_id
+        ant = antenna_gain_db(sector.antenna, azimuth[s] - sector.boresight_deg)
+        np.testing.assert_array_equal(neg_pl[s] + ant + shadow[s],
+                                      per_sector_gain_db(ch, everyone, sector))
+        np.testing.assert_array_equal(ch.user_sector_gain_db(slice(None), sector),
+                                      per_sector_gain_db(ch, everyone, sector))
+
+
+def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
+    """One user_user_gain_db call over every sector's ue_links, sliced per
+    sector, equals the per-sector D2D and cross gains bit for bit."""
+    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    rng = np.random.default_rng(9)
+    env = generate_environment(cfg)
+    xy = drop_users(cfg, env, rng)
+    ch = DropChannel(env, cfg.channel, 21, xy)
+    serving = associate_users(xy, env, ch)
+    ends = rng.permutation(len(xy))[:600]
+    tx_all, rx_all = ends[:300], ends[300:]
+    sectors = []
+    for sector in env.sectors:
+        mine = serving[tx_all] == sector.sector_id
+        cell = np.flatnonzero(serving == sector.sector_id)
+        sectors.append((sector, cell[~np.isin(cell, ends)], tx_all[mine], rx_all[mine]))
+    links = [ue_links(cell, tx, rx) for _, cell, tx, rx in sectors]
+    ue_db = ch.user_user_gain_db(*np.hstack(links))
+    ue_db_of = np.split(ue_db, np.cumsum([link.shape[1] for link in links])[:-1])
+    assert sum(len(tx) > 0 and len(cell) > 0 for _, cell, tx, _ in sectors) > 10
+    for (sector, cell, tx, rx), got in zip(sectors, ue_db_of):
+        n, m = len(tx), len(cell)
+        np.testing.assert_array_equal(got[:n], ch.user_user_gain_db(tx, rx))
+        np.testing.assert_array_equal(got[n:].reshape(n, m), ch.cross_gain_db(rx, cell))
+        gs = build_gain_set(ch, sector, cell, tx, got)
+        np.testing.assert_array_equal(gs.h_d2d, db_to_linear(ch.user_user_gain_db(tx, rx)))
+        np.testing.assert_array_equal(gs.h_cross, db_to_linear(ch.cross_gain_db(rx, cell)))

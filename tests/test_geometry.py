@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from d2dsim import channel, engine
 from d2dsim.config import ScenarioConfig, apply_scenario
-from d2dsim.geometry import (_EDGE_EPS, _slab_interval, points_in_rects,
-                             sample_outdoor_points, segments_blocked)
+from d2dsim.geometry import (_BUCKET_M, _EDGE_EPS, RectBuckets, _slab_interval,
+                             points_in_rects, sample_outdoor_points, segments_blocked)
+from d2dsim.scenario import generate_environment
 
 RECT = np.array([[10.0, 10.0, 20.0, 30.0]])
 
@@ -152,12 +153,53 @@ def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
         return segments_blocked(p0, p1, rects)
 
     monkeypatch.setattr(channel, "segments_blocked", recording)
-    engine.build_drop(apply_scenario(ScenarioConfig(), "hetnet"), engine.drop_seed(0, 0))
-    site_calls = sum(len(np.unique(p1, axis=0)) == 1 for _, p1, _ in calls)
+    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    engine.build_drop(cfg, engine.drop_seed(0, 0))
+    sites = {(s.x, s.y) for s in generate_environment(cfg).sectors}
+    site_calls = sum(set(map(tuple, p1)) <= sites for _, p1, _ in calls)
     assert site_calls > 0 and len(calls) > site_calls  # both link kinds were tested
     for p0, p1, rects in calls:
         np.testing.assert_array_equal(segments_blocked(p0, p1, rects),
                                       unpruned_segments_blocked(p0, p1, rects))
+
+
+_BOUNDS = (-20.0, -10.0, 300.0, 200.0)
+# Rect edges and points on a lattice that holds the bucket cell seams of
+# _BOUNDS, so points fall on edges, corners and seams; free floats cover
+# general position, and some fall outside the bounds.
+_bcoord = st.one_of(st.integers(-2, 2 * int(320 / _BUCKET_M) + 2).map(
+                        lambda v: -20.0 + v * _BUCKET_M / 2),
+                    st.integers(-8, 48).map(lambda v: v * 7.5),
+                    st.floats(-40.0, 320.0, allow_nan=False))
+
+
+@st.composite
+def _brect(draw):
+    x0, x1, y0, y1 = (draw(_bcoord) for _ in range(4))
+    return (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rects=st.lists(_brect(), max_size=12),
+       pts=st.lists(st.tuples(_bcoord, _bcoord), min_size=1, max_size=40),
+       corners=st.booleans())
+def test_rect_buckets_equal_all_rects_test(rects, pts, corners):
+    r = np.array(rects, dtype=float).reshape(-1, 4)
+    p = np.array(pts, dtype=float)
+    if corners:  # every rect corner, plus the bounds' own corners
+        p = np.vstack([p, r[:, [0, 1]], r[:, [2, 3]], r[:, [0, 3]], r[:, [2, 1]],
+                       [_BOUNDS[:2], _BOUNDS[2:]]])
+    np.testing.assert_array_equal(RectBuckets(r, _BOUNDS).contains(p), points_in_rects(p, r))
+
+
+def test_rect_buckets_on_hetnet_footprints():
+    env = generate_environment(apply_scenario(ScenarioConfig(), "hetnet"))
+    r = env.building_rects
+    pts = np.random.default_rng(2).uniform(env.bounds[:2], env.bounds[2:], size=(20000, 2))
+    pts = np.vstack([pts, r[:, :2], r[:, 2:], r[:, [0, 3]], r[:, [2, 1]]])
+    buckets = RectBuckets(r, env.bounds)
+    assert buckets.cell_rects.shape[1] < len(r) // 10  # a few rects per cell
+    np.testing.assert_array_equal(buckets.contains(pts), points_in_rects(pts, r))
 
 
 def test_sample_outdoor_points_avoids_obstacles(rng):
