@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .config import AntennaPattern, ChannelParams, PathlossParams
-from .geometry import segments_blocked
+from .geometry import SiteWedges, segments_blocked
 from .scenario import Environment, Sector
 from .units import db_to_linear, dbm_to_watts
 
@@ -149,14 +149,13 @@ class DropChannel:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _los_mask(self, dist: np.ndarray, ends) -> np.ndarray:
+    def _los_mask(self, dist: np.ndarray, blocked) -> np.ndarray:
         """Links within los_max_distance_m whose segment no building blocks;
-        ends(i) gives the two ends of the links at flat indices i."""
+        blocked(i) tests the links at flat indices i."""
         los = dist <= self.params.los_max_distance_m
         los_idx = np.flatnonzero(los)
         if len(los_idx):
-            blocked = segments_blocked(*ends(los_idx), self.env.building_rects)
-            los.flat[los_idx[blocked]] = False
+            los.flat[los_idx[blocked(los_idx)]] = False
         return los
 
     @cached_property
@@ -168,11 +167,15 @@ class DropChannel:
         position and kind), so the sectors of a site differ only in the
         antenna term that user_sector_gain_db adds.  Built on first use,
         _SITE_SLAB sites at a time, with one LOS call and one shadow hash per
-        slab.
+        slab.  The LOS test reads the environment's SiteWedges, so it
+        slab-tests only the buildings in each link's azimuth bin.
         """
         # sectors come in site order, and site ids are 0..S-1
         sites = list({s.site_id: s for s in self.env.sectors}.values())
-        site_xy = np.array([(site.x, site.y) for site in sites])
+        wedges = self.env.site_wedges
+        if wedges.reach < self.params.los_max_distance_m:  # params of another config
+            wedges = SiteWedges(wedges.sites, wedges.rects, self.params.los_max_distance_m)
+        site_xy = wedges.sites
         n = len(self.users_xy)
         x, y = self.users_xy.T
         neg_pl, azimuth, shadow = (np.empty((len(sites), n)) for _ in range(3))
@@ -182,13 +185,13 @@ class DropChannel:
             dx = x - site_xy[rows, 0:1]
             dy = y - site_xy[rows, 1:2]
             dist = np.hypot(dx, dy)
-            los = self._los_mask(
-                dist, lambda i: (self.users_xy[i % n], site_xy[s0 + i // n]))
+            azimuth[rows] = np.degrees(np.arctan2(dy, dx))
+            los = self._los_mask(dist, lambda i: wedges.blocked(
+                s0 + i // n, self.users_xy[i % n], azimuth[rows].flat[i]))
             # each row's link parameters, as columns that broadcast per row
             pl = PathlossParams(*(np.array(col)[:, None] for col in zip(
                 *(astuple(self._link_params(site.kind)) for site in slab))))
             neg_pl[rows] = -pathloss_db(dist, los, pl, self.params.min_distance_m)
-            azimuth[rows] = np.degrees(np.arctan2(dy, dx))
             shadow[rows] = self.shadow.sample_db(
                 np.array([[LINK_CLASS[site.kind]] for site in slab]), self.user_keys,
                 site_key(np.array([[site.site_id] for site in slab])), pl.shadow_sigma_db)
@@ -213,39 +216,20 @@ class DropChannel:
         ant = antenna_gain_db(sector.antenna, azimuth[s, user_idx] - sector.boresight_deg)
         return neg_pl[s, user_idx] + ant + shadow[s, user_idx]
 
-    def user_user_gain_db(self, idx_a, idx_b) -> np.ndarray:
-        """Element-wise UE-to-UE gains (no antenna directivity)."""
+    def user_user_gain_db(self, idx_a, idx_b) -> tuple[np.ndarray, np.ndarray]:
+        """Element-wise UE-to-UE gains (dB, no antenna directivity) and
+        distances (m) of the links idx_a[i] - idx_b[i]."""
         a = np.asarray(idx_a, dtype=int)
         b = np.asarray(idx_b, dtype=int)
         pa, pb = self.users_xy[a], self.users_xy[b]
         dist = np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])
-        los = self._los_mask(dist, lambda i: (pa[i], pb[i]))
+        los = self._los_mask(
+            dist, lambda i: segments_blocked(pa[i], pb[i], self.env.building_rects))
         pl = pathloss_db(dist, los, self.params.ue_link, self.params.min_distance_m)
         shadow = self.shadow.sample_db(
             LINK_CLASS["ue"], self.user_keys[a], self.user_keys[b],
             self.params.ue_link.shadow_sigma_db)
-        return -pl + shadow
-
-    def cross_gain_db(self, rx_idx, tx_idx) -> np.ndarray:
-        """(R, T) UE-to-UE gain matrix: transmitters tx_idx into receivers rx_idx."""
-        r = np.asarray(rx_idx, dtype=int)
-        t = np.asarray(tx_idx, dtype=int)
-        if len(r) == 0 or len(t) == 0:
-            return np.zeros((len(r), len(t)))
-        rr = np.repeat(r, len(t))
-        tt = np.tile(t, len(r))
-        return self.user_user_gain_db(rr, tt).reshape(len(r), len(t))
-
-    def distances(self, idx_a, idx_b) -> np.ndarray:
-        a = self.users_xy[np.asarray(idx_a, dtype=int)]
-        b = self.users_xy[np.asarray(idx_b, dtype=int)]
-        return np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-
-    def distance_matrix(self, idx_rows, idx_cols) -> np.ndarray:
-        """(R, C) distances between two user index sets."""
-        a = self.users_xy[np.asarray(idx_rows, dtype=int)]
-        b = self.users_xy[np.asarray(idx_cols, dtype=int)]
-        return np.hypot(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1])
+        return -pl + shadow, dist
 
 
 def ue_links(cell_idx: np.ndarray, tx_idx: np.ndarray, rx_idx: np.ndarray) -> np.ndarray:
@@ -267,9 +251,9 @@ def build_gain_set(
     """Assemble the linear gains a sector needs to schedule reuse.
 
     cell_user_idx are the sector's cellular uplink users and pair_tx_idx the
-    transmitting ends of its D2D pairs; ue_gain_db is user_user_gain_db over
-    the sector's ue_links (rows of h_cross follow pair order, columns follow
-    cellular order).
+    transmitting ends of its D2D pairs; ue_gain_db is the gains that
+    user_user_gain_db gives over the sector's ue_links (rows of h_cross
+    follow pair order, columns follow cellular order).
     """
     cell_idx = np.asarray(cell_user_idx, dtype=int)
     tx = np.asarray(pair_tx_idx, dtype=int)

@@ -99,12 +99,15 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
             evaluated.append((sector, cell_idx, pair_ids, tx_idx, rx_idx))
     # one UE-UE pass over the D2D and cross links of every evaluated sector
     links = [ue_links(cell, tx, rx) for _, cell, _, tx, rx in evaluated]
-    ue_db = channel.user_user_gain_db(*np.hstack([np.zeros((2, 0), dtype=int), *links]))
-    ue_db_of = np.split(ue_db, np.cumsum([link.shape[1] for link in links])[:-1])
+    ue_db, ue_dist = channel.user_user_gain_db(
+        *np.hstack([np.zeros((2, 0), dtype=int), *links]))
+    ends = np.cumsum([link.shape[1] for link in links])[:-1]
 
     states: list[SectorState] = []
-    for (sector, cell_idx, pair_ids, tx_idx, rx_idx), sector_ue_db in zip(evaluated, ue_db_of):
+    for (sector, cell_idx, pair_ids, tx_idx, rx_idx), sector_ue_db, sector_ue_dist in zip(
+            evaluated, np.split(ue_db, ends), np.split(ue_dist, ends)):
         m = len(cell_idx)
+        k = len(tx_idx)
         share = sector.bandwidth_hz / max(m, 1)
         sigma2_cell = noise_power_watts(share, cfg.noise.bs_noise_figure_db,
                                         cfg.noise.thermal_density_dbm_hz)
@@ -122,9 +125,8 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
             baseline_cell_sinr=baseline,
             ratio_threshold=cfg.distance_ratio_threshold,
         )
-        feas = feasibility_context(gains, p_cell, p_d2d, sigma2_cell,
-                                   channel.distances(tx_idx, rx_idx),
-                                   channel.distance_matrix(rx_idx, cell_idx), targets)
+        feas = feasibility_context(gains, p_cell, p_d2d, sigma2_cell, sector_ue_dist[:k],
+                                   sector_ue_dist[k:].reshape(k, m), targets)
         states.append(SectorState(
             sector_id=sector.sector_id,
             kind=sector.kind,

@@ -20,6 +20,15 @@ _PRUNE_MARGIN = 1e-6
 _MIDPOINT_CELL_M = 50.0
 # Side of the square cells sample_outdoor_points buckets obstacles by.
 _BUCKET_M = 64.0
+# SiteWedges: bins per full circle of azimuth (1 degree each), the widening
+# of every rect's angular hull, and the slack of its distance rules.  A
+# zero-width rect blocks a band 2 * _EDGE_EPS wide, reaching _EDGE_EPS past
+# the rect itself: the slack lies far above that, and the margin far above
+# atan2 rounding and above the ~1e-7 degrees the band spans seen from
+# _WEDGE_SLACK_M away.
+_WEDGE_BINS = 360
+_WEDGE_MARGIN_DEG = 1e-6
+_WEDGE_SLACK_M = 1.0
 
 
 def points_in_rects(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
@@ -49,6 +58,21 @@ def _slab_interval(p, d, lo, hi):
     return near, far
 
 
+def _open_interiors(r):
+    """(4, K) columns xmin, ymin, xmax, ymax of the rects shrunk by _EDGE_EPS:
+    open-interior semantics."""
+    return np.array([r[:, 0] + _EDGE_EPS, r[:, 1] + _EDGE_EPS,
+                     r[:, 2] - _EDGE_EPS, r[:, 3] - _EDGE_EPS])
+
+
+def _crosses(px, py, dx, dy, rx0, ry0, rx1, ry1):
+    """Whether p + t*d, 0 <= t <= 1, crosses the inside of [rx0, rx1] x
+    [ry0, ry1] (Liang-Barsky); the arguments broadcast."""
+    nx, fx = _slab_interval(px, dx, rx0, rx1)
+    ny, fy = _slab_interval(py, dy, ry0, ry1)
+    return np.maximum(np.maximum(nx, ny), 0.0) < np.minimum(np.minimum(fx, fy), 1.0)
+
+
 def segments_blocked(
     p0: np.ndarray, p1: np.ndarray, rects: np.ndarray, chunk: int = 256
 ) -> np.ndarray:
@@ -68,11 +92,7 @@ def segments_blocked(
     out = np.zeros(n, dtype=bool)
     if r.size == 0 or n == 0:
         return out
-    # open-interior semantics
-    rx0 = r[:, 0] + _EDGE_EPS
-    ry0 = r[:, 1] + _EDGE_EPS
-    rx1 = r[:, 2] - _EDGE_EPS
-    ry1 = r[:, 3] - _EDGE_EPS
+    inner = _open_interiors(r)
     cell = np.floor((a + b) * (0.5 / _MIDPOINT_CELL_M))
     order = np.lexsort((cell[:, 0], cell[:, 1]))
     for s in range(0, n, chunk):
@@ -85,12 +105,85 @@ def segments_blocked(
                               & (r[:, 1] <= hi[1]) & (r[:, 3] >= lo[1]))
         d = pb - pa
         # (seg, rect) broadcasting
-        nx, fx = _slab_interval(pa[:, 0:1], d[:, 0:1], rx0[near], rx1[near])
-        ny, fy = _slab_interval(pa[:, 1:2], d[:, 1:2], ry0[near], ry1[near])
-        t_lo = np.maximum(np.maximum(nx, ny), 0.0)
-        t_hi = np.minimum(np.minimum(fx, fy), 1.0)
-        out[sel] = (t_lo < t_hi).any(axis=1)
+        out[sel] = _crosses(pa[:, 0:1], pa[:, 1:2], d[:, 0:1], d[:, 1:2],
+                            *inner[:, near]).any(axis=1)
     return out
+
+
+class SiteWedges:
+    """Per-site azimuth bins listing the rects that can block a link to the site.
+
+    Bin b of a site holds the azimuths (degrees, from the site) in
+    [b - 180, b - 179), with +180 in bin 0.  It lists, in CSR form, every
+    rect whose angular hull seen from the site, widened by _WEDGE_MARGIN_DEG
+    each way, overlaps the bin.  A rect within _WEDGE_SLACK_M of the site
+    joins every bin (its hull may be the whole circle), and a rect farther
+    than reach + _WEDGE_SLACK_M joins none (it cannot meet a segment of
+    length <= reach that ends at the site).
+
+    A rect can block a segment from a site only if the direction of the
+    segment's other end lies inside the rect's hull; blocked() slab-tests
+    exactly those candidates with segments_blocked's arithmetic, so it
+    equals segments_blocked for every segment no longer than reach.
+    """
+
+    def __init__(self, sites: np.ndarray, rects: np.ndarray, reach: float):
+        s = np.asarray(sites, dtype=float).reshape(-1, 2)
+        r = np.asarray(rects, dtype=float).reshape(-1, 4)
+        self.sites, self.rects, self.reach = s, r, float(reach)
+        self.inner = _open_interiors(r)
+        sx, sy = s[:, 0:1], s[:, 1:2]  # (S, 1) against (K,) rect columns
+        gap = np.hypot(np.maximum(np.maximum(r[:, 0] - sx, sx - r[:, 2]), 0.0),
+                       np.maximum(np.maximum(r[:, 1] - sy, sy - r[:, 3]), 0.0))
+        # hull: corner angles relative to the direction of the rect's centre;
+        # a rect away from the site spans less than 180 degrees around it
+        centre = np.degrees(np.arctan2(0.5 * (r[:, 1] + r[:, 3]) - sy,
+                                       0.5 * (r[:, 0] + r[:, 2]) - sx))
+        corner = np.degrees(np.arctan2(r[:, [1, 1, 3, 3]] - sy[..., None],
+                                       r[:, [0, 2, 0, 2]] - sx[..., None]))
+        rel = (corner - centre[..., None] + 180.0) % 360.0 - 180.0
+        first = np.floor(centre + rel.min(axis=-1) - _WEDGE_MARGIN_DEG + 180.0)
+        last = np.floor(centre + rel.max(axis=-1) + _WEDGE_MARGIN_DEG + 180.0)
+        count = (last - first + 1).astype(np.intp)
+        near = gap <= _WEDGE_SLACK_M
+        first[near] = 0
+        count[near] = _WEDGE_BINS
+        count[gap > self.reach + _WEDGE_SLACK_M] = 0
+        # one entry per (site, rect, bin), expanded from each pair's bin range
+        count = count.ravel()
+        pair = np.repeat(np.arange(count.size), count)
+        step = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+        site, rect = np.divmod(pair, len(r))
+        key = site * _WEDGE_BINS + (first.ravel().astype(np.intp)[pair] + step) % _WEDGE_BINS
+        self.rect_idx = rect[np.argsort(key, kind="stable")]
+        self.start = np.concatenate(
+            [[0], np.cumsum(np.bincount(key, minlength=len(s) * _WEDGE_BINS))])
+
+    def blocked(self, site: np.ndarray, points: np.ndarray,
+                azimuth_deg: np.ndarray) -> np.ndarray:
+        """segments_blocked(points, self.sites[site], self.rects), element-wise.
+
+        azimuth_deg[i] must be the direction of points[i] from its site,
+        np.degrees(np.arctan2(dy, dx)) with (dx, dy) = points[i] minus the
+        site; every segment must be no longer than reach.
+        """
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        site = np.asarray(site, dtype=np.intp)
+        key = site * _WEDGE_BINS + np.floor(
+            np.asarray(azimuth_deg) + 180.0).astype(np.intp) % _WEDGE_BINS
+        first = self.start[key]
+        count = self.start[key + 1] - first
+        # candidate (link, rect) pairs, the rects of each link's bin in turn
+        link = np.repeat(np.arange(len(key)), count)
+        rect = self.rect_idx[
+            np.arange(len(link)) + np.repeat(first - (np.cumsum(count) - count), count)]
+        x, y = p[:, 0], p[:, 1]
+        dx = self.sites[site, 0] - x
+        dy = self.sites[site, 1] - y
+        hit = _crosses(x[link], y[link], dx[link], dy[link], *self.inner[:, rect])
+        out = np.zeros(len(key), dtype=bool)
+        out[link[hit]] = True
+        return out
 
 
 class RectBuckets:

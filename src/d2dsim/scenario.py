@@ -17,12 +17,13 @@ being its row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import AntennaPattern, ScenarioConfig
-from .geometry import sample_outdoor_points
+from .geometry import SiteWedges, sample_outdoor_points
 
 # Canonical block layout on the 387 x 552 m reference grid (scaled for other
 # dimensions).  Tuples are (min, max) coordinates of building columns/rows.
@@ -51,13 +52,16 @@ class Sector:
     antenna: AntennaPattern
 
 
-@dataclass
+@dataclass(frozen=True)
 class Environment:
+    """Shared by every drop of a config: its arrays are read-only."""
+
     width_m: float
     height_m: float
     offsets: np.ndarray  # (G, 2) grid origin offsets, row 0 = central grid
     building_rects: np.ndarray  # (B, 4) footprints of every replica grid
-    sectors: list[Sector]
+    sectors: tuple[Sector, ...]
+    site_wedges: SiteWedges  # buildings per azimuth bin of each site
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -114,10 +118,13 @@ def _grid_offsets(width: float, height: float, rings: int) -> np.ndarray:
     return np.array(offs)
 
 
+@lru_cache(maxsize=8)
 def generate_environment(cfg: ScenarioConfig) -> Environment:
-    """Building footprints and radio sites for all replica grids.
+    """Building footprints, radio sites and site wedge table for all replica
+    grids.
 
     Deterministic: replicas repeat the central grid's footprints and sites.
+    Memoized, so equal configs share one Environment.
     """
     w, h = cfg.grid_width_m, cfg.grid_height_m
     base_rects = _block_rects(w, h)
@@ -127,6 +134,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
 
     street_mid = 0.5 * (MAIN_STREET_Y[0] + MAIN_STREET_Y[1]) * (h / _REF_H)
     sectors: list[Sector] = []
+    site_xy: list[tuple[float, float]] = []
     site_id = 0
     sector_id = 0
     for g, (ox, oy) in enumerate(offsets):
@@ -138,6 +146,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
                 mx = w * (2 * i + 1) / (2 * n) + ox
                 site_positions.append(("micro", mx, street_mid - 3.75 + oy))
         for kind, sx, sy in site_positions:
+            site_xy.append((sx, sy))
             params = cfg.macro if kind == "macro" else cfg.micro
             for k in range(params.sectors_per_site):
                 sectors.append(Sector(
@@ -157,12 +166,17 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
                 sector_id += 1
             site_id += 1
 
+    wedges = SiteWedges(site_xy, rects, cfg.channel.los_max_distance_m)
+    for a in (offsets, rects, wedges.sites, wedges.rects, wedges.inner,
+              wedges.rect_idx, wedges.start):
+        a.flags.writeable = False
     return Environment(
         width_m=w,
         height_m=h,
         offsets=offsets,
         building_rects=rects,
-        sectors=sectors,
+        sectors=tuple(sectors),
+        site_wedges=wedges,
     )
 
 

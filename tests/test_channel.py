@@ -93,6 +93,18 @@ def test_shadow_field_properties():
 # -- DropChannel integration --------------------------------------------------
 
 
+def ue_gain_db(ch, idx_a, idx_b):
+    """The gains (dB) of user_user_gain_db, without its distances."""
+    return ch.user_user_gain_db(idx_a, idx_b)[0]
+
+
+def cross_gain_db(ch, rx_idx, tx_idx):
+    """(R, T) UE-to-UE gain matrix: transmitters tx_idx into receivers rx_idx."""
+    r = np.asarray(rx_idx, dtype=int)
+    t = np.asarray(tx_idx, dtype=int)
+    return ue_gain_db(ch, np.repeat(r, len(t)), np.tile(t, len(r))).reshape(len(r), len(t))
+
+
 def make_channel(users_xy, shadow=False, **cfg_overrides):
     cfg = tiny_config(**cfg_overrides)
     env = generate_environment(cfg)
@@ -138,15 +150,15 @@ def test_los_distance_cutoff():
     env = generate_environment(cfg)
     params = dataclasses.replace(no_shadow(cfg), los_max_distance_m=300.0)
     ch = DropChannel(env, params, 1, np.asarray(xy))
-    g = ch.user_user_gain_db([0], [1])[0]
+    g = ue_gain_db(ch, [0], [1])[0]
     pl = pathloss_db(350.0, False, params.ue_link)
     assert g == pytest.approx(-pl, abs=1e-9)
 
 
 def test_user_user_gain_symmetric_with_shadow():
     cfg, env, ch = make_channel([[50.0, 276.0], [120.0, 276.0]], shadow=True)
-    ab = ch.user_user_gain_db([0], [1])[0]
-    ba = ch.user_user_gain_db([1], [0])[0]
+    ab = ue_gain_db(ch, [0], [1])[0]
+    ba = ue_gain_db(ch, [1], [0])[0]
     assert ab == ba
 
 
@@ -168,18 +180,23 @@ def test_cross_gain_matrix_matches_elementwise():
     cfg, env, ch = make_channel(xy, shadow=True)
     rx = [0, 1]
     tx = [2, 3, 4]
-    mat = ch.cross_gain_db(rx, tx)
+    mat = cross_gain_db(ch, rx, tx)
     assert mat.shape == (2, 3)
     for i, r in enumerate(rx):
         for j, t in enumerate(tx):
-            assert mat[i, j] == ch.user_user_gain_db([r], [t])[0]
+            assert mat[i, j] == ue_gain_db(ch, [r], [t])[0]
 
 
 def test_distance_helpers():
+    """user_user_gain_db hands back its link lengths: over a sector's
+    ue_links, the D2D lengths and then the rx x cellular distance matrix."""
     xy = [[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]
     cfg, env, ch = make_channel(xy)
-    np.testing.assert_allclose(ch.distances([0, 1], [1, 2]), [5.0, 5.0])
-    np.testing.assert_allclose(ch.distance_matrix([0], [1, 2]), [[5.0, 10.0]])
+    np.testing.assert_array_equal(ch.user_user_gain_db([0, 1], [1, 2])[1], [5.0, 5.0])
+    cell, tx, rx = np.array([1, 2]), np.array([1]), np.array([0])
+    dist = ch.user_user_gain_db(*ue_links(cell, tx, rx))[1]
+    np.testing.assert_array_equal(dist[:1], [5.0])
+    np.testing.assert_array_equal(dist[1:].reshape(1, 2), [[5.0, 10.0]])
 
 
 def test_build_gain_set_shapes_and_convention():
@@ -190,17 +207,16 @@ def test_build_gain_set_shapes_and_convention():
     cell_idx = np.array([0, 1])
     tx = np.array([2, 3])
     rx = np.array([4, 5])
-    gs = build_gain_set(ch, sector, cell_idx, tx,
-                        ch.user_user_gain_db(*ue_links(cell_idx, tx, rx)))
+    gs = build_gain_set(ch, sector, cell_idx, tx, ue_gain_db(ch, *ue_links(cell_idx, tx, rx)))
     assert gs.shape == (2, 2)
     assert gs.h_cell.shape == (2,) and gs.h_d2d.shape == (2,)
     # linear conversion and the cross convention: h_cross[m, n] is cellular n
     # into the receiving end of pair m
-    want = 10.0 ** (ch.user_user_gain_db([rx[1]], [cell_idx[0]])[0] / 10.0)
+    want = 10.0 ** (ue_gain_db(ch, [rx[1]], [cell_idx[0]])[0] / 10.0)
     assert gs.h_cross[1, 0] == pytest.approx(want, rel=1e-12)
     want_cell = 10.0 ** (ch.user_sector_gain_db(cell_idx, sector) / 10.0)
     np.testing.assert_allclose(gs.h_cell, want_cell, rtol=1e-12)
-    want_d2d = 10.0 ** (ch.user_user_gain_db(tx, rx) / 10.0)
+    want_d2d = 10.0 ** (ue_gain_db(ch, tx, rx) / 10.0)
     np.testing.assert_allclose(gs.h_d2d, want_d2d, rtol=1e-12)
 
 
@@ -208,12 +224,12 @@ def test_empty_gain_set():
     cfg, env, ch = make_channel([[30.0, 276.0]])
     none = np.zeros(0, dtype=int)
     gs = build_gain_set(ch, env.sectors[0], none, none,
-                        ch.user_user_gain_db(*ue_links(none, none, none)))
+                        ue_gain_db(ch, *ue_links(none, none, none)))
     assert gs.shape == (0, 0)
     assert gs.h_cell.size == 0 and gs.h_d2d.size == 0
     one = np.array([0])
     gs = build_gain_set(ch, env.sectors[0], none, one,
-                        ch.user_user_gain_db(*ue_links(none, one, one)))
+                        ue_gain_db(ch, *ue_links(none, one, one)))
     assert gs.shape == (1, 0) and gs.h_cross.dtype == float
 
 
@@ -274,6 +290,21 @@ def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
                                       per_sector_gain_db(ch, everyone, sector))
 
 
+def test_site_links_with_params_reaching_past_the_wedge_table():
+    """A channel whose los_max_distance_m exceeds the reach its environment's
+    wedge table was built for still gets the per-sector gains."""
+    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    env = generate_environment(cfg)
+    params = dataclasses.replace(cfg.channel, los_max_distance_m=700.0)
+    xy = drop_users(cfg, env, np.random.default_rng(3))[::4]
+    ch = DropChannel(env, params, 5, xy)
+    everyone = np.arange(len(xy))
+    assert env.site_wedges.reach < 700.0
+    for sector in env.sectors[::5]:
+        np.testing.assert_array_equal(ch.user_sector_gain_db(everyone, sector),
+                                      per_sector_gain_db(ch, everyone, sector))
+
+
 def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
     """One user_user_gain_db call over every sector's ue_links, sliced per
     sector, equals the per-sector D2D and cross gains bit for bit."""
@@ -291,13 +322,21 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
         cell = np.flatnonzero(serving == sector.sector_id)
         sectors.append((sector, cell[~np.isin(cell, ends)], tx_all[mine], rx_all[mine]))
     links = [ue_links(cell, tx, rx) for _, cell, tx, rx in sectors]
-    ue_db = ch.user_user_gain_db(*np.hstack(links))
-    ue_db_of = np.split(ue_db, np.cumsum([link.shape[1] for link in links])[:-1])
+    ue_db, ue_dist = ch.user_user_gain_db(*np.hstack(links))
+    ends = np.cumsum([link.shape[1] for link in links])[:-1]
     assert sum(len(tx) > 0 and len(cell) > 0 for _, cell, tx, _ in sectors) > 10
-    for (sector, cell, tx, rx), got in zip(sectors, ue_db_of):
+    for (sector, cell, tx, rx), got, dist in zip(sectors, np.split(ue_db, ends),
+                                                 np.split(ue_dist, ends)):
         n, m = len(tx), len(cell)
-        np.testing.assert_array_equal(got[:n], ch.user_user_gain_db(tx, rx))
-        np.testing.assert_array_equal(got[n:].reshape(n, m), ch.cross_gain_db(rx, cell))
+        np.testing.assert_array_equal(got[:n], ue_gain_db(ch, tx, rx))
+        np.testing.assert_array_equal(got[n:].reshape(n, m), cross_gain_db(ch, rx, cell))
         gs = build_gain_set(ch, sector, cell, tx, got)
-        np.testing.assert_array_equal(gs.h_d2d, db_to_linear(ch.user_user_gain_db(tx, rx)))
-        np.testing.assert_array_equal(gs.h_cross, db_to_linear(ch.cross_gain_db(rx, cell)))
+        np.testing.assert_array_equal(gs.h_d2d, db_to_linear(ue_gain_db(ch, tx, rx)))
+        np.testing.assert_array_equal(gs.h_cross, db_to_linear(cross_gain_db(ch, rx, cell)))
+        # the sliced link lengths are the per-sector distances feasibility reads
+        a, b = ch.users_xy[tx], ch.users_xy[rx]
+        np.testing.assert_array_equal(dist[:n], np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]))
+        a, b = ch.users_xy[rx], ch.users_xy[cell]
+        np.testing.assert_array_equal(
+            dist[n:].reshape(n, m),
+            np.hypot(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1]))

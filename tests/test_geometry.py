@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from d2dsim import channel, engine
 from d2dsim.config import ScenarioConfig, apply_scenario
-from d2dsim.geometry import (_BUCKET_M, _EDGE_EPS, RectBuckets, _slab_interval,
+from d2dsim.geometry import (_BUCKET_M, _EDGE_EPS, RectBuckets, SiteWedges, _slab_interval,
                              points_in_rects, sample_outdoor_points, segments_blocked)
 from d2dsim.scenario import generate_environment
 
@@ -145,22 +145,149 @@ def test_pruned_blocking_equals_unpruned_slab_test(rects, segs, chunk):
 
 
 def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
-    """Every site link and UE-UE cross link LOS test of one hetnet drop."""
-    calls = []
+    """Every LOS test of one hetnet drop: the site links through SiteWedges,
+    the UE-UE links through segments_blocked."""
+    wedge_blocked = SiteWedges.blocked
+    site_calls, ue_calls = [], []
+
+    def recording_wedges(self, site, points, azimuth_deg):
+        site_calls.append((self, np.array(site), np.array(points), np.array(azimuth_deg)))
+        return wedge_blocked(self, site, points, azimuth_deg)
 
     def recording(p0, p1, rects):
-        calls.append((np.array(p0), np.array(p1), rects))
+        ue_calls.append((np.array(p0), np.array(p1), rects))
         return segments_blocked(p0, p1, rects)
 
+    monkeypatch.setattr(SiteWedges, "blocked", recording_wedges)
     monkeypatch.setattr(channel, "segments_blocked", recording)
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     engine.build_drop(cfg, engine.drop_seed(0, 0))
-    sites = {(s.x, s.y) for s in generate_environment(cfg).sectors}
-    site_calls = sum(set(map(tuple, p1)) <= sites for _, p1, _ in calls)
-    assert site_calls > 0 and len(calls) > site_calls  # both link kinds were tested
-    for p0, p1, rects in calls:
+    env = generate_environment(cfg)
+    sites = {(s.x, s.y) for s in env.sectors}
+    # both link kinds were tested, each through its own path
+    assert site_calls and ue_calls
+    assert not any(set(map(tuple, p1)) <= sites for _, p1, _ in ue_calls)
+    n_site_links = 0
+    for wedges, site, points, az in site_calls:
+        assert wedges is env.site_wedges
+        d = points - wedges.sites[site]
+        np.testing.assert_array_equal(az, np.degrees(np.arctan2(d[:, 1], d[:, 0])))
+        blocked = wedge_blocked(wedges, site, points, az)
+        np.testing.assert_array_equal(
+            blocked, unpruned_segments_blocked(points, wedges.sites[site], env.building_rects))
+        assert 0 < blocked.sum() < len(blocked)
+        n_site_links += len(site)
+    # every site link within reach went through the wedge path
+    xy = engine.drop_users(cfg, env, engine._stream(engine.drop_seed(0, 0), "users"))
+    d = xy[None, :, :] - env.site_wedges.sites[:, None, :]
+    assert n_site_links == (np.hypot(d[..., 0], d[..., 1]) <= cfg.channel.los_max_distance_m).sum()
+    for p0, p1, rects in ue_calls:
         np.testing.assert_array_equal(segments_blocked(p0, p1, rects),
                                       unpruned_segments_blocked(p0, p1, rects))
+
+
+def wedge_and_unpruned(sites, rects, users, reach):
+    """SiteWedges.blocked and the unpruned slab test over every site-user
+    link no longer than reach, with azimuths computed as DropChannel does."""
+    wedges = SiteWedges(sites, rects, reach)
+    site = np.repeat(np.arange(len(wedges.sites)), len(users))
+    pts = np.tile(np.array(users, dtype=float).reshape(-1, 2), (len(wedges.sites), 1))
+    d = pts - wedges.sites[site]
+    keep = np.hypot(d[:, 0], d[:, 1]) <= reach
+    site, pts, d = site[keep], pts[keep], d[keep]
+    az = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
+    return (wedges.blocked(site, pts, az),
+            unpruned_segments_blocked(pts, wedges.sites[site], np.reshape(rects, (-1, 4))))
+
+
+@st.composite
+def _wedge_site(draw, rects):
+    """A free site, or one on an edge, on a corner or inside a drawn rect."""
+    kind = draw(st.sampled_from(("free", "edge", "corner", "inside")))
+    if kind == "free" or not rects:
+        return (draw(_coord), draw(_coord))
+    x0, y0, x1, y1 = draw(st.sampled_from(rects))
+    if kind == "inside":
+        return (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    xs, ys = draw(st.sampled_from((x0, x1))), draw(st.sampled_from((y0, y1)))
+    if kind == "corner":
+        return (xs, ys)
+    t = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        return (min(max(x0 + t * (x1 - x0), x0), x1), ys)
+    return (xs, min(max(y0 + t * (y1 - y0), y0), y1))
+
+
+def _seam_wall(site, seam_deg, a, quarter):
+    """A zero-width wall whose corner lies 2e-9 degrees short of the bin seam
+    seam_deg (46..89) seen from site, and a user just past the seam whose
+    link the wall blocks: the 1e-9 m band such a wall blocks leaks past the
+    corner's direction.  quarter turns the case by 90-degree steps."""
+    y1 = a * np.tan(np.radians(seam_deg - 2e-9))
+    u = 3.0 * a * np.array([np.cos(np.radians(seam_deg + 1e-9)),
+                            np.sin(np.radians(seam_deg + 1e-9))])
+    wall = np.array([[a, 0.0], [a, y1]])
+    for _ in range(quarter):  # (x, y) -> (-y, x) is exact
+        wall, u = wall[:, ::-1] * [-1.0, 1.0], u[::-1] * [-1.0, 1.0]
+    lo, hi = wall.min(axis=0) + site, wall.max(axis=0) + site
+    return (lo[0], lo[1], hi[0], hi[1]), tuple(u + site)
+
+
+@st.composite
+def _wedge_case(draw):
+    """(sites, rects, users, reach): sites on rect edges, corners and
+    interiors; users at the sites, on bin seams, at +-180 degrees and past a
+    seam behind a zero-width wall; reach sometimes exactly a link's length."""
+    rects = draw(st.lists(_rect(), max_size=6))
+    sites = draw(st.lists(_wedge_site(rects), min_size=1, max_size=3))
+    users = draw(st.lists(st.tuples(_coord, _coord), max_size=12)) + list(sites)
+    for sx, sy in sites:
+        rho = draw(st.sampled_from((2.5, 7.5, 40.0)))
+        seams = draw(st.lists(st.integers(-180, 180), max_size=4))
+        users += [(sx + rho * np.cos(np.radians(t)), sy + rho * np.sin(np.radians(t)))
+                  for t in seams]
+        users += [(sx - rho, sy), (sx - rho, -0.0 if sy == 0.0 else sy)]  # +-180
+    if draw(st.booleans()):
+        rect, user = _seam_wall(np.array(sites[0]), draw(st.integers(46, 89)),
+                                draw(st.floats(1.5, 20.0)), draw(st.integers(0, 3)))
+        rects.append(rect)
+        users.append(user)
+    if draw(st.booleans()):  # the first site's link to some user is exactly reach long
+        sx, sy = sites[0]
+        ux, uy = draw(st.sampled_from(users))
+        reach = float(np.hypot(ux - sx, uy - sy))
+    else:
+        reach = draw(st.floats(0.5, 120.0))
+    return sites, rects, users, max(reach, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_wedge_case())
+def test_site_wedges_equal_unpruned_slab_test(case):
+    got, want = wedge_and_unpruned(*case)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_site_wedges_exact_cases():
+    """Blocked links of the edge cases the wedge table must not drop."""
+    assert np.degrees(np.arctan2(-0.0, -20.0)) == -180.0
+    walls = [_seam_wall(np.array([2.5, 5.0]), 64, 2.0, quarter) for quarter in range(4)]
+    cases = [
+        # azimuth exactly +180 and -180 (dy = -0.0) behind one building
+        ([(0.0, 0.0)], [(-10.0, -1.0, -5.0, 1.0)], [(-20.0, 0.0), (-20.0, -0.0)], 20.0),
+        # a site inside a building: the user at the site and one outside
+        ([(0.0, 0.0)], [(-1.0, -1.0, 1.0, 1.0)], [(0.0, 0.0), (-3.0, 2.0)], 5.0),
+        # a link exactly reach long through a building
+        ([(0.0, 0.0)], [(5.0, -1.0, 6.0, 1.0)], [(10.0, 0.0)], 10.0),
+        # a link ending in the band of a zero-width wall just beyond reach
+        ([(0.0, 0.0)], [(10.0, -1.0, 10.0, 1.0)], [(10.0 - 5e-10, 0.0)], 10.0 - 5e-10),
+        # zero-width walls blocking links just past a seam beyond their corner
+        *(([(2.5, 5.0)], [rect], [user], 50.0) for rect, user in walls),
+    ]
+    for case in cases:
+        got, want = wedge_and_unpruned(*case)
+        assert want.all()
+        np.testing.assert_array_equal(got, want)
 
 
 _BOUNDS = (-20.0, -10.0, 300.0, 200.0)

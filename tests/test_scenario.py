@@ -308,6 +308,42 @@ def test_associate_users_memory_stays_slabbed():
     assert peak < 4e6
 
 
+def test_environment_build_memory_is_bounded():
+    """Building the hetnet environment and its wedge table from (site, rect)
+    bin ranges peaks at ~2.6 MB of numpy allocations; one (sites x rects x
+    bins) int64 broadcast alone would take 14 MB."""
+    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    tracemalloc.start()
+    try:
+        env = generate_environment.__wrapped__(cfg)  # a fresh build, past the memo
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(env.site_wedges.sites) == 36
+    assert peak < 4e6
+
+
+def test_environment_is_memoized_and_read_only():
+    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    env = generate_environment(cfg)
+    assert generate_environment(dataclasses.replace(cfg)) is env  # equal, not identical
+    wedges = env.site_wedges
+    for a in (env.offsets, env.building_rects, wedges.sites, wedges.rects, wedges.inner,
+              wedges.rect_idx, wedges.start):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        env.sectors = ()
+    macro = generate_environment(dataclasses.replace(cfg, micro_enabled=False))
+    short = generate_environment(dataclasses.replace(
+        cfg, channel=dataclasses.replace(cfg.channel, los_max_distance_m=100.0)))
+    assert len(macro.site_wedges.sites) == 9 < len(wedges.sites)
+    assert short.site_wedges.reach == 100.0 != wedges.reach
+    assert 0 < len(short.site_wedges.rect_idx) < len(wedges.rect_idx)
+    np.testing.assert_array_equal(short.building_rects, env.building_rects)
+
+
 def test_associate_empty():
     cfg = tiny_config()
     env = env_for(cfg)
