@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtri
 
-from .config import AntennaPattern, ChannelParams, PathlossParams
-from .geometry import SiteWedges, segments_blocked
+from .config import AntennaPattern, PathlossParams
+from .geometry import segments_blocked
 from .scenario import Environment, Sector
 from .units import db_to_linear, dbm_to_watts
 
@@ -131,18 +131,18 @@ class GainSet:
 class DropChannel:
     """Frozen per-drop channel: geometry, LOS, shadowing and site links.
 
-    A user is its row of users_xy, and its shadowing key is built from that row.
+    The channel model is env.channel.  A user is its row of users_xy, and its
+    shadowing key is built from that row.
     """
 
     def __init__(
         self,
         env: Environment,
-        params: ChannelParams,
         shadow_seed: int,
         users_xy: np.ndarray,
     ):
         self.env = env
-        self.params = params
+        self.params = env.channel
         self.shadow = ShadowField(shadow_seed)
         self.users_xy = np.atleast_2d(np.asarray(users_xy, dtype=float))
         self.user_keys = user_keys(np.arange(len(self.users_xy)))
@@ -173,8 +173,6 @@ class DropChannel:
         # sectors come in site order, and site ids are 0..S-1
         sites = list({s.site_id: s for s in self.env.sectors}.values())
         wedges = self.env.site_wedges
-        if wedges.reach < self.params.los_max_distance_m:  # params of another config
-            wedges = SiteWedges(wedges.sites, wedges.rects, self.params.los_max_distance_m)
         site_xy = wedges.sites
         n = len(self.users_xy)
         x, y = self.users_xy.T

@@ -207,7 +207,8 @@ def _cmd_oracle(args) -> int:
     mismatches = 0
     for _ in range(args.assignment_instances):
         score = rng.uniform(0.0, 8.0, size=(5, 5))
-        _, total = rrm.max_total_assignment(score)
+        picked = rrm.allocate_capacity_max(score, np.zeros(5)).pairs()
+        total = sum(score[m, n] for m, n in picked)
         best = max(sum(score[i, p[i]] for i in range(5))
                    for p in itertools.permutations(range(5)))
         if abs(total - best) > 1e-9:

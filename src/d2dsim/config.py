@@ -23,7 +23,6 @@ __all__ = [
     "ConfigError",
     "load_config",
     "config_from_dict",
-    "config_to_dict",
     "validate_config",
     "apply_scenario",
     "SCENARIO_PRESETS",
@@ -188,10 +187,6 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     cfg = _merge(ScenarioConfig(), data, "")
     validate_config(cfg)
     return cfg
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    return dataclasses.asdict(cfg)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -13,15 +13,18 @@ a pair, and a pair belongs to the sector serving its transmitting end.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .channel import DropChannel, build_gain_set, noise_power_watts, ue_links
 from .config import ConfigError, ScenarioConfig
 from .feasibility import (SinrTargets, baseline_cell_sinr, feasibility_context,
-                          sinr_cell_matrix)
+                          sinr_cell_matrix, sinr_d2d_matrix)
 from .metrics import CapacityReport, SectorState, aggregate_gain, evaluate_drop
 from .power import draw_snr_targets, open_loop_power_w
 from .rrm import (Allocation, allocate_capacity_max, allocate_none,
@@ -64,12 +67,12 @@ class DropState:
 
 
 def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
-    """Generate environment, users, pairs, gains, powers and feasibility."""
+    """Generate environment, users, pairs, gains, powers, reuse SINRs and feasibility."""
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, _stream(seed, "users"))
     pairs = pair_users(cfg, xy, _stream(seed, "pairing"))
     n = len(xy)
-    channel = DropChannel(env, cfg.channel, _shadow_seed(seed), xy)
+    channel = DropChannel(env, _shadow_seed(seed), xy)
     serving = associate_users(xy, env, channel)
 
     cell_targets = draw_snr_targets(cfg.cell_snr_target_db, n, _stream(seed, "targets-cell"))
@@ -130,13 +133,10 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         states.append(SectorState(
             sector_id=sector.sector_id,
             kind=sector.kind,
-            gains=gains,
-            p_cell_w=p_cell,
-            p_d2d_w=p_d2d,
+            sinr_cell=sinr_cell_matrix(gains, p_cell, p_d2d, sigma2_cell),
+            sinr_d2d=sinr_d2d_matrix(gains, p_cell, p_d2d, sigma2_d2d),
             cell_clipped=cell_clip,
             d2d_clipped=d2d_clip,
-            sigma2_cell_w=sigma2_cell,
-            sigma2_d2d_w=sigma2_d2d,
             share_bw_hz=share,
             baseline_sinr=baseline,
             cell_measured=measured[cell_idx],
@@ -160,9 +160,8 @@ def schedule(state: SectorState, scheme: str,
     if scheme == "proposed":
         return allocate_proposed(state.feas_context)
     if scheme == "capacity-max":
-        sc = sinr_cell_matrix(state.gains, state.p_cell_w, state.p_d2d_w,
-                              state.sigma2_cell_w)
-        return allocate_capacity_max(np.log2(1.0 + sc), np.log2(1.0 + state.baseline_sinr))
+        return allocate_capacity_max(np.log2(1.0 + state.sinr_cell),
+                                     np.log2(1.0 + state.baseline_sinr))
     if scheme == "random":
         if rng_random is None:
             raise ValueError("random scheme needs its RNG stream")
@@ -202,7 +201,7 @@ def run_drop(
         for st in drop.states:
             for m, col in allocations[st.sector_id].pairs():
                 alloc_rows.append((st.sector_id, scheme, m, col))
-        reports[scheme] = evaluate_drop(drop.states, allocations, scheme)
+        reports[scheme] = evaluate_drop(drop.states, allocations)
     return DropResult(drop.seed, drop.n_users, drop.n_pairs, reports, alloc_rows)
 
 
@@ -258,11 +257,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _drop_task(args) -> DropResult:
-    cfg, seed, schemes = args
-    return run_drop(cfg, seed, schemes)
-
-
 def run_campaign(
     cfg: ScenarioConfig,
     schemes: tuple[str, ...] = SCHEMES,
@@ -272,26 +266,19 @@ def run_campaign(
 ) -> CampaignResult:
     """Run cfg.num_drops paired drops and optionally write CSV/summary files.
 
-    Worker count comes from resolve_workers(workers).  Results and files are
-    identical for any worker count.
+    Worker count comes from resolve_workers(workers).  Results, files and
+    progress lines are identical for any worker count.
     """
     workers = resolve_workers(workers)
     seeds = [drop_seed(cfg.seed, i) for i in range(cfg.num_drops)]
-    tasks = [(cfg, s, tuple(schemes)) for s in seeds]
+    task = partial(run_drop, cfg, schemes=tuple(schemes))
+    tick = max(1, len(seeds) // 10)
     results: list[DropResult] = []
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            results = pool.map(_drop_task, tasks)
-            if progress:
-                progress(f"{len(results)}/{len(tasks)} drops (pool of {workers})")
-    else:
-        tick = max(1, len(tasks) // 10)
-        for i, t in enumerate(tasks):
-            results.append(_drop_task(t))
-            if progress and ((i + 1) % tick == 0 or i + 1 == len(tasks)):
-                progress(f"{i + 1}/{len(tasks)} drops")
+    with (mp.Pool(workers) if workers > 1 else nullcontext()) as pool:
+        for result in (pool.imap if workers > 1 else map)(task, seeds):
+            results.append(result)
+            if progress and (len(results) % tick == 0 or len(results) == len(seeds)):
+                progress(f"{len(results)}/{len(seeds)} drops")
     reports = {s: [r.reports[s] for r in results] for s in schemes}
     campaign = CampaignResult(cfg, tuple(schemes), seeds, reports,
                               [r.alloc_rows for r in results])

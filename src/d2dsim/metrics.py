@@ -3,7 +3,8 @@
 A sector's uplink bandwidth is split evenly across its cellular users; a
 scheduled D2D pair rides on its partner resource's share.  Only terminals in
 the measured central grid contribute to reported sums, but interference is
-evaluated for every scheduled link regardless of where it lives.
+evaluated for every scheduled link regardless of where it lives.  A sector's
+reuse SINRs arrive precomputed (SectorState); rates only index them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import GainSet
-from .feasibility import FeasibilityMatrix, sinr_cell_matrix, sinr_d2d_matrix
+from .feasibility import FeasibilityMatrix
 from .rrm import Allocation
 
 __all__ = ["SectorState", "CapacityReport", "sector_rates", "evaluate_drop",
@@ -26,22 +26,19 @@ class SectorState:
 
     sector_id: int
     kind: str  # "macro" | "micro"
-    gains: GainSet
-    p_cell_w: np.ndarray  # (M,)
-    p_d2d_w: np.ndarray  # (N,)
+    sinr_cell: np.ndarray  # (N, M) cellular SINR of column n reused by row m
+    sinr_d2d: np.ndarray  # (N, M) D2D SINR of row m on column n
     cell_clipped: np.ndarray  # (M,) bool
     d2d_clipped: np.ndarray  # (N,) bool
-    sigma2_cell_w: float
-    sigma2_d2d_w: float
     share_bw_hz: float  # per-resource bandwidth share
     baseline_sinr: np.ndarray  # (M,) no-reuse cellular SINR, linear
     cell_measured: np.ndarray  # (M,) bool, True = central-grid terminal
     pair_measured: np.ndarray  # (N,) bool
-    feas_context: FeasibilityMatrix | None = None
+    feas_context: FeasibilityMatrix
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.gains.shape
+        return self.sinr_cell.shape
 
 
 def sector_rates(
@@ -52,33 +49,25 @@ def sector_rates(
     Returns (cell_bps (M,), d2d_bps (N,), cell_sinr (M,)); unscheduled pairs
     get zero rate, unreused resources keep their baseline SINR.
     """
-    n, m = state.shape
+    n = state.shape[0]
     res = np.asarray(allocation.resource_of_pair, dtype=int)
     if res.shape != (n,):
         raise ValueError("allocation length must match the sector pair count")
+    scheduled = np.flatnonzero(res >= 0)
+    cols = res[scheduled]
+    if len(np.unique(cols)) != len(cols):
+        raise ValueError("allocation reuses a resource twice")
     cell_sinr = state.baseline_sinr.copy()
+    cell_sinr[cols] = state.sinr_cell[scheduled, cols]
     d2d_bps = np.zeros(n)
-    if n and m:
-        scheduled = np.flatnonzero(res >= 0)
-        if scheduled.size:
-            cols = res[scheduled]
-            if len(np.unique(cols)) != len(cols):
-                raise ValueError("allocation reuses a resource twice")
-            sc = sinr_cell_matrix(state.gains, state.p_cell_w, state.p_d2d_w,
-                                  state.sigma2_cell_w)
-            sd = sinr_d2d_matrix(state.gains, state.p_cell_w, state.p_d2d_w,
-                                 state.sigma2_d2d_w)
-            cell_sinr[cols] = sc[scheduled, cols]
-            d2d_bps[scheduled] = state.share_bw_hz * np.log2(1.0 + sd[scheduled, cols])
-    cell_bps = state.share_bw_hz * np.log2(1.0 + cell_sinr) if m else np.zeros(0)
-    return cell_bps, d2d_bps, cell_sinr
+    d2d_bps[scheduled] = state.share_bw_hz * np.log2(1.0 + state.sinr_d2d[scheduled, cols])
+    return state.share_bw_hz * np.log2(1.0 + cell_sinr), d2d_bps, cell_sinr
 
 
 @dataclass
 class CapacityReport:
     """Measured-grid capacity sums for one drop under one scheme."""
 
-    scheme: str
     cell_bps: float
     d2d_bps: float
     overall_bps: float
@@ -89,7 +78,7 @@ class CapacityReport:
 
 
 def evaluate_drop(
-    states: list[SectorState], allocations: dict[int, Allocation], scheme: str
+    states: list[SectorState], allocations: dict[int, Allocation]
 ) -> CapacityReport:
     """Aggregate measured-grid rates across sectors for one scheme."""
     cell = d2d = base = 0.0
@@ -100,11 +89,11 @@ def evaluate_drop(
         alloc = allocations[st.sector_id]
         cell_bps, d2d_bps, _ = sector_rates(st, alloc)
         cm, pm = st.cell_measured, st.pair_measured
-        c = float(cell_bps[cm].sum()) if cm.size else 0.0
-        d = float(d2d_bps[pm].sum()) if pm.size else 0.0
-        b = float((st.share_bw_hz * np.log2(1.0 + st.baseline_sinr))[cm].sum()) if cm.size else 0.0
+        c = float(cell_bps[cm].sum())
+        d = float(d2d_bps[pm].sum())
+        b = float((st.share_bw_hz * np.log2(1.0 + st.baseline_sinr))[cm].sum())
         res = np.asarray(alloc.resource_of_pair)
-        enabled += int(((res >= 0) & pm).sum()) if pm.size else 0
+        enabled += int(((res >= 0) & pm).sum())
         clipped += int(st.cell_clipped[cm].sum()) + int(st.d2d_clipped[pm].sum())
         total_tx += int(cm.sum()) + int(pm.sum())
         agg = by_kind.setdefault(st.kind, {"cell_bps": 0.0, "d2d_bps": 0.0,
@@ -117,7 +106,6 @@ def evaluate_drop(
         d2d += d
         base += b
     return CapacityReport(
-        scheme=scheme,
         cell_bps=cell,
         d2d_bps=d2d,
         overall_bps=cell + d2d,

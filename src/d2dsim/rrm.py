@@ -32,7 +32,6 @@ __all__ = [
     "max_matching_size",
     "brute_force_max_matching",
     "brute_force_lex_matching",
-    "max_total_assignment",
     "allocate_proposed",
     "allocate_capacity_max",
     "allocate_random",
@@ -44,7 +43,6 @@ __all__ = [
 class Allocation:
     """Per-sector schedule: resource_of_pair[m] = column index or -1 (silent)."""
 
-    scheme: str
     resource_of_pair: tuple[int, ...]
 
     @property
@@ -218,18 +216,7 @@ def allocate_proposed(feasibility: FeasibilityMatrix) -> Allocation:
                 break
         if mt.match[r] >= 0:
             fixed |= 1 << mt.match[r]
-    return Allocation(scheme="proposed", resource_of_pair=tuple(mt.match))
-
-
-def max_total_assignment(score: np.ndarray) -> tuple[list[tuple[int, int]], float]:
-    """Injective row->column assignment maximizing the summed score."""
-    s = np.asarray(score, dtype=float)
-    if s.ndim != 2:
-        raise ValueError("score must be a 2-D matrix")
-    if s.size == 0:
-        return [], 0.0
-    rows, cols = linear_sum_assignment(s, maximize=True)
-    return list(zip(rows.tolist(), cols.tolist())), float(s[rows, cols].sum())
+    return Allocation(tuple(mt.match))
 
 
 def allocate_capacity_max(
@@ -252,7 +239,7 @@ def allocate_capacity_max(
         rows, cols = linear_sum_assignment(benefit, maximize=True)
         for r, c in zip(rows, cols):
             out[int(r)] = int(c)
-    return Allocation(scheme="capacity-max", resource_of_pair=tuple(out))
+    return Allocation(tuple(out))
 
 
 def allocate_random(
@@ -266,9 +253,9 @@ def allocate_random(
         chosen_cols = rng.permutation(n_resources)[:k]
         for p, c in zip(chosen_pairs, chosen_cols):
             out[int(p)] = int(c)
-    return Allocation(scheme="random", resource_of_pair=tuple(out))
+    return Allocation(tuple(out))
 
 
 def allocate_none(n_pairs: int) -> Allocation:
     """Baseline: no pair transmits."""
-    return Allocation(scheme="none", resource_of_pair=(-1,) * n_pairs)
+    return Allocation((-1,) * n_pairs)

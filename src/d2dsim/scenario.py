@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import AntennaPattern, ScenarioConfig
+from .config import AntennaPattern, ChannelParams, ScenarioConfig
 from .geometry import SiteWedges, sample_outdoor_points
 
 # Canonical block layout on the 387 x 552 m reference grid (scaled for other
@@ -62,6 +62,7 @@ class Environment:
     building_rects: np.ndarray  # (B, 4) footprints of every replica grid
     sectors: tuple[Sector, ...]
     site_wedges: SiteWedges  # buildings per azimuth bin of each site
+    channel: ChannelParams  # site_wedges reaches its los_max_distance_m
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -177,6 +178,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
         building_rects=rects,
         sectors=tuple(sectors),
         site_wedges=wedges,
+        channel=cfg.channel,
     )
 
 

@@ -107,10 +107,11 @@ def cross_gain_db(ch, rx_idx, tx_idx):
 
 def make_channel(users_xy, shadow=False, **cfg_overrides):
     cfg = tiny_config(**cfg_overrides)
+    if not shadow:
+        cfg = dataclasses.replace(cfg, channel=no_shadow(cfg))
     env = generate_environment(cfg)
-    params = cfg.channel if shadow else no_shadow(cfg)
     xy = np.asarray(users_xy, dtype=float)
-    return cfg, env, DropChannel(env, params, 99, xy)
+    return cfg, env, DropChannel(env, 99, xy)
 
 
 def test_user_sector_gain_hand_computed():
@@ -121,7 +122,7 @@ def test_user_sector_gain_hand_computed():
     los = not segments_blocked([[243.5, 276.0]], [[sector.x, sector.y]],
                                env.building_rects)[0]
     assert los
-    pl = pathloss_db(d0, True, no_shadow(cfg).macro_link)
+    pl = pathloss_db(d0, True, cfg.channel.macro_link)
     az = np.degrees(np.arctan2(276.0 - sector.y, 243.5 - sector.x))
     ant = antenna_gain_db(sector.antenna, az - sector.boresight_deg)
     got = ch.user_sector_gain_db([0], sector)[0]
@@ -137,7 +138,7 @@ def test_user_behind_building_is_nlos():
                                env.building_rects)[0]
     assert blocked
     d = np.hypot(131.0 - sector.x, 50.0 - sector.y)
-    pl = pathloss_db(d, False, no_shadow(cfg).macro_link)
+    pl = pathloss_db(d, False, cfg.channel.macro_link)
     az = np.degrees(np.arctan2(50.0 - sector.y, 131.0 - sector.x))
     ant = antenna_gain_db(sector.antenna, az - sector.boresight_deg)
     assert ch.user_sector_gain_db([1], sector)[0] == pytest.approx(-pl + ant, abs=1e-9)
@@ -147,9 +148,9 @@ def test_los_distance_cutoff():
     # clear path but longer than los_max_distance_m -> NLOS slope applies
     xy = [[193.5, 276.0], [193.5 + 350.0, 276.0]]
     cfg = tiny_config()
-    env = generate_environment(cfg)
     params = dataclasses.replace(no_shadow(cfg), los_max_distance_m=300.0)
-    ch = DropChannel(env, params, 1, np.asarray(xy))
+    env = generate_environment(dataclasses.replace(cfg, channel=params))
+    ch = DropChannel(env, 1, np.asarray(xy))
     g = ue_gain_db(ch, [0], [1])[0]
     pl = pathloss_db(350.0, False, params.ue_link)
     assert g == pytest.approx(-pl, abs=1e-9)
@@ -167,7 +168,7 @@ def test_associate_users_equals_per_sector_dl_power():
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, np.random.default_rng(6))
-    ch = DropChannel(env, cfg.channel, 13, xy)
+    ch = DropChannel(env, 13, xy)
     everyone = np.arange(len(xy))
     power = np.array([s.dl_power_dbm + per_sector_gain_db(ch, everyone, s) + s.selection_offset_db
                       for s in env.sectors])
@@ -269,7 +270,7 @@ def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
     rng = np.random.default_rng(5)
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, rng)
-    ch = DropChannel(env, cfg.channel, 77, xy)
+    ch = DropChannel(env, 77, xy)
     everyone = np.arange(len(xy))
     subset = rng.permutation(len(xy))[: len(xy) // 3]
     assert {s.kind for s in env.sectors} == {"macro", "micro"}
@@ -290,21 +291,6 @@ def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
                                       per_sector_gain_db(ch, everyone, sector))
 
 
-def test_site_links_with_params_reaching_past_the_wedge_table():
-    """A channel whose los_max_distance_m exceeds the reach its environment's
-    wedge table was built for still gets the per-sector gains."""
-    cfg = apply_scenario(ScenarioConfig(), "hetnet")
-    env = generate_environment(cfg)
-    params = dataclasses.replace(cfg.channel, los_max_distance_m=700.0)
-    xy = drop_users(cfg, env, np.random.default_rng(3))[::4]
-    ch = DropChannel(env, params, 5, xy)
-    everyone = np.arange(len(xy))
-    assert env.site_wedges.reach < 700.0
-    for sector in env.sectors[::5]:
-        np.testing.assert_array_equal(ch.user_sector_gain_db(everyone, sector),
-                                      per_sector_gain_db(ch, everyone, sector))
-
-
 def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
     """One user_user_gain_db call over every sector's ue_links, sliced per
     sector, equals the per-sector D2D and cross gains bit for bit."""
@@ -312,7 +298,7 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
     rng = np.random.default_rng(9)
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, rng)
-    ch = DropChannel(env, cfg.channel, 21, xy)
+    ch = DropChannel(env, 21, xy)
     serving = associate_users(xy, env, ch)
     ends = rng.permutation(len(xy))[:600]
     tx_all, rx_all = ends[:300], ends[300:]

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from d2dsim.config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig,
-                           apply_scenario, config_from_dict, config_to_dict,
+                           apply_scenario, config_from_dict,
                            load_config, validate_config)
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -19,7 +19,7 @@ def test_defaults_validate():
 
 def test_dict_round_trip():
     cfg = ScenarioConfig()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_shipped_default_file_matches_dataclass_defaults():

@@ -1,5 +1,6 @@
 """Drop pipeline, campaign determinism, CSV outputs, and the CLI front end."""
 
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -11,7 +12,7 @@ import pytest
 from conftest import tiny_config
 
 from d2dsim import channel, cli, engine
-from d2dsim.config import ConfigError, config_to_dict
+from d2dsim.config import ConfigError
 from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, schedule,
                            write_outputs)
@@ -30,7 +31,7 @@ def test_drop_seed_stable_and_distinct():
 
 def first_state_fingerprint(drop):
     st = drop.states[0]
-    return (st.sector_id, st.gains.h_cell.tobytes(), st.p_cell_w.tobytes(),
+    return (st.sector_id, st.sinr_cell.tobytes(), st.sinr_d2d.tobytes(),
             st.baseline_sinr.tobytes(), st.feas_context.entries.tobytes())
 
 
@@ -154,6 +155,16 @@ def test_campaign_worker_count_invariance(tmp_path):
     assert read_all(tmp_path / "w1") == read_all(tmp_path / "w2")
 
 
+def test_campaign_progress_same_for_any_worker_count():
+    cfg = tiny_config(num_drops=12)
+    lines = {}
+    for workers in (1, 2):
+        lines[workers] = []
+        run_campaign(cfg, ("none",), progress=lines[workers].append, workers=workers)
+    assert lines[1] == [f"{i}/12 drops" for i in range(1, 13)]
+    assert lines[2] == lines[1]
+
+
 def test_campaign_workers_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "1")
     cfg = tiny_config(num_drops=1)
@@ -199,7 +210,7 @@ def test_write_outputs_schema(tmp_path):
 
 def write_tiny_json(tmp_path):
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(config_to_dict(tiny_config())), encoding="utf-8")
+    path.write_text(json.dumps(dataclasses.asdict(tiny_config())), encoding="utf-8")
     return str(path)
 
 
@@ -280,8 +291,8 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
         flipped = feasibility.entries[:, ::-1]
         m = flipped.shape[1]
         picked = allocate_proposed(FeasibilityMatrix(flipped, mode="exact"))
-        return Allocation("proposed", tuple(m - 1 - c if c >= 0 else -1
-                                            for c in picked.resource_of_pair))
+        return Allocation(tuple(m - 1 - c if c >= 0 else -1
+                                for c in picked.resource_of_pair))
 
     monkeypatch.setattr(cli.rrm, "allocate_proposed", largest_first)
     code = cli.main(["oracle", "--matching-instances", "40",

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from d2dsim.channel import GainSet
+from d2dsim.feasibility import FeasibilityMatrix, sinr_cell_matrix, sinr_d2d_matrix
 from d2dsim.metrics import SectorState, aggregate_gain, evaluate_drop, sector_rates
 from d2dsim.rrm import Allocation, allocate_none
 
 SHARE_HZ = 1000.0
+P_D2D = np.array([0.01, 0.02])
+SIGMA2_CELL = 1e-9
+SIGMA2_D2D = 1e-10
 
 
 def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
@@ -16,7 +20,6 @@ def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
     """2 pairs x 3 cellular users with hand-pickable gains."""
     h_cell = np.array([1e-6, 2e-6, 5e-7])
     p_cell = np.array([0.1, 0.2, 0.05])
-    sigma2_cell = 1e-9
     gains = GainSet(
         sector_id=sector_id,
         h_cell=h_cell,
@@ -27,23 +30,21 @@ def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
     return SectorState(
         sector_id=sector_id,
         kind=kind,
-        gains=gains,
-        p_cell_w=p_cell,
-        p_d2d_w=np.array([0.01, 0.02]),
+        sinr_cell=sinr_cell_matrix(gains, p_cell, P_D2D, SIGMA2_CELL),
+        sinr_d2d=sinr_d2d_matrix(gains, p_cell, P_D2D, SIGMA2_D2D),
         cell_clipped=np.array([True, False, True]),
         d2d_clipped=np.array([False, True]),
-        sigma2_cell_w=sigma2_cell,
-        sigma2_d2d_w=1e-10,
         share_bw_hz=share,
-        baseline_sinr=h_cell * p_cell / sigma2_cell,  # [100, 400, 25]
+        baseline_sinr=h_cell * p_cell / SIGMA2_CELL,  # [100, 400, 25]
         cell_measured=np.array(cell_measured),
         pair_measured=np.array(pair_measured),
+        feas_context=FeasibilityMatrix(np.ones((2, 3)), mode="context"),
     )
 
 
 def test_sector_rates_closed_form():
     state = make_state()
-    alloc = Allocation(scheme="proposed", resource_of_pair=(2, -1))
+    alloc = Allocation((2, -1))
     cell_bps, d2d_bps, cell_sinr = sector_rates(state, alloc)
 
     # pair 0 rides resource 2: both SINRs from the scalar reuse formulas
@@ -66,7 +67,7 @@ def test_sector_rates_none_keeps_baseline():
 
 
 def test_sector_rates_scale_with_share():
-    alloc = Allocation(scheme="proposed", resource_of_pair=(2, 0))
+    alloc = Allocation((2, 0))
     c1, d1, _ = sector_rates(make_state(share=1000.0), alloc)
     c2, d2, _ = sector_rates(make_state(share=2000.0), alloc)
     assert c2 == pytest.approx(2.0 * c1)
@@ -76,18 +77,19 @@ def test_sector_rates_scale_with_share():
 def test_sector_rates_validation():
     state = make_state()
     with pytest.raises(ValueError, match="length"):
-        sector_rates(state, Allocation(scheme="x", resource_of_pair=(0,)))
+        sector_rates(state, Allocation((0,)))
     with pytest.raises(ValueError, match="twice"):
-        sector_rates(state, Allocation(scheme="x", resource_of_pair=(1, 1)))
+        sector_rates(state, Allocation((1, 1)))
 
 
 def test_sector_rates_empty_resources():
     state = make_state()
-    state.gains = GainSet(
+    gains = GainSet(
         sector_id=0, h_cell=np.zeros(0),
         h_d2d=np.array([1e-5, 2e-5]), h_d2d_bs=np.array([1e-8, 2e-8]),
         h_cross=np.zeros((2, 0)))
-    state.p_cell_w = np.zeros(0)
+    state.sinr_cell = sinr_cell_matrix(gains, np.zeros(0), P_D2D, SIGMA2_CELL)
+    state.sinr_d2d = sinr_d2d_matrix(gains, np.zeros(0), P_D2D, SIGMA2_D2D)
     state.baseline_sinr = np.zeros(0)
     cell_bps, d2d_bps, _ = sector_rates(state, allocate_none(2))
     assert cell_bps.shape == (0,)
@@ -96,11 +98,10 @@ def test_sector_rates_empty_resources():
 
 def test_evaluate_drop_measured_only():
     state = make_state()  # users 0,1 and pair 0 measured
-    alloc = Allocation(scheme="proposed", resource_of_pair=(2, 0))
-    report = evaluate_drop([state], {0: alloc}, "proposed")
+    alloc = Allocation((2, 0))
+    report = evaluate_drop([state], {0: alloc})
     cell_bps, d2d_bps, _ = sector_rates(state, alloc)
 
-    assert report.scheme == "proposed"
     assert report.cell_bps == pytest.approx(cell_bps[:2].sum())
     assert report.d2d_bps == pytest.approx(d2d_bps[0])
     assert report.overall_bps == pytest.approx(report.cell_bps + report.d2d_bps)
@@ -114,9 +115,9 @@ def test_evaluate_drop_measured_only():
 def test_evaluate_drop_by_kind_split():
     macro = make_state(sector_id=0, kind="macro")
     micro = make_state(sector_id=1, kind="micro")
-    allocs = {0: Allocation(scheme="proposed", resource_of_pair=(2, -1)),
+    allocs = {0: Allocation((2, -1)),
               1: allocate_none(2)}
-    report = evaluate_drop([macro, micro], allocs, "proposed")
+    report = evaluate_drop([macro, micro], allocs)
     assert set(report.by_kind) == {"macro", "micro"}
     assert report.by_kind["micro"]["d2d_bps"] == 0.0
     assert report.cell_bps == pytest.approx(
@@ -130,14 +131,14 @@ def test_evaluate_drop_by_kind_split():
 
 def test_evaluate_drop_none_matches_baseline():
     state = make_state()
-    report = evaluate_drop([state], {0: allocate_none(2)}, "none")
+    report = evaluate_drop([state], {0: allocate_none(2)})
     assert report.cell_bps == pytest.approx(report.baseline_cell_bps)
     assert report.d2d_bps == 0.0
     assert report.enabled_pairs == 0
 
 
 def test_evaluate_drop_empty():
-    report = evaluate_drop([], {}, "none")
+    report = evaluate_drop([], {})
     assert report.overall_bps == 0.0
     assert report.clip_rate == 0.0
     assert report.baseline_cell_bps == 0.0

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from d2dsim.feasibility import FeasibilityMatrix
 from d2dsim.rrm import (allocate_capacity_max, allocate_none, allocate_proposed,
                         allocate_random, brute_force_lex_matching,
-                        brute_force_max_matching, max_matching_size,
-                        max_total_assignment)
+                        brute_force_max_matching, max_matching_size)
 
 
 def feas(entries) -> FeasibilityMatrix:
@@ -230,18 +229,6 @@ def test_capacity_max_validation(rng):
         allocate_capacity_max(rng.uniform(0, 1, (2, 3)), np.zeros(2))
     a = allocate_capacity_max(np.zeros((0, 3)), np.zeros(3))
     assert a.resource_of_pair == ()
-
-
-def test_max_total_assignment(rng):
-    score = rng.uniform(0.0, 5.0, (4, 4))
-    pairs, total = max_total_assignment(score)
-    best = max(sum(score[i, p[i]] for i in range(4))
-               for p in itertools.permutations(range(4)))
-    assert total == pytest.approx(best, abs=1e-12)
-    assert len({c for _, c in pairs}) == len(pairs)
-    assert max_total_assignment(np.zeros((0, 0)))[1] == 0.0
-    with pytest.raises(ValueError, match="2-D"):
-        max_total_assignment(np.zeros(3))
 
 
 def test_allocate_random_properties():

@@ -298,7 +298,7 @@ def test_associate_users_memory_stays_slabbed():
     seed = drop_seed(0, 0)
     env = env_for(cfg)
     xy = drop_users(cfg, env, _stream(seed, "users"))
-    channel = DropChannel(env, cfg.channel, _shadow_seed(seed), xy)
+    channel = DropChannel(env, _shadow_seed(seed), xy)
     tracemalloc.start()
     try:
         associate_users(xy, env, channel)
