@@ -12,8 +12,9 @@ works on these linear gains.
 
 A drop's site links are built in one pass, a few sites at a time, into
 (sites x users) arrays; a sector reads its site's row and adds its antenna
-term.  The UE-UE links of every evaluated sector are built in one
-user_user_gain_db call, which the engine slices per sector.
+term.  UE-UE gains are built only where read: one user_user_gain_db call over
+the D2D links of every evaluated sector, and one (ue_gain_lookup) over the
+distinct cross links that some scheme schedules.
 """
 
 from __future__ import annotations
@@ -61,15 +62,22 @@ class ShadowField:
     def __init__(self, seed: int):
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
+    def key_round(self, keys) -> np.ndarray:
+        """The first hash round, which reads only a link's smaller key."""
+        return _splitmix(self.seed ^ np.asarray(keys, dtype=np.uint64))
+
     def sample_db(self, link_class, keys_a, keys_b, sigma_db) -> np.ndarray:
         """Shadowing (dB) of the links keys_a[i] - keys_b[i]; link_class and
         sigma_db broadcast against the keys."""
         a = np.asarray(keys_a, dtype=np.uint64)
         b = np.asarray(keys_b, dtype=np.uint64)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        h = _splitmix(self.seed ^ lo)
-        h = _splitmix(h ^ hi)
+        return self.sample_rounded_db(link_class, self.key_round(np.minimum(a, b)),
+                                      np.maximum(a, b), sigma_db)
+
+    def sample_rounded_db(self, link_class, lo_round, keys_hi, sigma_db) -> np.ndarray:
+        """sample_db of the links whose smaller key has key_round lo_round[i]
+        and whose larger key is keys_hi[i]."""
+        h = _splitmix(lo_round ^ np.asarray(keys_hi, dtype=np.uint64))
         h = _splitmix(h ^ np.asarray(link_class, dtype=np.uint64))
         # top 53 bits -> uniform strictly inside (0, 1) -> standard normal
         u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
@@ -114,18 +122,19 @@ class GainSet:
     """Linear uplink gains a sector's scheduler works with.
 
     Rows index the sector's D2D pairs (m), columns its cellular users (n):
-    h_cross[m, n] is cellular transmitter n into pair m's receiving end.
+    h_cross[m, n] is cellular transmitter n into pair m's receiving end.  The
+    engine leaves it unset (only exact-admission oracles read it in full).
     """
 
     sector_id: int
     h_cell: np.ndarray  # (M,) cellular UE -> serving sector
     h_d2d: np.ndarray  # (N,) pair tx end -> pair rx end
     h_d2d_bs: np.ndarray  # (N,) pair tx end -> sector
-    h_cross: np.ndarray  # (N, M)
+    h_cross: np.ndarray | None = None  # (N, M)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.h_cross.shape
+        return len(self.h_d2d), len(self.h_cell)
 
 
 class DropChannel:
@@ -146,6 +155,8 @@ class DropChannel:
         self.shadow = ShadowField(shadow_seed)
         self.users_xy = np.atleast_2d(np.asarray(users_xy, dtype=float))
         self.user_keys = user_keys(np.arange(len(self.users_xy)))
+        # a user's key is the smaller key of every link it ends
+        self.user_rounds = self.shadow.key_round(self.user_keys)
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -190,8 +201,8 @@ class DropChannel:
             pl = PathlossParams(*(np.array(col)[:, None] for col in zip(
                 *(astuple(self._link_params(site.kind)) for site in slab))))
             neg_pl[rows] = -pathloss_db(dist, los, pl, self.params.min_distance_m)
-            shadow[rows] = self.shadow.sample_db(
-                np.array([[LINK_CLASS[site.kind]] for site in slab]), self.user_keys,
+            shadow[rows] = self.shadow.sample_rounded_db(
+                np.array([[LINK_CLASS[site.kind]] for site in slab]), self.user_rounds,
                 site_key(np.array([[site.site_id] for site in slab])), pl.shadow_sigma_db)
         return neg_pl, azimuth, shadow
 
@@ -224,19 +235,33 @@ class DropChannel:
         los = self._los_mask(
             dist, lambda i: segments_blocked(pa[i], pb[i], self.env.building_rects))
         pl = pathloss_db(dist, los, self.params.ue_link, self.params.min_distance_m)
-        shadow = self.shadow.sample_db(
-            LINK_CLASS["ue"], self.user_keys[a], self.user_keys[b],
-            self.params.ue_link.shadow_sigma_db)
+        # user keys ascend with the user row
+        shadow = self.shadow.sample_rounded_db(
+            LINK_CLASS["ue"], self.user_rounds[np.minimum(a, b)],
+            self.user_keys[np.maximum(a, b)], self.params.ue_link.shadow_sigma_db)
         return -pl + shadow, dist
 
+    def distance_matrix(self, idx_a, idx_b) -> np.ndarray:
+        """(A, B) distances (m) between users idx_a and idx_b, bit for bit the
+        ones user_user_gain_db gives for the links idx_a[i] - idx_b[j]."""
+        pa, pb = self.users_xy[idx_a], self.users_xy[idx_b]
+        return np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
 
-def ue_links(cell_idx: np.ndarray, tx_idx: np.ndarray, rx_idx: np.ndarray) -> np.ndarray:
-    """(2, L) user rows (from, to) of the UE-UE links a sector's gain set
-    needs: its D2D links tx -> rx, then its cross links rx x cellular,
-    row-major."""
-    n, m = len(tx_idx), len(cell_idx)
-    return np.array([np.concatenate([tx_idx, np.repeat(rx_idx, m)]),
-                     np.concatenate([rx_idx, np.tile(cell_idx, n)])], dtype=int)
+    def ue_gain_lookup(self, idx_a, idx_b):
+        """gain(a, b): the linear gains of links a[i] - b[i], looked up among the
+        distinct links idx_a[j] - idx_b[j], which one user_user_gain_db call builds."""
+        n = len(self.users_xy)
+        keys = np.unique(np.asarray(idx_a, dtype=int) * n + idx_b)
+        gains = db_to_linear(self.user_user_gain_db(keys // n, keys % n)[0])
+        keys = np.append(keys, n * n)  # past every link, so a miss stays in range
+
+        def gain(a, b) -> np.ndarray:
+            want = np.asarray(a, dtype=int) * n + b
+            pos = np.searchsorted(keys, want)
+            if (keys[pos] != want).any():
+                raise KeyError("UE-UE link outside the lookup")
+            return gains[pos]
+        return gain
 
 
 def build_gain_set(
@@ -244,22 +269,20 @@ def build_gain_set(
     sector: Sector,
     cell_user_idx: np.ndarray,
     pair_tx_idx: np.ndarray,
-    ue_gain_db: np.ndarray,
+    d2d_gain_db: np.ndarray,
 ) -> GainSet:
-    """Assemble the linear gains a sector needs to schedule reuse.
+    """Assemble the linear gains a sector needs to schedule reuse, h_cross
+    left unset.
 
     cell_user_idx are the sector's cellular uplink users and pair_tx_idx the
-    transmitting ends of its D2D pairs; ue_gain_db is the gains that
-    user_user_gain_db gives over the sector's ue_links (rows of h_cross
-    follow pair order, columns follow cellular order).
+    transmitting ends of its D2D pairs; d2d_gain_db is the gains that
+    user_user_gain_db gives over the pairs' tx -> rx links.
     """
     cell_idx = np.asarray(cell_user_idx, dtype=int)
     tx = np.asarray(pair_tx_idx, dtype=int)
-    m, n = len(cell_idx), len(tx)
     return GainSet(
         sector_id=sector.sector_id,
         h_cell=db_to_linear(channel.user_sector_gain_db(cell_idx, sector)),
-        h_d2d=db_to_linear(ue_gain_db[:n]),
+        h_d2d=db_to_linear(d2d_gain_db),
         h_d2d_bs=db_to_linear(channel.user_sector_gain_db(tx, sector)),
-        h_cross=db_to_linear(ue_gain_db[n:]).reshape(n, m),
     )

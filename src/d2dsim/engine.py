@@ -9,6 +9,9 @@ replica-grid sectors exist to keep border association honest.
 A drop's users are rows of one (N, 2) position array and its D2D pairs rows
 of one (P, 2) array of (tx, rx) user rows.  A user is cellular unless it ends
 a pair, and a pair belongs to the sector serving its transmitting end.
+
+No scheme reads a sector's full cross-link gain matrix, so a drop schedules
+every scheme first and then builds only the cross links some scheme scheduled.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from functools import partial
 
 import numpy as np
 
-from .channel import DropChannel, build_gain_set, noise_power_watts, ue_links
+from .channel import DropChannel, build_gain_set, noise_power_watts
 from .config import ConfigError, ScenarioConfig
 from .feasibility import (SinrTargets, baseline_cell_sinr, feasibility_context,
-                          sinr_cell_matrix, sinr_d2d_matrix)
-from .metrics import CapacityReport, SectorState, aggregate_gain, evaluate_drop
+                          sinr_cell_matrix)
+from .metrics import (CapacityReport, SectorState, aggregate_gain, evaluate_drop,
+                      scheduled_cross_links)
 from .power import draw_snr_targets, open_loop_power_w
 from .rrm import (Allocation, allocate_capacity_max, allocate_none,
                   allocate_proposed, allocate_random)
@@ -64,10 +68,12 @@ class DropState:
     n_pairs: int
     serving: np.ndarray
     states: list[SectorState]
+    channel: DropChannel
 
 
 def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
-    """Generate environment, users, pairs, gains, powers, reuse SINRs and feasibility."""
+    """Generate environment, users, pairs, gains, powers, cellular reuse SINRs
+    and feasibility."""
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, _stream(seed, "users"))
     pairs = pair_users(cfg, xy, _stream(seed, "pairing"))
@@ -91,32 +97,29 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         np.argsort(serving, kind="stable"),
         np.cumsum(np.bincount(serving, minlength=len(env.sectors)))[:-1])
 
-    evaluated = []
+    # a sector is evaluated when it serves a measured cellular user or pair
+    # tx end; a replica-only sector is association fodder
+    evaluated = np.zeros(len(env.sectors), dtype=bool)
+    evaluated[serving[measured & (cellular | (pair_of_tx >= 0))]] = True
+    # one UE-UE pass over the D2D links of every evaluated sector, by pair id
+    ids = np.flatnonzero(evaluated[serving[pairs[:, 0]]])
+    d2d_db, d2d_dist = np.empty(len(pairs)), np.empty(len(pairs))
+    d2d_db[ids], d2d_dist[ids] = channel.user_user_gain_db(*pairs[ids].T)
+
+    states: list[SectorState] = []
     for sector, members in zip(env.sectors, members_of_sector):
+        if not evaluated[sector.sector_id]:
+            continue
         cell_idx = members[cellular[members]]
         pair_ids = pair_of_tx[members]
         pair_ids = pair_ids[pair_ids >= 0]
         tx_idx, rx_idx = pairs[pair_ids].T
-        # a replica-only sector is association fodder, never evaluated
-        if measured[cell_idx].any() or measured[tx_idx].any():
-            evaluated.append((sector, cell_idx, pair_ids, tx_idx, rx_idx))
-    # one UE-UE pass over the D2D and cross links of every evaluated sector
-    links = [ue_links(cell, tx, rx) for _, cell, _, tx, rx in evaluated]
-    ue_db, ue_dist = channel.user_user_gain_db(
-        *np.hstack([np.zeros((2, 0), dtype=int), *links]))
-    ends = np.cumsum([link.shape[1] for link in links])[:-1]
-
-    states: list[SectorState] = []
-    for (sector, cell_idx, pair_ids, tx_idx, rx_idx), sector_ue_db, sector_ue_dist in zip(
-            evaluated, np.split(ue_db, ends), np.split(ue_dist, ends)):
-        m = len(cell_idx)
-        k = len(tx_idx)
-        share = sector.bandwidth_hz / max(m, 1)
+        share = sector.bandwidth_hz / max(len(cell_idx), 1)
         sigma2_cell = noise_power_watts(share, cfg.noise.bs_noise_figure_db,
                                         cfg.noise.thermal_density_dbm_hz)
         sigma2_d2d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
                                        cfg.noise.thermal_density_dbm_hz)
-        gains = build_gain_set(channel, sector, cell_idx, tx_idx, sector_ue_db)
+        gains = build_gain_set(channel, sector, cell_idx, tx_idx, d2d_db[pair_ids])
         p_cell, cell_clip = open_loop_power_w(
             cell_targets[cell_idx], gains.h_cell, sigma2_cell, cfg.ue_max_power_dbm)
         p_d2d, d2d_clip = open_loop_power_w(
@@ -128,13 +131,17 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
             baseline_cell_sinr=baseline,
             ratio_threshold=cfg.distance_ratio_threshold,
         )
-        feas = feasibility_context(gains, p_cell, p_d2d, sigma2_cell, sector_ue_dist[:k],
-                                   sector_ue_dist[k:].reshape(k, m), targets)
+        feas = feasibility_context(gains, p_cell, p_d2d, sigma2_cell, d2d_dist[pair_ids],
+                                   channel.distance_matrix(rx_idx, cell_idx), targets)
         states.append(SectorState(
             sector_id=sector.sector_id,
             kind=sector.kind,
             sinr_cell=sinr_cell_matrix(gains, p_cell, p_d2d, sigma2_cell),
-            sinr_d2d=sinr_d2d_matrix(gains, p_cell, p_d2d, sigma2_d2d),
+            d2d_signal=gains.h_d2d * p_d2d,
+            p_cell=p_cell,
+            sigma2_d2d=sigma2_d2d,
+            rx_users=rx_idx,
+            cell_users=cell_idx,
             cell_clipped=cell_clip,
             d2d_clipped=d2d_clip,
             share_bw_hz=share,
@@ -150,6 +157,7 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         n_pairs=len(pairs),
         serving=serving,
         states=states,
+        channel=channel,
     )
 
 
@@ -191,17 +199,20 @@ def run_drop(
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
     drop = build_drop(cfg, seed)
-    reports: dict[str, CapacityReport] = {}
-    alloc_rows: list[tuple[int, str, int, int]] = []
+    plans: dict[str, dict[int, Allocation]] = {}
     for scheme in SCHEMES:  # canonical order keeps the random stream stable
-        if scheme not in schemes:
-            continue
-        rng_random = _stream(seed, "random-alloc") if scheme == "random" else None
-        allocations = {st.sector_id: schedule(st, scheme, rng_random) for st in drop.states}
-        for st in drop.states:
-            for m, col in allocations[st.sector_id].pairs():
-                alloc_rows.append((st.sector_id, scheme, m, col))
-        reports[scheme] = evaluate_drop(drop.states, allocations)
+        if scheme in schemes:
+            rng_random = _stream(seed, "random-alloc") if scheme == "random" else None
+            plans[scheme] = {st.sector_id: schedule(st, scheme, rng_random)
+                             for st in drop.states}
+    # one UE-UE pass over the distinct cross links that some scheme schedules
+    cross_gain = drop.channel.ue_gain_lookup(*np.hstack([np.zeros((2, 0), dtype=int), *(
+        scheduled_cross_links(st, plan[st.sector_id])
+        for plan in plans.values() for st in drop.states)]))
+    reports = {scheme: evaluate_drop(drop.states, plan, cross_gain)
+               for scheme, plan in plans.items()}
+    alloc_rows = [(st.sector_id, scheme, m, col) for scheme, plan in plans.items()
+                  for st in drop.states for m, col in plan[st.sector_id].pairs()]
     return DropResult(drop.seed, drop.n_users, drop.n_pairs, reports, alloc_rows)
 
 

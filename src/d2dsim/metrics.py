@@ -4,7 +4,8 @@ A sector's uplink bandwidth is split evenly across its cellular users; a
 scheduled D2D pair rides on its partner resource's share.  Only terminals in
 the measured central grid contribute to reported sums, but interference is
 evaluated for every scheduled link regardless of where it lives.  A sector's
-reuse SINRs arrive precomputed (SectorState); rates only index them.
+cellular reuse SINRs arrive precomputed (SectorState); a scheduled D2D link
+reads its one cross-link gain from a lookup built over every scheme's reuses.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 from .feasibility import FeasibilityMatrix
 from .rrm import Allocation
 
-__all__ = ["SectorState", "CapacityReport", "sector_rates", "evaluate_drop",
-           "aggregate_gain"]
+__all__ = ["SectorState", "CapacityReport", "scheduled_cross_links", "sector_rates",
+           "evaluate_drop", "aggregate_gain"]
 
 
 @dataclass
@@ -27,7 +28,11 @@ class SectorState:
     sector_id: int
     kind: str  # "macro" | "micro"
     sinr_cell: np.ndarray  # (N, M) cellular SINR of column n reused by row m
-    sinr_d2d: np.ndarray  # (N, M) D2D SINR of row m on column n
+    d2d_signal: np.ndarray  # (N,) h_d2d * p_d2d, W
+    p_cell: np.ndarray  # (M,) cellular transmit power, W
+    sigma2_d2d: float  # D2D receiver noise over the share, W
+    rx_users: np.ndarray  # (N,) user rows of the pairs' receiving ends
+    cell_users: np.ndarray  # (M,) user rows of the cellular users
     cell_clipped: np.ndarray  # (M,) bool
     d2d_clipped: np.ndarray  # (N,) bool
     share_bw_hz: float  # per-resource bandwidth share
@@ -41,13 +46,22 @@ class SectorState:
         return self.sinr_cell.shape
 
 
+def scheduled_cross_links(state: SectorState, allocation: Allocation) -> np.ndarray:
+    """(2, K) user rows (pair rx end, cellular interferer) of the cross links
+    an allocation schedules."""
+    rows, cols = np.array(allocation.pairs(), dtype=int).reshape(-1, 2).T
+    return np.array([state.rx_users[rows], state.cell_users[cols]])
+
+
 def sector_rates(
-    state: SectorState, allocation: Allocation
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    state: SectorState, allocation: Allocation, cross_gain
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-link rates under an allocation.
 
-    Returns (cell_bps (M,), d2d_bps (N,), cell_sinr (M,)); unscheduled pairs
-    get zero rate, unreused resources keep their baseline SINR.
+    cross_gain(rx_users, cell_users) gives the linear gains of the scheduled
+    cross links (scheduled_cross_links).  Returns (cell_bps (M,), d2d_bps (N,),
+    cell_sinr (M,), d2d_sinr (N,)); unscheduled pairs get zero SINR and rate,
+    unreused resources keep their baseline SINR.
     """
     n = state.shape[0]
     res = np.asarray(allocation.resource_of_pair, dtype=int)
@@ -59,9 +73,12 @@ def sector_rates(
         raise ValueError("allocation reuses a resource twice")
     cell_sinr = state.baseline_sinr.copy()
     cell_sinr[cols] = state.sinr_cell[scheduled, cols]
-    d2d_bps = np.zeros(n)
-    d2d_bps[scheduled] = state.share_bw_hz * np.log2(1.0 + state.sinr_d2d[scheduled, cols])
-    return state.share_bw_hz * np.log2(1.0 + cell_sinr), d2d_bps, cell_sinr
+    h_cross = cross_gain(state.rx_users[scheduled], state.cell_users[cols])
+    d2d_sinr = np.zeros(n)
+    d2d_sinr[scheduled] = (state.d2d_signal[scheduled]
+                           / (h_cross * state.p_cell[cols] + state.sigma2_d2d))
+    return (state.share_bw_hz * np.log2(1.0 + cell_sinr),
+            state.share_bw_hz * np.log2(1.0 + d2d_sinr), cell_sinr, d2d_sinr)
 
 
 @dataclass
@@ -78,16 +95,17 @@ class CapacityReport:
 
 
 def evaluate_drop(
-    states: list[SectorState], allocations: dict[int, Allocation]
+    states: list[SectorState], allocations: dict[int, Allocation], cross_gain
 ) -> CapacityReport:
-    """Aggregate measured-grid rates across sectors for one scheme."""
+    """Aggregate measured-grid rates across sectors for one scheme; cross_gain
+    is sector_rates' lookup."""
     cell = d2d = base = 0.0
     enabled = 0
     clipped = total_tx = 0
     by_kind: dict[str, dict[str, float]] = {}
     for st in states:
         alloc = allocations[st.sector_id]
-        cell_bps, d2d_bps, _ = sector_rates(st, alloc)
+        cell_bps, d2d_bps, _, _ = sector_rates(st, alloc, cross_gain)
         cm, pm = st.cell_measured, st.pair_measured
         c = float(cell_bps[cm].sum())
         d = float(d2d_bps[pm].sum())

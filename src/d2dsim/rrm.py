@@ -69,8 +69,11 @@ class _Matching:
         self.owner = [-1] * m
         self.match = [-1] * n
         self.free = (1 << m) - 1
+        seen = 0  # columns a failed search entered: dead until a row is seated
         for r in range(n):
-            self.augment(r, 0)
+            found, seen = self.augment(r, seen)
+            if found:
+                seen = 0
 
     def augment(self, root: int, seen: int) -> tuple[bool, int]:
         """Seat the unmatched row ``root`` along an alternating path.

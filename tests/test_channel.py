@@ -7,7 +7,7 @@ import pytest
 
 from d2dsim.channel import (LINK_CLASS, DropChannel, ShadowField, antenna_gain_db,
                             build_gain_set, noise_power_watts,
-                            pathloss_db, site_key, ue_links)
+                            pathloss_db, site_key)
 from d2dsim.config import (AntennaPattern, PathlossParams, ScenarioConfig,
                            apply_scenario)
 from d2dsim.geometry import segments_blocked
@@ -163,6 +163,20 @@ def test_user_user_gain_symmetric_with_shadow():
     assert ab == ba
 
 
+def test_ue_shadow_equals_sample_db_with_either_end_smaller():
+    """user_user_gain_db takes each user's first shadow round once per drop;
+    its shadowing is still sample_db's over the two user keys."""
+    xy = [[30.0, 276.0], [60.0, 276.0], [90.0, 276.0], [120.0, 276.0], [150.0, 276.0]]
+    cfg, env, ch = make_channel(xy, shadow=True)
+    _, _, flat = make_channel(xy)
+    a, b = np.array([0, 3, 2, 4, 1]), np.array([1, 1, 4, 0, 3])
+    want = ch.shadow.sample_db(LINK_CLASS["ue"], ch.user_keys[a], ch.user_keys[b],
+                               cfg.channel.ue_link.shadow_sigma_db)
+    assert (want != 0.0).all()
+    np.testing.assert_allclose(ue_gain_db(ch, a, b) - ue_gain_db(flat, a, b), want,
+                               rtol=0, atol=1e-9)
+
+
 def test_associate_users_equals_per_sector_dl_power():
     """Serving sector = first argmax of dl_power + gain + offset over sectors."""
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
@@ -188,16 +202,23 @@ def test_cross_gain_matrix_matches_elementwise():
             assert mat[i, j] == ue_gain_db(ch, [r], [t])[0]
 
 
+def cross_links(rx_idx, cell_idx):
+    """(2, N*M) user rows of every cross link rx x cellular, row-major."""
+    return np.array([np.repeat(rx_idx, len(cell_idx)), np.tile(cell_idx, len(rx_idx))],
+                    dtype=int)
+
+
 def test_distance_helpers():
-    """user_user_gain_db hands back its link lengths: over a sector's
-    ue_links, the D2D lengths and then the rx x cellular distance matrix."""
+    """user_user_gain_db hands back its link lengths: the D2D lengths, and
+    over the cross links the rx x cellular matrix that distance_matrix gives."""
     xy = [[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]
     cfg, env, ch = make_channel(xy)
     np.testing.assert_array_equal(ch.user_user_gain_db([0, 1], [1, 2])[1], [5.0, 5.0])
     cell, tx, rx = np.array([1, 2]), np.array([1]), np.array([0])
-    dist = ch.user_user_gain_db(*ue_links(cell, tx, rx))[1]
-    np.testing.assert_array_equal(dist[:1], [5.0])
-    np.testing.assert_array_equal(dist[1:].reshape(1, 2), [[5.0, 10.0]])
+    np.testing.assert_array_equal(ch.user_user_gain_db(tx, rx)[1], [5.0])
+    dist = ch.user_user_gain_db(*cross_links(rx, cell))[1]
+    np.testing.assert_array_equal(dist.reshape(1, 2), [[5.0, 10.0]])
+    np.testing.assert_array_equal(ch.distance_matrix(rx, cell), [[5.0, 10.0]])
 
 
 def test_build_gain_set_shapes_and_convention():
@@ -208,13 +229,20 @@ def test_build_gain_set_shapes_and_convention():
     cell_idx = np.array([0, 1])
     tx = np.array([2, 3])
     rx = np.array([4, 5])
-    gs = build_gain_set(ch, sector, cell_idx, tx, ue_gain_db(ch, *ue_links(cell_idx, tx, rx)))
+    gs = build_gain_set(ch, sector, cell_idx, tx, ue_gain_db(ch, tx, rx))
     assert gs.shape == (2, 2)
     assert gs.h_cell.shape == (2,) and gs.h_d2d.shape == (2,)
+    assert gs.h_cross is None  # cross gains are built per scheduled reuse
     # linear conversion and the cross convention: h_cross[m, n] is cellular n
-    # into the receiving end of pair m
+    # into the receiving end of pair m, and the lookup takes (rx of m, n)
     want = 10.0 ** (ue_gain_db(ch, [rx[1]], [cell_idx[0]])[0] / 10.0)
-    assert gs.h_cross[1, 0] == pytest.approx(want, rel=1e-12)
+    h_cross = ch.ue_gain_lookup(*cross_links(rx, cell_idx))
+    assert h_cross([rx[1]], [cell_idx[0]])[0] == pytest.approx(want, rel=1e-12)
+    np.testing.assert_array_equal(
+        h_cross(*cross_links(rx, cell_idx)).reshape(2, 2),
+        db_to_linear(cross_gain_db(ch, rx, cell_idx)))
+    with pytest.raises(KeyError):
+        h_cross([rx[0]], [tx[0]])  # a link the lookup was not built over
     want_cell = 10.0 ** (ch.user_sector_gain_db(cell_idx, sector) / 10.0)
     np.testing.assert_allclose(gs.h_cell, want_cell, rtol=1e-12)
     want_d2d = 10.0 ** (ue_gain_db(ch, tx, rx) / 10.0)
@@ -224,14 +252,15 @@ def test_build_gain_set_shapes_and_convention():
 def test_empty_gain_set():
     cfg, env, ch = make_channel([[30.0, 276.0]])
     none = np.zeros(0, dtype=int)
-    gs = build_gain_set(ch, env.sectors[0], none, none,
-                        ue_gain_db(ch, *ue_links(none, none, none)))
+    gs = build_gain_set(ch, env.sectors[0], none, none, ue_gain_db(ch, none, none))
     assert gs.shape == (0, 0)
     assert gs.h_cell.size == 0 and gs.h_d2d.size == 0
     one = np.array([0])
-    gs = build_gain_set(ch, env.sectors[0], none, one,
-                        ue_gain_db(ch, *ue_links(none, one, one)))
-    assert gs.shape == (1, 0) and gs.h_cross.dtype == float
+    gs = build_gain_set(ch, env.sectors[0], none, one, ue_gain_db(ch, one, one))
+    dist = ch.distance_matrix(one, none)
+    assert gs.shape == (1, 0) and dist.shape == (1, 0) and dist.dtype == float
+    h_cross = ch.ue_gain_lookup(none, none)(none, none)
+    assert h_cross.shape == (0,) and h_cross.dtype == float
 
 
 def test_site_view_cache_consistent():
@@ -292,8 +321,10 @@ def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
 
 
 def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
-    """One user_user_gain_db call over every sector's ue_links, sliced per
-    sector, equals the per-sector D2D and cross gains bit for bit."""
+    """One user_user_gain_db call over every sector's D2D links, sliced per
+    sector, equals the per-sector D2D gains bit for bit; one ue_gain_lookup
+    over every sector's cross links, and one over a random third of them,
+    give the per-sector cross gains bit for bit."""
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     rng = np.random.default_rng(9)
     env = generate_environment(cfg)
@@ -307,22 +338,26 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
         mine = serving[tx_all] == sector.sector_id
         cell = np.flatnonzero(serving == sector.sector_id)
         sectors.append((sector, cell[~np.isin(cell, ends)], tx_all[mine], rx_all[mine]))
-    links = [ue_links(cell, tx, rx) for _, cell, tx, rx in sectors]
-    ue_db, ue_dist = ch.user_user_gain_db(*np.hstack(links))
-    ends = np.cumsum([link.shape[1] for link in links])[:-1]
+    ue_db, ue_dist = ch.user_user_gain_db(*np.hstack([[tx, rx] for _, _, tx, rx in sectors]))
+    ends = np.cumsum([len(tx) for _, _, tx, _ in sectors])[:-1]
+    links = np.hstack([cross_links(rx, cell) for _, cell, _, rx in sectors])
+    every = ch.ue_gain_lookup(*links)
+    third = links[:, rng.permutation(links.shape[1])[:links.shape[1] // 3]]
     assert sum(len(tx) > 0 and len(cell) > 0 for _, cell, tx, _ in sectors) > 10
+    np.testing.assert_array_equal(ch.ue_gain_lookup(*third)(*third), every(*third))
     for (sector, cell, tx, rx), got, dist in zip(sectors, np.split(ue_db, ends),
                                                  np.split(ue_dist, ends)):
         n, m = len(tx), len(cell)
-        np.testing.assert_array_equal(got[:n], ue_gain_db(ch, tx, rx))
-        np.testing.assert_array_equal(got[n:].reshape(n, m), cross_gain_db(ch, rx, cell))
+        np.testing.assert_array_equal(got, ue_gain_db(ch, tx, rx))
+        h_cross = every(*cross_links(rx, cell)).reshape(n, m)
+        np.testing.assert_array_equal(h_cross, db_to_linear(cross_gain_db(ch, rx, cell)))
         gs = build_gain_set(ch, sector, cell, tx, got)
         np.testing.assert_array_equal(gs.h_d2d, db_to_linear(ue_gain_db(ch, tx, rx)))
-        np.testing.assert_array_equal(gs.h_cross, db_to_linear(cross_gain_db(ch, rx, cell)))
-        # the sliced link lengths are the per-sector distances feasibility reads
+        # the sliced link lengths and the distance matrix are the per-sector
+        # distances feasibility reads
         a, b = ch.users_xy[tx], ch.users_xy[rx]
-        np.testing.assert_array_equal(dist[:n], np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]))
+        np.testing.assert_array_equal(dist, np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]))
         a, b = ch.users_xy[rx], ch.users_xy[cell]
         np.testing.assert_array_equal(
-            dist[n:].reshape(n, m),
+            ch.distance_matrix(rx, cell),
             np.hypot(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1]))

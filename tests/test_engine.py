@@ -12,14 +12,17 @@ import pytest
 from conftest import tiny_config
 
 from d2dsim import channel, cli, engine
-from d2dsim.config import ConfigError
+from d2dsim.channel import GainSet
+from d2dsim.config import ConfigError, ScenarioConfig, apply_scenario
 from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, schedule,
                            write_outputs)
-from d2dsim.feasibility import FeasibilityMatrix
+from d2dsim.feasibility import FeasibilityMatrix, sinr_d2d_matrix
+from d2dsim.metrics import scheduled_cross_links, sector_rates
 from d2dsim.rrm import Allocation, allocate_none, allocate_proposed
-from d2dsim.scenario import generate_environment
+from d2dsim.scenario import drop_users, generate_environment, pair_users
 from d2dsim.signaling import run_single_cell
+from d2dsim.units import db_to_linear
 
 
 def test_drop_seed_stable_and_distinct():
@@ -31,8 +34,10 @@ def test_drop_seed_stable_and_distinct():
 
 def first_state_fingerprint(drop):
     st = drop.states[0]
-    return (st.sector_id, st.sinr_cell.tobytes(), st.sinr_d2d.tobytes(),
-            st.baseline_sinr.tobytes(), st.feas_context.entries.tobytes())
+    return (st.sector_id, st.sinr_cell.tobytes(), st.d2d_signal.tobytes(),
+            st.p_cell.tobytes(), st.sigma2_d2d, st.rx_users.tobytes(),
+            st.cell_users.tobytes(), st.baseline_sinr.tobytes(),
+            st.feas_context.entries.tobytes())
 
 
 def test_build_drop_reproducible():
@@ -60,6 +65,82 @@ def test_build_drop_states_are_measured_and_shared():
         n_pairs, m = st.shape
         assert st.share_bw_hz == pytest.approx(sector.bandwidth_hz / max(m, 1))
         assert st.feas_context.entries.shape == (n_pairs, m)
+
+
+def scheduled_plans(result, states):
+    """Each scheme's allocations per sector, rebuilt from result.alloc_rows."""
+    rows = {s: {st.sector_id: [-1] * st.shape[0] for st in states} for s in result.reports}
+    for sector, scheme, m, col in result.alloc_rows:
+        rows[scheme][sector][m] = col
+    return {s: {sid: Allocation(tuple(r)) for sid, r in plan.items()}
+            for s, plan in rows.items()}
+
+
+@pytest.mark.parametrize("scenario", ["macro-scheme1", "hetnet"])
+def test_scheduled_d2d_sinr_equals_full_cross_gain_matrix(scenario):
+    """On a real drop, every scheduled reuse's D2D SINR and rate are bit-equal
+    to sinr_d2d_matrix over the full cross-gain matrix of an all-cross-links
+    pass, under every scheme."""
+    cfg = apply_scenario(ScenarioConfig(), scenario)
+    seed = drop_seed(3, 1)
+    drop = build_drop(cfg, seed)
+    plans = scheduled_plans(run_drop(cfg, seed), drop.states)
+    cross_gain = drop.channel.ue_gain_lookup(*np.hstack([np.zeros((2, 0), dtype=int), *(
+        scheduled_cross_links(st, plan[st.sector_id])
+        for plan in plans.values() for st in drop.states)]))
+    # every (pair rx, cellular) link of every evaluated sector, in one call
+    links = [np.array([np.repeat(st.rx_users, st.shape[1]), np.tile(st.cell_users, st.shape[0])])
+             for st in drop.states]
+    cross_db = np.split(drop.channel.user_user_gain_db(*np.hstack(links))[0],
+                        np.cumsum([link.shape[1] for link in links])[:-1])
+    checked = 0
+    for st, db in zip(drop.states, cross_db):
+        n, m = st.shape
+        # d2d_signal is h_d2d * p_d2d, so the pairs get unit power here
+        gains = GainSet(st.sector_id, h_cell=np.zeros(m), h_d2d=st.d2d_signal,
+                        h_d2d_bs=np.zeros(n), h_cross=db_to_linear(db).reshape(n, m))
+        full = sinr_d2d_matrix(gains, st.p_cell, np.ones(n), st.sigma2_d2d)
+        for plan in plans.values():
+            _, d2d_bps, _, d2d_sinr = sector_rates(st, plan[st.sector_id], cross_gain)
+            rows, cols = np.array(plan[st.sector_id].pairs(), dtype=int).reshape(-1, 2).T
+            np.testing.assert_array_equal(d2d_sinr[rows], full[rows, cols])
+            np.testing.assert_array_equal(
+                d2d_bps[rows], st.share_bw_hz * np.log2(1.0 + full[rows, cols]))
+            assert not d2d_sinr[np.setdiff1d(np.arange(n), rows)].any()
+            checked += len(rows)
+    assert checked > 100
+
+
+def test_ue_ue_calls_cover_d2d_links_and_distinct_scheduled_cross_links(monkeypatch):
+    """A drop makes two UE-UE gain calls: one over the D2D links of its
+    evaluated sectors, one over each cross link some scheme schedules, once."""
+    cfg = apply_scenario(ScenarioConfig(), "macro-scheme1")
+    seed = drop_seed(3, 2)
+    calls = []
+    user_user_gain_db = channel.DropChannel.user_user_gain_db
+
+    def recording(self, idx_a, idx_b):
+        calls.append(np.array([idx_a, idx_b], dtype=int).reshape(2, -1))
+        return user_user_gain_db(self, idx_a, idx_b)
+
+    monkeypatch.setattr(channel.DropChannel, "user_user_gain_db", recording)
+    result = run_drop(cfg, seed)
+    monkeypatch.undo()
+    states = build_drop(cfg, seed).states
+    assert len(calls) == 2
+    d2d, cross = calls
+    env = generate_environment(cfg)
+    xy = drop_users(cfg, env, engine._stream(seed, "users"))
+    pairs = pair_users(cfg, xy, engine._stream(seed, "pairing"))
+    rx_users = np.concatenate([st.rx_users for st in states])
+    assert d2d.shape[1] == len(rx_users)
+    assert set(map(tuple, d2d.T)) == set(map(tuple, pairs[np.isin(pairs[:, 1], rx_users)]))
+    users = {st.sector_id: (st.rx_users, st.cell_users) for st in states}
+    scheduled = {(users[sector][0][m], users[sector][1][col])
+                 for sector, _, m, col in result.alloc_rows}
+    assert cross.shape[1] == len(scheduled)
+    assert set(map(tuple, cross.T)) == scheduled
+    assert len(scheduled) < sum(n * m for n, m in (st.shape for st in states)) / 3
 
 
 def test_schedule_dispatch():

@@ -5,13 +5,22 @@ import pytest
 
 from d2dsim.channel import GainSet
 from d2dsim.feasibility import FeasibilityMatrix, sinr_cell_matrix, sinr_d2d_matrix
-from d2dsim.metrics import SectorState, aggregate_gain, evaluate_drop, sector_rates
+from d2dsim.metrics import (SectorState, aggregate_gain, evaluate_drop,
+                            scheduled_cross_links, sector_rates)
 from d2dsim.rrm import Allocation, allocate_none
 
 SHARE_HZ = 1000.0
 P_D2D = np.array([0.01, 0.02])
 SIGMA2_CELL = 1e-9
 SIGMA2_D2D = 1e-10
+H_D2D = np.array([1e-5, 2e-5])
+# h_cross[m, n]: cellular user n into the receiving end of pair m
+H_CROSS = np.array([[1e-7, 2e-7, 3e-7], [4e-7, 5e-7, 6e-7]])
+
+
+def cross_gain(rx_users, cell_users):
+    """make_state's users are their own rows of H_CROSS."""
+    return H_CROSS[rx_users, cell_users]
 
 
 def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
@@ -23,15 +32,18 @@ def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
     gains = GainSet(
         sector_id=sector_id,
         h_cell=h_cell,
-        h_d2d=np.array([1e-5, 2e-5]),
+        h_d2d=H_D2D,
         h_d2d_bs=np.array([1e-8, 2e-8]),
-        h_cross=np.array([[1e-7, 2e-7, 3e-7], [4e-7, 5e-7, 6e-7]]),
     )
     return SectorState(
         sector_id=sector_id,
         kind=kind,
         sinr_cell=sinr_cell_matrix(gains, p_cell, P_D2D, SIGMA2_CELL),
-        sinr_d2d=sinr_d2d_matrix(gains, p_cell, P_D2D, SIGMA2_D2D),
+        d2d_signal=H_D2D * P_D2D,
+        p_cell=p_cell,
+        sigma2_d2d=SIGMA2_D2D,
+        rx_users=np.arange(2),
+        cell_users=np.arange(3),
         cell_clipped=np.array([True, False, True]),
         d2d_clipped=np.array([False, True]),
         share_bw_hz=share,
@@ -45,21 +57,46 @@ def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
 def test_sector_rates_closed_form():
     state = make_state()
     alloc = Allocation((2, -1))
-    cell_bps, d2d_bps, cell_sinr = sector_rates(state, alloc)
+    cell_bps, d2d_bps, cell_sinr, d2d_sinr = sector_rates(state, alloc, cross_gain)
 
     # pair 0 rides resource 2: both SINRs from the scalar reuse formulas
     sinr_d = 1e-5 * 0.01 / (3e-7 * 0.05 + 1e-10)
     sinr_c = 5e-7 * 0.05 / (1e-8 * 0.01 + 1e-9)
     assert cell_sinr == pytest.approx([100.0, 400.0, sinr_c], rel=1e-12)
+    assert d2d_sinr == pytest.approx([sinr_d, 0.0], rel=1e-12)
     assert d2d_bps == pytest.approx(
         [SHARE_HZ * np.log2(1.0 + sinr_d), 0.0], rel=1e-12)
     assert cell_bps == pytest.approx(
         SHARE_HZ * np.log2(1.0 + np.array([100.0, 400.0, sinr_c])), rel=1e-12)
 
 
+def test_sector_rates_read_only_scheduled_cross_gains():
+    """Each scheduled reuse's D2D SINR is sinr_d2d_matrix's entry over the
+    full cross-gain matrix, bit for bit; only scheduled cross links are read."""
+    state = make_state()
+    gains = GainSet(0, h_cell=np.array([1e-6, 2e-6, 5e-7]), h_d2d=H_D2D,
+                    h_d2d_bs=np.array([1e-8, 2e-8]), h_cross=H_CROSS)
+    full = sinr_d2d_matrix(gains, state.p_cell, P_D2D, SIGMA2_D2D)
+    asked = []
+
+    def recording(rx_users, cell_users):
+        asked.append(np.array([rx_users, cell_users]))
+        return cross_gain(rx_users, cell_users)
+
+    alloc = Allocation((2, 0))
+    _, d2d_bps, _, d2d_sinr = sector_rates(state, alloc, recording)
+    np.testing.assert_array_equal(d2d_sinr, [full[0, 2], full[1, 0]])
+    np.testing.assert_array_equal(d2d_bps, SHARE_HZ * np.log2(1.0 + d2d_sinr))
+    assert len(asked) == 1
+    np.testing.assert_array_equal(asked[0], [[0, 1], [2, 0]])
+    np.testing.assert_array_equal(asked[0], scheduled_cross_links(state, alloc))
+    np.testing.assert_array_equal(scheduled_cross_links(state, Allocation((-1, 1))), [[1], [1]])
+    assert scheduled_cross_links(state, allocate_none(2)).shape == (2, 0)
+
+
 def test_sector_rates_none_keeps_baseline():
     state = make_state()
-    cell_bps, d2d_bps, cell_sinr = sector_rates(state, allocate_none(2))
+    cell_bps, d2d_bps, cell_sinr, _ = sector_rates(state, allocate_none(2), cross_gain)
     assert cell_sinr == pytest.approx(state.baseline_sinr)
     assert d2d_bps == pytest.approx([0.0, 0.0])
     assert cell_bps == pytest.approx(
@@ -68,8 +105,8 @@ def test_sector_rates_none_keeps_baseline():
 
 def test_sector_rates_scale_with_share():
     alloc = Allocation((2, 0))
-    c1, d1, _ = sector_rates(make_state(share=1000.0), alloc)
-    c2, d2, _ = sector_rates(make_state(share=2000.0), alloc)
+    c1, d1, _, _ = sector_rates(make_state(share=1000.0), alloc, cross_gain)
+    c2, d2, _, _ = sector_rates(make_state(share=2000.0), alloc, cross_gain)
     assert c2 == pytest.approx(2.0 * c1)
     assert d2 == pytest.approx(2.0 * d1)
 
@@ -77,21 +114,21 @@ def test_sector_rates_scale_with_share():
 def test_sector_rates_validation():
     state = make_state()
     with pytest.raises(ValueError, match="length"):
-        sector_rates(state, Allocation((0,)))
+        sector_rates(state, Allocation((0,)), cross_gain)
     with pytest.raises(ValueError, match="twice"):
-        sector_rates(state, Allocation((1, 1)))
+        sector_rates(state, Allocation((1, 1)), cross_gain)
 
 
 def test_sector_rates_empty_resources():
     state = make_state()
     gains = GainSet(
         sector_id=0, h_cell=np.zeros(0),
-        h_d2d=np.array([1e-5, 2e-5]), h_d2d_bs=np.array([1e-8, 2e-8]),
-        h_cross=np.zeros((2, 0)))
+        h_d2d=np.array([1e-5, 2e-5]), h_d2d_bs=np.array([1e-8, 2e-8]))
     state.sinr_cell = sinr_cell_matrix(gains, np.zeros(0), P_D2D, SIGMA2_CELL)
-    state.sinr_d2d = sinr_d2d_matrix(gains, np.zeros(0), P_D2D, SIGMA2_D2D)
+    state.p_cell = np.zeros(0)
+    state.cell_users = np.zeros(0, dtype=int)
     state.baseline_sinr = np.zeros(0)
-    cell_bps, d2d_bps, _ = sector_rates(state, allocate_none(2))
+    cell_bps, d2d_bps, _, _ = sector_rates(state, allocate_none(2), cross_gain)
     assert cell_bps.shape == (0,)
     assert d2d_bps == pytest.approx([0.0, 0.0])
 
@@ -99,8 +136,8 @@ def test_sector_rates_empty_resources():
 def test_evaluate_drop_measured_only():
     state = make_state()  # users 0,1 and pair 0 measured
     alloc = Allocation((2, 0))
-    report = evaluate_drop([state], {0: alloc})
-    cell_bps, d2d_bps, _ = sector_rates(state, alloc)
+    report = evaluate_drop([state], {0: alloc}, cross_gain)
+    cell_bps, d2d_bps, _, _ = sector_rates(state, alloc, cross_gain)
 
     assert report.cell_bps == pytest.approx(cell_bps[:2].sum())
     assert report.d2d_bps == pytest.approx(d2d_bps[0])
@@ -117,7 +154,7 @@ def test_evaluate_drop_by_kind_split():
     micro = make_state(sector_id=1, kind="micro")
     allocs = {0: Allocation((2, -1)),
               1: allocate_none(2)}
-    report = evaluate_drop([macro, micro], allocs)
+    report = evaluate_drop([macro, micro], allocs, cross_gain)
     assert set(report.by_kind) == {"macro", "micro"}
     assert report.by_kind["micro"]["d2d_bps"] == 0.0
     assert report.cell_bps == pytest.approx(
@@ -131,14 +168,14 @@ def test_evaluate_drop_by_kind_split():
 
 def test_evaluate_drop_none_matches_baseline():
     state = make_state()
-    report = evaluate_drop([state], {0: allocate_none(2)})
+    report = evaluate_drop([state], {0: allocate_none(2)}, cross_gain)
     assert report.cell_bps == pytest.approx(report.baseline_cell_bps)
     assert report.d2d_bps == 0.0
     assert report.enabled_pairs == 0
 
 
 def test_evaluate_drop_empty():
-    report = evaluate_drop([], {})
+    report = evaluate_drop([], {}, cross_gain)
     assert report.overall_bps == 0.0
     assert report.clip_rate == 0.0
     assert report.baseline_cell_bps == 0.0
