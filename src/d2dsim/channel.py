@@ -13,8 +13,8 @@ works on these linear gains.
 A drop's site links are built in one pass, a few sites at a time, into
 (sites x users) arrays; a sector reads its site's row and adds its antenna
 term.  UE-UE gains are built only where read: one user_user_gain_db call over
-the D2D links of every evaluated sector, and one (ue_gain_lookup) over the
-distinct cross links that some scheme schedules.
+the D2D links of every evaluated sector, and one over the cross link of every
+reuse that some scheme schedules.
 """
 
 from __future__ import annotations
@@ -246,22 +246,6 @@ class DropChannel:
         ones user_user_gain_db gives for the links idx_a[i] - idx_b[j]."""
         pa, pb = self.users_xy[idx_a], self.users_xy[idx_b]
         return np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
-
-    def ue_gain_lookup(self, idx_a, idx_b):
-        """gain(a, b): the linear gains of links a[i] - b[i], looked up among the
-        distinct links idx_a[j] - idx_b[j], which one user_user_gain_db call builds."""
-        n = len(self.users_xy)
-        keys = np.unique(np.asarray(idx_a, dtype=int) * n + idx_b)
-        gains = db_to_linear(self.user_user_gain_db(keys // n, keys % n)[0])
-        keys = np.append(keys, n * n)  # past every link, so a miss stays in range
-
-        def gain(a, b) -> np.ndarray:
-            want = np.asarray(a, dtype=int) * n + b
-            pos = np.searchsorted(keys, want)
-            if (keys[pos] != want).any():
-                raise KeyError("UE-UE link outside the lookup")
-            return gains[pos]
-        return gain
 
 
 def build_gain_set(

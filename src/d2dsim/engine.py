@@ -11,7 +11,8 @@ of one (P, 2) array of (tx, rx) user rows.  A user is cellular unless it ends
 a pair, and a pair belongs to the sector serving its transmitting end.
 
 No scheme reads a sector's full cross-link gain matrix, so a drop schedules
-every scheme first and then builds only the cross links some scheme scheduled.
+every scheme first and then builds only the cross links some scheme scheduled,
+in one pass whose gains each (scheme, sector) takes back by position.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .power import draw_snr_targets, open_loop_power_w
 from .rrm import (Allocation, allocate_capacity_max, allocate_none,
                   allocate_proposed, allocate_random)
 from .scenario import associate_users, drop_users, generate_environment, pair_users
+from .units import db_to_linear
 
 SCHEMES = ("proposed", "capacity-max", "random", "none")
 
@@ -63,7 +65,6 @@ def _shadow_seed(seed: int) -> int:
 class DropState:
     """One fully generated deployment, ready for scheduling."""
 
-    seed: int
     n_users: int
     n_pairs: int
     serving: np.ndarray
@@ -152,7 +153,6 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         ))
 
     return DropState(
-        seed=seed,
         n_users=n,
         n_pairs=len(pairs),
         serving=serving,
@@ -181,7 +181,6 @@ def schedule(state: SectorState, scheme: str,
 
 @dataclass
 class DropResult:
-    seed: int
     n_users: int
     n_pairs: int
     reports: dict[str, CapacityReport]
@@ -199,21 +198,25 @@ def run_drop(
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
     drop = build_drop(cfg, seed)
-    plans: dict[str, dict[int, Allocation]] = {}
+    plans: dict[str, list[Allocation]] = {}  # per scheme, aligned with drop.states
     for scheme in SCHEMES:  # canonical order keeps the random stream stable
         if scheme in schemes:
             rng_random = _stream(seed, "random-alloc") if scheme == "random" else None
-            plans[scheme] = {st.sector_id: schedule(st, scheme, rng_random)
-                             for st in drop.states}
-    # one UE-UE pass over the distinct cross links that some scheme schedules
-    cross_gain = drop.channel.ue_gain_lookup(*np.hstack([np.zeros((2, 0), dtype=int), *(
-        scheduled_cross_links(st, plan[st.sector_id])
-        for plan in plans.values() for st in drop.states)]))
-    reports = {scheme: evaluate_drop(drop.states, plan, cross_gain)
-               for scheme, plan in plans.items()}
+            plans[scheme] = [schedule(st, scheme, rng_random) for st in drop.states]
+    # one UE-UE pass over every scheduled cross link, scheme -> sector -> pair,
+    # split back into one array per (scheme, sector)
+    links = [scheduled_cross_links(st, alloc)
+             for plan in plans.values() for st, alloc in zip(drop.states, plan)]
+    h_cross = np.split(
+        db_to_linear(drop.channel.user_user_gain_db(
+            *np.hstack([np.zeros((2, 0), dtype=int), *links]))[0]),
+        np.cumsum([link.shape[1] for link in links])[:-1])
+    n = len(drop.states)
+    reports = {scheme: evaluate_drop(drop.states, plan, h_cross[i * n:(i + 1) * n])
+               for i, (scheme, plan) in enumerate(plans.items())}
     alloc_rows = [(st.sector_id, scheme, m, col) for scheme, plan in plans.items()
-                  for st in drop.states for m, col in plan[st.sector_id].pairs()]
-    return DropResult(drop.seed, drop.n_users, drop.n_pairs, reports, alloc_rows)
+                  for st, alloc in zip(drop.states, plan) for m, col in alloc.pairs()]
+    return DropResult(drop.n_users, drop.n_pairs, reports, alloc_rows)
 
 
 # ---------------------------------------------------------------------------

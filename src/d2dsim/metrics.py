@@ -4,8 +4,8 @@ A sector's uplink bandwidth is split evenly across its cellular users; a
 scheduled D2D pair rides on its partner resource's share.  Only terminals in
 the measured central grid contribute to reported sums, but interference is
 evaluated for every scheduled link regardless of where it lives.  A sector's
-cellular reuse SINRs arrive precomputed (SectorState); a scheduled D2D link
-reads its one cross-link gain from a lookup built over every scheme's reuses.
+cellular reuse SINRs arrive precomputed (SectorState); its scheduled D2D links
+arrive with their cross-link gains, one per reuse in scheduled_cross_links order.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ def scheduled_cross_links(state: SectorState, allocation: Allocation) -> np.ndar
 
 
 def sector_rates(
-    state: SectorState, allocation: Allocation, cross_gain
+    state: SectorState, allocation: Allocation, h_cross: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-link rates under an allocation.
 
-    cross_gain(rx_users, cell_users) gives the linear gains of the scheduled
-    cross links (scheduled_cross_links).  Returns (cell_bps (M,), d2d_bps (N,),
-    cell_sinr (M,), d2d_sinr (N,)); unscheduled pairs get zero SINR and rate,
-    unreused resources keep their baseline SINR.
+    h_cross is the (K,) linear gains of the K cross links the allocation
+    schedules, in scheduled_cross_links order.  Returns (cell_bps (M,),
+    d2d_bps (N,), cell_sinr (M,), d2d_sinr (N,)); unscheduled pairs get zero
+    SINR and rate, unreused resources keep their baseline SINR.
     """
     n = state.shape[0]
     res = np.asarray(allocation.resource_of_pair, dtype=int)
@@ -71,9 +71,10 @@ def sector_rates(
     cols = res[scheduled]
     if len(np.unique(cols)) != len(cols):
         raise ValueError("allocation reuses a resource twice")
+    if np.shape(h_cross) != scheduled.shape:
+        raise ValueError("cross-gain count must match the scheduled pair count")
     cell_sinr = state.baseline_sinr.copy()
     cell_sinr[cols] = state.sinr_cell[scheduled, cols]
-    h_cross = cross_gain(state.rx_users[scheduled], state.cell_users[cols])
     d2d_sinr = np.zeros(n)
     d2d_sinr[scheduled] = (state.d2d_signal[scheduled]
                            / (h_cross * state.p_cell[cols] + state.sigma2_d2d))
@@ -95,17 +96,17 @@ class CapacityReport:
 
 
 def evaluate_drop(
-    states: list[SectorState], allocations: dict[int, Allocation], cross_gain
+    states: list[SectorState], allocations: list[Allocation], h_cross: list[np.ndarray]
 ) -> CapacityReport:
-    """Aggregate measured-grid rates across sectors for one scheme; cross_gain
-    is sector_rates' lookup."""
+    """Aggregate measured-grid rates across sectors for one scheme; each
+    sector's allocation and h_cross (sector_rates') sit at its position in
+    states."""
     cell = d2d = base = 0.0
     enabled = 0
     clipped = total_tx = 0
     by_kind: dict[str, dict[str, float]] = {}
-    for st in states:
-        alloc = allocations[st.sector_id]
-        cell_bps, d2d_bps, _, _ = sector_rates(st, alloc, cross_gain)
+    for st, alloc, gains in zip(states, allocations, h_cross, strict=True):
+        cell_bps, d2d_bps, _, _ = sector_rates(st, alloc, gains)
         cm, pm = st.cell_measured, st.pair_measured
         c = float(cell_bps[cm].sum())
         d = float(d2d_bps[pm].sum())

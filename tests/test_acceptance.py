@@ -349,3 +349,35 @@ def test_campaign_rerun_is_byte_identical(tmp_path):
                    f"50-drop all-scheme rerun {'byte-identical' if not diffs else 'DIFFERS: ' + ','.join(diffs)}"
                    f" ({elapsed:.1f} s)")
     assert ok, line
+
+
+# -- README ---------------------------------------------------------------------
+
+
+def test_readme_results_match_campaigns(s1_campaign, s2_campaign, hetnet_campaign):
+    """README's measured-results table is what the shared campaigns give."""
+    s1, s2, het = s1_campaign, s2_campaign, hetnet_campaign
+    rows = [
+        ("macro-scheme1 proposed", s1.overall_gain("proposed"), s1.cellular_gain("proposed")),
+        ("macro-scheme1 random", s1.overall_gain("random"), s1.cellular_gain("random")),
+        ("macro-scheme2 proposed", s2.overall_gain("proposed"), s2.cellular_gain("proposed")),
+        ("hetnet proposed (overall)", het.overall_gain("proposed"),
+         het.cellular_gain("proposed")),
+        ("hetnet proposed (macro cells only)", het.kind_overall_gain("proposed", "macro"), None),
+        ("hetnet proposed (micro cells only)", het.kind_overall_gain("proposed", "micro"), None),
+        ("hetnet capacity-max", het.overall_gain("capacity-max"), None),
+        ("hetnet random", het.overall_gain("random"), None),
+    ]
+    want = [f"| {label} | {overall:+.1%} | {'—' if cell is None else f'{cell:+.1%}'} |"
+            for label, overall, cell in rows]
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| scenario / scheme | overall gain | cellular gain |") + 2
+    got = list(itertools.takewhile(str.strip, lines[start:]))
+    stale = [w for g, w in itertools.zip_longest(got, want) if g != w]
+    ok = not stale
+    line = verdict("readme-results", ok,
+                   f"{len(want) - len(stale)} of {len(want)} rows match"
+                   + ("; campaigns give: " + "; ".join(map(str, stale)) if stale else ""))
+    assert ok, line

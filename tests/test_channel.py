@@ -234,15 +234,11 @@ def test_build_gain_set_shapes_and_convention():
     assert gs.h_cell.shape == (2,) and gs.h_d2d.shape == (2,)
     assert gs.h_cross is None  # cross gains are built per scheduled reuse
     # linear conversion and the cross convention: h_cross[m, n] is cellular n
-    # into the receiving end of pair m, and the lookup takes (rx of m, n)
+    # into the receiving end of pair m, the link (rx of m, n)
     want = 10.0 ** (ue_gain_db(ch, [rx[1]], [cell_idx[0]])[0] / 10.0)
-    h_cross = ch.ue_gain_lookup(*cross_links(rx, cell_idx))
-    assert h_cross([rx[1]], [cell_idx[0]])[0] == pytest.approx(want, rel=1e-12)
-    np.testing.assert_array_equal(
-        h_cross(*cross_links(rx, cell_idx)).reshape(2, 2),
-        db_to_linear(cross_gain_db(ch, rx, cell_idx)))
-    with pytest.raises(KeyError):
-        h_cross([rx[0]], [tx[0]])  # a link the lookup was not built over
+    h_cross = db_to_linear(ue_gain_db(ch, *cross_links(rx, cell_idx))).reshape(2, 2)
+    assert h_cross[1, 0] == pytest.approx(want, rel=1e-12)
+    np.testing.assert_array_equal(h_cross, db_to_linear(cross_gain_db(ch, rx, cell_idx)))
     want_cell = 10.0 ** (ch.user_sector_gain_db(cell_idx, sector) / 10.0)
     np.testing.assert_allclose(gs.h_cell, want_cell, rtol=1e-12)
     want_d2d = 10.0 ** (ue_gain_db(ch, tx, rx) / 10.0)
@@ -259,7 +255,7 @@ def test_empty_gain_set():
     gs = build_gain_set(ch, env.sectors[0], none, one, ue_gain_db(ch, one, one))
     dist = ch.distance_matrix(one, none)
     assert gs.shape == (1, 0) and dist.shape == (1, 0) and dist.dtype == float
-    h_cross = ch.ue_gain_lookup(none, none)(none, none)
+    h_cross = db_to_linear(ue_gain_db(ch, none, none))
     assert h_cross.shape == (0,) and h_cross.dtype == float
 
 
@@ -322,9 +318,9 @@ def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
 
 def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
     """One user_user_gain_db call over every sector's D2D links, sliced per
-    sector, equals the per-sector D2D gains bit for bit; one ue_gain_lookup
-    over every sector's cross links, and one over a random third of them,
-    give the per-sector cross gains bit for bit."""
+    sector, equals the per-sector D2D gains bit for bit; one call over every
+    sector's cross links, and one over a random third of them, give the
+    per-sector cross gains bit for bit."""
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     rng = np.random.default_rng(9)
     env = generate_environment(cfg)
@@ -340,16 +336,18 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
         sectors.append((sector, cell[~np.isin(cell, ends)], tx_all[mine], rx_all[mine]))
     ue_db, ue_dist = ch.user_user_gain_db(*np.hstack([[tx, rx] for _, _, tx, rx in sectors]))
     ends = np.cumsum([len(tx) for _, _, tx, _ in sectors])[:-1]
-    links = np.hstack([cross_links(rx, cell) for _, cell, _, rx in sectors])
-    every = ch.ue_gain_lookup(*links)
-    third = links[:, rng.permutation(links.shape[1])[:links.shape[1] // 3]]
+    links = [cross_links(rx, cell) for _, cell, _, rx in sectors]
+    every = db_to_linear(ue_gain_db(ch, *np.hstack(links)))
+    third = rng.permutation(len(every))[:len(every) // 3]
     assert sum(len(tx) > 0 and len(cell) > 0 for _, cell, tx, _ in sectors) > 10
-    np.testing.assert_array_equal(ch.ue_gain_lookup(*third)(*third), every(*third))
-    for (sector, cell, tx, rx), got, dist in zip(sectors, np.split(ue_db, ends),
-                                                 np.split(ue_dist, ends)):
+    np.testing.assert_array_equal(
+        db_to_linear(ue_gain_db(ch, *np.hstack(links)[:, third])), every[third])
+    for (sector, cell, tx, rx), got, dist, cross in zip(
+            sectors, np.split(ue_db, ends), np.split(ue_dist, ends),
+            np.split(every, np.cumsum([link.shape[1] for link in links])[:-1])):
         n, m = len(tx), len(cell)
         np.testing.assert_array_equal(got, ue_gain_db(ch, tx, rx))
-        h_cross = every(*cross_links(rx, cell)).reshape(n, m)
+        h_cross = cross.reshape(n, m)
         np.testing.assert_array_equal(h_cross, db_to_linear(cross_gain_db(ch, rx, cell)))
         gs = build_gain_set(ch, sector, cell, tx, got)
         np.testing.assert_array_equal(gs.h_d2d, db_to_linear(ue_gain_db(ch, tx, rx)))

@@ -68,11 +68,12 @@ def test_build_drop_states_are_measured_and_shared():
 
 
 def scheduled_plans(result, states):
-    """Each scheme's allocations per sector, rebuilt from result.alloc_rows."""
+    """Each scheme's allocations, aligned with states, rebuilt from
+    result.alloc_rows."""
     rows = {s: {st.sector_id: [-1] * st.shape[0] for st in states} for s in result.reports}
     for sector, scheme, m, col in result.alloc_rows:
         rows[scheme][sector][m] = col
-    return {s: {sid: Allocation(tuple(r)) for sid, r in plan.items()}
+    return {s: [Allocation(tuple(plan[st.sector_id])) for st in states]
             for s, plan in rows.items()}
 
 
@@ -85,24 +86,24 @@ def test_scheduled_d2d_sinr_equals_full_cross_gain_matrix(scenario):
     seed = drop_seed(3, 1)
     drop = build_drop(cfg, seed)
     plans = scheduled_plans(run_drop(cfg, seed), drop.states)
-    cross_gain = drop.channel.ue_gain_lookup(*np.hstack([np.zeros((2, 0), dtype=int), *(
-        scheduled_cross_links(st, plan[st.sector_id])
-        for plan in plans.values() for st in drop.states)]))
     # every (pair rx, cellular) link of every evaluated sector, in one call
     links = [np.array([np.repeat(st.rx_users, st.shape[1]), np.tile(st.cell_users, st.shape[0])])
              for st in drop.states]
     cross_db = np.split(drop.channel.user_user_gain_db(*np.hstack(links))[0],
                         np.cumsum([link.shape[1] for link in links])[:-1])
     checked = 0
-    for st, db in zip(drop.states, cross_db):
+    for k, (st, db) in enumerate(zip(drop.states, cross_db)):
         n, m = st.shape
         # d2d_signal is h_d2d * p_d2d, so the pairs get unit power here
         gains = GainSet(st.sector_id, h_cell=np.zeros(m), h_d2d=st.d2d_signal,
                         h_d2d_bs=np.zeros(n), h_cross=db_to_linear(db).reshape(n, m))
         full = sinr_d2d_matrix(gains, st.p_cell, np.ones(n), st.sigma2_d2d)
         for plan in plans.values():
-            _, d2d_bps, _, d2d_sinr = sector_rates(st, plan[st.sector_id], cross_gain)
-            rows, cols = np.array(plan[st.sector_id].pairs(), dtype=int).reshape(-1, 2).T
+            # the scheduled reuses' gains, one per reuse in pair order
+            h_cross = db_to_linear(drop.channel.user_user_gain_db(
+                *scheduled_cross_links(st, plan[k]))[0])
+            _, d2d_bps, _, d2d_sinr = sector_rates(st, plan[k], h_cross)
+            rows, cols = np.array(plan[k].pairs(), dtype=int).reshape(-1, 2).T
             np.testing.assert_array_equal(d2d_sinr[rows], full[rows, cols])
             np.testing.assert_array_equal(
                 d2d_bps[rows], st.share_bw_hz * np.log2(1.0 + full[rows, cols]))
@@ -111,9 +112,10 @@ def test_scheduled_d2d_sinr_equals_full_cross_gain_matrix(scenario):
     assert checked > 100
 
 
-def test_ue_ue_calls_cover_d2d_links_and_distinct_scheduled_cross_links(monkeypatch):
+def test_ue_ue_calls_cover_d2d_links_and_scheduled_cross_links_in_order(monkeypatch):
     """A drop makes two UE-UE gain calls: one over the D2D links of its
-    evaluated sectors, one over each cross link some scheme schedules, once."""
+    evaluated sectors, one over the cross link of every scheduled reuse, in
+    scheme -> sector -> pair order."""
     cfg = apply_scenario(ScenarioConfig(), "macro-scheme1")
     seed = drop_seed(3, 2)
     calls = []
@@ -136,11 +138,12 @@ def test_ue_ue_calls_cover_d2d_links_and_distinct_scheduled_cross_links(monkeypa
     assert d2d.shape[1] == len(rx_users)
     assert set(map(tuple, d2d.T)) == set(map(tuple, pairs[np.isin(pairs[:, 1], rx_users)]))
     users = {st.sector_id: (st.rx_users, st.cell_users) for st in states}
-    scheduled = {(users[sector][0][m], users[sector][1][col])
-                 for sector, _, m, col in result.alloc_rows}
-    assert cross.shape[1] == len(scheduled)
-    assert set(map(tuple, cross.T)) == scheduled
-    assert len(scheduled) < sum(n * m for n, m in (st.shape for st in states)) / 3
+    # alloc_rows run scheme -> sector -> pair
+    scheduled = np.array([(users[sector][0][m], users[sector][1][col])
+                          for sector, _, m, col in result.alloc_rows]).T
+    np.testing.assert_array_equal(cross, scheduled)
+    assert len(set(map(tuple, scheduled.T))) < scheduled.shape[1]  # repeats stay
+    assert scheduled.shape[1] < sum(n * m for n, m in (st.shape for st in states)) / 3
 
 
 def test_schedule_dispatch():
@@ -448,8 +451,17 @@ def load_perfbench_child():
     return module
 
 
+TRACED_SPANS = ("engine.run_drop", "engine.build_drop", "scenario.environment",
+                "scenario.drop_users", "scenario.pair_users", "scenario.associate",
+                "channel.gain_sets", "power.open_loop", "feasibility.context",
+                "rrm.proposed", "rrm.capacity_max", "rrm.random", "metrics.evaluate_drop",
+                "engine.write_outputs", "geometry.segments_blocked")
+
+
 def test_perfbench_tracer_hooks_count_every_drop(tmp_path, monkeypatch):
-    """The benchmark's tracer still sees each drop's users, pairs and association."""
+    """The benchmark's tracer still sees each drop's users, pairs and
+    association, and every span it installs records calls: a stage the
+    program stops calling would read zero in its per-layer metrics."""
     cfg = tiny_config()
     n_sectors = len(generate_environment(cfg).sectors)
     drops = [build_drop(cfg, drop_seed(cfg.seed, i)) for i in range(cfg.num_drops)]
@@ -470,6 +482,8 @@ def test_perfbench_tracer_hooks_count_every_drop(tmp_path, monkeypatch):
     assert code == 0
     assert {name: tracer.counts[name] for name in want} == want
     assert tracer.proposed and tracer.check_proposed() == []
+    assert {name for name in TRACED_SPANS if not tracer.calls[name]} == set()
+    assert tracer.counts["channel.links"] > 0 and tracer.counts["feasibility.entries"] > 0
 
 
 def test_cli_run_applies_set_after_scenario_and_before_drops(tmp_path):

@@ -18,9 +18,10 @@ H_D2D = np.array([1e-5, 2e-5])
 H_CROSS = np.array([[1e-7, 2e-7, 3e-7], [4e-7, 5e-7, 6e-7]])
 
 
-def cross_gain(rx_users, cell_users):
-    """make_state's users are their own rows of H_CROSS."""
-    return H_CROSS[rx_users, cell_users]
+def cross_gains(state, allocation):
+    """The gains of an allocation's scheduled cross links, in their order;
+    make_state's users are their own rows of H_CROSS."""
+    return H_CROSS[tuple(scheduled_cross_links(state, allocation))]
 
 
 def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
@@ -57,7 +58,8 @@ def make_state(sector_id=0, kind="macro", share=SHARE_HZ,
 def test_sector_rates_closed_form():
     state = make_state()
     alloc = Allocation((2, -1))
-    cell_bps, d2d_bps, cell_sinr, d2d_sinr = sector_rates(state, alloc, cross_gain)
+    cell_bps, d2d_bps, cell_sinr, d2d_sinr = sector_rates(
+        state, alloc, cross_gains(state, alloc))
 
     # pair 0 rides resource 2: both SINRs from the scalar reuse formulas
     sinr_d = 1e-5 * 0.01 / (3e-7 * 0.05 + 1e-10)
@@ -72,31 +74,27 @@ def test_sector_rates_closed_form():
 
 def test_sector_rates_read_only_scheduled_cross_gains():
     """Each scheduled reuse's D2D SINR is sinr_d2d_matrix's entry over the
-    full cross-gain matrix, bit for bit; only scheduled cross links are read."""
+    full cross-gain matrix, bit for bit, from only the scheduled cross links'
+    gains, handed in by position."""
     state = make_state()
     gains = GainSet(0, h_cell=np.array([1e-6, 2e-6, 5e-7]), h_d2d=H_D2D,
                     h_d2d_bs=np.array([1e-8, 2e-8]), h_cross=H_CROSS)
     full = sinr_d2d_matrix(gains, state.p_cell, P_D2D, SIGMA2_D2D)
-    asked = []
-
-    def recording(rx_users, cell_users):
-        asked.append(np.array([rx_users, cell_users]))
-        return cross_gain(rx_users, cell_users)
-
     alloc = Allocation((2, 0))
-    _, d2d_bps, _, d2d_sinr = sector_rates(state, alloc, recording)
+    # one gain per reuse, in pair order: h_cross[m, n] of (rx of pair m, cellular n)
+    h_cross = np.array([H_CROSS[0, 2], H_CROSS[1, 0]])
+    _, d2d_bps, _, d2d_sinr = sector_rates(state, alloc, h_cross)
     np.testing.assert_array_equal(d2d_sinr, [full[0, 2], full[1, 0]])
     np.testing.assert_array_equal(d2d_bps, SHARE_HZ * np.log2(1.0 + d2d_sinr))
-    assert len(asked) == 1
-    np.testing.assert_array_equal(asked[0], [[0, 1], [2, 0]])
-    np.testing.assert_array_equal(asked[0], scheduled_cross_links(state, alloc))
+    np.testing.assert_array_equal(scheduled_cross_links(state, alloc), [[0, 1], [2, 0]])
+    np.testing.assert_array_equal(cross_gains(state, alloc), h_cross)
     np.testing.assert_array_equal(scheduled_cross_links(state, Allocation((-1, 1))), [[1], [1]])
     assert scheduled_cross_links(state, allocate_none(2)).shape == (2, 0)
 
 
 def test_sector_rates_none_keeps_baseline():
     state = make_state()
-    cell_bps, d2d_bps, cell_sinr, _ = sector_rates(state, allocate_none(2), cross_gain)
+    cell_bps, d2d_bps, cell_sinr, _ = sector_rates(state, allocate_none(2), np.zeros(0))
     assert cell_sinr == pytest.approx(state.baseline_sinr)
     assert d2d_bps == pytest.approx([0.0, 0.0])
     assert cell_bps == pytest.approx(
@@ -105,8 +103,9 @@ def test_sector_rates_none_keeps_baseline():
 
 def test_sector_rates_scale_with_share():
     alloc = Allocation((2, 0))
-    c1, d1, _, _ = sector_rates(make_state(share=1000.0), alloc, cross_gain)
-    c2, d2, _, _ = sector_rates(make_state(share=2000.0), alloc, cross_gain)
+    h_cross = cross_gains(make_state(), alloc)
+    c1, d1, _, _ = sector_rates(make_state(share=1000.0), alloc, h_cross)
+    c2, d2, _, _ = sector_rates(make_state(share=2000.0), alloc, h_cross)
     assert c2 == pytest.approx(2.0 * c1)
     assert d2 == pytest.approx(2.0 * d1)
 
@@ -114,9 +113,20 @@ def test_sector_rates_scale_with_share():
 def test_sector_rates_validation():
     state = make_state()
     with pytest.raises(ValueError, match="length"):
-        sector_rates(state, Allocation((0,)), cross_gain)
+        sector_rates(state, Allocation((0,)), np.zeros(1))
     with pytest.raises(ValueError, match="twice"):
-        sector_rates(state, Allocation((1, 1)), cross_gain)
+        sector_rates(state, Allocation((1, 1)), np.zeros(2))
+
+
+def test_sector_rates_refuses_cross_gains_not_one_per_reuse():
+    """One gain for two scheduled reuses would broadcast over both."""
+    state = make_state()
+    alloc = Allocation((2, 0))
+    for h_cross in (np.array([3e-7]), np.zeros(3), H_CROSS):
+        with pytest.raises(ValueError, match="cross-gain count"):
+            sector_rates(state, alloc, h_cross)
+    with pytest.raises(ValueError, match="cross-gain count"):
+        sector_rates(state, allocate_none(2), np.array([3e-7]))
 
 
 def test_sector_rates_empty_resources():
@@ -128,7 +138,7 @@ def test_sector_rates_empty_resources():
     state.p_cell = np.zeros(0)
     state.cell_users = np.zeros(0, dtype=int)
     state.baseline_sinr = np.zeros(0)
-    cell_bps, d2d_bps, _, _ = sector_rates(state, allocate_none(2), cross_gain)
+    cell_bps, d2d_bps, _, _ = sector_rates(state, allocate_none(2), np.zeros(0))
     assert cell_bps.shape == (0,)
     assert d2d_bps == pytest.approx([0.0, 0.0])
 
@@ -136,8 +146,8 @@ def test_sector_rates_empty_resources():
 def test_evaluate_drop_measured_only():
     state = make_state()  # users 0,1 and pair 0 measured
     alloc = Allocation((2, 0))
-    report = evaluate_drop([state], {0: alloc}, cross_gain)
-    cell_bps, d2d_bps, _, _ = sector_rates(state, alloc, cross_gain)
+    report = evaluate_drop([state], [alloc], [cross_gains(state, alloc)])
+    cell_bps, d2d_bps, _, _ = sector_rates(state, alloc, cross_gains(state, alloc))
 
     assert report.cell_bps == pytest.approx(cell_bps[:2].sum())
     assert report.d2d_bps == pytest.approx(d2d_bps[0])
@@ -152,9 +162,9 @@ def test_evaluate_drop_measured_only():
 def test_evaluate_drop_by_kind_split():
     macro = make_state(sector_id=0, kind="macro")
     micro = make_state(sector_id=1, kind="micro")
-    allocs = {0: Allocation((2, -1)),
-              1: allocate_none(2)}
-    report = evaluate_drop([macro, micro], allocs, cross_gain)
+    allocs = [Allocation((2, -1)), allocate_none(2)]
+    report = evaluate_drop([macro, micro], allocs,
+                           [cross_gains(st, a) for st, a in zip([macro, micro], allocs)])
     assert set(report.by_kind) == {"macro", "micro"}
     assert report.by_kind["micro"]["d2d_bps"] == 0.0
     assert report.cell_bps == pytest.approx(
@@ -168,17 +178,26 @@ def test_evaluate_drop_by_kind_split():
 
 def test_evaluate_drop_none_matches_baseline():
     state = make_state()
-    report = evaluate_drop([state], {0: allocate_none(2)}, cross_gain)
+    report = evaluate_drop([state], [allocate_none(2)], [np.zeros(0)])
     assert report.cell_bps == pytest.approx(report.baseline_cell_bps)
     assert report.d2d_bps == 0.0
     assert report.enabled_pairs == 0
 
 
 def test_evaluate_drop_empty():
-    report = evaluate_drop([], {}, cross_gain)
+    report = evaluate_drop([], [], [])
     assert report.overall_bps == 0.0
     assert report.clip_rate == 0.0
     assert report.baseline_cell_bps == 0.0
+
+
+def test_evaluate_drop_refuses_lists_not_aligned_with_states():
+    state = make_state()
+    alloc = Allocation((2, -1))
+    h_cross = cross_gains(state, alloc)
+    for allocs, gains in (([alloc], []), ([], [h_cross]), ([alloc, alloc], [h_cross])):
+        with pytest.raises(ValueError, match="zip"):
+            evaluate_drop([state], allocs, gains)
 
 
 def test_aggregate_gain():
