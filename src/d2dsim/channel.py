@@ -12,23 +12,28 @@ works on these linear gains.
 
 A drop's site links are built in one pass, a few sites at a time, into
 (sites x users) arrays; a sector reads its site's row and adds its antenna
-term.  UE-UE gains are built only where read: one user_user_gain_db call over
-the D2D links of every evaluated sector, and one over the cross link of every
-reuse that some scheme schedules.
+term; the per-site pathloss parameters, shadow classes and keys depend on the
+config alone and come from the Environment.  UE-UE gains are built only where
+read: one user_user_gain_db call over the D2D links of every evaluated sector,
+and one over the cross link of every reuse that some scheme schedules, in
+scheme -> sector -> pair order.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import ndtri
 
 from .config import AntennaPattern, PathlossParams
 from .geometry import segments_blocked
-from .scenario import Environment, Sector
 from .units import db_to_linear, dbm_to_watts
+
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import Environment, Sector
 
 _USER_KEY_BASE = np.uint64(1) << np.uint64(32)
 _SITE_KEY_BASE = np.uint64(1) << np.uint64(33)
@@ -179,39 +184,29 @@ class DropChannel:
         antenna term that user_sector_gain_db adds.  Built on first use,
         _SITE_SLAB sites at a time, with one LOS call and one shadow hash per
         slab.  The LOS test reads the environment's SiteWedges, so it
-        slab-tests only the buildings in each link's azimuth bin.
+        slab-tests only the buildings in each link's azimuth bin; the link
+        parameters, classes and keys are the environment's per-site columns.
         """
-        # sectors come in site order, and site ids are 0..S-1
-        sites = list({s.site_id: s for s in self.env.sectors}.values())
-        wedges = self.env.site_wedges
-        site_xy = wedges.sites
+        env = self.env
+        wedges = env.site_wedges
+        site_xy = wedges.sites  # row s is site id s
         n = len(self.users_xy)
         x, y = self.users_xy.T
-        neg_pl, azimuth, shadow = (np.empty((len(sites), n)) for _ in range(3))
-        for s0 in range(0, len(sites), _SITE_SLAB):
-            slab = sites[s0:s0 + _SITE_SLAB]
-            rows = slice(s0, s0 + len(slab))
+        neg_pl, azimuth, shadow = (np.empty((len(site_xy), n)) for _ in range(3))
+        for s0 in range(0, len(site_xy), _SITE_SLAB):
+            rows = slice(s0, s0 + _SITE_SLAB)
             dx = x - site_xy[rows, 0:1]
             dy = y - site_xy[rows, 1:2]
             dist = np.hypot(dx, dy)
             azimuth[rows] = np.degrees(np.arctan2(dy, dx))
             los = self._los_mask(dist, lambda i: wedges.blocked(
                 s0 + i // n, self.users_xy[i % n], azimuth[rows].flat[i]))
-            # each row's link parameters, as columns that broadcast per row
-            pl = PathlossParams(*(np.array(col)[:, None] for col in zip(
-                *(astuple(self._link_params(site.kind)) for site in slab))))
+            pl = PathlossParams(*env.site_pathloss[:, rows])
             neg_pl[rows] = -pathloss_db(dist, los, pl, self.params.min_distance_m)
             shadow[rows] = self.shadow.sample_rounded_db(
-                np.array([[LINK_CLASS[site.kind]] for site in slab]), self.user_rounds,
-                site_key(np.array([[site.site_id] for site in slab])), pl.shadow_sigma_db)
+                env.site_link_class[rows], self.user_rounds, env.site_keys[rows],
+                pl.shadow_sigma_db)
         return neg_pl, azimuth, shadow
-
-    def _link_params(self, kind: str) -> PathlossParams:
-        if kind == "macro":
-            return self.params.macro_link
-        if kind == "micro":
-            return self.params.micro_link
-        return self.params.ue_link
 
     # -- gains ----------------------------------------------------------------
 

@@ -10,9 +10,13 @@ A drop's users are rows of one (N, 2) position array and its D2D pairs rows
 of one (P, 2) array of (tx, rx) user rows.  A user is cellular unless it ends
 a pair, and a pair belongs to the sector serving its transmitting end.
 
-No scheme reads a sector's full cross-link gain matrix, so a drop schedules
-every scheme first and then builds only the cross links some scheme scheduled,
-in one pass whose gains each (scheme, sector) takes back by position.
+A drop keeps two views of its evaluated sectors: one SectorState per sector
+for the schedulers, and one DropArrays that lays the sectors' evaluation
+vectors end to end.  No scheme reads a sector's full cross-link gain matrix,
+so a drop schedules every scheme first, turns each scheme's allocations into
+one flat resource array, and then builds only the cross links some scheme
+scheduled, in one pass, scheme -> sector -> pair; each scheme is then
+evaluated over whole-drop arrays.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from .channel import DropChannel, build_gain_set, noise_power_watts
 from .config import ConfigError, ScenarioConfig
 from .feasibility import (SinrTargets, baseline_cell_sinr, feasibility_context,
                           sinr_cell_matrix)
-from .metrics import (CapacityReport, SectorState, aggregate_gain, evaluate_drop,
-                      scheduled_cross_links)
+from .metrics import CapacityReport, DropArrays, SectorState, aggregate_gain, evaluate_drop
 from .power import draw_snr_targets, open_loop_power_w
 from .rrm import (Allocation, allocate_capacity_max, allocate_none,
                   allocate_proposed, allocate_random)
@@ -68,13 +71,14 @@ class DropState:
     n_users: int
     n_pairs: int
     serving: np.ndarray
-    states: list[SectorState]
+    states: list[SectorState]  # evaluated sectors, ascending sector id
+    arrays: DropArrays  # the same sectors, in the same order
     channel: DropChannel
 
 
 def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
-    """Generate environment, users, pairs, gains, powers, cellular reuse SINRs
-    and feasibility."""
+    """Generate environment, users, pairs, gains, powers, cellular reuse SINRs,
+    feasibility and the evaluation arrays."""
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, _stream(seed, "users"))
     pairs = pair_users(cfg, xy, _stream(seed, "pairing"))
@@ -90,75 +94,85 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     cellular[pairs] = False
     pair_of_tx = np.full(n, -1)
     pair_of_tx[pairs[:, 0]] = np.arange(len(pairs))
-    # A sector's members are the users it serves, in ascending index order
-    # (sector ids are the indices of env.sectors); its pairs are those whose
-    # transmitting end it serves, in ascending id order because pair ids
-    # ascend with their tx user.
-    members_of_sector = np.split(
-        np.argsort(serving, kind="stable"),
-        np.cumsum(np.bincount(serving, minlength=len(env.sectors)))[:-1])
 
     # a sector is evaluated when it serves a measured cellular user or pair
     # tx end; a replica-only sector is association fodder
     evaluated = np.zeros(len(env.sectors), dtype=bool)
     evaluated[serving[measured & (cellular | (pair_of_tx >= 0))]] = True
+    # the evaluated sectors' cellular users and pairs, grouped by sector in
+    # ascending sector id (sector ids are the indices of env.sectors), each
+    # group in ascending user order; pair ids ascend with their tx user
+    by_sector = np.argsort(serving, kind="stable")
+    by_sector = by_sector[evaluated[serving[by_sector]]]
+    cell_users = by_sector[cellular[by_sector]]
+    pair_ids = pair_of_tx[by_sector]
+    pair_ids = pair_ids[pair_ids >= 0]
+    tx_users, rx_users = pairs[pair_ids].T
+    sector_ids = np.flatnonzero(evaluated)
+    cell_start = np.append(np.searchsorted(serving[cell_users], sector_ids), len(cell_users))
+    pair_start = np.append(np.searchsorted(serving[tx_users], sector_ids), len(pair_ids))
+    sinr_start = np.append(0, np.cumsum(np.diff(pair_start) * np.diff(cell_start)))
     # one UE-UE pass over the D2D links of every evaluated sector, by pair id
     ids = np.flatnonzero(evaluated[serving[pairs[:, 0]]])
     d2d_db, d2d_dist = np.empty(len(pairs)), np.empty(len(pairs))
     d2d_db[ids], d2d_dist[ids] = channel.user_user_gain_db(*pairs[ids].T)
 
+    sinr_cell = np.empty(sinr_start[-1])
+    d2d_signal, sigma2_d2d, pair_share = (np.empty(len(pair_ids)) for _ in range(3))
+    p_cell, cell_share, baseline = (np.empty(len(cell_users)) for _ in range(3))
+    d2d_clipped = np.empty(len(pair_ids), dtype=bool)
+    cell_clipped = np.empty(len(cell_users), dtype=bool)
     states: list[SectorState] = []
-    for sector, members in zip(env.sectors, members_of_sector):
-        if not evaluated[sector.sector_id]:
-            continue
-        cell_idx = members[cellular[members]]
-        pair_ids = pair_of_tx[members]
-        pair_ids = pair_ids[pair_ids >= 0]
-        tx_idx, rx_idx = pairs[pair_ids].T
+    for k, sector_id in enumerate(sector_ids):
+        sector = env.sectors[sector_id]
+        ps = slice(pair_start[k], pair_start[k + 1])
+        cs = slice(cell_start[k], cell_start[k + 1])
+        cell_idx, pair_k = cell_users[cs], pair_ids[ps]
         share = sector.bandwidth_hz / max(len(cell_idx), 1)
         sigma2_cell = noise_power_watts(share, cfg.noise.bs_noise_figure_db,
                                         cfg.noise.thermal_density_dbm_hz)
-        sigma2_d2d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
-                                       cfg.noise.thermal_density_dbm_hz)
-        gains = build_gain_set(channel, sector, cell_idx, tx_idx, d2d_db[pair_ids])
-        p_cell, cell_clip = open_loop_power_w(
+        sigma2_d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
+                                     cfg.noise.thermal_density_dbm_hz)
+        pair_share[ps], cell_share[cs], sigma2_d2d[ps] = share, share, sigma2_d
+        gains = build_gain_set(channel, sector, cell_idx, tx_users[ps], d2d_db[pair_k])
+        p_cell[cs], cell_clipped[cs] = open_loop_power_w(
             cell_targets[cell_idx], gains.h_cell, sigma2_cell, cfg.ue_max_power_dbm)
-        p_d2d, d2d_clip = open_loop_power_w(
-            d2d_targets[pair_ids], gains.h_d2d, sigma2_d2d, cfg.ue_max_power_dbm)
-        baseline = baseline_cell_sinr(gains, p_cell, sigma2_cell)
+        p_d2d, d2d_clipped[ps] = open_loop_power_w(
+            d2d_targets[pair_k], gains.h_d2d, sigma2_d, cfg.ue_max_power_dbm)
+        d2d_signal[ps] = gains.h_d2d * p_d2d
+        baseline[cs] = baseline_cell_sinr(gains, p_cell[cs], sigma2_cell)
         targets = SinrTargets(
-            d2d_target_db=d2d_targets[pair_ids],
+            d2d_target_db=d2d_targets[pair_k],
             gamma_cell_db=cfg.gamma_cell_db,
-            baseline_cell_sinr=baseline,
+            baseline_cell_sinr=baseline[cs],
             ratio_threshold=cfg.distance_ratio_threshold,
         )
-        feas = feasibility_context(gains, p_cell, p_d2d, sigma2_cell, d2d_dist[pair_ids],
-                                   channel.distance_matrix(rx_idx, cell_idx), targets)
-        states.append(SectorState(
-            sector_id=sector.sector_id,
-            kind=sector.kind,
-            sinr_cell=sinr_cell_matrix(gains, p_cell, p_d2d, sigma2_cell),
-            d2d_signal=gains.h_d2d * p_d2d,
-            p_cell=p_cell,
-            sigma2_d2d=sigma2_d2d,
-            rx_users=rx_idx,
-            cell_users=cell_idx,
-            cell_clipped=cell_clip,
-            d2d_clipped=d2d_clip,
-            share_bw_hz=share,
-            baseline_sinr=baseline,
-            cell_measured=measured[cell_idx],
-            pair_measured=measured[tx_idx],
-            feas_context=feas,
-        ))
+        feas = feasibility_context(gains, p_cell[cs], p_d2d, sigma2_cell, d2d_dist[pair_k],
+                                   channel.distance_matrix(rx_users[ps], cell_idx), targets)
+        sinr = sinr_cell[sinr_start[k]:sinr_start[k + 1]].reshape(gains.shape)
+        sinr[...] = sinr_cell_matrix(gains, p_cell[cs], p_d2d, sigma2_cell)
+        states.append(SectorState(sector.sector_id, sinr, baseline[cs], feas))
 
-    return DropState(
-        n_users=n,
-        n_pairs=len(pairs),
-        serving=serving,
-        states=states,
-        channel=channel,
+    arrays = DropArrays(
+        kinds=tuple(env.sectors[i].kind for i in sector_ids),
+        pair_start=pair_start,
+        cell_start=cell_start,
+        sinr_cell=sinr_cell,
+        d2d_signal=d2d_signal,
+        sigma2_d2d=sigma2_d2d,
+        pair_share_hz=pair_share,
+        rx_users=rx_users,
+        pair_measured=measured[tx_users],
+        d2d_clipped=d2d_clipped,
+        p_cell=p_cell,
+        cell_share_hz=cell_share,
+        baseline_sinr=baseline,
+        cell_users=cell_users,
+        cell_measured=measured[cell_users],
+        cell_clipped=cell_clipped,
     )
+    return DropState(n_users=n, n_pairs=len(pairs), serving=serving, states=states,
+                     arrays=arrays, channel=channel)
 
 
 def schedule(state: SectorState, scheme: str,
@@ -203,17 +217,15 @@ def run_drop(
         if scheme in schemes:
             rng_random = _stream(seed, "random-alloc") if scheme == "random" else None
             plans[scheme] = [schedule(st, scheme, rng_random) for st in drop.states]
-    # one UE-UE pass over every scheduled cross link, scheme -> sector -> pair,
-    # split back into one array per (scheme, sector)
-    links = [scheduled_cross_links(st, alloc)
-             for plan in plans.values() for st, alloc in zip(drop.states, plan)]
+    resources = [drop.arrays.resource_rows(plan) for plan in plans.values()]
+    # one UE-UE pass over every scheduled cross link, scheme -> sector -> pair
+    links = [drop.arrays.cross_links(res) for res in resources]
     h_cross = np.split(
         db_to_linear(drop.channel.user_user_gain_db(
             *np.hstack([np.zeros((2, 0), dtype=int), *links]))[0]),
         np.cumsum([link.shape[1] for link in links])[:-1])
-    n = len(drop.states)
-    reports = {scheme: evaluate_drop(drop.states, plan, h_cross[i * n:(i + 1) * n])
-               for i, (scheme, plan) in enumerate(plans.items())}
+    reports = {scheme: evaluate_drop(drop.arrays, res, gains)
+               for scheme, res, gains in zip(plans, resources, h_cross)}
     alloc_rows = [(st.sector_id, scheme, m, col) for scheme, plan in plans.items()
                   for st, alloc in zip(drop.states, plan) for m, col in alloc.pairs()]
     return DropResult(drop.n_users, drop.n_pairs, reports, alloc_rows)

@@ -113,8 +113,9 @@ class SinrTargets:
         return base * db_to_linear(-self.gamma_cell_db)
 
     def ratio_floor(self, pair_distance_m: np.ndarray) -> np.ndarray:
+        """The floor of every pair, as a read-only broadcast view."""
         d = np.asarray(pair_distance_m, dtype=float)
-        return np.full(d.shape, float(self.ratio_threshold))
+        return np.broadcast_to(float(self.ratio_threshold), d.shape)
 
 
 @dataclass(frozen=True)

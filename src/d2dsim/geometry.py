@@ -2,7 +2,9 @@
 
 Rectangles are float arrays of shape (K, 4) laid out as (xmin, ymin, xmax, ymax).
 All tests are purely horizontal (2D); antenna/site heights never enter the
-line-of-sight decision.
+line-of-sight decision.  The lookup tables (SiteWedges for site links,
+RectBuckets for outdoor sampling) depend on the layout alone, so a scenario
+builds them once and every drop reads them.
 """
 
 from __future__ import annotations
@@ -187,7 +189,8 @@ class SiteWedges:
 
 
 class RectBuckets:
-    """Rects bucketed by the square cells of a grid over `bounds`.
+    """Rects bucketed by the square cells of a grid over `bounds`
+    (xmin, ymin, xmax, ymax).
 
     contains(points) equals points_in_rects(points, rects) but tests each
     point only against the rects of its cell.  A rect joins every cell its
@@ -199,6 +202,7 @@ class RectBuckets:
 
     def __init__(self, rects: np.ndarray, bounds: tuple[float, float, float, float]):
         r = np.asarray(rects, dtype=float).reshape(-1, 4)
+        self.bounds = tuple(bounds)
         self.origin = np.array(bounds[:2], dtype=float)
         self.shape = np.maximum(
             np.ceil((np.array(bounds[2:]) - self.origin) / _BUCKET_M).astype(int), 1)
@@ -234,19 +238,17 @@ class RectBuckets:
 
 def sample_outdoor_points(
     count: int,
-    bounds: tuple[float, float, float, float],
-    obstacles: np.ndarray,
+    buckets: RectBuckets,
     rng: np.random.Generator,
     max_tries: int = 200,
 ) -> np.ndarray:
-    """Uniform points in `bounds` rejected against obstacle interiors.
+    """Uniform points in buckets.bounds rejected against its rects' interiors.
 
     Returns an array of shape (count, 2).
     """
-    xmin, ymin, xmax, ymax = bounds
+    xmin, ymin, xmax, ymax = buckets.bounds
     if count == 0:
         return np.empty((0, 2))
-    buckets = RectBuckets(obstacles, bounds)
     got: list[np.ndarray] = []
     need = count
     for _ in range(max_tries):

@@ -9,6 +9,11 @@ Everything is flat: only the 2D footprints enter the line-of-sight test.
 The measured grid sits at the centre of a 3 x 3 tiling of identical replicas
 so that cell-border users see realistic neighbour sectors.
 
+An Environment holds everything that depends on the config alone: the
+footprints bucketed for outdoor sampling, the site wedge table, and each
+site's pathloss parameters, shadow link class and shadow key.  It is built
+once per config and shared, read-only, by every drop.
+
 A drop's users are one (N, 2) array of positions, a user's id being its row;
 its D2D pairs are one (P, 2) int array of (tx, rx) user rows, a pair's id
 being its row.
@@ -16,14 +21,15 @@ being its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .channel import LINK_CLASS, site_key
 from .config import AntennaPattern, ChannelParams, ScenarioConfig
-from .geometry import SiteWedges, sample_outdoor_points
+from .geometry import RectBuckets, SiteWedges, sample_outdoor_points
 
 # Canonical block layout on the 387 x 552 m reference grid (scaled for other
 # dimensions).  Tuples are (min, max) coordinates of building columns/rows.
@@ -59,16 +65,16 @@ class Environment:
     width_m: float
     height_m: float
     offsets: np.ndarray  # (G, 2) grid origin offsets, row 0 = central grid
+    bounds: tuple[float, float, float, float]  # (xmin, ymin, xmax, ymax) of all grids
     building_rects: np.ndarray  # (B, 4) footprints of every replica grid
+    buckets: RectBuckets  # building_rects over bounds, for outdoor sampling
     sectors: tuple[Sector, ...]
     site_wedges: SiteWedges  # buildings per azimuth bin of each site
     channel: ChannelParams  # site_wedges reaches its los_max_distance_m
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        xs = self.offsets[:, 0]
-        ys = self.offsets[:, 1]
-        return (xs.min(), ys.min(), xs.max() + self.width_m, ys.max() + self.height_m)
+    # per site id, columns that broadcast against (sites x users) arrays
+    site_pathloss: np.ndarray  # (5, S, 1) its PathlossParams fields, in order
+    site_link_class: np.ndarray  # (S, 1) LINK_CLASS of its kind
+    site_keys: np.ndarray  # (S, 1) its shadowing key
 
     def grid_index_of(self, xy: np.ndarray) -> np.ndarray:
         """Map positions to the replica grid that contains them (-1: none).
@@ -121,8 +127,8 @@ def _grid_offsets(width: float, height: float, rings: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def generate_environment(cfg: ScenarioConfig) -> Environment:
-    """Building footprints, radio sites and site wedge table for all replica
-    grids.
+    """Building footprints, radio sites and the per-site and geometry tables
+    for all replica grids.
 
     Deterministic: replicas repeat the central grid's footprints and sites.
     Memoized, so equal configs share one Environment.
@@ -134,8 +140,10 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
                       for ox, oy in offsets for x0, y0, x1, y1 in base_rects])
 
     street_mid = 0.5 * (MAIN_STREET_Y[0] + MAIN_STREET_Y[1]) * (h / _REF_H)
+    bounds = (*offsets.min(axis=0), *(offsets.max(axis=0) + (w, h)))
     sectors: list[Sector] = []
     site_xy: list[tuple[float, float]] = []
+    site_kinds: list[str] = []
     site_id = 0
     sector_id = 0
     for g, (ox, oy) in enumerate(offsets):
@@ -148,6 +156,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
                 site_positions.append(("micro", mx, street_mid - 3.75 + oy))
         for kind, sx, sy in site_positions:
             site_xy.append((sx, sy))
+            site_kinds.append(kind)
             params = cfg.macro if kind == "macro" else cfg.micro
             for k in range(params.sectors_per_site):
                 sectors.append(Sector(
@@ -168,17 +177,28 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
             site_id += 1
 
     wedges = SiteWedges(site_xy, rects, cfg.channel.los_max_distance_m)
-    for a in (offsets, rects, wedges.sites, wedges.rects, wedges.inner,
-              wedges.rect_idx, wedges.start):
+    buckets = RectBuckets(rects, bounds)
+    links = {"macro": cfg.channel.macro_link, "micro": cfg.channel.micro_link}
+    site_pathloss = np.array([astuple(links[k]) for k in site_kinds]).T[..., None]
+    site_link_class = np.array([[LINK_CLASS[k]] for k in site_kinds], dtype=np.uint64)
+    site_keys = site_key(np.arange(len(site_kinds))[:, None])
+    for a in (offsets, rects, wedges.sites, wedges.rects, wedges.inner, wedges.rect_idx,
+              wedges.start, buckets.origin, buckets.shape, buckets.cell_rects,
+              site_pathloss, site_link_class, site_keys):
         a.flags.writeable = False
     return Environment(
         width_m=w,
         height_m=h,
         offsets=offsets,
+        bounds=bounds,
         building_rects=rects,
+        buckets=buckets,
         sectors=tuple(sectors),
         site_wedges=wedges,
         channel=cfg.channel,
+        site_pathloss=site_pathloss,
+        site_link_class=site_link_class,
+        site_keys=site_keys,
     )
 
 
@@ -194,7 +214,7 @@ def drop_users(cfg: ScenarioConfig, env: Environment, rng: np.random.Generator) 
         count = cfg.fixed_user_count
     else:
         count = int(rng.poisson(cfg.user_density_per_km2 * area_km2))
-    return sample_outdoor_points(count, env.bounds, env.building_rects, rng)
+    return sample_outdoor_points(count, env.buckets, rng)
 
 
 def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,13 +12,13 @@ import pytest
 from conftest import tiny_config
 
 from d2dsim import channel, cli, engine
-from d2dsim.channel import GainSet
+from d2dsim.channel import GainSet, noise_power_watts
 from d2dsim.config import ConfigError, ScenarioConfig, apply_scenario
 from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, schedule,
                            write_outputs)
 from d2dsim.feasibility import FeasibilityMatrix, sinr_d2d_matrix
-from d2dsim.metrics import scheduled_cross_links, sector_rates
+from d2dsim.metrics import CapacityReport, link_rates
 from d2dsim.rrm import Allocation, allocate_none, allocate_proposed
 from d2dsim.scenario import drop_users, generate_environment, pair_users
 from d2dsim.signaling import run_single_cell
@@ -32,11 +32,18 @@ def test_drop_seed_stable_and_distinct():
     assert drop_seed(1, 0) != drop_seed(0, 0)
 
 
+def sector_slices(arrays, k):
+    """The pair rows and cellular rows of the k-th evaluated sector."""
+    return (slice(arrays.pair_start[k], arrays.pair_start[k + 1]),
+            slice(arrays.cell_start[k], arrays.cell_start[k + 1]))
+
+
 def first_state_fingerprint(drop):
-    st = drop.states[0]
-    return (st.sector_id, st.sinr_cell.tobytes(), st.d2d_signal.tobytes(),
-            st.p_cell.tobytes(), st.sigma2_d2d, st.rx_users.tobytes(),
-            st.cell_users.tobytes(), st.baseline_sinr.tobytes(),
+    st, a = drop.states[0], drop.arrays
+    ps, cs = sector_slices(a, 0)
+    return (st.sector_id, st.sinr_cell.tobytes(), a.d2d_signal[ps].tobytes(),
+            a.p_cell[cs].tobytes(), a.sigma2_d2d[ps].tobytes(), a.rx_users[ps].tobytes(),
+            a.cell_users[cs].tobytes(), st.baseline_sinr.tobytes(),
             st.feas_context.entries.tobytes())
 
 
@@ -56,15 +63,26 @@ def test_build_drop_states_are_measured_and_shared():
     cfg = tiny_config()
     drop = build_drop(cfg, 7)
     assert drop.states, "a 40-user drop must populate at least one sector"
-    env = None
-    for st in drop.states:
-        assert st.cell_measured.any() or st.pair_measured.any()
-        if env is None:
-            env = generate_environment(cfg)
+    a = drop.arrays
+    env = generate_environment(cfg)
+    assert len(a.kinds) == len(drop.states)
+    assert [st.sector_id for st in drop.states] == sorted({st.sector_id for st in drop.states})
+    flat = []
+    for k, st in enumerate(drop.states):
+        ps, cs = sector_slices(a, k)
+        assert a.cell_measured[cs].any() or a.pair_measured[ps].any()
         sector = next(s for s in env.sectors if s.sector_id == st.sector_id)
         n_pairs, m = st.shape
-        assert st.share_bw_hz == pytest.approx(sector.bandwidth_hz / max(m, 1))
+        assert (ps.stop - ps.start, cs.stop - cs.start) == (n_pairs, m)
+        assert a.kinds[k] == sector.kind
+        shares = np.concatenate([a.pair_share_hz[ps], a.cell_share_hz[cs]])
+        assert shares == pytest.approx(sector.bandwidth_hz / max(m, 1))
         assert st.feas_context.entries.shape == (n_pairs, m)
+        # the schedulers' matrix and baseline are views of the drop's buffers
+        assert np.shares_memory(st.sinr_cell, a.sinr_cell)
+        np.testing.assert_array_equal(st.baseline_sinr, a.baseline_sinr[cs])
+        flat.append(st.sinr_cell.ravel())
+    np.testing.assert_array_equal(np.concatenate(flat), a.sinr_cell)
 
 
 def scheduled_plans(result, states):
@@ -77,6 +95,20 @@ def scheduled_plans(result, states):
             for s, plan in rows.items()}
 
 
+def full_cross_gain_db(drop):
+    """Per evaluated sector, the (N x M) gains (dB) of every (pair rx,
+    cellular) link, from one user_user_gain_db call over all of them."""
+    a = drop.arrays
+    links = []
+    for k, st in enumerate(drop.states):
+        ps, cs = sector_slices(a, k)
+        n, m = st.shape
+        links.append(np.array([np.repeat(a.rx_users[ps], m), np.tile(a.cell_users[cs], n)]))
+    cross_db = np.split(drop.channel.user_user_gain_db(*np.hstack(links))[0],
+                        np.cumsum([link.shape[1] for link in links])[:-1])
+    return [db.reshape(st.shape) for st, db in zip(drop.states, cross_db)]
+
+
 @pytest.mark.parametrize("scenario", ["macro-scheme1", "hetnet"])
 def test_scheduled_d2d_sinr_equals_full_cross_gain_matrix(scenario):
     """On a real drop, every scheduled reuse's D2D SINR and rate are bit-equal
@@ -85,31 +117,95 @@ def test_scheduled_d2d_sinr_equals_full_cross_gain_matrix(scenario):
     cfg = apply_scenario(ScenarioConfig(), scenario)
     seed = drop_seed(3, 1)
     drop = build_drop(cfg, seed)
+    a = drop.arrays
     plans = scheduled_plans(run_drop(cfg, seed), drop.states)
-    # every (pair rx, cellular) link of every evaluated sector, in one call
-    links = [np.array([np.repeat(st.rx_users, st.shape[1]), np.tile(st.cell_users, st.shape[0])])
-             for st in drop.states]
-    cross_db = np.split(drop.channel.user_user_gain_db(*np.hstack(links))[0],
-                        np.cumsum([link.shape[1] for link in links])[:-1])
+    cross_db = full_cross_gain_db(drop)
     checked = 0
-    for k, (st, db) in enumerate(zip(drop.states, cross_db)):
-        n, m = st.shape
-        # d2d_signal is h_d2d * p_d2d, so the pairs get unit power here
-        gains = GainSet(st.sector_id, h_cell=np.zeros(m), h_d2d=st.d2d_signal,
-                        h_d2d_bs=np.zeros(n), h_cross=db_to_linear(db).reshape(n, m))
-        full = sinr_d2d_matrix(gains, st.p_cell, np.ones(n), st.sigma2_d2d)
-        for plan in plans.values():
-            # the scheduled reuses' gains, one per reuse in pair order
-            h_cross = db_to_linear(drop.channel.user_user_gain_db(
-                *scheduled_cross_links(st, plan[k]))[0])
-            _, d2d_bps, _, d2d_sinr = sector_rates(st, plan[k], h_cross)
+    for plan in plans.values():
+        # the scheduled reuses' gains, one per reuse in scheme -> sector -> pair order
+        res = a.resource_rows(plan)
+        h_cross = db_to_linear(drop.channel.user_user_gain_db(*a.cross_links(res))[0])
+        _, d2d_bps, _, d2d_sinr = link_rates(a, res, h_cross)
+        for k, (st, db) in enumerate(zip(drop.states, cross_db)):
+            ps, cs = sector_slices(a, k)
+            n, m = st.shape
+            if n == 0:
+                continue
+            # d2d_signal is h_d2d * p_d2d, so the pairs get unit power here
+            gains = GainSet(st.sector_id, h_cell=np.zeros(m), h_d2d=a.d2d_signal[ps],
+                            h_d2d_bs=np.zeros(n), h_cross=db_to_linear(db))
+            full = sinr_d2d_matrix(gains, a.p_cell[cs], np.ones(n), a.sigma2_d2d[ps][0])
             rows, cols = np.array(plan[k].pairs(), dtype=int).reshape(-1, 2).T
-            np.testing.assert_array_equal(d2d_sinr[rows], full[rows, cols])
+            np.testing.assert_array_equal(d2d_sinr[ps][rows], full[rows, cols])
             np.testing.assert_array_equal(
-                d2d_bps[rows], st.share_bw_hz * np.log2(1.0 + full[rows, cols]))
-            assert not d2d_sinr[np.setdiff1d(np.arange(n), rows)].any()
+                d2d_bps[ps][rows], a.pair_share_hz[ps][rows] * np.log2(1.0 + full[rows, cols]))
+            assert not d2d_sinr[ps][np.setdiff1d(np.arange(n), rows)].any()
             checked += len(rows)
     assert checked > 100
+
+
+def reference_report(cfg, drop, plan, cross_db):
+    """One scheme's CapacityReport, sector by sector: each sector's rates
+    from its sinr_cell matrix and its full cross-gain matrix, its measured
+    sums taken with .sum() and added up in sector order."""
+    env = generate_environment(cfg)
+    a = drop.arrays
+    cell = d2d = base = 0.0
+    enabled = clipped = total_tx = 0
+    by_kind = {}
+    for k, (st, alloc, db) in enumerate(zip(drop.states, plan, cross_db, strict=True)):
+        ps, cs = sector_slices(a, k)
+        sector = env.sectors[st.sector_id]
+        share = sector.bandwidth_hz / max(st.shape[1], 1)
+        sigma2_d2d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
+                                       cfg.noise.thermal_density_dbm_hz)
+        res = np.array(alloc.resource_of_pair, dtype=int)
+        rows = np.flatnonzero(res >= 0)
+        cols = res[rows]
+        cell_sinr = st.baseline_sinr.copy()
+        cell_sinr[cols] = st.sinr_cell[rows, cols]
+        d2d_sinr = np.zeros(st.shape[0])
+        d2d_sinr[rows] = a.d2d_signal[ps][rows] / (
+            db_to_linear(db)[rows, cols] * a.p_cell[cs][cols] + sigma2_d2d)
+        cm, pm = a.cell_measured[cs], a.pair_measured[ps]
+        c = float((share * np.log2(1.0 + cell_sinr))[cm].sum())
+        d = float((share * np.log2(1.0 + d2d_sinr))[pm].sum())
+        b = float((share * np.log2(1.0 + st.baseline_sinr))[cm].sum())
+        enabled += int(((res >= 0) & pm).sum())
+        clipped += int(a.cell_clipped[cs][cm].sum()) + int(a.d2d_clipped[ps][pm].sum())
+        total_tx += int(cm.sum()) + int(pm.sum())
+        agg = by_kind.setdefault(sector.kind, {"cell_bps": 0.0, "d2d_bps": 0.0,
+                                               "overall_bps": 0.0, "baseline_cell_bps": 0.0})
+        agg["cell_bps"] += c
+        agg["d2d_bps"] += d
+        agg["overall_bps"] += c + d
+        agg["baseline_cell_bps"] += b
+        cell += c
+        d2d += d
+        base += b
+    return CapacityReport(cell, d2d, cell + d2d, base, enabled,
+                          clipped / total_tx if total_tx else 0.0, by_kind)
+
+
+@pytest.mark.parametrize("scenario", ["macro-scheme1", "hetnet"])
+def test_whole_drop_evaluation_equals_per_sector_reference(scenario):
+    """run_drop's whole-drop reports equal, field by field with ==, a
+    per-sector evaluation over the full cross-gain matrices, under all four
+    schemes."""
+    cfg = apply_scenario(ScenarioConfig(), scenario)
+    seed = drop_seed(3, 1)
+    drop = build_drop(cfg, seed)
+    result = run_drop(cfg, seed)
+    plans = scheduled_plans(result, drop.states)
+    cross_db = full_cross_gain_db(drop)
+    assert set(result.reports) == set(SCHEMES)
+    kinds = {"macro", "micro"} if scenario == "hetnet" else {"macro"}
+    for scheme, report in result.reports.items():
+        want = reference_report(cfg, drop, plans[scheme], cross_db)
+        for f in dataclasses.fields(CapacityReport):
+            assert getattr(report, f.name) == getattr(want, f.name), (scheme, f.name)
+        assert set(report.by_kind) == kinds
+    assert result.reports["proposed"].enabled_pairs > 0
 
 
 def test_ue_ue_calls_cover_d2d_links_and_scheduled_cross_links_in_order(monkeypatch):
@@ -128,22 +224,23 @@ def test_ue_ue_calls_cover_d2d_links_and_scheduled_cross_links_in_order(monkeypa
     monkeypatch.setattr(channel.DropChannel, "user_user_gain_db", recording)
     result = run_drop(cfg, seed)
     monkeypatch.undo()
-    states = build_drop(cfg, seed).states
+    drop = build_drop(cfg, seed)
+    a = drop.arrays
     assert len(calls) == 2
     d2d, cross = calls
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, engine._stream(seed, "users"))
     pairs = pair_users(cfg, xy, engine._stream(seed, "pairing"))
-    rx_users = np.concatenate([st.rx_users for st in states])
-    assert d2d.shape[1] == len(rx_users)
-    assert set(map(tuple, d2d.T)) == set(map(tuple, pairs[np.isin(pairs[:, 1], rx_users)]))
-    users = {st.sector_id: (st.rx_users, st.cell_users) for st in states}
+    assert d2d.shape[1] == len(a.rx_users)
+    assert set(map(tuple, d2d.T)) == set(map(tuple, pairs[np.isin(pairs[:, 1], a.rx_users)]))
+    users = {st.sector_id: (a.rx_users[ps], a.cell_users[cs])
+             for k, st in enumerate(drop.states) for ps, cs in [sector_slices(a, k)]}
     # alloc_rows run scheme -> sector -> pair
     scheduled = np.array([(users[sector][0][m], users[sector][1][col])
                           for sector, _, m, col in result.alloc_rows]).T
     np.testing.assert_array_equal(cross, scheduled)
     assert len(set(map(tuple, scheduled.T))) < scheduled.shape[1]  # repeats stay
-    assert scheduled.shape[1] < sum(n * m for n, m in (st.shape for st in states)) / 3
+    assert scheduled.shape[1] < sum(n * m for n, m in (st.shape for st in drop.states)) / 3
 
 
 def test_schedule_dispatch():

@@ -324,14 +324,16 @@ def test_rect_buckets_on_hetnet_footprints():
     r = env.building_rects
     pts = np.random.default_rng(2).uniform(env.bounds[:2], env.bounds[2:], size=(20000, 2))
     pts = np.vstack([pts, r[:, :2], r[:, 2:], r[:, [0, 3]], r[:, [2, 1]]])
-    buckets = RectBuckets(r, env.bounds)
+    buckets = env.buckets  # the environment's table, built once per config
+    assert buckets.bounds == env.bounds
     assert buckets.cell_rects.shape[1] < len(r) // 10  # a few rects per cell
     np.testing.assert_array_equal(buckets.contains(pts), points_in_rects(pts, r))
+    np.testing.assert_array_equal(RectBuckets(r, env.bounds).cell_rects, buckets.cell_rects)
 
 
 def test_sample_outdoor_points_avoids_obstacles(rng):
     bounds = (0.0, 0.0, 50.0, 50.0)
-    pts = sample_outdoor_points(500, bounds, RECT, rng)
+    pts = sample_outdoor_points(500, RectBuckets(RECT, bounds), rng)
     assert pts.shape == (500, 2)
     assert (pts[:, 0] >= 0).all() and (pts[:, 0] <= 50).all()
     assert (pts[:, 1] >= 0).all() and (pts[:, 1] <= 50).all()
@@ -339,16 +341,17 @@ def test_sample_outdoor_points_avoids_obstacles(rng):
 
 
 def test_sample_outdoor_points_deterministic():
-    a = sample_outdoor_points(100, (0, 0, 50, 50), RECT, np.random.default_rng(3))
-    b = sample_outdoor_points(100, (0, 0, 50, 50), RECT, np.random.default_rng(3))
+    buckets = RectBuckets(RECT, (0, 0, 50, 50))
+    a = sample_outdoor_points(100, buckets, np.random.default_rng(3))
+    b = sample_outdoor_points(100, buckets, np.random.default_rng(3))
     np.testing.assert_array_equal(a, b)
 
 
 def test_sample_outdoor_points_zero_count(rng):
-    assert sample_outdoor_points(0, (0, 0, 1, 1), RECT, rng).shape == (0, 2)
+    assert sample_outdoor_points(0, RectBuckets(RECT, (0, 0, 1, 1)), rng).shape == (0, 2)
 
 
 def test_sample_outdoor_points_dense_obstacles_raises(rng):
     full = np.array([[0.0, 0.0, 1.0, 1.0]])
     with pytest.raises(RuntimeError):
-        sample_outdoor_points(10, (0.0, 0.0, 1.0, 1.0), full, rng)
+        sample_outdoor_points(10, RectBuckets(full, (0.0, 0.0, 1.0, 1.0)), rng)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from d2dsim.channel import DropChannel
+from d2dsim.channel import LINK_CLASS, DropChannel, site_key
 from d2dsim.config import ScenarioConfig, apply_scenario
 from d2dsim.engine import _shadow_seed, _stream, drop_seed
 from d2dsim.geometry import points_in_rects
@@ -327,12 +327,25 @@ def test_environment_is_memoized_and_read_only():
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     env = generate_environment(cfg)
     assert generate_environment(dataclasses.replace(cfg)) is env  # equal, not identical
-    wedges = env.site_wedges
+    wedges, buckets = env.site_wedges, env.buckets
     for a in (env.offsets, env.building_rects, wedges.sites, wedges.rects, wedges.inner,
-              wedges.rect_idx, wedges.start):
+              wedges.rect_idx, wedges.start, buckets.origin, buckets.shape,
+              buckets.cell_rects, env.site_pathloss, env.site_link_class, env.site_keys):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+    # the per-site link columns, one row per site id
+    kinds = [next(s.kind for s in env.sectors if s.site_id == i)
+             for i in range(len(wedges.sites))]
+    links = {"macro": cfg.channel.macro_link, "micro": cfg.channel.micro_link}
+    assert env.site_pathloss.shape == (5, len(kinds), 1)
+    for i, kind in enumerate(kinds):
+        assert tuple(env.site_pathloss[:, i, 0]) == dataclasses.astuple(links[kind])
+        assert env.site_link_class[i, 0] == LINK_CLASS[kind]
+        assert env.site_keys[i, 0] == site_key(i)
+    assert {"macro", "micro"} == set(kinds)
+    np.testing.assert_array_equal(buckets.contains(env.building_rects[:, :2]), True)
+    assert buckets.bounds == env.bounds
     with pytest.raises(dataclasses.FrozenInstanceError):
         env.sectors = ()
     macro = generate_environment(dataclasses.replace(cfg, micro_enabled=False))
