@@ -10,10 +10,13 @@ swapping the ends returns the same value.
 Linear channel gain = 10^(-(pathloss + shadow - antenna)/10); every consumer
 works on these linear gains.
 
-A drop's site links are built in one pass, a few sites at a time, into
-(sites x users) arrays; a sector reads its site's row and adds its antenna
-term; the per-site pathloss parameters, shadow classes and keys depend on the
-config alone and come from the Environment.  UE-UE gains are built only where
+No drop builds every site link.  site_power_bound_db bounds, per (site,
+user), the biased DL power of every sector of the site from the distance,
+the exact shadowing and the site's largest antenna gain alone;
+site_sector_gains_db builds exact gains, LOS test and antenna term included,
+element-wise over the (user, site) links association picks from those
+bounds.  The per-site and per-sector columns both read depend on the config
+alone and come from the Environment.  UE-UE gains are built only where
 read: one user_user_gain_db call over the D2D links of every evaluated sector,
 and one over the cross link of every reuse that some scheme schedules, in
 scheme -> sector -> pair order.
@@ -22,7 +25,6 @@ scheme -> sector -> pair order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,9 +42,12 @@ _SITE_KEY_BASE = np.uint64(1) << np.uint64(33)
 
 LINK_CLASS = {"macro": 1, "micro": 2, "ue": 3}
 
-# Sites per slab of the site pass: a slab's (sites x users) temporaries stay
-# small, and its LOS call covers whole sites.
+# Sites per slab of the association bound pass: a slab's (sites x users)
+# temporaries stay small.
 _SITE_SLAB = 4
+# Slack of a site's power bound over any sector's exact biased power: about
+# 1e7 times the rounding by which 0.5 log10(d^2) and log10(hypot) may differ.
+_BOUND_MARGIN_DB = 1e-6
 
 
 def user_keys(user_ids) -> np.ndarray:
@@ -143,7 +148,7 @@ class GainSet:
 
 
 class DropChannel:
-    """Frozen per-drop channel: geometry, LOS, shadowing and site links.
+    """Frozen per-drop channel: geometry, LOS, shadowing and link gains.
 
     The channel model is env.channel.  A user is its row of users_xy, and its
     shadowing key is built from that row.
@@ -174,39 +179,72 @@ class DropChannel:
             los.flat[los_idx[blocked(los_idx)]] = False
         return los
 
-    @cached_property
-    def site_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Negated pathloss, azimuth (deg) and shadowing of every link from a
-        user to a site, as (sites x users) arrays indexed by site id.
+    def site_power_bound_db(self) -> np.ndarray:
+        """(sites x users) upper bounds on the biased DL power of every sector
+        of a site at a user, indexed by site id.
 
-        All three depend on the site alone (every sector of a site shares its
-        position and kind), so the sectors of a site differ only in the
-        antenna term that user_sector_gain_db adds.  Built on first use,
-        _SITE_SLAB sites at a time, with one LOS call and one shadow hash per
-        slab.  The LOS test reads the environment's SiteWedges, so it
-        slab-tests only the buildings in each link's azimuth bin; the link
-        parameters, classes and keys are the environment's per-site columns.
+        A bound takes the site's largest dl_power + selection_offset +
+        antenna gain, the exact shadowing, and a pathloss no link can
+        undercut: min(LOS, NLOS) wherever the link may be LOS (d^2 within
+        reach^2 (1 + 1e-9)), NLOS beyond.  The distance enters as
+        0.5 log10(d^2), so no azimuth, LOS test or antenna term is built;
+        _BOUND_MARGIN_DB covers the rounding that the exact path, which
+        takes log10(hypot), may differ by.  Built _SITE_SLAB sites at a time.
         """
         env = self.env
-        wedges = env.site_wedges
-        site_xy = wedges.sites  # row s is site id s
-        n = len(self.users_xy)
+        site_xy = env.site_wedges.sites  # row s is site id s
         x, y = self.users_xy.T
-        neg_pl, azimuth, shadow = (np.empty((len(site_xy), n)) for _ in range(3))
+        reach2 = self.params.los_max_distance_m ** 2 * (1.0 + 1e-9)
+        min_d2 = self.params.min_distance_m ** 2
+        bound = np.empty((len(site_xy), len(x)))
         for s0 in range(0, len(site_xy), _SITE_SLAB):
             rows = slice(s0, s0 + _SITE_SLAB)
             dx = x - site_xy[rows, 0:1]
             dy = y - site_xy[rows, 1:2]
-            dist = np.hypot(dx, dy)
-            azimuth[rows] = np.degrees(np.arctan2(dy, dx))
-            los = self._los_mask(dist, lambda i: wedges.blocked(
-                s0 + i // n, self.users_xy[i % n], azimuth[rows].flat[i]))
+            d2 = dx * dx + dy * dy
+            logd = 0.5 * np.log10(np.maximum(d2, min_d2))
             pl = PathlossParams(*env.site_pathloss[:, rows])
-            neg_pl[rows] = -pathloss_db(dist, los, pl, self.params.min_distance_m)
-            shadow[rows] = self.shadow.sample_rounded_db(
+            pl_nlos = pl.intercept_db + pl.slope_nlos_db * logd + pl.nlos_penalty_db
+            pl_low = np.where(d2 <= reach2, np.minimum(
+                pl.intercept_db + pl.slope_los_db * logd, pl_nlos), pl_nlos)
+            shadow = self.shadow.sample_rounded_db(
                 env.site_link_class[rows], self.user_rounds, env.site_keys[rows],
                 pl.shadow_sigma_db)
-        return neg_pl, azimuth, shadow
+            bound[rows] = env.site_bound_db[rows] + (shadow - pl_low) + _BOUND_MARGIN_DB
+        return bound
+
+    def site_sector_gains_db(self, users, sites) -> tuple[np.ndarray, np.ndarray]:
+        """Channel gains (dB, antenna included) from every sector of site
+        sites[i] to user users[i], element-wise over the links.
+
+        Returns (gain, sector) over the (link, sector) entries, link by link,
+        each link's sectors in ascending id.  The LOS test reads the
+        environment's SiteWedges, so it slab-tests only the buildings in each
+        link's azimuth bin; the link parameters, classes, keys and antenna
+        columns are the environment's.
+        """
+        env = self.env
+        wedges = env.site_wedges
+        users = np.asarray(users, dtype=int)
+        sites = np.asarray(sites, dtype=int)
+        xy = self.users_xy[users]
+        dx = xy[:, 0] - wedges.sites[sites, 0]
+        dy = xy[:, 1] - wedges.sites[sites, 1]
+        dist = np.hypot(dx, dy)
+        azimuth = np.degrees(np.arctan2(dy, dx))
+        los = self._los_mask(dist, lambda i: wedges.blocked(sites[i], xy[i], azimuth[i]))
+        pl = PathlossParams(*env.site_pathloss[:, sites, 0])
+        neg_pl = -pathloss_db(dist, los, pl, self.params.min_distance_m)
+        shadow = self.shadow.sample_rounded_db(
+            env.site_link_class[sites, 0], self.user_rounds[users], env.site_keys[sites, 0],
+            pl.shadow_sigma_db)
+        first = env.site_sectors[sites]
+        count = env.site_sectors[sites + 1] - first
+        link = np.repeat(np.arange(len(sites)), count)
+        sector = np.arange(len(link)) + np.repeat(first - (np.cumsum(count) - count), count)
+        ant = antenna_gain_db(AntennaPattern(*env.sector_antenna[:, sector]),
+                              azimuth[link] - env.sector_boresight[sector])
+        return neg_pl[link] + ant + shadow[link], sector
 
     # -- gains ----------------------------------------------------------------
 
@@ -215,10 +253,9 @@ class DropChannel:
 
         user_idx is any numpy index of users; slice(None) takes them all.
         """
-        neg_pl, azimuth, shadow = self.site_links
-        s = sector.site_id
-        ant = antenna_gain_db(sector.antenna, azimuth[s, user_idx] - sector.boresight_deg)
-        return neg_pl[s, user_idx] + ant + shadow[s, user_idx]
+        users = np.arange(len(self.users_xy))[user_idx]
+        gain, sectors = self.site_sector_gains_db(users, np.full(len(users), sector.site_id))
+        return gain[sectors == sector.sector_id]
 
     def user_user_gain_db(self, idx_a, idx_b) -> tuple[np.ndarray, np.ndarray]:
         """Element-wise UE-to-UE gains (dB, no antenna directivity) and
@@ -244,24 +281,22 @@ class DropChannel:
 
 
 def build_gain_set(
-    channel: DropChannel,
-    sector: Sector,
-    cell_user_idx: np.ndarray,
-    pair_tx_idx: np.ndarray,
+    sector_id: int,
+    cell_gain_db: np.ndarray,
+    tx_gain_db: np.ndarray,
     d2d_gain_db: np.ndarray,
 ) -> GainSet:
     """Assemble the linear gains a sector needs to schedule reuse, h_cross
     left unset.
 
-    cell_user_idx are the sector's cellular uplink users and pair_tx_idx the
-    transmitting ends of its D2D pairs; d2d_gain_db is the gains that
+    cell_gain_db are the gains of the sector's cellular uplink users to it
+    and tx_gain_db those of its D2D pairs' transmitting ends, both as the
+    serving gains associate_users gives; d2d_gain_db is the gains that
     user_user_gain_db gives over the pairs' tx -> rx links.
     """
-    cell_idx = np.asarray(cell_user_idx, dtype=int)
-    tx = np.asarray(pair_tx_idx, dtype=int)
     return GainSet(
-        sector_id=sector.sector_id,
-        h_cell=db_to_linear(channel.user_sector_gain_db(cell_idx, sector)),
+        sector_id=sector_id,
+        h_cell=db_to_linear(cell_gain_db),
         h_d2d=db_to_linear(d2d_gain_db),
-        h_d2d_bs=db_to_linear(channel.user_sector_gain_db(tx, sector)),
+        h_d2d_bs=db_to_linear(tx_gain_db),
     )

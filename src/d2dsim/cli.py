@@ -15,6 +15,10 @@ from . import engine, rrm, signaling
 from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig, _merge,
                      apply_scenario, load_config, validate_config)
 from .feasibility import FeasibilityMatrix
+from .scenario import exhaustive_association
+
+# Seed-0 drops per preset that the association oracle checks.
+_ASSOCIATION_DROPS = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="single-cell only: the non-requesting end lacks coverage")
     tr_p.add_argument("--out", default="-", help="output file, '-' for stdout")
 
-    or_p = sub.add_parser("oracle", help="run the built-in solver cross-checks")
+    or_p = sub.add_parser("oracle", help="run the built-in solver and association cross-checks")
     or_p.add_argument("--matching-instances", type=int, default=300)
     or_p.add_argument("--assignment-instances", type=int, default=200)
     or_p.add_argument("--seed", type=int, default=0)
@@ -215,6 +219,20 @@ def _cmd_oracle(args) -> int:
             mismatches += 1
     line = "PASS" if mismatches == 0 else f"FAIL ({mismatches} mismatches)"
     print(f"assignment oracle [{args.assignment_instances} instances]: {line}")
+    ok &= mismatches == 0
+
+    # bit-level: element-wise gains must not depend on the links around them
+    mismatches = 0
+    for preset in SCENARIO_PRESETS:
+        cfg = apply_scenario(ScenarioConfig(), preset)
+        for d in range(_ASSOCIATION_DROPS):
+            drop = engine.build_drop(cfg, engine.drop_seed(0, d))
+            serving, gain = exhaustive_association(drop.channel)
+            mismatches += np.count_nonzero(
+                (drop.serving != serving)
+                | (drop.serving_gain.view(np.int64) != gain.view(np.int64)))
+    line = "PASS" if mismatches == 0 else f"FAIL ({mismatches} users)"
+    print(f"association oracle [{_ASSOCIATION_DROPS} seed-0 drops per preset]: {line}")
     ok &= mismatches == 0
     return 0 if ok else 1
 

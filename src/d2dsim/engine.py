@@ -9,6 +9,9 @@ replica-grid sectors exist to keep border association honest.
 A drop's users are rows of one (N, 2) position array and its D2D pairs rows
 of one (P, 2) array of (tx, rx) user rows.  A user is cellular unless it ends
 a pair, and a pair belongs to the sector serving its transmitting end.
+Association hands back each user's serving gain with its serving sector, so
+a sector's gain set reads the gains of its cellular users and pair
+transmitters instead of rebuilding them.
 
 A drop keeps two views of its evaluated sectors: one SectorState per sector
 for the schedulers, and one DropArrays that lays the sectors' evaluation
@@ -71,6 +74,7 @@ class DropState:
     n_users: int
     n_pairs: int
     serving: np.ndarray
+    serving_gain: np.ndarray  # dB, antenna included, per user
     states: list[SectorState]  # evaluated sectors, ascending sector id
     arrays: DropArrays  # the same sectors, in the same order
     channel: DropChannel
@@ -84,7 +88,7 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     pairs = pair_users(cfg, xy, _stream(seed, "pairing"))
     n = len(xy)
     channel = DropChannel(env, _shadow_seed(seed), xy)
-    serving = associate_users(xy, env, channel)
+    serving, serving_gain = associate_users(xy, env, channel)
 
     cell_targets = draw_snr_targets(cfg.cell_snr_target_db, n, _stream(seed, "targets-cell"))
     d2d_targets = draw_snr_targets(cfg.d2d_snr_target_db, len(pairs), _stream(seed, "targets-d2d"))
@@ -134,7 +138,8 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         sigma2_d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
                                      cfg.noise.thermal_density_dbm_hz)
         pair_share[ps], cell_share[cs], sigma2_d2d[ps] = share, share, sigma2_d
-        gains = build_gain_set(channel, sector, cell_idx, tx_users[ps], d2d_db[pair_k])
+        gains = build_gain_set(sector_id, serving_gain[cell_idx], serving_gain[tx_users[ps]],
+                               d2d_db[pair_k])
         p_cell[cs], cell_clipped[cs] = open_loop_power_w(
             cell_targets[cell_idx], gains.h_cell, sigma2_cell, cfg.ue_max_power_dbm)
         p_d2d, d2d_clipped[ps] = open_loop_power_w(
@@ -171,8 +176,8 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         cell_measured=measured[cell_users],
         cell_clipped=cell_clipped,
     )
-    return DropState(n_users=n, n_pairs=len(pairs), serving=serving, states=states,
-                     arrays=arrays, channel=channel)
+    return DropState(n_users=n, n_pairs=len(pairs), serving=serving, serving_gain=serving_gain,
+                     states=states, arrays=arrays, channel=channel)
 
 
 def schedule(state: SectorState, scheme: str,

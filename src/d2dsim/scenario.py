@@ -10,9 +10,15 @@ The measured grid sits at the centre of a 3 x 3 tiling of identical replicas
 so that cell-border users see realistic neighbour sectors.
 
 An Environment holds everything that depends on the config alone: the
-footprints bucketed for outdoor sampling, the site wedge table, and each
-site's pathloss parameters, shadow link class and shadow key.  It is built
-once per config and shared, read-only, by every drop.
+footprints bucketed for outdoor sampling, the site wedge table, each site's
+pathloss parameters, shadow link class, shadow key, power bound and run of
+sector ids, and each sector's boresight, antenna, DL power and selection
+offset.  It is built once per config and shared, read-only, by every drop.
+
+Association is an exact, bound-pruned search: every (site, user) gets a
+cheap upper bound on the biased power of the site's sectors, and exact
+powers are built only for the sectors of the sites whose bound can still
+reach a user's best power.
 
 A drop's users are one (N, 2) array of positions, a user's id being its row;
 its D2D pairs are one (P, 2) int array of (tx, rx) user rows, a pair's id
@@ -27,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .channel import LINK_CLASS, site_key
+from .channel import LINK_CLASS, DropChannel, site_key
 from .config import AntennaPattern, ChannelParams, ScenarioConfig
 from .geometry import RectBuckets, SiteWedges, sample_outdoor_points
 
@@ -41,6 +47,9 @@ _PARK_BLOCK = (1, 1)  # (column, row): centre block of the second row
 _SPLIT_BLOCKS = {(0, 0), (2, 0), (0, 3), (2, 3)}  # corner blocks, split by alley
 _ALLEY_M = 6.0
 MAIN_STREET_Y = (265.5, 286.5)  # between rows 1 and 2
+# Site links per chunk of association's exact stage, so that its LOS and
+# antenna temporaries stay small.
+_LINK_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,13 @@ class Environment:
     site_pathloss: np.ndarray  # (5, S, 1) its PathlossParams fields, in order
     site_link_class: np.ndarray  # (S, 1) LINK_CLASS of its kind
     site_keys: np.ndarray  # (S, 1) its shadowing key
+    site_bound_db: np.ndarray  # (S, 1) dl_power + selection_offset + max antenna gain
+    site_sectors: np.ndarray  # (S + 1,) first sector id of each site, then the sector count
+    # per sector id
+    sector_boresight: np.ndarray  # (C,) boresight_deg
+    sector_antenna: np.ndarray  # (3, C) its AntennaPattern fields, in order
+    sector_dl_dbm: np.ndarray  # (C,) dl_power_dbm
+    sector_offset_db: np.ndarray  # (C,) selection_offset_db
 
     def grid_index_of(self, xy: np.ndarray) -> np.ndarray:
         """Map positions to the replica grid that contains them (-1: none).
@@ -144,6 +160,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
     sectors: list[Sector] = []
     site_xy: list[tuple[float, float]] = []
     site_kinds: list[str] = []
+    site_sectors = [0]
     site_id = 0
     sector_id = 0
     for g, (ox, oy) in enumerate(offsets):
@@ -175,6 +192,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
                 ))
                 sector_id += 1
             site_id += 1
+            site_sectors.append(sector_id)
 
     wedges = SiteWedges(site_xy, rects, cfg.channel.los_max_distance_m)
     buckets = RectBuckets(rects, bounds)
@@ -182,9 +200,19 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
     site_pathloss = np.array([astuple(links[k]) for k in site_kinds]).T[..., None]
     site_link_class = np.array([[LINK_CLASS[k]] for k in site_kinds], dtype=np.uint64)
     site_keys = site_key(np.arange(len(site_kinds))[:, None])
+    sites = {"macro": cfg.macro, "micro": cfg.micro}
+    columns = {
+        "site_bound_db": np.array([[sites[k].dl_power_dbm + sites[k].selection_offset_db
+                                    + sites[k].antenna.max_gain_dbi] for k in site_kinds]),
+        "site_sectors": np.array(site_sectors),
+        "sector_boresight": np.array([s.boresight_deg for s in sectors]),
+        "sector_antenna": np.array([astuple(s.antenna) for s in sectors]).reshape(-1, 3).T,
+        "sector_dl_dbm": np.array([s.dl_power_dbm for s in sectors]),
+        "sector_offset_db": np.array([s.selection_offset_db for s in sectors]),
+    }
     for a in (offsets, rects, wedges.sites, wedges.rects, wedges.inner, wedges.rect_idx,
               wedges.start, buckets.origin, buckets.shape, buckets.cell_rects,
-              site_pathloss, site_link_class, site_keys):
+              site_pathloss, site_link_class, site_keys, *columns.values()):
         a.flags.writeable = False
     return Environment(
         width_m=w,
@@ -199,6 +227,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
         site_pathloss=site_pathloss,
         site_link_class=site_link_class,
         site_keys=site_keys,
+        **columns,
     )
 
 
@@ -257,23 +286,73 @@ def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) ->
     return ids[np.array(pairs, dtype=int).reshape(-1, 2)]
 
 
-def associate_users(xy: np.ndarray, env: Environment, channel) -> np.ndarray:
+def associate_users(
+    xy: np.ndarray, env: Environment, channel: DropChannel
+) -> tuple[np.ndarray, np.ndarray]:
     """Attach every user to the sector with the strongest biased DL power.
 
-    A sector's biased power at a user is its dl_power_dbm, plus
-    channel.user_sector_gain_db(slice(None), sector) (the gain of every row
-    of xy), plus its selection_offset_db; ties resolve to the lowest sector
-    id.  Returns the serving sector id per row of xy.
+    A sector's biased power at a user is its dl_power_dbm, plus the gain
+    channel.user_sector_gain_db gives, plus its selection_offset_db; ties
+    resolve to the lowest sector id.  Returns the serving sector id and the
+    serving gain (dB, antenna included) per row of xy.
+
+    The search is exact and prunes whole sites.  channel.site_power_bound_db
+    bounds every sector of a site from above; the sectors of each user's
+    best-bound site are evaluated first, then those of every other site
+    whose bound reaches the user's best power so far.  A site left out has
+    every power strictly below that best, so it can neither win nor tie.
     """
     n = len(xy)
-    serving = np.full(n, -1, dtype=int)
     if n == 0:
-        return serving
-    best = np.full(n, -np.inf)
-    for sector in env.sectors:  # ascending sector_id, so strict > keeps lowest id on ties
-        p = (sector.dl_power_dbm + channel.user_sector_gain_db(slice(None), sector)
-             + sector.selection_offset_db)
-        better = p > best
-        serving[better] = sector.sector_id
-        best[better] = p[better]
-    return serving
+        return np.zeros(0, dtype=int), np.zeros(0)
+    users = np.arange(n)
+    bound = channel.site_power_bound_db()
+    first = bound.argmax(axis=0)
+    _, best, serving, gain = _strongest(channel, env, users, first)
+    bound[first, users] = -np.inf
+    # (user, site) in user order, each user's sites ascending
+    cand_users, cand_sites = np.nonzero((bound >= best).T)
+    u, p, sector, g = _strongest(channel, env, cand_users, cand_sites)
+    take = (p > best[u]) | ((p == best[u]) & (sector < serving[u]))
+    serving[u[take]] = sector[take]
+    gain[u[take]] = g[take]
+    return serving, gain
+
+
+def _strongest(channel: DropChannel, env: Environment, users: np.ndarray, sites: np.ndarray):
+    """Exact biased powers of every sector of site sites[i] at user users[i]
+    (users ascending), reduced per user: (users, strongest power, its
+    sector, lowest on ties, its gain), one entry per distinct user.
+
+    Evaluated _LINK_CHUNK links at a time into preallocated entries.
+    """
+    count = env.site_sectors[sites + 1] - env.site_sectors[sites]
+    power, gain = np.empty((2, count.sum()))
+    sector = np.empty(len(power), dtype=int)
+    k = 0
+    for c in range(0, len(users), _LINK_CHUNK):
+        g, s = channel.site_sector_gains_db(users[c:c + _LINK_CHUNK], sites[c:c + _LINK_CHUNK])
+        e = slice(k, k + len(g))
+        gain[e], sector[e] = g, s
+        power[e] = env.sector_dl_dbm[s] + g + env.sector_offset_db[s]
+        k += len(g)
+    entry_user = np.repeat(users, count)
+    start = np.flatnonzero(np.diff(entry_user, prepend=-1))
+    # maxima and minima do not depend on the order they are taken in
+    width = np.diff(np.append(start, len(power)))
+    best = np.maximum.reduceat(power, start)
+    top = power == np.repeat(best, width)
+    win = np.minimum.reduceat(np.where(top, sector, len(env.sectors)), start)
+    pick = top & (sector == np.repeat(win, width))
+    return entry_user[start], best, win, gain[pick]
+
+
+def exhaustive_association(channel: DropChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for associate_users: the first argmax over every sector of
+    dl_power_dbm + channel.user_sector_gain_db + selection_offset_db, and
+    the serving gain, for every user of the channel."""
+    sectors = channel.env.sectors
+    gains = np.array([channel.user_sector_gain_db(slice(None), s) for s in sectors])
+    power = np.array([s.dl_power_dbm + g + s.selection_offset_db for s, g in zip(sectors, gains)])
+    serving = power.argmax(axis=0)
+    return serving, gains[serving, np.arange(len(serving))]

@@ -178,16 +178,21 @@ def test_ue_shadow_equals_sample_db_with_either_end_smaller():
 
 
 def test_associate_users_equals_per_sector_dl_power():
-    """Serving sector = first argmax of dl_power + gain + offset over sectors."""
+    """Serving sector = first argmax of dl_power + gain + offset over sectors;
+    the serving gain is that sector's gain, bit for bit."""
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, np.random.default_rng(6))
     ch = DropChannel(env, 13, xy)
     everyone = np.arange(len(xy))
-    power = np.array([s.dl_power_dbm + per_sector_gain_db(ch, everyone, s) + s.selection_offset_db
+    gains = np.array([per_sector_gain_db(ch, everyone, s) for s in env.sectors])
+    power = np.array([s.dl_power_dbm + gains[s.sector_id] + s.selection_offset_db
                       for s in env.sectors])
     assert [s.sector_id for s in env.sectors] == list(range(len(env.sectors)))
-    np.testing.assert_array_equal(associate_users(xy, env, ch), power.argmax(axis=0))
+    serving, gain = associate_users(xy, env, ch)
+    np.testing.assert_array_equal(serving, power.argmax(axis=0))
+    np.testing.assert_array_equal(gain.view(np.int64),
+                                  gains[serving, everyone].view(np.int64))
 
 
 def test_cross_gain_matrix_matches_elementwise():
@@ -226,10 +231,11 @@ def test_build_gain_set_shapes_and_convention():
           [35.0, 276.0], [65.0, 276.0]]
     cfg, env, ch = make_channel(xy, shadow=True)
     sector = env.sectors[0]
+    gain_db = ch.user_sector_gain_db(slice(None), sector)
     cell_idx = np.array([0, 1])
     tx = np.array([2, 3])
     rx = np.array([4, 5])
-    gs = build_gain_set(ch, sector, cell_idx, tx, ue_gain_db(ch, tx, rx))
+    gs = build_gain_set(sector.sector_id, gain_db[cell_idx], gain_db[tx], ue_gain_db(ch, tx, rx))
     assert gs.shape == (2, 2)
     assert gs.h_cell.shape == (2,) and gs.h_d2d.shape == (2,)
     assert gs.h_cross is None  # cross gains are built per scheduled reuse
@@ -243,29 +249,39 @@ def test_build_gain_set_shapes_and_convention():
     np.testing.assert_allclose(gs.h_cell, want_cell, rtol=1e-12)
     want_d2d = 10.0 ** (ue_gain_db(ch, tx, rx) / 10.0)
     np.testing.assert_allclose(gs.h_d2d, want_d2d, rtol=1e-12)
+    want_bs = 10.0 ** (ch.user_sector_gain_db(tx, sector) / 10.0)
+    np.testing.assert_allclose(gs.h_d2d_bs, want_bs, rtol=1e-12)
 
 
 def test_empty_gain_set():
     cfg, env, ch = make_channel([[30.0, 276.0]])
     none = np.zeros(0, dtype=int)
-    gs = build_gain_set(ch, env.sectors[0], none, none, ue_gain_db(ch, none, none))
+    gain_db = ch.user_sector_gain_db(slice(None), env.sectors[0])
+    gs = build_gain_set(0, gain_db[none], gain_db[none], ue_gain_db(ch, none, none))
     assert gs.shape == (0, 0)
     assert gs.h_cell.size == 0 and gs.h_d2d.size == 0
     one = np.array([0])
-    gs = build_gain_set(ch, env.sectors[0], none, one, ue_gain_db(ch, one, one))
+    gs = build_gain_set(0, gain_db[none], gain_db[one], ue_gain_db(ch, one, one))
     dist = ch.distance_matrix(one, none)
     assert gs.shape == (1, 0) and dist.shape == (1, 0) and dist.dtype == float
     h_cross = db_to_linear(ue_gain_db(ch, none, none))
     assert h_cross.shape == (0,) and h_cross.dtype == float
+    assert ch.user_sector_gain_db(none, env.sectors[0]).shape == (0,)
 
 
 def test_site_view_cache_consistent():
+    """Site-sector gains are element-wise: a user's gain is the same alone,
+    repeated, or among other users and sites."""
     cfg, env, ch = make_channel([[100.0, 276.0], [150.0, 300.0]], shadow=True)
     sectors = [s for s in env.sectors]
     first = ch.user_sector_gain_db([0, 1], sectors[0])
     again = ch.user_sector_gain_db([0, 1], sectors[0])
     np.testing.assert_array_equal(first, again)
-    assert ch.site_links is ch.site_links  # built once per drop
+    np.testing.assert_array_equal(ch.user_sector_gain_db([1, 0, 1], sectors[0]),
+                                  first[[1, 0, 1]])
+    gain, sector = ch.site_sector_gains_db([1, 0], [0, 0])  # links user 1, user 0
+    np.testing.assert_array_equal(sector, [0, 1, 2, 0, 1, 2])
+    np.testing.assert_array_equal(gain[sector == 0], first[[1, 0]])
 
 
 def per_sector_gain_db(ch, idx, sector):
@@ -303,17 +319,17 @@ def test_site_cache_equals_per_sector_formula_on_hetnet_drop():
         for idx in (everyone, subset):
             np.testing.assert_array_equal(ch.user_sector_gain_db(idx, sector),
                                           per_sector_gain_db(ch, idx, sector))
-    neg_pl, azimuth, shadow = ch.site_links
     n_sites = len({s.site_id for s in env.sectors})
-    assert neg_pl.shape == azimuth.shape == shadow.shape == (n_sites, len(xy))
-    assert n_sites > 4  # more than one slab of the site pass
-    for sector in env.sectors:
-        s = sector.site_id
-        ant = antenna_gain_db(sector.antenna, azimuth[s] - sector.boresight_deg)
-        np.testing.assert_array_equal(neg_pl[s] + ant + shadow[s],
-                                      per_sector_gain_db(ch, everyone, sector))
-        np.testing.assert_array_equal(ch.user_sector_gain_db(slice(None), sector),
-                                      per_sector_gain_db(ch, everyone, sector))
+    assert n_sites > 4  # more than one slab of the bound pass
+    # every site at once, site by site, each link's sectors in ascending id
+    gain, sector = ch.site_sector_gains_db(np.tile(everyone, n_sites),
+                                           np.repeat(np.arange(n_sites), len(xy)))
+    assert len(gain) == len(xy) * len(env.sectors)
+    for s in env.sectors:
+        np.testing.assert_array_equal(gain[sector == s.sector_id],
+                                      per_sector_gain_db(ch, everyone, s))
+        np.testing.assert_array_equal(ch.user_sector_gain_db(slice(None), s),
+                                      per_sector_gain_db(ch, everyone, s))
 
 
 def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
@@ -326,7 +342,7 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
     env = generate_environment(cfg)
     xy = drop_users(cfg, env, rng)
     ch = DropChannel(env, 21, xy)
-    serving = associate_users(xy, env, ch)
+    serving, serving_gain = associate_users(xy, env, ch)
     ends = rng.permutation(len(xy))[:600]
     tx_all, rx_all = ends[:300], ends[300:]
     sectors = []
@@ -349,8 +365,10 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
         np.testing.assert_array_equal(got, ue_gain_db(ch, tx, rx))
         h_cross = cross.reshape(n, m)
         np.testing.assert_array_equal(h_cross, db_to_linear(cross_gain_db(ch, rx, cell)))
-        gs = build_gain_set(ch, sector, cell, tx, got)
+        gs = build_gain_set(sector.sector_id, serving_gain[cell], serving_gain[tx], got)
         np.testing.assert_array_equal(gs.h_d2d, db_to_linear(ue_gain_db(ch, tx, rx)))
+        np.testing.assert_array_equal(gs.h_cell, db_to_linear(per_sector_gain_db(ch, cell, sector)))
+        np.testing.assert_array_equal(gs.h_d2d_bs, db_to_linear(per_sector_gain_db(ch, tx, sector)))
         # the sliced link lengths and the distance matrix are the per-sector
         # distances feasibility reads
         a, b = ch.users_xy[tx], ch.users_xy[rx]

@@ -20,7 +20,7 @@ from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
 from d2dsim.feasibility import FeasibilityMatrix, sinr_d2d_matrix
 from d2dsim.metrics import CapacityReport, link_rates
 from d2dsim.rrm import Allocation, allocate_none, allocate_proposed
-from d2dsim.scenario import drop_users, generate_environment, pair_users
+from d2dsim.scenario import associate_users, drop_users, generate_environment, pair_users
 from d2dsim.signaling import run_single_cell
 from d2dsim.units import db_to_linear
 
@@ -463,8 +463,22 @@ def test_cli_oracle(capsys):
                      "--assignment-instances", "10", "--seed", "1"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 4
     assert "lexicographic oracle [40 instances]: PASS" in out
+    assert "association oracle [2 seed-0 drops per preset]: PASS" in out
+
+
+def test_cli_oracle_flags_a_wrong_association(capsys, monkeypatch):
+    def second_best(xy, env, channel):  # exact powers, but one user served wrong
+        serving, gain = associate_users(xy, env, channel)
+        serving[0] = (serving[0] + 1) % len(env.sectors)
+        return serving, gain
+
+    monkeypatch.setattr(cli.engine, "associate_users", second_best)
+    code = cli.main(["oracle", "--matching-instances", "1", "--assignment-instances", "1"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "association oracle [2 seed-0 drops per preset]: FAIL (6 users)" in out
 
 
 def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):

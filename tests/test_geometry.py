@@ -158,7 +158,15 @@ def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
         ue_calls.append((np.array(p0), np.array(p1), rects))
         return segments_blocked(p0, p1, rects)
 
+    exact_gains = channel.DropChannel.site_sector_gains_db
+    exact_links = []
+
+    def recording_exact(self, users, sites):
+        exact_links.append((np.array(users), np.array(sites)))
+        return exact_gains(self, users, sites)
+
     monkeypatch.setattr(SiteWedges, "blocked", recording_wedges)
+    monkeypatch.setattr(channel.DropChannel, "site_sector_gains_db", recording_exact)
     monkeypatch.setattr(channel, "segments_blocked", recording)
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     engine.build_drop(cfg, engine.drop_seed(0, 0))
@@ -167,7 +175,7 @@ def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
     # both link kinds were tested, each through its own path
     assert site_calls and ue_calls
     assert not any(set(map(tuple, p1)) <= sites for _, p1, _ in ue_calls)
-    n_site_links = 0
+    n_site_links = n_blocked = 0
     for wedges, site, points, az in site_calls:
         assert wedges is env.site_wedges
         d = points - wedges.sites[site]
@@ -175,12 +183,17 @@ def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
         blocked = wedge_blocked(wedges, site, points, az)
         np.testing.assert_array_equal(
             blocked, unpruned_segments_blocked(points, wedges.sites[site], env.building_rects))
-        assert 0 < blocked.sum() < len(blocked)
+        n_blocked += blocked.sum()
         n_site_links += len(site)
-    # every site link within reach went through the wedge path
+    assert 0 < n_blocked < n_site_links
+    # every in-reach site link that association evaluated exactly went
+    # through the wedge path, and association pruned most site links
+    users = np.concatenate([u for u, _ in exact_links])
+    link_sites = np.concatenate([s for _, s in exact_links])
     xy = engine.drop_users(cfg, env, engine._stream(engine.drop_seed(0, 0), "users"))
-    d = xy[None, :, :] - env.site_wedges.sites[:, None, :]
-    assert n_site_links == (np.hypot(d[..., 0], d[..., 1]) <= cfg.channel.los_max_distance_m).sum()
+    d = xy[users] - env.site_wedges.sites[link_sites]
+    assert n_site_links == (np.hypot(d[:, 0], d[:, 1]) <= cfg.channel.los_max_distance_m).sum()
+    assert len(users) < len(xy) * len(env.site_wedges.sites) // 4
     for p0, p1, rects in ue_calls:
         np.testing.assert_array_equal(segments_blocked(p0, p1, rects),
                                       unpruned_segments_blocked(p0, p1, rects))

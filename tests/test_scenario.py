@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from d2dsim.channel import LINK_CLASS, DropChannel, site_key
-from d2dsim.config import ScenarioConfig, apply_scenario
+from d2dsim.config import SCENARIO_PRESETS, ScenarioConfig, apply_scenario
 from d2dsim.engine import _shadow_seed, _stream, drop_seed
 from d2dsim.geometry import points_in_rects
 from d2dsim.scenario import (MAIN_STREET_Y, associate_users, drop_users,
-                             generate_environment, pair_users)
+                             exhaustive_association, generate_environment, pair_users)
 from conftest import tiny_config
 
 
@@ -252,42 +252,101 @@ def test_pair_users_matches_loop_on_real_drops(preset):
     assert_pairing_matches_loop(cfg, xy, lambda: _stream(0, "pairing"))
 
 
-class _StubChannel:
-    """Gains that make the DL power a fixed (user, sector) table."""
-
-    def __init__(self, table):
-        self.table = np.asarray(table, dtype=float)  # (n_users, n_sectors)
-
-    def user_sector_gain_db(self, idx, sector):
-        # integer-valued tables keep dl_power + (table - dl_power) exact
-        return self.table[idx, sector.sector_id] - sector.dl_power_dbm
+def assert_association_exact(xy, env, ch):
+    """Serving ids and serving gains equal the exhaustive reference bit for bit."""
+    serving, gain = associate_users(xy, env, ch)
+    want, want_gain = exhaustive_association(ch)
+    np.testing.assert_array_equal(serving, want)
+    np.testing.assert_array_equal(gain.view(np.int64), want_gain.view(np.int64))
 
 
 def test_associate_users_picks_strongest_biased_power():
-    cfg = tiny_config(micro_enabled=True)
-    env = env_for(cfg)
-    xy = drop_users(cfg, env, np.random.default_rng(8))[:3]
-    offsets = np.array([s.selection_offset_db for s in env.sectors])
-    table = np.zeros((3, len(env.sectors)))
-    table[0, 2] = 50.0            # user 0: sector 2 wins outright
-    table[1, :] = -offsets        # user 1: biased power ties at 0 -> lowest id
-    table[2, 5] = 100.0 - offsets[5]
-    table[2, 6] = 99.0 - offsets[6]
-    serving = associate_users(xy, env, _StubChannel(table))
-    assert serving[0] == 2
-    assert serving[1] == 0
-    assert serving[2] == 5
+    """A user exactly on the bisector of two sectors of one site ties on
+    power and goes to the lower id; just off it, the nearer boresight wins."""
+    macro = dataclasses.replace(ScenarioConfig().macro, sectors_per_site=4,
+                                sector_rotation_deg=45.0)  # boresights 45, 135, 225, 315
+    env = env_for(tiny_config(macro=macro))
+    xy = env.site_wedges.sites[0] + np.array(
+        [[-50.0, 0.0], [50.0, 0.0], [0.0, 50.0], [-50.0, 1.0], [-50.0, -1.0]])
+    ch = DropChannel(env, 3, xy)
+    gains = np.array([ch.user_sector_gain_db(slice(None), s) for s in env.sectors])
+    assert gains[1, 0] == gains[2, 0]  # azimuth 180: sectors 1 and 2 tie
+    assert gains[3, 1] == gains[0, 1]  # azimuth 0: sectors 3 and 0 tie
+    assert gains[0, 2] == gains[1, 2]  # azimuth 90: sectors 0 and 1 tie
+    serving, gain = associate_users(xy, env, ch)
+    np.testing.assert_array_equal(serving, [1, 0, 0, 1, 2])
+    np.testing.assert_array_equal(gain, gains[serving, np.arange(len(xy))])
 
 
 def test_associate_bias_changes_choice():
+    """The micro selection_offset_db moves users from macro to micro sectors."""
     cfg = tiny_config(micro_enabled=True)
+    unbiased = dataclasses.replace(cfg, micro=dataclasses.replace(cfg.micro,
+                                                                  selection_offset_db=0.0))
+    xy = drop_users(cfg, env_for(cfg), np.random.default_rng(8))
+    picks = []
+    for c in (unbiased, cfg):
+        env = env_for(c)
+        ch = DropChannel(env, 5, xy)
+        assert_association_exact(xy, env, ch)
+        picks.append(associate_users(xy, env, ch)[0])
+    kinds = np.array([s.kind for s in env.sectors])
+    flipped = picks[0] != picks[1]
+    assert cfg.micro.selection_offset_db == 15.0 and flipped.any()
+    assert (kinds[picks[0][flipped]] == "macro").all()
+    assert (kinds[picks[1][flipped]] == "micro").all()
+
+
+@pytest.mark.parametrize("preset", SCENARIO_PRESETS)
+def test_associate_users_bit_equals_exhaustive_on_real_drops(preset):
+    cfg = apply_scenario(ScenarioConfig(), preset)
     env = env_for(cfg)
-    xy = drop_users(cfg, env, np.random.default_rng(8))[:1]
-    micro_id = next(s.sector_id for s in env.sectors if s.kind == "micro")
-    table = np.full((1, len(env.sectors)), -200.0)
-    table[0, 0] = -60.0           # macro, offset 0
-    table[0, micro_id] = -70.0    # micro, offset 15 -> biased -55 wins
-    assert associate_users(xy, env, _StubChannel(table))[0] == micro_id
+    for d in range(2):
+        seed = drop_seed(1, d)
+        xy = drop_users(cfg, env, _stream(seed, "users"))
+        assert_association_exact(xy, env, DropChannel(env, _shadow_seed(seed), xy))
+
+
+@st.composite
+def association_cases(draw):
+    """Adversarial single- and nine-grid configs, with users on, within 1 m
+    of, and far from the sites."""
+    base = ScenarioConfig()
+    sigma = draw(st.sampled_from([0.0, 20.0]) | st.floats(0.0, 20.0))
+
+    def site(params):
+        return dataclasses.replace(
+            params, sectors_per_site=draw(st.integers(1, 4)),
+            sector_rotation_deg=draw(st.sampled_from([0.0, 45.0]) | st.floats(0.0, 360.0)),
+            selection_offset_db=draw(st.sampled_from([0.0, -60.0, 60.0])
+                                     | st.floats(-60.0, 60.0)))
+
+    def link(params):
+        return dataclasses.replace(params, shadow_sigma_db=sigma)
+
+    channel = dataclasses.replace(
+        base.channel, macro_link=link(base.channel.macro_link),
+        micro_link=link(base.channel.micro_link), min_distance_m=0.1,
+        los_max_distance_m=draw(st.sampled_from([5.0, 5000.0]) | st.floats(5.0, 5000.0)))
+    cfg = tiny_config(micro_enabled=True, replica_rings=draw(st.sampled_from([0, 1])),
+                      macro=site(base.macro), micro=site(base.micro), channel=channel)
+    env = env_for(cfg)
+    sites = env.site_wedges.sites
+    xmin, ymin, xmax, ymax = env.bounds
+    which = st.integers(0, len(sites) - 1)
+    on = [sites[i] for i in draw(st.lists(which, max_size=4))]
+    near = [sites[i] + (dx, dy) for i, dx, dy in draw(st.lists(st.tuples(
+        which, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)), max_size=8))]
+    far = draw(st.lists(st.tuples(st.floats(xmin, xmax), st.floats(ymin, ymax)), max_size=20))
+    xy = np.array(on + near + far, dtype=float).reshape(-1, 2)
+    return env, xy, draw(st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(association_cases())
+def test_associate_users_bit_equals_exhaustive_on_adversarial_configs(case):
+    env, xy, shadow_seed = case
+    assert_association_exact(xy, env, DropChannel(env, shadow_seed, xy))
 
 
 def test_associate_users_memory_stays_slabbed():
@@ -330,7 +389,9 @@ def test_environment_is_memoized_and_read_only():
     wedges, buckets = env.site_wedges, env.buckets
     for a in (env.offsets, env.building_rects, wedges.sites, wedges.rects, wedges.inner,
               wedges.rect_idx, wedges.start, buckets.origin, buckets.shape,
-              buckets.cell_rects, env.site_pathloss, env.site_link_class, env.site_keys):
+              buckets.cell_rects, env.site_pathloss, env.site_link_class, env.site_keys,
+              env.site_bound_db, env.site_sectors, env.sector_boresight, env.sector_antenna,
+              env.sector_dl_dbm, env.sector_offset_db):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -343,6 +404,19 @@ def test_environment_is_memoized_and_read_only():
         assert tuple(env.site_pathloss[:, i, 0]) == dataclasses.astuple(links[kind])
         assert env.site_link_class[i, 0] == LINK_CLASS[kind]
         assert env.site_keys[i, 0] == site_key(i)
+        params = cfg.macro if kind == "macro" else cfg.micro
+        assert env.site_bound_db[i, 0] == (params.dl_power_dbm + params.selection_offset_db
+                                           + params.antenna.max_gain_dbi)
+    # the per-sector columns, and each site's sectors as one run of ids
+    assert env.site_bound_db.shape == (len(kinds), 1)
+    assert env.site_sectors.shape == (len(kinds) + 1,)
+    for s in env.sectors:
+        assert env.site_sectors[s.site_id] <= s.sector_id < env.site_sectors[s.site_id + 1]
+        assert env.sector_boresight[s.sector_id] == s.boresight_deg
+        assert tuple(env.sector_antenna[:, s.sector_id]) == dataclasses.astuple(s.antenna)
+        assert env.sector_dl_dbm[s.sector_id] == s.dl_power_dbm
+        assert env.sector_offset_db[s.sector_id] == s.selection_offset_db
+    assert env.site_sectors[-1] == len(env.sectors)
     assert {"macro", "micro"} == set(kinds)
     np.testing.assert_array_equal(buckets.contains(env.building_rects[:, :2]), True)
     assert buckets.bounds == env.bounds
@@ -360,8 +434,9 @@ def test_environment_is_memoized_and_read_only():
 def test_associate_empty():
     cfg = tiny_config()
     env = env_for(cfg)
-    assert associate_users(np.zeros((0, 2)), env,
-                           _StubChannel(np.zeros((0, 3)))).shape == (0,)
+    none = np.zeros((0, 2))
+    serving, gain = associate_users(none, env, DropChannel(env, 0, none))
+    assert serving.shape == (0,) and gain.shape == (0,)
 
 
 def test_outdoor_fraction_matches_footprints():
