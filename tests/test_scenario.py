@@ -297,6 +297,33 @@ def test_associate_bias_changes_choice():
     assert (kinds[picks[1][flipped]] == "micro").all()
 
 
+def test_associate_users_tie_across_sites_goes_to_lower_id():
+    """A lower-id site evaluated after the best-bound site, because its
+    bound is smaller, still wins an exact tie."""
+    cfg = tiny_config(micro_enabled=True)
+    env = env_for(cfg)
+    site_of = np.array([s.site_id for s in env.sectors])
+
+    class TiedSites(DropChannel):
+        # every sector of sites 0 and 1 reaches biased power 100 exactly (all
+        # terms are integers), every other sector 40; site 1 is bounded higher
+        def site_power_bound_db(self):
+            bound = np.full((len(env.site_wedges.sites), len(self.users_xy)), 50.0)
+            bound[0], bound[1] = 110.0, 120.0
+            return bound
+
+        def site_sector_gains_db(self, users, sites):
+            _, sector = super().site_sector_gains_db(users, sites)
+            power = np.where(site_of[sector] <= 1, 100.0, 40.0)
+            return power - env.sector_dl_dbm[sector] - env.sector_offset_db[sector], sector
+
+    xy = drop_users(cfg, env, np.random.default_rng(4))[:5]
+    serving, gain = associate_users(xy, env, TiedSites(env, 0, xy))
+    assert env.site_sectors[1] > 1  # site 1's sectors have higher ids than sector 0
+    np.testing.assert_array_equal(serving, 0)
+    np.testing.assert_array_equal(gain, 100.0 - env.sectors[0].dl_power_dbm)
+
+
 @pytest.mark.parametrize("preset", SCENARIO_PRESETS)
 def test_associate_users_bit_equals_exhaustive_on_real_drops(preset):
     cfg = apply_scenario(ScenarioConfig(), preset)
