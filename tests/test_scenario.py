@@ -253,11 +253,13 @@ def test_pair_users_matches_loop_on_real_drops(preset):
 
 
 def assert_association_exact(xy, env, ch):
-    """Serving ids and serving gains equal the exhaustive reference bit for bit."""
+    """Serving ids and serving gains equal the exhaustive reference bit for
+    bit; returns the serving ids."""
     serving, gain = associate_users(xy, env, ch)
     want, want_gain = exhaustive_association(ch)
     np.testing.assert_array_equal(serving, want)
     np.testing.assert_array_equal(gain.view(np.int64), want_gain.view(np.int64))
+    return serving
 
 
 def test_associate_users_picks_strongest_biased_power():
@@ -287,9 +289,7 @@ def test_associate_bias_changes_choice():
     picks = []
     for c in (unbiased, cfg):
         env = env_for(c)
-        ch = DropChannel(env, 5, xy)
-        assert_association_exact(xy, env, ch)
-        picks.append(associate_users(xy, env, ch)[0])
+        picks.append(assert_association_exact(xy, env, DropChannel(env, 5, xy)))
     kinds = np.array([s.kind for s in env.sectors])
     flipped = picks[0] != picks[1]
     assert cfg.micro.selection_offset_db == 15.0 and flipped.any()
