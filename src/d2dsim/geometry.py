@@ -2,9 +2,11 @@
 
 Rectangles are float arrays of shape (K, 4) laid out as (xmin, ymin, xmax, ymax).
 All tests are purely horizontal (2D); antenna/site heights never enter the
-line-of-sight decision.  The lookup tables (SiteWedges for site links,
-RectBuckets for outdoor sampling) depend on the layout alone, so a scenario
-builds them once and every drop reads them.
+line-of-sight decision.  Both LOS paths slab-test only the rects that can
+block a link (segments_blocked: those reaching its own bounding box;
+SiteWedges: those of its azimuth bin), so each equals the full test.  The
+lookup tables (SiteWedges, RectBuckets) depend on the layout alone, so a
+scenario builds them once and every drop reads them.
 """
 
 from __future__ import annotations
@@ -14,12 +16,9 @@ import numpy as np
 # Shrink rectangles by this margin before the blocking test so that a ray
 # grazing exactly along a wall does not count as obstructed.
 _EDGE_EPS = 1e-9
-# Widen a chunk's segment bounding box by this much before dropping the rects
+# Widen a segment's bounding box by this much before dropping the rects
 # outside it, so rounding at the box edge can never drop a blocking rect.
 _PRUNE_MARGIN = 1e-6
-# Side of the square cells segments_blocked sorts segment midpoints by, so
-# that a chunk holds nearby segments and its bounding box stays small.
-_MIDPOINT_CELL_M = 50.0
 # Side of the square cells sample_outdoor_points buckets obstacles by.
 _BUCKET_M = 64.0
 # SiteWedges: bins per full circle of azimuth (1 degree each), the widening
@@ -75,40 +74,43 @@ def _crosses(px, py, dx, dy, rx0, ry0, rx1, ry1):
     return np.maximum(np.maximum(nx, ny), 0.0) < np.minimum(np.minimum(fx, fy), 1.0)
 
 
+def _mark_crossings(out, link, rect, x, y, dx, dy, inner):
+    """Set out[link[i]] where link link[i], p + t*d with p = (x, y)[link[i]]
+    and d = (dx, dy)[link[i]], crosses the inner rect rect[i]."""
+    out[link[_crosses(x[link], y[link], dx[link], dy[link], *inner[:, rect])]] = True
+
+
 def segments_blocked(
-    p0: np.ndarray, p1: np.ndarray, rects: np.ndarray, chunk: int = 256
+    p0: np.ndarray, p1: np.ndarray, rects: np.ndarray, chunk: int = 1024
 ) -> np.ndarray:
     """True for each segment p0[i]->p1[i] that crosses the interior of any rect.
 
-    Liang-Barsky slab clipping, vectorized over (segments x rects) in chunks
-    of segments sorted by the cell of their midpoint.  Touching a wall or
-    corner exactly does not block.  Each chunk tests only the rects that
-    overlap its segments' bounding box (widened by _PRUNE_MARGIN); a rect
-    outside that box cannot block any of them, so the result equals the test
-    against every rect.
+    Liang-Barsky slab clipping; touching a wall or corner exactly does not
+    block.  Each segment meets only the rects whose open interior overlaps
+    its own bounding box widened by _PRUNE_MARGIN, compared chunk segments
+    at a time so the masks stay (chunk x rects).  A crossing counts only at
+    some t in [0, 1], a point inside the segment's box, and lies within
+    rounding of the open interior (for a rect thinner than 2 * _EDGE_EPS,
+    of the band between its swapped shrunk bounds), far inside
+    _PRUNE_MARGIN.  So a rect that misses the widened box cannot block the
+    segment, and the result equals the slab test against every rect.
     """
     a = np.atleast_2d(np.asarray(p0, dtype=float))
     b = np.atleast_2d(np.asarray(p1, dtype=float))
     r = np.atleast_2d(np.asarray(rects, dtype=float))
     n = len(a)
-    out = np.zeros(n, dtype=bool)
     if r.size == 0 or n == 0:
-        return out
+        return np.zeros(n, dtype=bool)
     inner = _open_interiors(r)
-    cell = np.floor((a + b) * (0.5 / _MIDPOINT_CELL_M))
-    order = np.lexsort((cell[:, 0], cell[:, 1]))
+    lo = np.minimum(a, b) - _PRUNE_MARGIN
+    hi = np.maximum(a, b) + _PRUNE_MARGIN
+    d = b - a
+    out = np.zeros(n, dtype=bool)
     for s in range(0, n, chunk):
-        sel = order[s:s + chunk]
-        pa = a[sel]
-        pb = b[sel]
-        lo = np.minimum(pa, pb).min(axis=0) - _PRUNE_MARGIN
-        hi = np.maximum(pa, pb).max(axis=0) + _PRUNE_MARGIN
-        near = np.flatnonzero((r[:, 0] <= hi[0]) & (r[:, 2] >= lo[0])
-                              & (r[:, 1] <= hi[1]) & (r[:, 3] >= lo[1]))
-        d = pb - pa
-        # (seg, rect) broadcasting
-        out[sel] = _crosses(pa[:, 0:1], pa[:, 1:2], d[:, 0:1], d[:, 1:2],
-                            *inner[:, near]).any(axis=1)
+        link, rect = np.divmod(np.flatnonzero(
+            (inner[0] <= hi[s:s + chunk, 0:1]) & (inner[2] >= lo[s:s + chunk, 0:1])
+            & (inner[1] <= hi[s:s + chunk, 1:2]) & (inner[3] >= lo[s:s + chunk, 1:2])), len(r))
+        _mark_crossings(out, link + s, rect, a[:, 0], a[:, 1], d[:, 0], d[:, 1], inner)
     return out
 
 
@@ -180,11 +182,9 @@ class SiteWedges:
         rect = self.rect_idx[
             np.arange(len(link)) + np.repeat(first - (np.cumsum(count) - count), count)]
         x, y = p[:, 0], p[:, 1]
-        dx = self.sites[site, 0] - x
-        dy = self.sites[site, 1] - y
-        hit = _crosses(x[link], y[link], dx[link], dy[link], *self.inner[:, rect])
         out = np.zeros(len(key), dtype=bool)
-        out[link[hit]] = True
+        _mark_crossings(out, link, rect, x, y, self.sites[site, 0] - x,
+                        self.sites[site, 1] - y, self.inner)
         return out
 
 

@@ -1,5 +1,7 @@
 """Rectangle containment, segment blocking and outdoor sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,84 @@ def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
     for p0, p1, rects in ue_calls:
         np.testing.assert_array_equal(segments_blocked(p0, p1, rects),
                                       unpruned_segments_blocked(p0, p1, rects))
+
+
+def test_pruned_blocking_equals_unpruned_on_macro_scheme1_run_drop(monkeypatch):
+    """Every UE-UE LOS call of one whole macro-scheme1 drop, both the D2D
+    pass in build_drop and the scheduled cross-link pass in run_drop."""
+    build_drop = engine.build_drop
+    calls, phase = [], ["run_drop"]
+
+    def recording(p0, p1, rects):
+        calls.append((phase[0], np.array(p0), np.array(p1), rects))
+        return segments_blocked(p0, p1, rects)
+
+    def building(*args):
+        phase[0] = "build_drop"
+        try:
+            return build_drop(*args)
+        finally:
+            phase[0] = "run_drop"
+
+    monkeypatch.setattr(channel, "segments_blocked", recording)
+    monkeypatch.setattr(engine, "build_drop", building)
+    engine.run_drop(apply_scenario(ScenarioConfig(), "macro-scheme1"), engine.drop_seed(0, 0))
+    assert {ph for ph, *_ in calls} == {"build_drop", "run_drop"}
+    for _, p0, p1, rects in calls:
+        want = unpruned_segments_blocked(p0, p1, rects)
+        assert 0 < want.sum() < len(want)
+        np.testing.assert_array_equal(segments_blocked(p0, p1, rects), want)
+
+
+def test_blocking_chunk_without_candidate_rects():
+    """The first chunk's segments lie far from every rect; the second
+    chunk's cross one and miss one."""
+    p0 = np.array([[500.0, 500.0], [600.0, 500.0], [0.0, 20.0], [0.0, 0.0]])
+    p1 = np.array([[500.0, 600.0], [600.0, 600.0], [30.0, 20.0], [5.0, 40.0]])
+    for chunk in (2, 1024):
+        np.testing.assert_array_equal(segments_blocked(p0, p1, RECT, chunk=chunk),
+                                      [False, False, True, False])
+
+
+def test_blocking_chunk_boundary_between_segment_and_its_rect():
+    """Each rect blocks one segment only, and each chunk size puts chunk
+    boundaries between segments and rects of different indices."""
+    rects = np.array([[10.0 * k, 0.0, 10.0 * k + 5.0, 5.0] for k in range(7)])
+    x = 10.0 * np.arange(7) + 2.5
+    p0 = np.column_stack([x, np.full(7, -1.0)])
+    p1 = np.column_stack([x, np.full(7, 6.0)])
+    p1[1::2] = p0[1::2] - [0.0, 1.0]  # odd segments stop short of their rect
+    want = np.arange(7) % 2 == 0
+    for chunk in range(1, 9):
+        np.testing.assert_array_equal(segments_blocked(p0, p1, rects, chunk=chunk), want)
+        np.testing.assert_array_equal(
+            segments_blocked(p0, p1, rects[::-1], chunk=chunk), want)
+
+
+def test_blocking_without_rects():
+    p = np.array([[0.0, 0.0], [15.0, 20.0]])
+    for rects in (np.zeros((0, 4)), []):
+        np.testing.assert_array_equal(segments_blocked(p, p[::-1], rects), [False, False])
+    assert segments_blocked(np.zeros((0, 2)), np.zeros((0, 2)), RECT).shape == (0,)
+
+
+@pytest.mark.parametrize("spread_m", [30.0, 400.0])
+def test_segments_blocked_memory_is_bounded(spread_m):
+    """20k segments over the hetnet buildings peak at ~1.4 MB (30 m) and
+    ~1.7 MB (400 m) of numpy allocations: the (chunk x rects) masks and
+    each chunk's candidate pairs, never all (segment, rect) pairs at once."""
+    rects = generate_environment(apply_scenario(ScenarioConfig(), "hetnet")).building_rects
+    rng = np.random.default_rng(0)
+    p0 = rng.uniform(rects[:, :2].min(axis=0), rects[:, 2:].max(axis=0), size=(20_000, 2))
+    p1 = p0 + rng.uniform(-spread_m, spread_m, size=p0.shape)
+    tracemalloc.start()
+    try:
+        blocked = segments_blocked(p0, p1, rects)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < blocked.sum() < len(blocked)
+    assert peak < 4e6
 
 
 def wedge_and_unpruned(sites, rects, users, reach):
