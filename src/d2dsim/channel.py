@@ -89,9 +89,10 @@ class ShadowField:
         and whose larger key is keys_hi[i]."""
         h = _splitmix(lo_round ^ np.asarray(keys_hi, dtype=np.uint64))
         h = _splitmix(h ^ np.asarray(link_class, dtype=np.uint64))
-        # top 53 bits -> uniform strictly inside (0, 1) -> standard normal
+        # top 53 bits -> uniform strictly inside (0, 1) -> standard normal;
+        # the top k = 2**53 - 1 rounds to 1.0, so it is clamped below 1
         u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-        return sigma_db * ndtri(u)
+        return sigma_db * ndtri(np.minimum(u, 1.0 - 2.0**-53))
 
 
 def pathloss_db(

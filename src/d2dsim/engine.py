@@ -19,7 +19,8 @@ vectors end to end.  No scheme reads a sector's full cross-link gain matrix,
 so a drop schedules every scheme first, turns each scheme's allocations into
 one flat resource array, and then builds only the cross links some scheme
 scheduled, in one pass, scheme -> sector -> pair; each scheme is then
-evaluated over whole-drop arrays.
+evaluated over whole-drop arrays.  The same arrays give each scheme's grants
+(DropArrays.grants), which write_outputs formats into allocations.csv.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -159,6 +160,7 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
         states.append(SectorState(sector.sector_id, sinr, baseline[cs], feas))
 
     arrays = DropArrays(
+        sector_ids=sector_ids,
         kinds=tuple(env.sectors[i].kind for i in sector_ids),
         pair_start=pair_start,
         cell_start=cell_start,
@@ -200,11 +202,8 @@ def schedule(state: SectorState, scheme: str,
 
 @dataclass
 class DropResult:
-    n_users: int
-    n_pairs: int
     reports: dict[str, CapacityReport]
-    # (sector_id, scheme, pair_row, resource_col) per granted reuse
-    alloc_rows: list[tuple[int, str, int, int]] = field(default_factory=list)
+    grants: dict[str, np.ndarray]  # per scheme, in SCHEMES order: DropArrays.grants
 
 
 def run_drop(
@@ -217,23 +216,22 @@ def run_drop(
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
     drop = build_drop(cfg, seed)
-    plans: dict[str, list[Allocation]] = {}  # per scheme, aligned with drop.states
+    arrays = drop.arrays
+    resources: dict[str, np.ndarray] = {}  # per scheme: DropArrays.resource_rows
     for scheme in SCHEMES:  # canonical order keeps the random stream stable
         if scheme in schemes:
             rng_random = _stream(seed, "random-alloc") if scheme == "random" else None
-            plans[scheme] = [schedule(st, scheme, rng_random) for st in drop.states]
-    resources = [drop.arrays.resource_rows(plan) for plan in plans.values()]
+            resources[scheme] = arrays.resource_rows(
+                [schedule(st, scheme, rng_random) for st in drop.states])
     # one UE-UE pass over every scheduled cross link, scheme -> sector -> pair
-    links = [drop.arrays.cross_links(res) for res in resources]
+    links = [arrays.cross_links(res) for res in resources.values()]
     h_cross = np.split(
         db_to_linear(drop.channel.user_user_gain_db(
             *np.hstack([np.zeros((2, 0), dtype=int), *links]))[0]),
         np.cumsum([link.shape[1] for link in links])[:-1])
-    reports = {scheme: evaluate_drop(drop.arrays, res, gains)
-               for scheme, res, gains in zip(plans, resources, h_cross)}
-    alloc_rows = [(st.sector_id, scheme, m, col) for scheme, plan in plans.items()
-                  for st, alloc in zip(drop.states, plan) for m, col in alloc.pairs()]
-    return DropResult(drop.n_users, drop.n_pairs, reports, alloc_rows)
+    reports = {scheme: evaluate_drop(arrays, res, gains)
+               for (scheme, res), gains in zip(resources.items(), h_cross)}
+    return DropResult(reports, {scheme: arrays.grants(res) for scheme, res in resources.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,7 @@ class CampaignResult:
     schemes: tuple[str, ...]
     seeds: list[int]
     reports: dict[str, list[CapacityReport]]
-    alloc_rows: list[list[tuple[int, str, int, int]]] = field(default_factory=list)
+    grants: list[dict[str, np.ndarray]]  # per drop: DropResult.grants
 
     def overall_gain(self, scheme: str) -> float | None:
         rs = self.reports[scheme]
@@ -311,8 +309,7 @@ def run_campaign(
             if progress and (len(results) % tick == 0 or len(results) == len(seeds)):
                 progress(f"{len(results)}/{len(seeds)} drops")
     reports = {s: [r.reports[s] for r in results] for s in schemes}
-    campaign = CampaignResult(cfg, tuple(schemes), seeds, reports,
-                              [r.alloc_rows for r in results])
+    campaign = CampaignResult(cfg, tuple(schemes), seeds, reports, [r.grants for r in results])
     if out_dir is not None:
         write_outputs(campaign, out_dir)
     return campaign
@@ -322,55 +319,46 @@ def _fmt(x: float) -> str:
     return f"{x:.10e}"
 
 
+def _write(path: str, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        fh.writelines(rows)
+
+
+def _scheme_summary(campaign: CampaignResult):
+    for scheme in campaign.schemes:
+        o = campaign.overall_gain(scheme)
+        c = campaign.cellular_gain(scheme)
+        yield (f"[{scheme}] overall-gain: {_pct(o)}  cellular-gain: {_pct(c)}  "
+               f"enabled-pairs-mean: {campaign.mean_enabled_pairs(scheme):.2f}  "
+               f"clip-rate-mean: {campaign.mean_clip_rate(scheme):.4f}\n")
+        for kind in sorted({k for r in campaign.reports[scheme] for k in r.by_kind}):
+            g = campaign.kind_overall_gain(scheme, kind)
+            yield f"[{scheme}] {kind} overall-gain: {_pct(g)}\n"
+
+
 def write_outputs(campaign: CampaignResult, out_dir: str) -> dict[str, str]:
-    """drops.csv + kinds.csv + summary.txt; stable bytes for a given campaign."""
+    """drops.csv + kinds.csv + allocations.csv + summary.txt, each streamed
+    from a generator (allocations.csv one drop's scheme at a time, formatted
+    from its grant array); stable bytes for a given campaign."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    drops_path = os.path.join(out_dir, "drops.csv")
-    with open(drops_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("drop,scheme,cell_bps,d2d_bps,overall_bps,enabled_pairs,clip_rate\n")
-        for scheme in campaign.schemes:
-            for i, r in enumerate(campaign.reports[scheme]):
-                fh.write(f"{i},{scheme},{_fmt(r.cell_bps)},{_fmt(r.d2d_bps)},"
-                         f"{_fmt(r.overall_bps)},{r.enabled_pairs},{_fmt(r.clip_rate)}\n")
-    paths["drops"] = drops_path
-
-    kinds_path = os.path.join(out_dir, "kinds.csv")
-    with open(kinds_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("drop,scheme,site_kind,cell_bps,d2d_bps,overall_bps,baseline_cell_bps\n")
-        for scheme in campaign.schemes:
-            for i, r in enumerate(campaign.reports[scheme]):
-                for kind in sorted(r.by_kind):
-                    k = r.by_kind[kind]
-                    fh.write(f"{i},{scheme},{kind},{_fmt(k['cell_bps'])},{_fmt(k['d2d_bps'])},"
-                             f"{_fmt(k['overall_bps'])},{_fmt(k['baseline_cell_bps'])}\n")
-    paths["kinds"] = kinds_path
-
-    alloc_path = os.path.join(out_dir, "allocations.csv")
-    with open(alloc_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("drop,sector,scheme,m,n\n")
-        for i, rows in enumerate(campaign.alloc_rows):
-            for sector, scheme, m, col in rows:
-                fh.write(f"{i},{sector},{scheme},{m},{col}\n")
-    paths["allocations"] = alloc_path
-
-    summary_path = os.path.join(out_dir, "summary.txt")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"drops: {len(campaign.seeds)}\n")
-        fh.write(f"seed: {campaign.cfg.seed}\n")
-        fh.write(f"schemes: {','.join(campaign.schemes)}\n")
-        for scheme in campaign.schemes:
-            o = campaign.overall_gain(scheme)
-            c = campaign.cellular_gain(scheme)
-            fh.write(f"[{scheme}] overall-gain: {_pct(o)}  cellular-gain: {_pct(c)}  "
-                     f"enabled-pairs-mean: {campaign.mean_enabled_pairs(scheme):.2f}  "
-                     f"clip-rate-mean: {campaign.mean_clip_rate(scheme):.4f}\n")
-            kinds = sorted({k for r in campaign.reports[scheme] for k in r.by_kind})
-            for kind in kinds:
-                g = campaign.kind_overall_gain(scheme, kind)
-                fh.write(f"[{scheme}] {kind} overall-gain: {_pct(g)}\n")
-    paths["summary"] = summary_path
+    paths = {name.partition(".")[0]: os.path.join(out_dir, name)
+             for name in ("drops.csv", "kinds.csv", "allocations.csv", "summary.txt")}
+    _write(paths["drops"], "drop,scheme,cell_bps,d2d_bps,overall_bps,enabled_pairs,clip_rate\n",
+           (f"{i},{scheme},{_fmt(r.cell_bps)},{_fmt(r.d2d_bps)},"
+            f"{_fmt(r.overall_bps)},{r.enabled_pairs},{_fmt(r.clip_rate)}\n"
+            for scheme in campaign.schemes for i, r in enumerate(campaign.reports[scheme])))
+    _write(paths["kinds"],
+           "drop,scheme,site_kind,cell_bps,d2d_bps,overall_bps,baseline_cell_bps\n",
+           (f"{i},{scheme},{kind},{_fmt(k['cell_bps'])},{_fmt(k['d2d_bps'])},"
+            f"{_fmt(k['overall_bps'])},{_fmt(k['baseline_cell_bps'])}\n"
+            for scheme in campaign.schemes for i, r in enumerate(campaign.reports[scheme])
+            for kind, k in sorted(r.by_kind.items())))
+    _write(paths["allocations"], "drop,sector,scheme,m,n\n",
+           ("".join(f"{i},{sector},{scheme},{m},{col}\n" for sector, m, col in zip(*rows.tolist()))
+            for i, grants in enumerate(campaign.grants) for scheme, rows in grants.items()))
+    _write(paths["summary"], f"drops: {len(campaign.seeds)}\nseed: {campaign.cfg.seed}\n"
+           f"schemes: {','.join(campaign.schemes)}\n", _scheme_summary(campaign))
     return paths
 
 

@@ -120,13 +120,13 @@ class SinrTargets:
 
 @dataclass(frozen=True)
 class FeasibilityMatrix:
-    """(N pairs x M resources) 0/1 admission decisions plus their provenance."""
+    """(N pairs x M resources) boolean admission decisions plus their provenance."""
 
     entries: np.ndarray
     mode: str  # "exact" | "context"
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.uint8)
+        e = np.asarray(self.entries, dtype=bool)
         if e.ndim != 2:
             raise ValueError("feasibility entries must be a 2-D matrix")
         object.__setattr__(self, "entries", e)

@@ -53,6 +53,7 @@ class DropArrays:
     those of sectors 0..k-1.  A drop-level cellular row names a resource.
     """
 
+    sector_ids: np.ndarray  # (K,) ascending
     kinds: tuple[str, ...]  # (K,) "macro" | "micro"
     pair_start: np.ndarray  # (K + 1,)
     cell_start: np.ndarray  # (K + 1,)
@@ -77,12 +78,13 @@ class DropArrays:
         n, m = np.diff(self.pair_start), np.diff(self.cell_start)
         self.n_pairs = n.tolist()
         sector = np.repeat(np.arange(len(n)), n)
-        # each pair's first cellular row, resource count and flat SINR row
+        # each pair's sector id, row in it, first cellular row, resource count and flat SINR row
+        self.pair_sector_id = self.sector_ids[sector]
+        self.pair_row = np.arange(len(sector)) - self.pair_start[:-1][sector]
         self.cell0 = self.cell_start[:-1][sector]
         self.cols = m[sector]
         sinr_start = np.concatenate([[0], np.cumsum(n * m)])
-        self.sinr_row = (sinr_start[:-1][sector]
-                         + (np.arange(len(sector)) - self.pair_start[:-1][sector]) * self.cols)
+        self.sinr_row = sinr_start[:-1][sector] + self.pair_row * self.cols
         # measured rows, and where each sector's run of them starts
         self.cells_kept = np.flatnonzero(self.cell_measured)
         self.pairs_kept = np.flatnonzero(self.pair_measured)
@@ -110,6 +112,14 @@ class DropArrays:
         a resource array schedules, in pair order."""
         scheduled = np.flatnonzero(resource >= 0)
         return np.array([self.rx_users[scheduled], self.cell_users[resource[scheduled]]])
+
+    def grants(self, resource: np.ndarray) -> np.ndarray:
+        """(3, K) int32 rows: sector id, pair row in the sector and resource
+        column in the sector of the K reuses a resource array schedules, in
+        pair order."""
+        scheduled = np.flatnonzero(resource >= 0)
+        return np.array([self.pair_sector_id[scheduled], self.pair_row[scheduled],
+                         resource[scheduled] - self.cell0[scheduled]], dtype=np.int32)
 
 
 def _sector_sums(values: np.ndarray, start: list[int]) -> list[float]:

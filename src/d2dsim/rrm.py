@@ -205,7 +205,7 @@ def allocate_proposed(feasibility: FeasibilityMatrix) -> Allocation:
     from one maximum matching, a row tries only the columns below its current
     one, each decided by ``_Matching.reseat``.
     """
-    mt = _Matching(feasibility.entries.astype(bool))
+    mt = _Matching(feasibility.entries)
     fixed = 0  # the columns of the rows already decided
     for r, row in enumerate(mt.masks):
         old = mt.match[r]

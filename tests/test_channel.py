@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from d2dsim import channel
 from d2dsim.channel import (LINK_CLASS, DropChannel, ShadowField, antenna_gain_db,
                             build_gain_set, noise_power_watts,
                             pathloss_db, site_key)
@@ -88,6 +90,21 @@ def test_shadow_field_properties():
     assert (sf.sample_db(3, a, b, 0.0) == 0.0).all()
     assert abs(s.mean()) < 0.6
     assert abs(s.std() - 7.0) < 0.5
+
+
+@pytest.mark.parametrize("h", [2**64 - 1, 2**64 - 2**11,
+                               *((k << 11) for k in range(2**53 - 5, 2**53 - 1))])
+def test_shadow_draw_is_finite_at_the_top_hashes(monkeypatch, h):
+    """The top 53 hash bits k = 2**53 - 1 give k * 2**-53 + 2**-54 == 1.0,
+    where ndtri is +inf: that draw is clamped to the largest double below 1,
+    and the draws of the k just below it are unchanged."""
+    monkeypatch.setattr(channel, "_splitmix",
+                        lambda x: np.full(np.shape(x), h, dtype=np.uint64))
+    k = h >> 11
+    u = 1.0 - 2.0**-53 if k == 2**53 - 1 else np.float64(k) * 2.0**-53 + 2.0**-54
+    s = ShadowField(42).sample_db(3, [1, 2], [5, 6], 7.0)
+    np.testing.assert_array_equal(s, 7.0 * ndtri(u))
+    assert np.isfinite(s).all()
 
 
 # -- DropChannel integration --------------------------------------------------

@@ -1,10 +1,12 @@
 """Drop pipeline, campaign determinism, CSV outputs, and the CLI front end."""
 
 import dataclasses
+import gc
 import importlib.util
 import inspect
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from conftest import tiny_config
 
 from d2dsim import channel, cli, engine
 from d2dsim.channel import GainSet, noise_power_watts
-from d2dsim.config import ConfigError, ScenarioConfig, apply_scenario
+from d2dsim.config import SCENARIO_PRESETS, ConfigError, ScenarioConfig, apply_scenario
 from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, schedule,
                            write_outputs)
@@ -87,10 +89,11 @@ def test_build_drop_states_are_measured_and_shared():
 
 def scheduled_plans(result, states):
     """Each scheme's allocations, aligned with states, rebuilt from
-    result.alloc_rows."""
+    result.grants."""
     rows = {s: {st.sector_id: [-1] * st.shape[0] for st in states} for s in result.reports}
-    for sector, scheme, m, col in result.alloc_rows:
-        rows[scheme][sector][m] = col
+    for scheme, grants in result.grants.items():
+        for sector, m, col in grants.T.tolist():
+            rows[scheme][sector][m] = col
     return {s: [Allocation(tuple(plan[st.sector_id])) for st in states]
             for s, plan in rows.items()}
 
@@ -235,9 +238,10 @@ def test_ue_ue_calls_cover_d2d_links_and_scheduled_cross_links_in_order(monkeypa
     assert set(map(tuple, d2d.T)) == set(map(tuple, pairs[np.isin(pairs[:, 1], a.rx_users)]))
     users = {st.sector_id: (a.rx_users[ps], a.cell_users[cs])
              for k, st in enumerate(drop.states) for ps, cs in [sector_slices(a, k)]}
-    # alloc_rows run scheme -> sector -> pair
+    # grants run scheme -> sector -> pair
     scheduled = np.array([(users[sector][0][m], users[sector][1][col])
-                          for sector, _, m, col in result.alloc_rows]).T
+                          for grants in result.grants.values()
+                          for sector, m, col in grants.T.tolist()]).T
     np.testing.assert_array_equal(cross, scheduled)
     assert len(set(map(tuple, scheduled.T))) < scheduled.shape[1]  # repeats stay
     assert scheduled.shape[1] < sum(n * m for n, m in (st.shape for st in drop.states)) / 3
@@ -286,16 +290,70 @@ def test_run_drop_random_stream_stable_across_subsets():
 
 def test_run_drop_alloc_rows():
     cfg = tiny_config()
-    result = run_drop(cfg, 5, schemes=("proposed", "none"))
-    schemes_seen = {row[1] for row in result.alloc_rows}
-    assert "none" not in schemes_seen  # silent scheme grants nothing
-    assert schemes_seen <= {"proposed"}
+    result = run_drop(cfg, 5, schemes=("none", "proposed"))
+    assert [f.name for f in dataclasses.fields(result)] == ["reports", "grants"]
+    assert list(result.grants) == ["proposed", "none"]  # SCHEMES order
+    assert result.grants["none"].shape == (3, 0)  # silent scheme grants nothing
+    assert result.grants["proposed"].dtype == np.int32
     drop = build_drop(cfg, 5)
     shapes = {st.sector_id: st.shape for st in drop.states}
-    for sector, _, m, col in result.alloc_rows:
+    for sector, m, col in result.grants["proposed"].T.tolist():
         n_pairs, n_cols = shapes[sector]
         assert 0 <= m < n_pairs
         assert 0 <= col < n_cols
+
+
+def allocation_pairs_rows(cfg, seed):
+    """Each scheme's grants rebuilt from the allocators' per-sector output:
+    schedule() on build_drop's states, then (sector id, m, n) for each
+    Allocation.pairs() entry, sector -> pair, schemes in SCHEMES order."""
+    states = build_drop(cfg, seed).states
+    rows = {}
+    for scheme in SCHEMES:
+        rng = engine._stream(seed, "random-alloc") if scheme == "random" else None
+        rows[scheme] = [(st.sector_id, m, n) for st in states
+                        for m, n in schedule(st, scheme, rng).pairs()]
+    return rows
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_PRESETS)
+def test_grants_equal_allocation_pairs_on_every_preset(tmp_path, scenario):
+    """run_drop's grant arrays and the rows a campaign writes to
+    allocations.csv are the allocators' grants, in SCHEMES order whatever
+    order the schemes are asked for in."""
+    cfg = dataclasses.replace(apply_scenario(ScenarioConfig(), scenario), seed=3, num_drops=1)
+    seed = drop_seed(3, 0)
+    want = allocation_pairs_rows(cfg, seed)
+    assert len(want["proposed"]) > 0 and want["none"] == []
+    grants = run_drop(cfg, seed).grants
+    assert list(grants) == list(SCHEMES)
+    assert {s: list(zip(*g.tolist())) for s, g in grants.items()} == want
+    run_campaign(cfg, SCHEMES[::-1], out_dir=str(tmp_path), workers=1)
+    written = (tmp_path / "allocations.csv").read_text(encoding="utf-8").splitlines()
+    assert written == ["drop,sector,scheme,m,n"] + [
+        f"0,{sector},{scheme},{m},{n}" for scheme in SCHEMES for sector, m, n in want[scheme]]
+
+
+@pytest.mark.parametrize("scenario", ["macro-scheme1", "hetnet"])
+def test_campaign_retains_at_most_16_kb_per_drop(scenario):
+    """What run_campaign keeps per drop is its reports and grant arrays: the
+    traced memory a 12-drop campaign holds exceeds a 4-drop one's by at
+    most 16 kB per extra drop."""
+    cfg = apply_scenario(ScenarioConfig(), scenario)
+    run_campaign(dataclasses.replace(cfg, num_drops=1), SCHEMES, workers=1)  # warm caches
+    retained = {}
+    for drops in (4, 12):
+        tracemalloc.start()
+        try:
+            campaign = run_campaign(dataclasses.replace(cfg, num_drops=drops), SCHEMES,
+                                    workers=1)
+            gc.collect()
+            retained[drops] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(campaign.grants) == drops
+    per_drop = (retained[12] - retained[4]) / 8
+    assert per_drop <= 16e3, f"{per_drop / 1e3:.1f} kB retained per drop"
 
 
 def test_campaign_single_drop_equals_run_drop():
@@ -595,6 +653,23 @@ def test_perfbench_tracer_hooks_count_every_drop(tmp_path, monkeypatch):
     assert tracer.proposed and tracer.check_proposed() == []
     assert {name for name in TRACED_SPANS if not tracer.calls[name]} == set()
     assert tracer.counts["channel.links"] > 0 and tracer.counts["feasibility.entries"] > 0
+
+
+def test_perfbench_verify_first_drop_passes_a_macro_scheme1_run(tmp_path):
+    """The benchmark's own allocations.csv check accepts a 1-drop run, and
+    catches a lost grant."""
+    argv = ["run", "--scenario", "macro-scheme1", "--drops", "1", "--workers", "1",
+            "--out", str(tmp_path), "--quiet"]
+    assert cli.main(argv) == 0
+    cfg = cli._load(cli._build_parser().parse_args(argv))
+    verify_first_drop = load_perfbench_child().verify_first_drop
+    assert verify_first_drop(cfg, drop_seed(cfg.seed, 0), str(tmp_path)) == []
+    path = tmp_path / "allocations.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lost = next(i for i, line in enumerate(lines) if ",proposed," in line)
+    path.write_text("".join(lines[:lost] + lines[lost + 1:]), encoding="utf-8")
+    assert any("maximum matching" in e
+               for e in verify_first_drop(cfg, drop_seed(cfg.seed, 0), str(tmp_path)))
 
 
 def test_cli_run_applies_set_after_scenario_and_before_drops(tmp_path):

@@ -47,8 +47,9 @@ def make_sector(kind="macro", share=SHARE_HZ,
     )
 
 
-def drop_arrays(*sectors):
-    """The DropArrays of hand-made sectors, laid end to end in the given order."""
+def drop_arrays(*sectors, sector_ids=None):
+    """The DropArrays of hand-made sectors, laid end to end in the given order,
+    with sector ids 0, 1, ... unless given."""
     def cat(key, dtype=float):
         return np.concatenate([np.zeros(0, dtype)]
                               + [np.asarray(s[key], dtype=dtype).ravel() for s in sectors])
@@ -57,6 +58,7 @@ def drop_arrays(*sectors):
     m = [len(s["cell_users"]) for s in sectors]
     shares = [s["share"] for s in sectors]
     return DropArrays(
+        sector_ids=np.arange(len(sectors)) if sector_ids is None else np.asarray(sector_ids),
         kinds=tuple(s["kind"] for s in sectors),
         pair_start=np.cumsum([0, *n]),
         cell_start=np.cumsum([0, *m]),
@@ -132,6 +134,16 @@ def test_sector_rates_read_only_scheduled_cross_gains():
     np.testing.assert_array_equal(
         state.cross_links(state.resource_rows([Allocation((-1, 1))])), [[1], [1]])
     assert state.cross_links(state.resource_rows([allocate_none(2)])).shape == (2, 0)
+
+
+def test_grants_are_sector_id_pair_row_and_column_in_pair_order():
+    two = drop_arrays(make_sector(), make_sector(), sector_ids=[4, 9])
+    res = two.resource_rows([Allocation((2, -1)), Allocation((1, 0))])
+    np.testing.assert_array_equal(res, [2, -1, 4, 3])
+    grants = two.grants(res)
+    assert grants.dtype == np.int32
+    np.testing.assert_array_equal(grants, [[4, 9, 9], [0, 0, 1], [2, 1, 0]])
+    assert two.grants(two.resource_rows([allocate_none(2)] * 2)).shape == (3, 0)
 
 
 def test_sector_rates_none_keeps_baseline():
