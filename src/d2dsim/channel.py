@@ -12,7 +12,8 @@ works on these linear gains.
 
 No drop builds every site link.  site_power_bound_db bounds, per (site,
 user), the biased DL power of every sector of the site from the distance,
-the exact shadowing and the site's largest antenna gain alone;
+a 4096-bin quantile ceiling on the shadowing and the site's largest antenna
+gain alone;
 site_sector_gains_db builds exact gains, LOS test and antenna term included,
 element-wise over the (user, site) links association picks from those
 bounds.  The per-site and per-sector columns both read depend on the config
@@ -46,8 +47,12 @@ LINK_CLASS = {"macro": 1, "micro": 2, "ue": 3}
 # temporaries stay small.
 _SITE_SLAB = 4
 # Slack of a site's power bound over any sector's exact biased power: about
-# 1e7 times the rounding by which 0.5 log10(d^2) and log10(hypot) may differ.
+# 1e7 times the rounding by which 0.5 log10(d^2) and log10(hypot) may differ,
+# and by which ndtri, monotone only to the ulp, may top its _Z_CEIL entry.
 _BOUND_MARGIN_DB = 1e-6
+# ndtri at the top edge (j + 1) / 4096 of each bin j of a hash's top 12 bits,
+# the last edge clamped as the draw is: every draw in bin j is at most entry j
+_Z_CEIL = ndtri(np.minimum(np.arange(1, 4097) / 4096, 1.0 - 2.0**-53))
 
 
 def user_keys(user_ids) -> np.ndarray:
@@ -66,6 +71,12 @@ def _splitmix(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _link_hash(link_class, lo_round, keys_hi) -> np.ndarray:
+    """The last two hash rounds of the links (lo_round[i], keys_hi[i])."""
+    h = _splitmix(lo_round ^ np.asarray(keys_hi, dtype=np.uint64))
+    return _splitmix(h ^ np.asarray(link_class, dtype=np.uint64))
+
+
 class ShadowField:
     """Deterministic per-link lognormal shadowing, symmetric in the endpoints."""
 
@@ -76,23 +87,20 @@ class ShadowField:
         """The first hash round, which reads only a link's smaller key."""
         return _splitmix(self.seed ^ np.asarray(keys, dtype=np.uint64))
 
-    def sample_db(self, link_class, keys_a, keys_b, sigma_db) -> np.ndarray:
-        """Shadowing (dB) of the links keys_a[i] - keys_b[i]; link_class and
-        sigma_db broadcast against the keys."""
-        a = np.asarray(keys_a, dtype=np.uint64)
-        b = np.asarray(keys_b, dtype=np.uint64)
-        return self.sample_rounded_db(link_class, self.key_round(np.minimum(a, b)),
-                                      np.maximum(a, b), sigma_db)
-
     def sample_rounded_db(self, link_class, lo_round, keys_hi, sigma_db) -> np.ndarray:
-        """sample_db of the links whose smaller key has key_round lo_round[i]
-        and whose larger key is keys_hi[i]."""
-        h = _splitmix(lo_round ^ np.asarray(keys_hi, dtype=np.uint64))
-        h = _splitmix(h ^ np.asarray(link_class, dtype=np.uint64))
+        """Shadowing (dB) of the links whose smaller key has key_round
+        lo_round[i] and whose larger key is keys_hi[i]; link_class and
+        sigma_db broadcast against the keys."""
+        h = _link_hash(link_class, lo_round, keys_hi)
         # top 53 bits -> uniform strictly inside (0, 1) -> standard normal;
         # the top k = 2**53 - 1 rounds to 1.0, so it is clamped below 1
         u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
         return sigma_db * ndtri(np.minimum(u, 1.0 - 2.0**-53))
+
+    def ceil_rounded_db(self, link_class, lo_round, keys_hi, sigma_db) -> np.ndarray:
+        """An upper bound on sample_rounded_db for sigma_db >= 0, read from
+        _Z_CEIL by the bin of the hash's top 12 bits: u < (j + 1) / 4096."""
+        return sigma_db * _Z_CEIL[_link_hash(link_class, lo_round, keys_hi) >> np.uint64(52)]
 
 
 def pathloss_db(
@@ -185,7 +193,8 @@ class DropChannel:
         of a site at a user, indexed by site id.
 
         A bound takes the site's largest dl_power + selection_offset +
-        antenna gain, the exact shadowing, and a pathloss no link can
+        antenna gain, a 4096-bin quantile ceiling on the shadowing
+        (ShadowField.ceil_rounded_db), and a pathloss no link can
         undercut: min(LOS, NLOS) wherever the link may be LOS (d^2 within
         reach^2 (1 + 1e-9)), NLOS beyond.  The distance enters as
         0.5 log10(d^2), so no azimuth, LOS test or antenna term is built;
@@ -208,7 +217,7 @@ class DropChannel:
             pl_nlos = pl.intercept_db + pl.slope_nlos_db * logd + pl.nlos_penalty_db
             pl_low = np.where(d2 <= reach2, np.minimum(
                 pl.intercept_db + pl.slope_los_db * logd, pl_nlos), pl_nlos)
-            shadow = self.shadow.sample_rounded_db(
+            shadow = self.shadow.ceil_rounded_db(
                 env.site_link_class[rows], self.user_rounds, env.site_keys[rows],
                 pl.shadow_sigma_db)
             bound[rows] = env.site_bound_db[rows] + (shadow - pl_low) + _BOUND_MARGIN_DB

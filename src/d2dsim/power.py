@@ -23,7 +23,7 @@ def open_loop_power_w(
     gain = np.asarray(gain_linear, dtype=float)
     if np.any(gain <= 0):
         raise ValueError("link gain must be positive")
-    if sigma2_w <= 0:
+    if (np.asarray(sigma2_w) <= 0).any():
         raise ValueError("noise power must be positive")
     p_max = float(dbm_to_watts(max_power_dbm))
     wanted = sigma2_w * db_to_linear(target) / gain

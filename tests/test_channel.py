@@ -79,17 +79,24 @@ def test_shadow_field_properties():
     sf = ShadowField(42)
     a = np.arange(1, 2001, dtype=np.uint64)
     b = a + np.uint64(5000)
-    s = sf.sample_db(3, a, b, 7.0)
-    # symmetric in the endpoints, deterministic
-    np.testing.assert_array_equal(s, sf.sample_db(3, b, a, 7.0))
-    np.testing.assert_array_equal(s, ShadowField(42).sample_db(3, a, b, 7.0))
+    s = sf.sample_rounded_db(3, sf.key_round(a), b, 7.0)
+    # deterministic
+    fresh = ShadowField(42)
+    np.testing.assert_array_equal(s, fresh.sample_rounded_db(3, fresh.key_round(a), b, 7.0))
     # different class or seed decorrelates
-    assert not np.array_equal(s, sf.sample_db(1, a, b, 7.0))
-    assert not np.array_equal(s, ShadowField(43).sample_db(3, a, b, 7.0))
+    assert not np.array_equal(s, sf.sample_rounded_db(1, sf.key_round(a), b, 7.0))
+    other = ShadowField(43)
+    assert not np.array_equal(s, other.sample_rounded_db(3, other.key_round(a), b, 7.0))
     # zero sigma kills it; stats roughly N(0, 7)
-    assert (sf.sample_db(3, a, b, 0.0) == 0.0).all()
+    assert (sf.sample_rounded_db(3, sf.key_round(a), b, 0.0) == 0.0).all()
     assert abs(s.mean()) < 0.6
     assert abs(s.std() - 7.0) < 0.5
+
+
+def fixed_hashes(monkeypatch, h):
+    """Make every link hash h (the links' keys are then irrelevant)."""
+    monkeypatch.setattr(channel, "_splitmix",
+                        lambda x: np.broadcast_to(np.asarray(h, dtype=np.uint64), np.shape(x)))
 
 
 @pytest.mark.parametrize("h", [2**64 - 1, 2**64 - 2**11,
@@ -98,13 +105,34 @@ def test_shadow_draw_is_finite_at_the_top_hashes(monkeypatch, h):
     """The top 53 hash bits k = 2**53 - 1 give k * 2**-53 + 2**-54 == 1.0,
     where ndtri is +inf: that draw is clamped to the largest double below 1,
     and the draws of the k just below it are unchanged."""
-    monkeypatch.setattr(channel, "_splitmix",
-                        lambda x: np.full(np.shape(x), h, dtype=np.uint64))
+    fixed_hashes(monkeypatch, h)
     k = h >> 11
     u = 1.0 - 2.0**-53 if k == 2**53 - 1 else np.float64(k) * 2.0**-53 + 2.0**-54
-    s = ShadowField(42).sample_db(3, [1, 2], [5, 6], 7.0)
+    s = ShadowField(42).sample_rounded_db(3, np.zeros(2, dtype=np.uint64), [5, 6], 7.0)
     np.testing.assert_array_equal(s, 7.0 * ndtri(u))
     assert np.isfinite(s).all()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 7.0, 20.0])
+def test_shadow_ceiling_bounds_every_draw_of_its_bin(monkeypatch, sigma):
+    """ceil_rounded_db is at least sample_rounded_db, up to ndtri's ulp-level
+    non-monotonicity, at the bottom and top hash of every one of the 4096
+    bins, at the clamped top hashes and at 10**6 random hashes; it is finite,
+    and above the draw by at most sigma times its bin's spread in z."""
+    bins = np.arange(4096, dtype=np.uint64) << np.uint64(52)
+    h = np.concatenate([bins, bins | np.uint64(2**52 - 1),
+                        np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64),
+                        np.random.default_rng(11).integers(0, 2**64, 10**6, dtype=np.uint64)])
+    fixed_hashes(monkeypatch, h)
+    sf = ShadowField(42)
+    zero = np.zeros(len(h), dtype=np.uint64)
+    draw = sf.sample_rounded_db(3, zero, zero, sigma)
+    ceil = sf.ceil_rounded_db(3, zero, zero, sigma)
+    j = (h >> np.uint64(52)).astype(int)
+    bottom = ndtri((j << 41) * 2.0**-53 + 2.0**-54)
+    assert np.isfinite(ceil).all()
+    assert (ceil >= draw - 1e-12).all()
+    assert (ceil - draw <= sigma * (channel._Z_CEIL[j] - bottom) + 1e-12).all()
 
 
 # -- DropChannel integration --------------------------------------------------
@@ -174,21 +202,28 @@ def test_los_distance_cutoff():
 
 
 def test_user_user_gain_symmetric_with_shadow():
-    cfg, env, ch = make_channel([[50.0, 276.0], [120.0, 276.0]], shadow=True)
-    ab = ue_gain_db(ch, [0], [1])[0]
-    ba = ue_gain_db(ch, [1], [0])[0]
-    assert ab == ba
+    """Swapping a link's ends gives the same gain and distance, bit for bit."""
+    cfg = tiny_config()
+    env = generate_environment(cfg)
+    ch = DropChannel(env, 99, drop_users(cfg, env, np.random.default_rng(2)))
+    a, b = np.random.default_rng(3).integers(0, len(ch.users_xy), (2, 2000))
+    ab, ba = ch.user_user_gain_db(a, b), ch.user_user_gain_db(b, a)
+    assert cfg.channel.ue_link.shadow_sigma_db > 0 and (a != b).sum() > 1900
+    for x, y in zip(ab, ba):
+        np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
 
 
-def test_ue_shadow_equals_sample_db_with_either_end_smaller():
+def test_ue_shadow_equals_sample_rounded_db_with_either_end_smaller():
     """user_user_gain_db takes each user's first shadow round once per drop;
-    its shadowing is still sample_db's over the two user keys."""
+    its shadowing is still the draw over the smaller key's first round and
+    the larger key."""
     xy = [[30.0, 276.0], [60.0, 276.0], [90.0, 276.0], [120.0, 276.0], [150.0, 276.0]]
     cfg, env, ch = make_channel(xy, shadow=True)
     _, _, flat = make_channel(xy)
     a, b = np.array([0, 3, 2, 4, 1]), np.array([1, 1, 4, 0, 3])
-    want = ch.shadow.sample_db(LINK_CLASS["ue"], ch.user_keys[a], ch.user_keys[b],
-                               cfg.channel.ue_link.shadow_sigma_db)
+    ka, kb = ch.user_keys[a], ch.user_keys[b]
+    want = ch.shadow.sample_rounded_db(LINK_CLASS["ue"], ch.shadow.key_round(np.minimum(ka, kb)),
+                                       np.maximum(ka, kb), cfg.channel.ue_link.shadow_sigma_db)
     assert (want != 0.0).all()
     np.testing.assert_allclose(ue_gain_db(ch, a, b) - ue_gain_db(flat, a, b), want,
                                rtol=0, atol=1e-9)
@@ -318,8 +353,9 @@ def per_sector_gain_db(ch, idx, sector):
     delta = ch.users_xy[idx] - site
     azimuth = np.degrees(np.arctan2(delta[:, 1], delta[:, 0]))
     ant = antenna_gain_db(sector.antenna, azimuth - sector.boresight_deg)
-    shadow = ch.shadow.sample_db(LINK_CLASS[sector.kind], ch.user_keys[idx],
-                                 site_key(sector.site_id), pl_params.shadow_sigma_db)
+    # a user's key is below every site key
+    shadow = ch.shadow.sample_rounded_db(LINK_CLASS[sector.kind], ch.shadow.key_round(
+        ch.user_keys[idx]), site_key(sector.site_id), pl_params.shadow_sigma_db)
     return -pl + ant + shadow
 
 

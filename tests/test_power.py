@@ -48,6 +48,8 @@ def test_invalid_inputs():
         open_loop_power_w(0.0, [-1e-9, 1e-9], 1e-13, 24.0)
     with pytest.raises(ValueError, match="noise"):
         open_loop_power_w(0.0, 1e-9, 0.0, 24.0)
+    with pytest.raises(ValueError, match="^noise power must be positive$"):
+        open_loop_power_w(0.0, [1e-9, 1e-9], np.array([1e-13, 0.0]), 24.0)
 
 
 @settings(max_examples=300, deadline=None)

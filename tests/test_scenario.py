@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from d2dsim import scenario
 from d2dsim.channel import LINK_CLASS, DropChannel, site_key
 from d2dsim.config import SCENARIO_PRESETS, ScenarioConfig, apply_scenario
 from d2dsim.engine import _shadow_seed, _stream, drop_seed
@@ -332,6 +333,33 @@ def test_associate_users_bit_equals_exhaustive_on_real_drops(preset):
         seed = drop_seed(1, d)
         xy = drop_users(cfg, env, _stream(seed, "users"))
         assert_association_exact(xy, env, DropChannel(env, _shadow_seed(seed), xy))
+
+
+# Exact-evaluated (user, site) links per user over the two drops above:
+# 1.5313 (both macro presets) and 3.1000 (hetnet) with the exact shadowing in
+# the site bound, 1.5336 and 3.0992 with its 4096-bin quantile ceiling.
+@pytest.mark.parametrize("preset, most", [("macro-scheme1", 1.54), ("macro-scheme2", 1.54),
+                                          ("hetnet", 3.11)])
+def test_association_evaluates_few_sites_per_user_on_real_drops(monkeypatch, preset, most):
+    """The bit-exact oracle cannot see a bound that prunes too little; count
+    the (user, site) links the exact stage is handed."""
+    links = []
+    strongest = scenario._strongest
+
+    def counted(channel, env, users, sites):
+        links.append(len(users))
+        return strongest(channel, env, users, sites)
+
+    monkeypatch.setattr(scenario, "_strongest", counted)
+    cfg = apply_scenario(ScenarioConfig(), preset)
+    env = env_for(cfg)
+    n = 0
+    for d in range(2):
+        seed = drop_seed(1, d)
+        xy = drop_users(cfg, env, _stream(seed, "users"))
+        associate_users(xy, env, DropChannel(env, _shadow_seed(seed), xy))
+        n += len(xy)
+    assert len(links) == 4 and sum(links) / n <= most
 
 
 @st.composite
