@@ -101,18 +101,6 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
-def _schemes(text: str) -> tuple[str, ...]:
-    schemes = tuple(s.strip() for s in text.split(",") if s.strip())
-    if not schemes:
-        raise ConfigError("empty scheme list")
-    for i, s in enumerate(schemes):
-        if s not in engine.SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}; choose from {engine.SCHEMES}")
-        if s in schemes[:i]:
-            raise ConfigError(f"scheme {s!r} listed twice")
-    return schemes
-
-
 def _refuse(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
@@ -121,7 +109,8 @@ def _refuse(message: str) -> int:
 def _cmd_run(args) -> int:
     try:
         cfg = _load(args)
-        schemes = _schemes(args.schemes)
+        schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+        engine.check_schemes(schemes)
         workers = engine.resolve_workers(args.workers)
     except ConfigError as exc:
         return _refuse(f"config error: {exc}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -34,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .channel import DropChannel, build_gain_set, noise_power_watts
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, validate_config
 from .feasibility import (SinrTargets, baseline_cell_sinr, feasibility_context,
                           sinr_cell_matrix)
 from .metrics import CapacityReport, DropArrays, SectorState, aggregate_gain, evaluate_drop
@@ -44,7 +45,18 @@ from .rrm import (Allocation, allocate_capacity_max, allocate_none,
 from .scenario import associate_users, drop_users, generate_environment, pair_users
 from .units import db_to_linear
 
-SCHEMES = ("proposed", "capacity-max", "random", "none")
+# Each scheme's allocator on one sector, given the drop's random-allocation
+# stream, in the order run_drop schedules the schemes and allocations.csv
+# lists them.  The adapters look the allocators up as engine names at call
+# time, so a wrapper set on those names (perfbench's tracer) sees every call.
+SCHEDULERS: dict[str, Callable[[SectorState, np.random.Generator], Allocation]] = {
+    "proposed": lambda st, rng: allocate_proposed(st.feas_context),
+    "capacity-max": lambda st, rng: allocate_capacity_max(np.log2(1.0 + st.sinr_cell),
+                                                          np.log2(1.0 + st.baseline_sinr)),
+    "random": lambda st, rng: allocate_random(*st.shape, rng),
+    "none": lambda st, rng: allocate_none(st.shape[0]),
+}
+SCHEMES = tuple(SCHEDULERS)
 
 WORKERS_ENV = "D2DSIM_WORKERS"
 
@@ -94,7 +106,7 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     cell_targets = draw_snr_targets(cfg.cell_snr_target_db, n, _stream(seed, "targets-cell"))
     d2d_targets = draw_snr_targets(cfg.d2d_snr_target_db, len(pairs), _stream(seed, "targets-d2d"))
 
-    measured = env.grid_index_of(xy) == 0
+    measured = (np.floor(xy / (env.width_m, env.height_m)) == 0).all(axis=1)
     cellular = np.ones(n, dtype=bool)
     cellular[pairs] = False
     pair_of_tx = np.full(n, -1)
@@ -182,22 +194,15 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
                      states=states, arrays=arrays, channel=channel)
 
 
-def schedule(state: SectorState, scheme: str,
-             rng_random: np.random.Generator | None = None) -> Allocation:
-    """Run one scheme's allocator on one sector."""
-    n, m = state.shape
-    if scheme == "proposed":
-        return allocate_proposed(state.feas_context)
-    if scheme == "capacity-max":
-        return allocate_capacity_max(np.log2(1.0 + state.sinr_cell),
-                                     np.log2(1.0 + state.baseline_sinr))
-    if scheme == "random":
-        if rng_random is None:
-            raise ValueError("random scheme needs its RNG stream")
-        return allocate_random(n, m, rng_random)
-    if scheme == "none":
-        return allocate_none(n)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+def check_schemes(schemes: tuple[str, ...]) -> None:
+    """Refuse an empty scheme list, an unknown scheme or one listed twice."""
+    if not schemes:
+        raise ConfigError("empty scheme list")
+    for i, s in enumerate(schemes):
+        if s not in SCHEDULERS:
+            raise ConfigError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+        if s in schemes[:i]:
+            raise ConfigError(f"scheme {s!r} listed twice")
 
 
 @dataclass
@@ -212,17 +217,13 @@ def run_drop(
     schemes: tuple[str, ...] = SCHEMES,
 ) -> DropResult:
     """One deployment, scheduled and evaluated under every requested scheme."""
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+    check_schemes(schemes)
     drop = build_drop(cfg, seed)
     arrays = drop.arrays
-    resources: dict[str, np.ndarray] = {}  # per scheme: DropArrays.resource_rows
-    for scheme in SCHEMES:  # canonical order keeps the random stream stable
-        if scheme in schemes:
-            rng_random = _stream(seed, "random-alloc") if scheme == "random" else None
-            resources[scheme] = arrays.resource_rows(
-                [schedule(st, scheme, rng_random) for st in drop.states])
+    rng = _stream(seed, "random-alloc")  # only the random scheme draws from it
+    # per scheme, in SCHEMES order: DropArrays.resource_rows
+    resources = {scheme: arrays.resource_rows([allocate(st, rng) for st in drop.states])
+                 for scheme, allocate in SCHEDULERS.items() if scheme in schemes}
     # one UE-UE pass over every scheduled cross link, scheme -> sector -> pair
     links = [arrays.cross_links(res) for res in resources.values()]
     h_cross = np.split(
@@ -296,11 +297,15 @@ def run_campaign(
     """Run cfg.num_drops paired drops and optionally write CSV/summary files.
 
     Worker count comes from resolve_workers(workers).  Results, files and
-    progress lines are identical for any worker count.
+    progress lines are identical for any worker count.  The config and the
+    scheme list are checked before the first drop.
     """
+    schemes = tuple(schemes)
+    validate_config(cfg)
+    check_schemes(schemes)
     workers = resolve_workers(workers)
     seeds = [drop_seed(cfg.seed, i) for i in range(cfg.num_drops)]
-    task = partial(run_drop, cfg, schemes=tuple(schemes))
+    task = partial(run_drop, cfg, schemes=schemes)
     tick = max(1, len(seeds) // 10)
     results: list[DropResult] = []
     with (mp.Pool(workers) if workers > 1 else nullcontext()) as pool:
@@ -309,7 +314,7 @@ def run_campaign(
             if progress and (len(results) % tick == 0 or len(results) == len(seeds)):
                 progress(f"{len(results)}/{len(seeds)} drops")
     reports = {s: [r.reports[s] for r in results] for s in schemes}
-    campaign = CampaignResult(cfg, tuple(schemes), seeds, reports, [r.grants for r in results])
+    campaign = CampaignResult(cfg, schemes, seeds, reports, [r.grants for r in results])
     if out_dir is not None:
         write_outputs(campaign, out_dir)
     return campaign

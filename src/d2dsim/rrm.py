@@ -236,13 +236,10 @@ def allocate_capacity_max(
     n, m = cap.shape
     if base.shape != (m,):
         raise ValueError("baseline_capacity length must match resource count")
-    out = [-1] * n
-    if n and m:
-        benefit = cap - base[None, :]
-        rows, cols = linear_sum_assignment(benefit, maximize=True)
-        for r, c in zip(rows, cols):
-            out[int(r)] = int(c)
-    return Allocation(tuple(out))
+    out = np.full(n, -1)
+    rows, cols = linear_sum_assignment(cap - base[None, :], maximize=True)
+    out[rows] = cols
+    return Allocation(tuple(out.tolist()))
 
 
 def allocate_random(
@@ -250,13 +247,11 @@ def allocate_random(
 ) -> Allocation:
     """Uniform injective assignment of min(N, M) pairs to resources."""
     k = min(n_pairs, n_resources)
-    out = [-1] * n_pairs
+    out = np.full(n_pairs, -1)
     if k:
-        chosen_pairs = rng.permutation(n_pairs)[:k]
-        chosen_cols = rng.permutation(n_resources)[:k]
-        for p, c in zip(chosen_pairs, chosen_cols):
-            out[int(p)] = int(c)
-    return Allocation(tuple(out))
+        chosen_pairs = rng.permutation(n_pairs)[:k]  # drawn before the columns
+        out[chosen_pairs] = rng.permutation(n_resources)[:k]
+    return Allocation(tuple(out.tolist()))
 
 
 def allocate_none(n_pairs: int) -> Allocation:

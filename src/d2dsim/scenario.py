@@ -56,7 +56,6 @@ _LINK_CHUNK = 4096
 class Sector:
     sector_id: int
     site_id: int
-    grid_index: int
     kind: str  # "macro" | "micro"
     x: float
     y: float
@@ -73,9 +72,8 @@ class Environment:
 
     width_m: float
     height_m: float
-    offsets: np.ndarray  # (G, 2) grid origin offsets, row 0 = central grid
     bounds: tuple[float, float, float, float]  # (xmin, ymin, xmax, ymax) of all grids
-    building_rects: np.ndarray  # (B, 4) footprints of every replica grid
+    building_rects: np.ndarray  # (B, 4) footprints of every replica grid, central grid first
     buckets: RectBuckets  # building_rects over bounds, for outdoor sampling
     sectors: tuple[Sector, ...]
     site_wedges: SiteWedges  # buildings per azimuth bin of each site
@@ -91,23 +89,6 @@ class Environment:
     sector_antenna: np.ndarray  # (3, C) its AntennaPattern fields, in order
     sector_dl_dbm: np.ndarray  # (C,) dl_power_dbm
     sector_offset_db: np.ndarray  # (C,) selection_offset_db
-
-    def grid_index_of(self, xy: np.ndarray) -> np.ndarray:
-        """Map positions to the replica grid that contains them (-1: none).
-
-        Grid g covers the tile offsets[g] / (width, height); a position's
-        tile is the floor of its coordinates over the grid size.
-        """
-        size = np.array([self.width_m, self.height_m])
-        tiles = np.rint(self.offsets / size).astype(int)
-        first = tiles.min(axis=0)
-        table = np.full(tiles.max(axis=0) - first + 1, -1)
-        table[tuple((tiles - first).T)] = np.arange(len(tiles))
-        t = np.floor(np.atleast_2d(xy) / size) - first
-        inside = ((t >= 0) & (t < table.shape)).all(axis=1)
-        out = np.full(len(t), -1)
-        out[inside] = table[tuple(t[inside].astype(int).T)]
-        return out
 
 
 def _block_rects(width: float, height: float) -> list[tuple]:
@@ -163,7 +144,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
     site_sectors = [0]
     site_id = 0
     sector_id = 0
-    for g, (ox, oy) in enumerate(offsets):
+    for ox, oy in offsets:
         site_positions: list[tuple[str, float, float]] = [("macro", w / 2 + ox, street_mid + oy)]
         if cfg.micro_enabled:
             n = cfg.micro_sites_per_grid
@@ -179,7 +160,6 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
                 sectors.append(Sector(
                     sector_id=sector_id,
                     site_id=site_id,
-                    grid_index=g,
                     kind=kind,
                     x=sx,
                     y=sy,
@@ -210,14 +190,13 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
         "sector_dl_dbm": np.array([s.dl_power_dbm for s in sectors]),
         "sector_offset_db": np.array([s.selection_offset_db for s in sectors]),
     }
-    for a in (offsets, rects, wedges.sites, wedges.rects, wedges.inner, wedges.rect_idx,
+    for a in (rects, wedges.sites, wedges.rects, wedges.inner, wedges.rect_idx,
               wedges.start, buckets.origin, buckets.shape, buckets.cell_rects,
               site_pathloss, site_link_class, site_keys, *columns.values()):
         a.flags.writeable = False
     return Environment(
         width_m=w,
         height_m=h,
-        offsets=offsets,
         bounds=bounds,
         building_rects=rects,
         buckets=buckets,

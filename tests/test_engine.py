@@ -16,12 +16,12 @@ from conftest import tiny_config
 from d2dsim import channel, cli, engine
 from d2dsim.channel import GainSet, noise_power_watts
 from d2dsim.config import SCENARIO_PRESETS, ConfigError, ScenarioConfig, apply_scenario
-from d2dsim.engine import (SCHEMES, WORKERS_ENV, build_drop, drop_seed,
-                           resolve_workers, run_campaign, run_drop, schedule,
-                           write_outputs)
+from d2dsim.engine import (SCHEDULERS, SCHEMES, WORKERS_ENV, build_drop, drop_seed,
+                           resolve_workers, run_campaign, run_drop, write_outputs)
 from d2dsim.feasibility import FeasibilityMatrix, sinr_d2d_matrix
 from d2dsim.metrics import CapacityReport, link_rates
-from d2dsim.rrm import Allocation, allocate_none, allocate_proposed
+from d2dsim.rrm import (Allocation, allocate_capacity_max, allocate_none, allocate_proposed,
+                        allocate_random)
 from d2dsim.scenario import associate_users, drop_users, generate_environment, pair_users
 from d2dsim.signaling import run_single_cell
 from d2dsim.units import db_to_linear
@@ -247,22 +247,86 @@ def test_ue_ue_calls_cover_d2d_links_and_scheduled_cross_links_in_order(monkeypa
     assert scheduled.shape[1] < sum(n * m for n, m in (st.shape for st in drop.states)) / 3
 
 
-def test_schedule_dispatch():
+def test_schedule_dispatch(monkeypatch):
+    """SCHEDULERS maps each scheme, in SCHEMES order, to its allocator on one
+    sector; only the random scheme draws from the stream it is handed, and
+    the allocators are looked up as engine names at call time."""
     cfg = tiny_config()
     drop = build_drop(cfg, 7)
     st = drop.states[0]
     n, m = st.shape
-    assert schedule(st, "proposed") == allocate_proposed(st.feas_context)
-    assert schedule(st, "none") == allocate_none(n)
-    cap = schedule(st, "capacity-max")
-    assert cap.enabled_pairs == min(n, m)
+    assert SCHEMES == tuple(SCHEDULERS) == ("proposed", "capacity-max", "random", "none")
     rng = np.random.default_rng(5)
-    rnd = schedule(st, "random", rng)
-    assert rnd == schedule(st, "random", np.random.default_rng(5))
-    with pytest.raises(ValueError, match="RNG"):
-        schedule(st, "random")
-    with pytest.raises(ValueError, match="unknown scheme"):
-        schedule(st, "greedy")
+    assert SCHEDULERS["proposed"](st, rng) == allocate_proposed(st.feas_context)
+    assert SCHEDULERS["none"](st, rng) == allocate_none(n)
+    cap = SCHEDULERS["capacity-max"](st, rng)
+    assert cap == allocate_capacity_max(np.log2(1.0 + st.sinr_cell),
+                                        np.log2(1.0 + st.baseline_sinr))
+    assert cap.enabled_pairs == min(n, m)
+    assert SCHEDULERS["random"](st, rng) == allocate_random(n, m, np.random.default_rng(5))
+    monkeypatch.setattr(engine, "allocate_none", lambda n_pairs: ("wrapped", n_pairs))
+    assert SCHEDULERS["none"](st, rng) == ("wrapped", n)
+
+
+@pytest.mark.parametrize("overrides, schemes, message", [
+    ({}, (), "empty scheme list"),
+    ({}, ("proposed", "proposed"), "scheme 'proposed' listed twice"),
+    ({}, ("proposed", "bogus"), "unknown scheme 'bogus'"),
+    ({"num_drops": 0}, ("proposed",), "num_drops must be >= 1"),
+])
+def test_library_refuses_bad_input_before_any_drop(tmp_path, monkeypatch, overrides,
+                                                   schemes, message):
+    """run_campaign refuses the scheme lists and configs `d2dsim run` refuses,
+    and run_drop the same scheme lists, with one one-line ConfigError before
+    any drop is built or any output is written."""
+    calls = []
+    for name in ("run_drop", "build_drop"):
+        monkeypatch.setattr(engine, name, lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "x"
+    with pytest.raises(ConfigError, match=message) as info:
+        run_campaign(tiny_config(**overrides), schemes, out_dir=str(out), workers=1)
+    assert type(info.value) is ConfigError and "\n" not in str(info.value)
+    if not overrides:
+        with pytest.raises(ConfigError, match=message):
+            run_drop(tiny_config(), 3, schemes=schemes)  # the unpatched run_drop
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("rings", [0, 1])
+def test_measured_users_are_those_of_the_central_tile(monkeypatch, rings):
+    """A user is measured when the floor of its position over the grid size
+    is (0, 0): the central tile [0, w) x [0, h), -0.0 included, at its edges
+    and with or without replica grids around it."""
+    cfg = tiny_config(replica_rings=rings)
+    env = generate_environment(cfg)
+    w, h = env.width_m, env.height_m
+    xy = np.array([(x, y) for x in (0.0, np.nextafter(w, 0.0), w, -0.0)
+                   for y in (0.0, np.nextafter(h, 0.0), h, -0.0)])
+    inside = [0.0 <= x < w and 0.0 <= y < h for x, y in xy.tolist()]
+    assert 0 < sum(inside) < len(xy)
+    monkeypatch.setattr(engine, "drop_users", lambda *args: xy)
+    monkeypatch.setattr(engine, "pair_users", lambda *args: np.zeros((0, 2), dtype=int))
+    a = build_drop(cfg, 3).arrays
+    # every measured cellular user's sector is evaluated
+    np.testing.assert_array_equal(np.sort(a.cell_users[a.cell_measured]), np.flatnonzero(inside))
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_PRESETS)
+def test_d2d_noise_power_is_each_sector_shares_scalar_path(scenario):
+    """DropArrays.sigma2_d2d equals, with ==, noise_power_watts of each
+    sector's Python-float share.  numpy's array path of 10.0 ** x can differ
+    from its scalar path in the last bit, so computing the noise powers from
+    one vector of shares would move them."""
+    cfg = apply_scenario(ScenarioConfig(), scenario)
+    env = generate_environment(cfg)
+    for d in range(6):
+        a = build_drop(cfg, drop_seed(3, d)).arrays
+        for k, sector_id in enumerate(a.sector_ids):
+            ps, cs = sector_slices(a, k)
+            share = env.sectors[sector_id].bandwidth_hz / max(int(cs.stop - cs.start), 1)
+            want = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
+                                     cfg.noise.thermal_density_dbm_hz)
+            assert (a.sigma2_d2d[ps] == want).all(), (d, int(sector_id))
 
 
 def test_run_drop_reports_and_baseline_identity():
@@ -305,14 +369,14 @@ def test_run_drop_alloc_rows():
 
 def allocation_pairs_rows(cfg, seed):
     """Each scheme's grants rebuilt from the allocators' per-sector output:
-    schedule() on build_drop's states, then (sector id, m, n) for each
+    SCHEDULERS on build_drop's states, then (sector id, m, n) for each
     Allocation.pairs() entry, sector -> pair, schemes in SCHEMES order."""
     states = build_drop(cfg, seed).states
     rows = {}
-    for scheme in SCHEMES:
-        rng = engine._stream(seed, "random-alloc") if scheme == "random" else None
+    for scheme, allocate in SCHEDULERS.items():
+        rng = engine._stream(seed, "random-alloc")
         rows[scheme] = [(st.sector_id, m, n) for st in states
-                        for m, n in schedule(st, scheme, rng).pairs()]
+                        for m, n in allocate(st, rng).pairs()]
     return rows
 
 

@@ -26,7 +26,6 @@ def env_for(cfg):
 def test_single_grid_block_count():
     env = env_for(tiny_config())
     assert env.building_rects.shape == (15, 4)
-    assert env.offsets.shape == (1, 2)
     w, h = env.width_m, env.height_m
     assert env.bounds == (0.0, 0.0, w, h)
 
@@ -34,8 +33,8 @@ def test_single_grid_block_count():
 def test_replica_tiling():
     env = env_for(dataclasses.replace(tiny_config(), replica_rings=1))
     assert env.building_rects.shape == (9 * 15, 4)
-    assert env.offsets.shape == (9, 2)
-    assert tuple(env.offsets[0]) == (0.0, 0.0)  # central grid first
+    # central grid first
+    np.testing.assert_array_equal(env.building_rects[:15], env_for(tiny_config()).building_rects)
     xmin, ymin, xmax, ymax = env.bounds
     assert (xmin, ymin) == (-env.width_m, -env.height_m)
     assert (xmax, ymax) == (2 * env.width_m, 2 * env.height_m)
@@ -80,7 +79,6 @@ def test_hetnet_sector_layout():
 def test_sector_ids_ascend_over_replicas():
     env = env_for(dataclasses.replace(tiny_config(micro_enabled=True), replica_rings=1))
     assert [s.sector_id for s in env.sectors] == list(range(9 * 9))
-    assert [s.grid_index for s in env.sectors[:9]] == [0] * 9
 
 
 def test_drop_users_fixed_count_outdoor():
@@ -89,7 +87,7 @@ def test_drop_users_fixed_count_outdoor():
     xy = drop_users(cfg, env, np.random.default_rng(2))
     assert xy.shape == (60, 2) and xy.dtype == np.float64
     assert not points_in_rects(xy, env.building_rects).any()
-    assert (env.grid_index_of(xy) == 0).all()  # single grid
+    assert ((xy >= 0.0) & (xy < (env.width_m, env.height_m))).all()  # central grid
 
 
 def test_drop_users_poisson_mean():
@@ -99,43 +97,6 @@ def test_drop_users_poisson_mean():
     area_km2 = cfg.grid_width_m * cfg.grid_height_m * 1e-6
     expected = cfg.user_density_per_km2 * area_km2  # ~214 per grid
     assert abs(np.mean(counts) - expected) < 4 * np.sqrt(expected / 40)
-
-
-def test_grid_index_of_replicas():
-    env = env_for(dataclasses.replace(tiny_config(), replica_rings=1))
-    w, h = env.width_m, env.height_m
-    probe = np.array([[1.0, 1.0], [w + 1.0, 1.0], [-1.0, -1.0], [1.0, h + 1.0]])
-    got = env.grid_index_of(probe)
-    assert got[0] == 0
-    assert (got[1:] > 0).all()
-
-
-def grid_index_by_offset_lookup(env, xy):
-    """Reference: the floor of a position to its grid origin, looked up
-    among the replica offsets."""
-    p = np.atleast_2d(xy)
-    ix = np.floor(p[:, 0] / env.width_m) * env.width_m
-    iy = np.floor(p[:, 1] / env.height_m) * env.height_m
-    lookup = {(ox, oy): g for g, (ox, oy) in enumerate(map(tuple, env.offsets))}
-    return np.array([lookup.get((x, y), -1) for x, y in zip(ix, iy)], dtype=int)
-
-
-@pytest.mark.parametrize("rings", [0, 1])
-def test_grid_index_of_equals_offset_lookup(rings):
-    env = env_for(dataclasses.replace(apply_scenario(ScenarioConfig(), "hetnet"),
-                                      replica_rings=rings))
-    w, h = env.width_m, env.height_m
-    rng = np.random.default_rng(3)
-    inside = rng.uniform(env.bounds[:2], env.bounds[2:], size=(2000, 2))
-    outside = rng.uniform((-4 * w, -4 * h), (4 * w, 4 * h), size=(2000, 2))
-    k = np.arange(-3, 4)
-    seams = np.array([(a * w, b * h) for a in k for b in k]
-                     + [(-0.0, 5.0), (5.0, -0.0), (-0.0, -0.0), (-1e-300, 1.0),
-                        (w - 1e-12, h), (np.nextafter(w, 0.0), np.nextafter(h, 2 * h))])
-    probe = np.vstack([inside, outside, seams])
-    got = env.grid_index_of(probe)
-    np.testing.assert_array_equal(got, grid_index_by_offset_lookup(env, probe))
-    assert (got == -1).any() and set(got[got >= 0]) == set(range(len(env.offsets)))
 
 
 def link_lengths(xy, pairs):
@@ -442,7 +403,7 @@ def test_environment_is_memoized_and_read_only():
     env = generate_environment(cfg)
     assert generate_environment(dataclasses.replace(cfg)) is env  # equal, not identical
     wedges, buckets = env.site_wedges, env.buckets
-    for a in (env.offsets, env.building_rects, wedges.sites, wedges.rects, wedges.inner,
+    for a in (env.building_rects, wedges.sites, wedges.rects, wedges.inner,
               wedges.rect_idx, wedges.start, buckets.origin, buckets.shape,
               buckets.cell_rects, env.site_pathloss, env.site_link_class, env.site_keys,
               env.site_bound_db, env.site_sectors, env.sector_boresight, env.sector_antenna,
