@@ -11,16 +11,16 @@ Linear channel gain = 10^(-(pathloss + shadow - antenna)/10); every consumer
 works on these linear gains.
 
 No drop builds every site link.  site_power_bound_db bounds, per (site,
-user), the biased DL power of every sector of the site from the distance,
-a 4096-bin quantile ceiling on the shadowing and the site's largest antenna
-gain alone;
-site_sector_gains_db builds exact gains, LOS test and antenna term included,
-element-wise over the (user, site) links association picks from those
-bounds.  The per-site and per-sector columns both read depend on the config
-alone and come from the Environment.  UE-UE gains are built only where
-read: one user_user_gain_db call over the D2D links of every evaluated sector,
-and one over the cross link of every reuse that some scheme schedules, in
-scheme -> sector -> pair order.
+user) over the users association is given (a drop's D2D receive ends are
+not among them), the biased DL power of every sector of the site from the
+distance, a 4096-bin quantile ceiling on the shadowing and the site's
+largest antenna gain alone; site_sector_gains_db builds exact gains, LOS
+test and antenna term included, element-wise over the (user, site) links
+association picks from those bounds.  The per-site and per-sector columns
+both read depend on the config alone and come from the Environment.  UE-UE
+gains are built only where read: one user_user_gain_db call over the D2D
+links of every evaluated sector, and one over the cross link of every reuse
+that some scheme schedules, in scheme -> sector -> pair order.
 """
 
 from __future__ import annotations
@@ -188,9 +188,9 @@ class DropChannel:
             los.flat[los_idx[blocked(los_idx)]] = False
         return los
 
-    def site_power_bound_db(self) -> np.ndarray:
-        """(sites x users) upper bounds on the biased DL power of every sector
-        of a site at a user, indexed by site id.
+    def site_power_bound_db(self, users) -> np.ndarray:
+        """(sites x len(users)) upper bounds on the biased DL power of every
+        sector of a site at user users[j], indexed by site id and j.
 
         A bound takes the site's largest dl_power + selection_offset +
         antenna gain, a 4096-bin quantile ceiling on the shadowing
@@ -203,7 +203,8 @@ class DropChannel:
         """
         env = self.env
         site_xy = env.site_wedges.sites  # row s is site id s
-        x, y = self.users_xy.T
+        x, y = self.users_xy[users].T
+        user_rounds = self.user_rounds[users]
         reach2 = self.params.los_max_distance_m ** 2 * (1.0 + 1e-9)
         min_d2 = self.params.min_distance_m ** 2
         bound = np.empty((len(site_xy), len(x)))
@@ -218,7 +219,7 @@ class DropChannel:
             pl_low = np.where(d2 <= reach2, np.minimum(
                 pl.intercept_db + pl.slope_los_db * logd, pl_nlos), pl_nlos)
             shadow = self.shadow.ceil_rounded_db(
-                env.site_link_class[rows], self.user_rounds, env.site_keys[rows],
+                env.site_link_class[rows], user_rounds, env.site_keys[rows],
                 pl.shadow_sigma_db)
             bound[rows] = env.site_bound_db[rows] + (shadow - pl_low) + _BOUND_MARGIN_DB
         return bound

@@ -15,7 +15,7 @@ from . import engine, rrm, signaling
 from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig, _merge,
                      apply_scenario, load_config, validate_config)
 from .feasibility import FeasibilityMatrix
-from .scenario import exhaustive_association
+from .scenario import associate_users, exhaustive_association
 
 # Seed-0 drops per preset that the association oracle checks.
 _ASSOCIATION_DROPS = 2
@@ -210,16 +210,22 @@ def _cmd_oracle(args) -> int:
     print(f"assignment oracle [{args.assignment_instances} instances]: {line}")
     ok &= mismatches == 0
 
-    # bit-level: element-wise gains must not depend on the links around them
+    # bit-level: element-wise gains must not depend on the links around them.
+    # A user fails when associate_users over every user, or build_drop at a
+    # user it associates, differs from the exhaustive search.
     mismatches = 0
     for preset in SCENARIO_PRESETS:
         cfg = apply_scenario(ScenarioConfig(), preset)
         for d in range(_ASSOCIATION_DROPS):
             drop = engine.build_drop(cfg, engine.drop_seed(0, d))
-            serving, gain = exhaustive_association(drop.channel)
+            ch = drop.channel
+            serving, gain = exhaustive_association(ch)
+            full, full_gain = associate_users(ch.users_xy, ch.env, ch)
             mismatches += np.count_nonzero(
-                (drop.serving != serving)
-                | (drop.serving_gain.view(np.int64) != gain.view(np.int64)))
+                (full != serving) | (full_gain.view(np.int64) != gain.view(np.int64))
+                | ((drop.serving >= 0)
+                   & ((drop.serving != serving)
+                      | (drop.serving_gain.view(np.int64) != gain.view(np.int64)))))
     line = "PASS" if mismatches == 0 else f"FAIL ({mismatches} users)"
     print(f"association oracle [{_ASSOCIATION_DROPS} seed-0 drops per preset]: {line}")
     ok &= mismatches == 0

@@ -8,10 +8,11 @@ replica-grid sectors exist to keep border association honest.
 
 A drop's users are rows of one (N, 2) position array and its D2D pairs rows
 of one (P, 2) array of (tx, rx) user rows.  A user is cellular unless it ends
-a pair, and a pair belongs to the sector serving its transmitting end.
-Association hands back each user's serving gain with its serving sector, so
-a sector's gain set reads the gains of its cellular users and pair
-transmitters instead of rebuilding them.
+a pair, and a pair belongs to the sector serving its transmitting end, so
+only cellular users and pair transmitters are associated; a pair's receiving
+end has no serving sector.  Association hands back each associated user's
+serving gain with its serving sector, so a sector's gain set reads the gains
+of its cellular users and pair transmitters instead of rebuilding them.
 
 A drop keeps two views of its evaluated sectors: one SectorState per sector
 for the schedulers, and one DropArrays that lays the sectors' evaluation
@@ -86,8 +87,8 @@ class DropState:
 
     n_users: int
     n_pairs: int
-    serving: np.ndarray
-    serving_gain: np.ndarray  # dB, antenna included, per user
+    serving: np.ndarray  # sector id per user, -1 at a pair's rx end
+    serving_gain: np.ndarray  # dB, antenna included, per user; nan at a pair's rx end
     states: list[SectorState]  # evaluated sectors, ascending sector id
     arrays: DropArrays  # the same sectors, in the same order
     channel: DropChannel
@@ -100,26 +101,29 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     xy = drop_users(cfg, env, _stream(seed, "users"))
     pairs = pair_users(cfg, xy, _stream(seed, "pairing"))
     n = len(xy)
+    cellular = np.ones(n, dtype=bool)
+    cellular[pairs] = False
+    pair_of_tx = np.full(n, -1)
+    pair_of_tx[pairs[:, 0]] = np.arange(len(pairs))
+    # a pair belongs to the sector serving its tx end, so only cellular users
+    # and tx ends are associated: nothing reads a rx end's serving sector
+    sends = cellular | (pair_of_tx >= 0)
+    associated = np.flatnonzero(sends)
     channel = DropChannel(env, _shadow_seed(seed), xy)
-    serving, serving_gain = associate_users(xy, env, channel)
+    serving, serving_gain = associate_users(xy, env, channel, associated)
 
     cell_targets = draw_snr_targets(cfg.cell_snr_target_db, n, _stream(seed, "targets-cell"))
     d2d_targets = draw_snr_targets(cfg.d2d_snr_target_db, len(pairs), _stream(seed, "targets-d2d"))
 
     measured = (np.floor(xy / (env.width_m, env.height_m)) == 0).all(axis=1)
-    cellular = np.ones(n, dtype=bool)
-    cellular[pairs] = False
-    pair_of_tx = np.full(n, -1)
-    pair_of_tx[pairs[:, 0]] = np.arange(len(pairs))
-
     # a sector is evaluated when it serves a measured cellular user or pair
     # tx end; a replica-only sector is association fodder
     evaluated = np.zeros(len(env.sectors), dtype=bool)
-    evaluated[serving[measured & (cellular | (pair_of_tx >= 0))]] = True
+    evaluated[serving[measured & sends]] = True
     # the evaluated sectors' cellular users and pairs, grouped by sector in
     # ascending sector id (sector ids are the indices of env.sectors), each
     # group in ascending user order; pair ids ascend with their tx user
-    by_sector = np.argsort(serving, kind="stable")
+    by_sector = associated[np.argsort(serving[associated], kind="stable")]
     by_sector = by_sector[evaluated[serving[by_sector]]]
     cell_users = by_sector[cellular[by_sector]]
     pair_ids = pair_of_tx[by_sector]

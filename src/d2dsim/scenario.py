@@ -15,10 +15,10 @@ pathloss parameters, shadow link class, shadow key, power bound and run of
 sector ids, and each sector's boresight, antenna, DL power and selection
 offset.  It is built once per config and shared, read-only, by every drop.
 
-Association is an exact, bound-pruned search: every (site, user) gets a
-cheap upper bound on the biased power of the site's sectors, and exact
-powers are built only for the sectors of the sites whose bound can still
-reach a user's best power.
+Association is an exact, bound-pruned search over the users it is given:
+every (site, user) gets a cheap upper bound on the biased power of the
+site's sectors, and exact powers are built only for the sectors of the
+sites whose bound can still reach a user's best power.
 
 A drop's users are one (N, 2) array of positions, a user's id being its row;
 its D2D pairs are one (P, 2) int array of (tx, rx) user rows, a pair's id
@@ -266,14 +266,17 @@ def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) ->
 
 
 def associate_users(
-    xy: np.ndarray, env: Environment, channel: DropChannel
+    xy: np.ndarray, env: Environment, channel: DropChannel, users=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Attach every user to the sector with the strongest biased DL power.
+    """Attach users (ascending rows of xy, None for every row) to the sector
+    with the strongest biased DL power.
 
     A sector's biased power at a user is its dl_power_dbm, plus the gain
     channel.user_sector_gain_db gives, plus its selection_offset_db; ties
     resolve to the lowest sector id.  Returns the serving sector id and the
-    serving gain (dB, antenna included) per row of xy.
+    serving gain (dB, antenna included) per row of xy, -1 and nan at the
+    rows left out of users.  Each user is searched on its own, so a user's
+    result does not depend on which other users are given.
 
     The search is exact and prunes whole sites.  channel.site_power_bound_db
     bounds every sector of a site from above; the sectors of each user's
@@ -282,16 +285,17 @@ def associate_users(
     every power strictly below that best, so it can neither win nor tie.
     """
     n = len(xy)
-    if n == 0:
-        return np.zeros(0, dtype=int), np.zeros(0)
-    users = np.arange(n)
-    bound = channel.site_power_bound_db()
+    users = np.arange(n) if users is None else np.asarray(users, dtype=int)
+    serving, gain, best = np.full(n, -1), np.full(n, np.nan), np.empty(n)
+    if len(users) == 0:
+        return serving, gain
+    bound = channel.site_power_bound_db(users)
     first = bound.argmax(axis=0)
-    _, best, serving, gain = _strongest(channel, env, users, first)
-    bound[first, users] = -np.inf
+    _, best[users], serving[users], gain[users] = _strongest(channel, env, users, first)
+    bound[first, np.arange(len(users))] = -np.inf
     # (user, site) in user order, each user's sites ascending
-    cand_users, cand_sites = np.nonzero((bound >= best).T)
-    u, p, sector, g = _strongest(channel, env, cand_users, cand_sites)
+    cand, cand_sites = np.nonzero((bound >= best[users]).T)
+    u, p, sector, g = _strongest(channel, env, users[cand], cand_sites)
     take = (p > best[u]) | ((p == best[u]) & (sector < serving[u]))
     serving[u[take]] = sector[take]
     gain[u[take]] = g[take]

@@ -312,6 +312,53 @@ def test_measured_users_are_those_of_the_central_tile(monkeypatch, rings):
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_PRESETS)
+def test_build_drop_associates_only_cellular_users_and_pair_transmitters(monkeypatch,
+                                                                         scenario):
+    """Association bounds exactly the cellular users and the pair tx ends.
+    Their serving ids and gains are bit for bit those of associating every
+    user, and a pair's rx end holds -1 and nan."""
+    cfg = apply_scenario(ScenarioConfig(), scenario)
+    env = generate_environment(cfg)
+    bounded = []
+    bound = channel.DropChannel.site_power_bound_db
+
+    def spy(self, users):
+        bounded.append(np.array(users))
+        return bound(self, users)
+
+    monkeypatch.setattr(channel.DropChannel, "site_power_bound_db", spy)
+    for d in range(2):
+        seed = drop_seed(3, d)
+        drop = build_drop(cfg, seed)
+        ch = drop.channel
+        pairs = pair_users(cfg, ch.users_xy, engine._stream(seed, "pairing"))
+        rx = np.zeros(drop.n_users, dtype=bool)
+        rx[pairs[:, 1]] = True
+        rows = np.flatnonzero(~rx)
+        assert rx.any() and [len(b) for b in bounded] == [drop.n_users - drop.n_pairs]
+        np.testing.assert_array_equal(bounded.pop(), rows)
+        serving, gain = associate_users(ch.users_xy, env, ch)
+        assert [len(b) for b in bounded] == [drop.n_users]
+        bounded.clear()
+        assert (drop.serving[rows] == serving[rows]).all()
+        assert (drop.serving_gain[rows].view(np.int64) == gain[rows].view(np.int64)).all()
+        assert (drop.serving[rx] == -1).all() and np.isnan(drop.serving_gain[rx]).all()
+
+
+@pytest.mark.parametrize("count", range(4))
+def test_tiny_drops_with_every_user_paired_build(count):
+    """Every user is eligible and within reach, so all but at most one user
+    end a pair, and count // 2 of them are rx ends left unassociated."""
+    cfg = tiny_config(fixed_user_count=count, d2d_fraction=1.0, max_pair_distance_m=1e4)
+    for d in range(3):
+        drop = build_drop(cfg, drop_seed(cfg.seed, d))
+        assert (drop.n_users, drop.n_pairs) == (count, count // 2)
+        assert np.count_nonzero(drop.serving == -1) == count // 2
+        assert np.count_nonzero(np.isnan(drop.serving_gain)) == count // 2
+        assert run_drop(cfg, drop_seed(cfg.seed, d)).reports
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_PRESETS)
 def test_d2d_noise_power_is_each_sector_shares_scalar_path(scenario):
     """DropArrays.sigma2_d2d equals, with ==, noise_power_watts of each
     sector's Python-float share.  numpy's array path of 10.0 ** x can differ
@@ -591,8 +638,8 @@ def test_cli_oracle(capsys):
 
 
 def test_cli_oracle_flags_a_wrong_association(capsys, monkeypatch):
-    def second_best(xy, env, channel):  # exact powers, but one user served wrong
-        serving, gain = associate_users(xy, env, channel)
+    def second_best(xy, env, channel, users=None):  # exact powers, but one user served wrong
+        serving, gain = associate_users(xy, env, channel, users)
         serving[0] = (serving[0] + 1) % len(env.sectors)
         return serving, gain
 

@@ -269,8 +269,8 @@ def test_associate_users_tie_across_sites_goes_to_lower_id():
     class TiedSites(DropChannel):
         # every sector of sites 0 and 1 reaches biased power 100 exactly (all
         # terms are integers), every other sector 40; site 1 is bounded higher
-        def site_power_bound_db(self):
-            bound = np.full((len(env.site_wedges.sites), len(self.users_xy)), 50.0)
+        def site_power_bound_db(self, users):
+            bound = np.full((len(env.site_wedges.sites), len(users)), 50.0)
             bound[0], bound[1] = 110.0, 120.0
             return bound
 
