@@ -284,12 +284,6 @@ class DropChannel:
             self.user_keys[np.maximum(a, b)], self.params.ue_link.shadow_sigma_db)
         return -pl + shadow, dist
 
-    def distance_matrix(self, idx_a, idx_b) -> np.ndarray:
-        """(A, B) distances (m) between users idx_a and idx_b, bit for bit the
-        ones user_user_gain_db gives for the links idx_a[i] - idx_b[j]."""
-        pa, pb = self.users_xy[idx_a], self.users_xy[idx_b]
-        return np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
-
 
 def build_gain_set(
     sector_id: int,

@@ -14,14 +14,19 @@ end has no serving sector.  Association hands back each associated user's
 serving gain with its serving sector, so a sector's gain set reads the gains
 of its cellular users and pair transmitters instead of rebuilding them.
 
-A drop keeps two views of its evaluated sectors: one SectorState per sector
-for the schedulers, and one DropArrays that lays the sectors' evaluation
-vectors end to end.  No scheme reads a sector's full cross-link gain matrix,
-so a drop schedules every scheme first, turns each scheme's allocations into
-one flat resource array, and then builds only the cross links some scheme
-scheduled, in one pass, scheme -> sector -> pair; each scheme is then
-evaluated over whole-drop arrays.  The same arrays give each scheme's grants
-(DropArrays.grants), which write_outputs formats into allocations.csv.
+A drop keeps two views of its evaluated sectors: one DropArrays that lays
+their rows end to end, and one SectorState per sector for the schedulers,
+whose SINRs and SNRs are views of it.  Open-loop powers, no-reuse SNRs, reuse
+SINRs and interferer distances are built once over the whole drop; per
+sector remain its noise powers (numpy's scalar path, from its Python-float
+share), its gain set and its context admission, the last two being calls
+perfbench's tracer counts.  No scheme reads a sector's full cross-link gain
+matrix, so a drop schedules every scheme first, turns each scheme's
+allocations into one flat resource array, and then builds only the cross
+links some scheme scheduled, in one pass, scheme -> sector -> pair; each
+scheme is then evaluated over whole-drop arrays.  The same arrays give each
+scheme's grants (DropArrays.grants), which write_outputs formats into
+allocations.csv.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from functools import partial
 
 import numpy as np
 
-from .channel import DropChannel, build_gain_set, noise_power_watts
+from .channel import DropChannel, GainSet, build_gain_set, noise_power_watts
 from .config import ConfigError, ScenarioConfig, validate_config
 from .feasibility import (SinrTargets, baseline_cell_sinr, feasibility_context,
-                          sinr_cell_matrix)
+                          reuse_cell_sinr)
 from .metrics import CapacityReport, DropArrays, SectorState, aggregate_gain, evaluate_drop
 from .power import draw_snr_targets, open_loop_power_w
 from .rrm import (Allocation, allocate_capacity_max, allocate_none,
@@ -132,68 +137,68 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     sector_ids = np.flatnonzero(evaluated)
     cell_start = np.append(np.searchsorted(serving[cell_users], sector_ids), len(cell_users))
     pair_start = np.append(np.searchsorted(serving[tx_users], sector_ids), len(pair_ids))
-    sinr_start = np.append(0, np.cumsum(np.diff(pair_start) * np.diff(cell_start)))
-    # one UE-UE pass over the D2D links of every evaluated sector, by pair id
-    ids = np.flatnonzero(evaluated[serving[pairs[:, 0]]])
-    d2d_db, d2d_dist = np.empty(len(pairs)), np.empty(len(pairs))
-    d2d_db[ids], d2d_dist[ids] = channel.user_user_gain_db(*pairs[ids].T)
+    n_cells, n_pairs = np.diff(cell_start), np.diff(pair_start)
+    sinr_start = np.append(0, np.cumsum(n_pairs * n_cells))
+    # one UE-UE pass over the D2D links of every evaluated sector, in sector
+    # order (each link's bits are independent of the others in the call)
+    d2d_db, d2d_dist = channel.user_user_gain_db(tx_users, rx_users)
+    cell_db, tx_db = serving_gain[cell_users], serving_gain[tx_users]
+    d2d_target_db = d2d_targets[pair_ids]
 
-    sinr_cell = np.empty(sinr_start[-1])
-    d2d_signal, sigma2_d2d, pair_share = (np.empty(len(pair_ids)) for _ in range(3))
-    p_cell, cell_share, baseline = (np.empty(len(cell_users)) for _ in range(3))
-    d2d_clipped = np.empty(len(pair_ids), dtype=bool)
-    cell_clipped = np.empty(len(cell_users), dtype=bool)
-    states: list[SectorState] = []
-    for k, sector_id in enumerate(sector_ids):
-        sector = env.sectors[sector_id]
-        ps = slice(pair_start[k], pair_start[k + 1])
-        cs = slice(cell_start[k], cell_start[k + 1])
-        cell_idx, pair_k = cell_users[cs], pair_ids[ps]
-        share = sector.bandwidth_hz / max(len(cell_idx), 1)
-        sigma2_cell = noise_power_watts(share, cfg.noise.bs_noise_figure_db,
-                                        cfg.noise.thermal_density_dbm_hz)
-        sigma2_d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
-                                     cfg.noise.thermal_density_dbm_hz)
-        pair_share[ps], cell_share[cs], sigma2_d2d[ps] = share, share, sigma2_d
-        gains = build_gain_set(sector_id, serving_gain[cell_idx], serving_gain[tx_users[ps]],
-                               d2d_db[pair_k])
-        p_cell[cs], cell_clipped[cs] = open_loop_power_w(
-            cell_targets[cell_idx], gains.h_cell, sigma2_cell, cfg.ue_max_power_dbm)
-        p_d2d, d2d_clipped[ps] = open_loop_power_w(
-            d2d_targets[pair_k], gains.h_d2d, sigma2_d, cfg.ue_max_power_dbm)
-        d2d_signal[ps] = gains.h_d2d * p_d2d
-        baseline[cs] = baseline_cell_sinr(gains, p_cell[cs], sigma2_cell)
-        targets = SinrTargets(
-            d2d_target_db=d2d_targets[pair_k],
-            gamma_cell_db=cfg.gamma_cell_db,
-            baseline_cell_sinr=baseline[cs],
-            ratio_threshold=cfg.distance_ratio_threshold,
-        )
-        feas = feasibility_context(gains, p_cell[cs], p_d2d, sigma2_cell, d2d_dist[pair_k],
-                                   channel.distance_matrix(rx_users[ps], cell_idx), targets)
-        sinr = sinr_cell[sinr_start[k]:sinr_start[k + 1]].reshape(gains.shape)
-        sinr[...] = sinr_cell_matrix(gains, p_cell[cs], p_d2d, sigma2_cell)
-        states.append(SectorState(sector.sector_id, sinr, baseline[cs], feas))
-
+    # noise per sector: numpy's array path of 10.0 ** x can differ from its scalar path
+    shares = [env.sectors[i].bandwidth_hz / max(m, 1)
+              for i, m in zip(sector_ids.tolist(), n_cells.tolist())]
+    noise = np.array([[noise_power_watts(share, nf, cfg.noise.thermal_density_dbm_hz)
+                       for nf in (cfg.noise.bs_noise_figure_db, cfg.noise.ue_noise_figure_db)]
+                      for share in shares]).reshape(-1, 2)
+    sigma2_cell, sigma2_d2d = np.repeat(noise[:, 0], n_cells), np.repeat(noise[:, 1], n_pairs)
+    # the whole drop's gains, powers, no-reuse SNRs and reuse SINRs, by row
+    gains = GainSet(-1, db_to_linear(cell_db), db_to_linear(d2d_db), db_to_linear(tx_db))
+    p_cell, cell_clipped = open_loop_power_w(cell_targets[cell_users], gains.h_cell, sigma2_cell,
+                                             cfg.ue_max_power_dbm)
+    p_d2d, d2d_clipped = open_loop_power_w(d2d_target_db, gains.h_d2d, sigma2_d2d,
+                                           cfg.ue_max_power_dbm)
+    baseline = baseline_cell_sinr(gains, p_cell, sigma2_cell)
     arrays = DropArrays(
         sector_ids=sector_ids,
         kinds=tuple(env.sectors[i].kind for i in sector_ids),
         pair_start=pair_start,
         cell_start=cell_start,
-        sinr_cell=sinr_cell,
-        d2d_signal=d2d_signal,
+        sinr_cell=np.empty(sinr_start[-1]),  # filled below, over reuse_entries()
+        d2d_signal=gains.h_d2d * p_d2d,
         sigma2_d2d=sigma2_d2d,
-        pair_share_hz=pair_share,
+        pair_share_hz=np.repeat(shares, n_pairs),
         rx_users=rx_users,
         pair_measured=measured[tx_users],
         d2d_clipped=d2d_clipped,
         p_cell=p_cell,
-        cell_share_hz=cell_share,
+        cell_share_hz=np.repeat(shares, n_cells),
         baseline_sinr=baseline,
         cell_users=cell_users,
         cell_measured=measured[cell_users],
         cell_clipped=cell_clipped,
     )
+    pair_row, cell_row = arrays.reuse_entries()
+    signal, d2d_bs = (gains.h_cell * p_cell)[cell_row], (gains.h_d2d_bs * p_d2d)[pair_row]
+    arrays.sinr_cell[:] = reuse_cell_sinr(signal, d2d_bs, sigma2_cell[cell_row])
+    # each reuse's interferer distance: cellular user to the pair's rx end
+    (rx_x, rx_y), (cell_x, cell_y) = channel.users_xy[rx_users].T, channel.users_xy[cell_users].T
+    cross_dist = np.hypot(rx_x[pair_row] - cell_x[cell_row], rx_y[pair_row] - cell_y[cell_row])
+
+    # per sector: its gain set, context admission and views of the drop's rows
+    states: list[SectorState] = []
+    p, c, e = pair_start.tolist(), cell_start.tolist(), sinr_start.tolist()
+    for k, (sector_id, sigma2) in enumerate(zip(sector_ids.tolist(), noise[:, 0].tolist())):
+        ps, cs, es = slice(p[k], p[k + 1]), slice(c[k], c[k + 1]), slice(e[k], e[k + 1])
+        shape = (p[k + 1] - p[k], c[k + 1] - c[k])
+        sector_gains = build_gain_set(sector_id, cell_db[cs], tx_db[ps], d2d_db[ps])
+        targets = SinrTargets(d2d_target_db=d2d_target_db[ps], gamma_cell_db=cfg.gamma_cell_db,
+                              baseline_cell_sinr=baseline[cs],
+                              ratio_threshold=cfg.distance_ratio_threshold)
+        feas = feasibility_context(sector_gains, p_cell[cs], p_d2d[ps], sigma2, d2d_dist[ps],
+                                   cross_dist[es].reshape(shape), targets)
+        states.append(SectorState(sector_id, arrays.sinr_cell[es].reshape(shape), baseline[cs],
+                                  feas))
     return DropState(n_users=n, n_pairs=len(pairs), serving=serving, serving_gain=serving_gain,
                      states=states, arrays=arrays, channel=channel)
 

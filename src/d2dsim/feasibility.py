@@ -31,6 +31,7 @@ __all__ = [
     "sinr_cell",
     "sinr_d2d_matrix",
     "sinr_cell_matrix",
+    "reuse_cell_sinr",
     "baseline_cell_sinr",
     "feasibility_exact",
     "feasibility_context",
@@ -46,13 +47,18 @@ def sinr_d2d_matrix(
     return signal / (interference + sigma2_d2d_w)
 
 
+def reuse_cell_sinr(cell_signal_w, d2d_bs_w, sigma2_cell_w) -> np.ndarray:
+    """Element-wise cellular SINR h_cell p_cell / (h_d2d_bs p_d2d + sigma2_cell)."""
+    return cell_signal_w / (d2d_bs_w + sigma2_cell_w)
+
+
 def sinr_cell_matrix(
     gains: GainSet, p_cell_w: np.ndarray, p_d2d_w: np.ndarray, sigma2_cell_w: float
 ) -> np.ndarray:
     """(N, M) cellular uplink SINR when row m reuses column n."""
-    signal = (gains.h_cell * np.asarray(p_cell_w, dtype=float))[None, :]
-    interference = (gains.h_d2d_bs * np.asarray(p_d2d_w, dtype=float))[:, None]
-    return signal / (interference + sigma2_cell_w)
+    return reuse_cell_sinr((gains.h_cell * np.asarray(p_cell_w, dtype=float))[None, :],
+                           (gains.h_d2d_bs * np.asarray(p_d2d_w, dtype=float))[:, None],
+                           sigma2_cell_w)
 
 
 def sinr_d2d(
@@ -113,9 +119,8 @@ class SinrTargets:
         return base * db_to_linear(-self.gamma_cell_db)
 
     def ratio_floor(self, pair_distance_m: np.ndarray) -> np.ndarray:
-        """The floor of every pair, as a read-only broadcast view."""
-        d = np.asarray(pair_distance_m, dtype=float)
-        return np.broadcast_to(float(self.ratio_threshold), d.shape)
+        """The floor of every pair, one array entry per pair."""
+        return np.full(np.shape(pair_distance_m), float(self.ratio_threshold))
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ def feasibility_context(
     link = np.asarray(pair_distance_m, dtype=float)
     if cross.shape != (n, m) or link.shape != (n,):
         raise ValueError("distance arrays must match the gain-set shape")
-    ratio_ok = cross >= targets.ratio_floor(link)[:, None] * link[:, None]
-    cell_ok = sinr_cell_matrix(gains, p_cell_w, p_d2d_w, sigma2_cell_w) \
-        >= targets.cell_threshold_linear(m)[None, :]
-    return FeasibilityMatrix(entries=(ratio_ok & cell_ok), mode="context")
+    ok = cross >= (targets.ratio_floor(link) * link)[:, None]
+    ok &= sinr_cell_matrix(gains, p_cell_w, p_d2d_w, sigma2_cell_w) \
+        >= targets.cell_threshold_linear(m)
+    return FeasibilityMatrix(entries=ok, mode="context")

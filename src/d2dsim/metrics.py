@@ -97,6 +97,11 @@ class DropArrays:
                         + int(self.d2d_clipped[self.pairs_kept].sum()))
         self.transmitters = len(self.cells_kept) + len(self.pairs_kept)
 
+    def reuse_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (pair row, cellular row) of every sinr_cell entry, in its order."""
+        pair = np.repeat(np.arange(len(self.cols)), self.cols)
+        return pair, np.arange(len(pair)) - np.repeat(self.sinr_row - self.cell0, self.cols)
+
     def resource_rows(self, allocations: list[Allocation]) -> np.ndarray:
         """(P,) cellular row each pair reuses under one allocation per sector
         (in sector order), -1 for a silent pair."""

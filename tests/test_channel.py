@@ -267,7 +267,7 @@ def cross_links(rx_idx, cell_idx):
 
 def test_distance_helpers():
     """user_user_gain_db hands back its link lengths: the D2D lengths, and
-    over the cross links the rx x cellular matrix that distance_matrix gives."""
+    over the cross links, row-major, the rx x cellular distances."""
     xy = [[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]
     cfg, env, ch = make_channel(xy)
     np.testing.assert_array_equal(ch.user_user_gain_db([0, 1], [1, 2])[1], [5.0, 5.0])
@@ -275,7 +275,6 @@ def test_distance_helpers():
     np.testing.assert_array_equal(ch.user_user_gain_db(tx, rx)[1], [5.0])
     dist = ch.user_user_gain_db(*cross_links(rx, cell))[1]
     np.testing.assert_array_equal(dist.reshape(1, 2), [[5.0, 10.0]])
-    np.testing.assert_array_equal(ch.distance_matrix(rx, cell), [[5.0, 10.0]])
 
 
 def test_build_gain_set_shapes_and_convention():
@@ -314,7 +313,7 @@ def test_empty_gain_set():
     assert gs.h_cell.size == 0 and gs.h_d2d.size == 0
     one = np.array([0])
     gs = build_gain_set(0, gain_db[none], gain_db[one], ue_gain_db(ch, one, one))
-    dist = ch.distance_matrix(one, none)
+    dist = ch.user_user_gain_db(*cross_links(one, none))[1].reshape(gs.shape)
     assert gs.shape == (1, 0) and dist.shape == (1, 0) and dist.dtype == float
     h_cross = db_to_linear(ue_gain_db(ch, none, none))
     assert h_cross.shape == (0,) and h_cross.dtype == float
@@ -406,14 +405,16 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
     ue_db, ue_dist = ch.user_user_gain_db(*np.hstack([[tx, rx] for _, _, tx, rx in sectors]))
     ends = np.cumsum([len(tx) for _, _, tx, _ in sectors])[:-1]
     links = [cross_links(rx, cell) for _, cell, _, rx in sectors]
-    every = db_to_linear(ue_gain_db(ch, *np.hstack(links)))
+    every_db, every_dist = ch.user_user_gain_db(*np.hstack(links))
+    every = db_to_linear(every_db)
     third = rng.permutation(len(every))[:len(every) // 3]
     assert sum(len(tx) > 0 and len(cell) > 0 for _, cell, tx, _ in sectors) > 10
     np.testing.assert_array_equal(
         db_to_linear(ue_gain_db(ch, *np.hstack(links)[:, third])), every[third])
-    for (sector, cell, tx, rx), got, dist, cross in zip(
+    cross_ends = np.cumsum([link.shape[1] for link in links])[:-1]
+    for (sector, cell, tx, rx), got, dist, cross, cross_dist in zip(
             sectors, np.split(ue_db, ends), np.split(ue_dist, ends),
-            np.split(every, np.cumsum([link.shape[1] for link in links])[:-1])):
+            np.split(every, cross_ends), np.split(every_dist, cross_ends)):
         n, m = len(tx), len(cell)
         np.testing.assert_array_equal(got, ue_gain_db(ch, tx, rx))
         h_cross = cross.reshape(n, m)
@@ -422,11 +423,11 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
         np.testing.assert_array_equal(gs.h_d2d, db_to_linear(ue_gain_db(ch, tx, rx)))
         np.testing.assert_array_equal(gs.h_cell, db_to_linear(per_sector_gain_db(ch, cell, sector)))
         np.testing.assert_array_equal(gs.h_d2d_bs, db_to_linear(per_sector_gain_db(ch, tx, sector)))
-        # the sliced link lengths and the distance matrix are the per-sector
-        # distances feasibility reads
+        # the sliced link lengths and the flat cross-link lengths, reshaped,
+        # are the per-sector distances feasibility reads
         a, b = ch.users_xy[tx], ch.users_xy[rx]
         np.testing.assert_array_equal(dist, np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]))
         a, b = ch.users_xy[rx], ch.users_xy[cell]
         np.testing.assert_array_equal(
-            ch.distance_matrix(rx, cell),
+            cross_dist.reshape(n, m),
             np.hypot(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1]))

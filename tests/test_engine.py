@@ -20,6 +20,7 @@ from d2dsim.engine import (SCHEDULERS, SCHEMES, WORKERS_ENV, build_drop, drop_se
                            resolve_workers, run_campaign, run_drop, write_outputs)
 from d2dsim.feasibility import FeasibilityMatrix, sinr_d2d_matrix
 from d2dsim.metrics import CapacityReport, link_rates
+from d2dsim.power import draw_snr_targets, open_loop_power_w
 from d2dsim.rrm import (Allocation, allocate_capacity_max, allocate_none, allocate_proposed,
                         allocate_random)
 from d2dsim.scenario import associate_users, drop_users, generate_environment, pair_users
@@ -374,6 +375,148 @@ def test_d2d_noise_power_is_each_sector_shares_scalar_path(scenario):
             want = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
                                      cfg.noise.thermal_density_dbm_hz)
             assert (a.sigma2_d2d[ps] == want).all(), (d, int(sector_id))
+
+
+def per_sector_build(cfg, seed, drop):
+    """A frozen copy of build_drop's per-sector build loop, from association
+    on: each sector's noise powers, open-loop powers, no-reuse SNRs, reuse
+    SINR matrix, interferer distance matrix and context admission, computed
+    sector by sector.  Returns the DropArrays fields it fills and, per
+    evaluated sector, (sector id, sinr_cell, baseline_sinr, admission)."""
+    env = generate_environment(cfg)
+    ch, serving, serving_gain = drop.channel, drop.serving, drop.serving_gain
+    xy = ch.users_xy
+    pairs = pair_users(cfg, xy, engine._stream(seed, "pairing"))
+    n = len(xy)
+    cellular = np.ones(n, dtype=bool)
+    cellular[pairs] = False
+    pair_of_tx = np.full(n, -1)
+    pair_of_tx[pairs[:, 0]] = np.arange(len(pairs))
+    associated = np.flatnonzero(cellular | (pair_of_tx >= 0))
+    cell_targets = draw_snr_targets(cfg.cell_snr_target_db, n, engine._stream(seed, "targets-cell"))
+    d2d_targets = draw_snr_targets(cfg.d2d_snr_target_db, len(pairs),
+                                   engine._stream(seed, "targets-d2d"))
+    measured = (np.floor(xy / (env.width_m, env.height_m)) == 0).all(axis=1)
+    evaluated = np.zeros(len(env.sectors), dtype=bool)
+    evaluated[serving[measured & (cellular | (pair_of_tx >= 0))]] = True
+    by_sector = associated[np.argsort(serving[associated], kind="stable")]
+    by_sector = by_sector[evaluated[serving[by_sector]]]
+    cell_users = by_sector[cellular[by_sector]]
+    pair_ids = pair_of_tx[by_sector]
+    pair_ids = pair_ids[pair_ids >= 0]
+    tx_users, rx_users = pairs[pair_ids].T
+    sector_ids = np.flatnonzero(evaluated)
+    cell_start = np.append(np.searchsorted(serving[cell_users], sector_ids), len(cell_users))
+    pair_start = np.append(np.searchsorted(serving[tx_users], sector_ids), len(pair_ids))
+    d2d_db, d2d_dist = ch.user_user_gain_db(tx_users, rx_users)
+    fields = {"sector_ids": sector_ids, "pair_start": pair_start, "cell_start": cell_start,
+              "rx_users": rx_users, "pair_measured": measured[tx_users],
+              "cell_users": cell_users, "cell_measured": measured[cell_users],
+              "kinds": tuple(env.sectors[i].kind for i in sector_ids)}
+    per_pair = {"d2d_signal": [], "sigma2_d2d": [], "pair_share_hz": [], "d2d_clipped": []}
+    per_cell = {"p_cell": [], "cell_share_hz": [], "baseline_sinr": [], "cell_clipped": []}
+    sinr_cell, sectors = [], []
+    for k, sector_id in enumerate(sector_ids):
+        ps = slice(pair_start[k], pair_start[k + 1])
+        cs = slice(cell_start[k], cell_start[k + 1])
+        cell_idx = cell_users[cs]
+        share = env.sectors[sector_id].bandwidth_hz / max(len(cell_idx), 1)
+        sigma2_cell = noise_power_watts(share, cfg.noise.bs_noise_figure_db,
+                                        cfg.noise.thermal_density_dbm_hz)
+        sigma2_d = noise_power_watts(share, cfg.noise.ue_noise_figure_db,
+                                     cfg.noise.thermal_density_dbm_hz)
+        h_cell = db_to_linear(serving_gain[cell_idx])
+        h_d2d = db_to_linear(d2d_db[ps])
+        h_d2d_bs = db_to_linear(serving_gain[tx_users[ps]])
+        p_cell, cell_clipped = open_loop_power_w(cell_targets[cell_idx], h_cell, sigma2_cell,
+                                                 cfg.ue_max_power_dbm)
+        p_d2d, d2d_clipped = open_loop_power_w(d2d_targets[pair_ids[ps]], h_d2d, sigma2_d,
+                                               cfg.ue_max_power_dbm)
+        baseline = h_cell * p_cell / sigma2_cell
+        sinr = (h_cell * p_cell)[None, :] / ((h_d2d_bs * p_d2d)[:, None] + sigma2_cell)
+        a, b = xy[rx_users[ps]], xy[cell_idx]
+        cross = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+        floor = np.broadcast_to(float(cfg.distance_ratio_threshold), (len(h_d2d),))
+        admit = ((cross >= floor[:, None] * d2d_dist[ps][:, None])
+                 & (sinr >= (baseline * db_to_linear(-cfg.gamma_cell_db))[None, :]))
+        for key, value in (("d2d_signal", h_d2d * p_d2d), ("sigma2_d2d", [sigma2_d] * len(h_d2d)),
+                           ("pair_share_hz", [share] * len(h_d2d)), ("d2d_clipped", d2d_clipped)):
+            per_pair[key].append(np.asarray(value))
+        for key, value in (("p_cell", p_cell), ("cell_share_hz", [share] * len(h_cell)),
+                           ("baseline_sinr", baseline), ("cell_clipped", cell_clipped)):
+            per_cell[key].append(np.asarray(value))
+        sinr_cell.append(sinr.ravel())
+        sectors.append((int(sector_id), sinr, baseline, admit))
+    for key, parts in (*per_pair.items(), *per_cell.items(), ("sinr_cell", sinr_cell)):
+        fields[key] = np.concatenate(parts)
+    return fields, sectors
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_PRESETS)
+def test_build_drop_equals_per_sector_build_reference(scenario):
+    """On seed-3 drops 0-5, every DropArrays buffer and each SectorState's
+    sinr_cell, baseline_sinr and admission entries equal, with ==, those of
+    a frozen per-sector build loop.  The byte gates print 11 significant
+    digits and cannot see a last-bit move."""
+    cfg = apply_scenario(ScenarioConfig(), scenario)
+    for d in range(6):
+        seed = drop_seed(3, d)
+        drop = build_drop(cfg, seed)
+        fields, sectors = per_sector_build(cfg, seed, drop)
+        assert {f.name for f in dataclasses.fields(drop.arrays)} == set(fields)
+        for name, want in fields.items():
+            got = getattr(drop.arrays, name)
+            if isinstance(want, tuple):
+                assert got == want, (d, name)
+            else:
+                assert got.shape == np.shape(want) and got.dtype.kind == want.dtype.kind, (d, name)
+                assert (got == want).all(), (d, name)
+        assert len(drop.states) == len(sectors) > 0
+        for st, (sector_id, sinr, baseline, admit) in zip(drop.states, sectors):
+            assert st.sector_id == sector_id
+            assert st.sinr_cell.shape == sinr.shape and (st.sinr_cell == sinr).all()
+            assert (st.baseline_sinr == baseline).all()
+            assert st.feas_context.shape == admit.shape
+            assert (st.feas_context.entries == admit).all(), (d, sector_id)
+
+
+def spy(monkeypatch, name, calls):
+    """Wrap engine.<name> so that each call appends its positional arguments
+    to calls[name]."""
+    inner = getattr(engine, name)
+
+    def wrapper(*args):
+        calls.setdefault(name, []).append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(engine, name, wrapper)
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_PRESETS)
+def test_build_drop_runs_powers_per_drop_and_admission_per_sector(monkeypatch, scenario):
+    """build_drop calls open_loop_power_w twice, over every cellular user and
+    then every pair of its evaluated sectors, and build_gain_set and
+    feasibility_context once per evaluated sector.  Each sector's interferer
+    distances equal, with ==, those user_user_gain_db gives over its cross
+    links."""
+    cfg = apply_scenario(ScenarioConfig(), scenario)
+    calls = {}
+    for name in ("open_loop_power_w", "build_gain_set", "feasibility_context"):
+        spy(monkeypatch, name, calls)
+    for d in range(2):
+        calls.clear()
+        drop = build_drop(cfg, drop_seed(3, d))
+        a = drop.arrays
+        k = len(drop.states)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "open_loop_power_w": 2, "build_gain_set": k, "feasibility_context": k}
+        assert [len(c[0]) for c in calls["open_loop_power_w"]] == [len(a.p_cell), len(a.rx_users)]
+        for j, args in enumerate(calls["feasibility_context"]):
+            ps, cs = sector_slices(a, j)
+            rx, cell = a.rx_users[ps], a.cell_users[cs]
+            n, m = len(rx), len(cell)
+            want = drop.channel.user_user_gain_db(np.repeat(rx, m), np.tile(cell, n))[1]
+            assert args[5].shape == (n, m) and (args[5] == want.reshape(n, m)).all(), (d, j)
 
 
 def test_run_drop_reports_and_baseline_identity():
