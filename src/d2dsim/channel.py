@@ -138,14 +138,14 @@ def noise_power_watts(
 
 @dataclass
 class GainSet:
-    """Linear uplink gains a sector's scheduler works with.
+    """Linear uplink gains of a set of D2D pairs and cellular users: one
+    sector's, or a whole drop's laid end to end; it carries no sector id.
 
-    Rows index the sector's D2D pairs (m), columns its cellular users (n):
+    Rows index the D2D pairs (m), columns the cellular users (n):
     h_cross[m, n] is cellular transmitter n into pair m's receiving end.  The
     engine leaves it unset (only exact-admission oracles read it in full).
     """
 
-    sector_id: int
     h_cell: np.ndarray  # (M,) cellular UE -> serving sector
     h_d2d: np.ndarray  # (N,) pair tx end -> pair rx end
     h_d2d_bs: np.ndarray  # (N,) pair tx end -> sector
@@ -286,13 +286,10 @@ class DropChannel:
 
 
 def build_gain_set(
-    sector_id: int,
-    cell_gain_db: np.ndarray,
-    tx_gain_db: np.ndarray,
-    d2d_gain_db: np.ndarray,
+    cell_gain_db: np.ndarray, tx_gain_db: np.ndarray, d2d_gain_db: np.ndarray
 ) -> GainSet:
     """Assemble the linear gains a sector needs to schedule reuse, h_cross
-    left unset.
+    left unset; the caller keeps the sector id.
 
     cell_gain_db are the gains of the sector's cellular uplink users to it
     and tx_gain_db those of its D2D pairs' transmitting ends, both as the
@@ -300,7 +297,6 @@ def build_gain_set(
     user_user_gain_db gives over the pairs' tx -> rx links.
     """
     return GainSet(
-        sector_id=sector_id,
         h_cell=db_to_linear(cell_gain_db),
         h_d2d=db_to_linear(d2d_gain_db),
         h_d2d_bs=db_to_linear(tx_gain_db),

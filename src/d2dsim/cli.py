@@ -190,8 +190,8 @@ def _cmd_oracle(args) -> int:
         m = int(rng.integers(0, 7))
         adj = rng.random((n, m)) < rng.uniform(0.1, 0.9)
         size_bad += rrm.max_matching_size(adj) != rrm.brute_force_max_matching(adj)
-        chosen = rrm.allocate_proposed(FeasibilityMatrix(adj, mode="exact"))
-        lex_bad += chosen.resource_of_pair != rrm.brute_force_lex_matching(adj)
+        chosen = rrm.allocate_proposed(FeasibilityMatrix(adj))
+        lex_bad += tuple(chosen.resource_of_pair.tolist()) != rrm.brute_force_lex_matching(adj)
     for name, bad in (("matching", size_bad), ("lexicographic", lex_bad)):
         line = "PASS" if bad == 0 else f"FAIL ({bad} mismatches)"
         print(f"{name} oracle [{args.matching_instances} instances]: {line}")

@@ -143,7 +143,6 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     # order (each link's bits are independent of the others in the call)
     d2d_db, d2d_dist = channel.user_user_gain_db(tx_users, rx_users)
     cell_db, tx_db = serving_gain[cell_users], serving_gain[tx_users]
-    d2d_target_db = d2d_targets[pair_ids]
 
     # noise per sector: numpy's array path of 10.0 ** x can differ from its scalar path
     shares = [env.sectors[i].bandwidth_hz / max(m, 1)
@@ -153,10 +152,10 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
                       for share in shares]).reshape(-1, 2)
     sigma2_cell, sigma2_d2d = np.repeat(noise[:, 0], n_cells), np.repeat(noise[:, 1], n_pairs)
     # the whole drop's gains, powers, no-reuse SNRs and reuse SINRs, by row
-    gains = GainSet(-1, db_to_linear(cell_db), db_to_linear(d2d_db), db_to_linear(tx_db))
+    gains = GainSet(db_to_linear(cell_db), db_to_linear(d2d_db), db_to_linear(tx_db))
     p_cell, cell_clipped = open_loop_power_w(cell_targets[cell_users], gains.h_cell, sigma2_cell,
                                              cfg.ue_max_power_dbm)
-    p_d2d, d2d_clipped = open_loop_power_w(d2d_target_db, gains.h_d2d, sigma2_d2d,
+    p_d2d, d2d_clipped = open_loop_power_w(d2d_targets[pair_ids], gains.h_d2d, sigma2_d2d,
                                            cfg.ue_max_power_dbm)
     baseline = baseline_cell_sinr(gains, p_cell, sigma2_cell)
     arrays = DropArrays(
@@ -191,9 +190,8 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     for k, (sector_id, sigma2) in enumerate(zip(sector_ids.tolist(), noise[:, 0].tolist())):
         ps, cs, es = slice(p[k], p[k + 1]), slice(c[k], c[k + 1]), slice(e[k], e[k + 1])
         shape = (p[k + 1] - p[k], c[k + 1] - c[k])
-        sector_gains = build_gain_set(sector_id, cell_db[cs], tx_db[ps], d2d_db[ps])
-        targets = SinrTargets(d2d_target_db=d2d_target_db[ps], gamma_cell_db=cfg.gamma_cell_db,
-                              baseline_cell_sinr=baseline[cs],
+        sector_gains = build_gain_set(cell_db[cs], tx_db[ps], d2d_db[ps])
+        targets = SinrTargets(cfg.gamma_cell_db, baseline[cs],
                               ratio_threshold=cfg.distance_ratio_threshold)
         feas = feasibility_context(sector_gains, p_cell[cs], p_d2d[ps], sigma2, d2d_dist[ps],
                                    cross_dist[es].reshape(shape), targets)

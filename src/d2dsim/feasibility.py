@@ -87,48 +87,31 @@ class SinrTargets:
     """Admission thresholds for both reuse conditions.
 
     The D2D side takes a target in dB (scalar or per pair).  The cellular
-    side runs in one of two modes: a fixed target (cell_target_db) or a
-    tolerated-degradation offset below the no-reuse SINR (gamma_cell_db with
-    baseline_cell_sinr, linear).  ratio_threshold is the distance-ratio
-    floor of the context proxy, one constant for every pair.
+    side tolerates a loss of gamma_cell_db below each resource's no-reuse
+    SINR baseline_cell_sinr (linear).  ratio_threshold is the context
+    proxy's distance-ratio floor, one constant for every pair.
     """
 
+    gamma_cell_db: float
+    baseline_cell_sinr: np.ndarray
     d2d_target_db: float | np.ndarray = 0.0
-    cell_target_db: float | None = None
-    gamma_cell_db: float | None = None
-    baseline_cell_sinr: np.ndarray | None = None
     ratio_threshold: float = 1.0
-
-    def __post_init__(self):
-        fixed = self.cell_target_db is not None
-        offset = self.gamma_cell_db is not None
-        if fixed == offset:
-            raise ValueError("exactly one of cell_target_db / gamma_cell_db is required")
-        if offset and self.baseline_cell_sinr is None:
-            raise ValueError("gamma_cell_db mode needs baseline_cell_sinr")
 
     def d2d_threshold_linear(self, n_pairs: int) -> np.ndarray:
         return db_to_linear(np.broadcast_to(self.d2d_target_db, (n_pairs,)))
 
     def cell_threshold_linear(self, n_cells: int) -> np.ndarray:
-        if self.cell_target_db is not None:
-            return db_to_linear(np.broadcast_to(self.cell_target_db, (n_cells,)))
         base = np.asarray(self.baseline_cell_sinr, dtype=float)
         if base.shape != (n_cells,):
             raise ValueError("baseline_cell_sinr length must match the cellular count")
         return base * db_to_linear(-self.gamma_cell_db)
 
-    def ratio_floor(self, pair_distance_m: np.ndarray) -> np.ndarray:
-        """The floor of every pair, one array entry per pair."""
-        return np.full(np.shape(pair_distance_m), float(self.ratio_threshold))
-
 
 @dataclass(frozen=True)
 class FeasibilityMatrix:
-    """(N pairs x M resources) boolean admission decisions plus their provenance."""
+    """(N pairs x M resources) boolean admission decisions."""
 
     entries: np.ndarray
-    mode: str  # "exact" | "context"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=bool)
@@ -155,7 +138,7 @@ def feasibility_exact(
         >= targets.d2d_threshold_linear(n)[:, None]
     cell_ok = sinr_cell_matrix(gains, p_cell_w, p_d2d_w, sigma2_cell_w) \
         >= targets.cell_threshold_linear(m)[None, :]
-    return FeasibilityMatrix(entries=(d2d_ok & cell_ok), mode="exact")
+    return FeasibilityMatrix(d2d_ok & cell_ok)
 
 
 def feasibility_context(
@@ -177,7 +160,7 @@ def feasibility_context(
     link = np.asarray(pair_distance_m, dtype=float)
     if cross.shape != (n, m) or link.shape != (n,):
         raise ValueError("distance arrays must match the gain-set shape")
-    ok = cross >= (targets.ratio_floor(link) * link)[:, None]
+    ok = cross >= (targets.ratio_threshold * link)[:, None]
     ok &= sinr_cell_matrix(gains, p_cell_w, p_d2d_w, sigma2_cell_w) \
         >= targets.cell_threshold_linear(m)
-    return FeasibilityMatrix(entries=ok, mode="context")
+    return FeasibilityMatrix(ok)

@@ -18,7 +18,6 @@ np.add.reduceat adds in another order and gives other bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -108,8 +107,8 @@ class DropArrays:
         for alloc, n in zip(allocations, self.n_pairs, strict=True):
             if len(alloc.resource_of_pair) != n:
                 raise ValueError("allocation length must match the sector pair count")
-        col = np.fromiter(chain.from_iterable(a.resource_of_pair for a in allocations),
-                          dtype=int, count=len(self.rx_users))
+        col = np.concatenate([np.empty(0, dtype=int),
+                              *(a.resource_of_pair for a in allocations)])
         return np.where(col >= 0, col + self.cell0, -1)
 
     def cross_links(self, resource: np.ndarray) -> np.ndarray:

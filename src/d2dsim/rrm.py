@@ -41,13 +41,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Allocation:
-    """Per-sector schedule: resource_of_pair[m] = column index or -1 (silent)."""
+    """Per-sector schedule: resource_of_pair is an (N,) int array whose entry
+    m is pair m's resource column, or -1 when the pair stays silent.  The
+    generated == does not work on it; compare the arrays."""
 
-    resource_of_pair: tuple[int, ...]
+    resource_of_pair: np.ndarray
 
     @property
     def enabled_pairs(self) -> int:
-        return sum(1 for r in self.resource_of_pair if r >= 0)
+        return int(np.count_nonzero(self.resource_of_pair >= 0))
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(m, r) for m, r in enumerate(self.resource_of_pair) if r >= 0]
@@ -219,7 +221,7 @@ def allocate_proposed(feasibility: FeasibilityMatrix) -> Allocation:
                 break
         if mt.match[r] >= 0:
             fixed |= 1 << mt.match[r]
-    return Allocation(tuple(mt.match))
+    return Allocation(np.array(mt.match, dtype=int))
 
 
 def allocate_capacity_max(
@@ -239,7 +241,7 @@ def allocate_capacity_max(
     out = np.full(n, -1)
     rows, cols = linear_sum_assignment(cap - base[None, :], maximize=True)
     out[rows] = cols
-    return Allocation(tuple(out.tolist()))
+    return Allocation(out)
 
 
 def allocate_random(
@@ -251,9 +253,9 @@ def allocate_random(
     if k:
         chosen_pairs = rng.permutation(n_pairs)[:k]  # drawn before the columns
         out[chosen_pairs] = rng.permutation(n_resources)[:k]
-    return Allocation(tuple(out.tolist()))
+    return Allocation(out)
 
 
 def allocate_none(n_pairs: int) -> Allocation:
     """Baseline: no pair transmits."""
-    return Allocation((-1,) * n_pairs)
+    return Allocation(np.full(n_pairs, -1))

@@ -24,12 +24,10 @@ def tiny_config(**overrides) -> ScenarioConfig:
     return dataclasses.replace(ScenarioConfig(), **base)
 
 
-def random_gain_set(rng: np.random.Generator, n_pairs: int, n_cells: int,
-                    sector_id: int = 0) -> GainSet:
+def random_gain_set(rng: np.random.Generator, n_pairs: int, n_cells: int) -> GainSet:
     """Synthetic linear gains spanning several orders of magnitude."""
     g = lambda size: 10.0 ** rng.uniform(-12.0, -4.0, size=size)
     return GainSet(
-        sector_id=sector_id,
         h_cell=g(n_cells),
         h_d2d=g(n_pairs),
         h_d2d_bs=g(n_pairs),

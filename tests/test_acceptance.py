@@ -63,7 +63,7 @@ def test_matching_allocator_equals_brute_force():
     for _ in range(1000):
         n, m = int(rng.integers(0, 7)), int(rng.integers(0, 7))
         adj = rng.random((n, m)) < rng.uniform(0.05, 0.95)
-        feas = FeasibilityMatrix(entries=adj.astype(np.uint8), mode="exact")
+        feas = FeasibilityMatrix(entries=adj.astype(np.uint8))
         if allocate_proposed(feas).enabled_pairs != brute_force_max_matching(adj):
             mismatches += 1
     elapsed = time.monotonic() - t0
@@ -98,7 +98,6 @@ def test_capacity_allocator_equals_permutation_max():
 
 def random_reuse_instance(rng, n, m):
     gains = GainSet(
-        sector_id=0,
         h_cell=10.0 ** rng.uniform(-12, -4, m),
         h_d2d=10.0 ** rng.uniform(-12, -4, n),
         h_d2d_bs=10.0 ** rng.uniform(-14, -6, n),
@@ -151,22 +150,24 @@ def test_admission_matches_elementwise_oracle():
                                   ratio_threshold=rng.uniform(0.8, 2.0))
             thr_cell = base * 10.0 ** (-gamma / 10.0)
         else:
+            # a fixed target: gamma 0 dB below a baseline of the target itself
             fixed = rng.uniform(0.0, 12.0)
-            targets = SinrTargets(d2d_target_db=t_d2d, cell_target_db=fixed,
-                                  ratio_threshold=rng.uniform(0.8, 2.0))
             thr_cell = np.full(m, 10.0 ** (fixed / 10.0))
+            targets = SinrTargets(d2d_target_db=t_d2d, gamma_cell_db=0.0,
+                                  baseline_cell_sinr=thr_cell,
+                                  ratio_threshold=rng.uniform(0.8, 2.0))
         link = rng.uniform(5.0, 60.0, n)
         cross = rng.uniform(5.0, 300.0, (n, m))
 
         exact = feasibility_exact(gains, p_cell, p_d2d, s2c, s2d, targets)
         ctx = feasibility_context(gains, p_cell, p_d2d, s2c, link, cross, targets)
-        floor = targets.ratio_floor(link)
+        floor = targets.ratio_threshold * link
         for i in range(n):
             for j in range(m):
                 sd = gains.h_d2d[i] * p_d2d[i] / (gains.h_cross[i, j] * p_cell[j] + s2d)
                 sc = gains.h_cell[j] * p_cell[j] / (gains.h_d2d_bs[i] * p_d2d[i] + s2c)
                 want_exact = (sd >= 10.0 ** (t_d2d[i] / 10.0)) and (sc >= thr_cell[j])
-                want_ctx = (cross[i, j] >= floor[i] * link[i]) and (sc >= thr_cell[j])
+                want_ctx = (cross[i, j] >= floor[i]) and (sc >= thr_cell[j])
                 mismatches += int(bool(exact.entries[i, j]) != want_exact)
                 mismatches += int(bool(ctx.entries[i, j]) != want_ctx)
     ok = mismatches == 0

@@ -286,7 +286,7 @@ def test_build_gain_set_shapes_and_convention():
     cell_idx = np.array([0, 1])
     tx = np.array([2, 3])
     rx = np.array([4, 5])
-    gs = build_gain_set(sector.sector_id, gain_db[cell_idx], gain_db[tx], ue_gain_db(ch, tx, rx))
+    gs = build_gain_set(gain_db[cell_idx], gain_db[tx], ue_gain_db(ch, tx, rx))
     assert gs.shape == (2, 2)
     assert gs.h_cell.shape == (2,) and gs.h_d2d.shape == (2,)
     assert gs.h_cross is None  # cross gains are built per scheduled reuse
@@ -308,11 +308,11 @@ def test_empty_gain_set():
     cfg, env, ch = make_channel([[30.0, 276.0]])
     none = np.zeros(0, dtype=int)
     gain_db = ch.user_sector_gain_db(slice(None), env.sectors[0])
-    gs = build_gain_set(0, gain_db[none], gain_db[none], ue_gain_db(ch, none, none))
+    gs = build_gain_set(gain_db[none], gain_db[none], ue_gain_db(ch, none, none))
     assert gs.shape == (0, 0)
     assert gs.h_cell.size == 0 and gs.h_d2d.size == 0
     one = np.array([0])
-    gs = build_gain_set(0, gain_db[none], gain_db[one], ue_gain_db(ch, one, one))
+    gs = build_gain_set(gain_db[none], gain_db[one], ue_gain_db(ch, one, one))
     dist = ch.user_user_gain_db(*cross_links(one, none))[1].reshape(gs.shape)
     assert gs.shape == (1, 0) and dist.shape == (1, 0) and dist.dtype == float
     h_cross = db_to_linear(ue_gain_db(ch, none, none))
@@ -419,7 +419,7 @@ def test_one_ue_pass_equals_per_sector_gains_on_hetnet_drop():
         np.testing.assert_array_equal(got, ue_gain_db(ch, tx, rx))
         h_cross = cross.reshape(n, m)
         np.testing.assert_array_equal(h_cross, db_to_linear(cross_gain_db(ch, rx, cell)))
-        gs = build_gain_set(sector.sector_id, serving_gain[cell], serving_gain[tx], got)
+        gs = build_gain_set(serving_gain[cell], serving_gain[tx], got)
         np.testing.assert_array_equal(gs.h_d2d, db_to_linear(ue_gain_db(ch, tx, rx)))
         np.testing.assert_array_equal(gs.h_cell, db_to_linear(per_sector_gain_db(ch, cell, sector)))
         np.testing.assert_array_equal(gs.h_d2d_bs, db_to_linear(per_sector_gain_db(ch, tx, sector)))

@@ -95,7 +95,7 @@ def scheduled_plans(result, states):
     for scheme, grants in result.grants.items():
         for sector, m, col in grants.T.tolist():
             rows[scheme][sector][m] = col
-    return {s: [Allocation(tuple(plan[st.sector_id])) for st in states]
+    return {s: [Allocation(np.array(plan[st.sector_id], dtype=int)) for st in states]
             for s, plan in rows.items()}
 
 
@@ -136,7 +136,7 @@ def test_scheduled_d2d_sinr_equals_full_cross_gain_matrix(scenario):
             if n == 0:
                 continue
             # d2d_signal is h_d2d * p_d2d, so the pairs get unit power here
-            gains = GainSet(st.sector_id, h_cell=np.zeros(m), h_d2d=a.d2d_signal[ps],
+            gains = GainSet(h_cell=np.zeros(m), h_d2d=a.d2d_signal[ps],
                             h_d2d_bs=np.zeros(n), h_cross=db_to_linear(db))
             full = sinr_d2d_matrix(gains, a.p_cell[cs], np.ones(n), a.sigma2_d2d[ps][0])
             rows, cols = np.array(plan[k].pairs(), dtype=int).reshape(-1, 2).T
@@ -258,13 +258,17 @@ def test_schedule_dispatch(monkeypatch):
     n, m = st.shape
     assert SCHEMES == tuple(SCHEDULERS) == ("proposed", "capacity-max", "random", "none")
     rng = np.random.default_rng(5)
-    assert SCHEDULERS["proposed"](st, rng) == allocate_proposed(st.feas_context)
-    assert SCHEDULERS["none"](st, rng) == allocate_none(n)
+
+    def same(a, b):
+        return np.array_equal(a.resource_of_pair, b.resource_of_pair)
+
+    assert same(SCHEDULERS["proposed"](st, rng), allocate_proposed(st.feas_context))
+    assert same(SCHEDULERS["none"](st, rng), allocate_none(n))
     cap = SCHEDULERS["capacity-max"](st, rng)
-    assert cap == allocate_capacity_max(np.log2(1.0 + st.sinr_cell),
-                                        np.log2(1.0 + st.baseline_sinr))
+    assert same(cap, allocate_capacity_max(np.log2(1.0 + st.sinr_cell),
+                                           np.log2(1.0 + st.baseline_sinr)))
     assert cap.enabled_pairs == min(n, m)
-    assert SCHEDULERS["random"](st, rng) == allocate_random(n, m, np.random.default_rng(5))
+    assert same(SCHEDULERS["random"](st, rng), allocate_random(n, m, np.random.default_rng(5)))
     monkeypatch.setattr(engine, "allocate_none", lambda n_pairs: ("wrapped", n_pairs))
     assert SCHEDULERS["none"](st, rng) == ("wrapped", n)
 
@@ -570,6 +574,34 @@ def allocation_pairs_rows(cfg, seed):
     return rows
 
 
+def test_every_scheduler_returns_an_injective_int_array_per_sector():
+    """Under every scheme, on every sector of two tiny drops (the second has
+    sectors without pairs), resource_of_pair is a 1-D integer ndarray of the
+    sector's pair count, valued in [-1, M) and injective over its granted
+    columns."""
+    granted = dict.fromkeys(SCHEDULERS, 0)
+    shapes = []
+    for users, d in ((40, 0), (12, 1)):
+        cfg = tiny_config(fixed_user_count=users)
+        seed = drop_seed(cfg.seed, d)
+        states = build_drop(cfg, seed).states
+        shapes += [st.shape for st in states]
+        for scheme, allocate in SCHEDULERS.items():
+            rng = engine._stream(seed, "random-alloc")
+            for st in states:
+                n, m = st.shape
+                res = allocate(st, rng).resource_of_pair
+                where = (users, scheme, st.sector_id)
+                assert isinstance(res, np.ndarray) and res.dtype.kind == "i", where
+                assert res.shape == (n,), where
+                assert ((res >= -1) & (res < m)).all(), where
+                cols = res[res >= 0]
+                assert len(np.unique(cols)) == len(cols), where
+                granted[scheme] += len(cols)
+    assert min(n for n, _ in shapes) == 0 < max(n for n, _ in shapes)
+    assert granted["none"] == 0 and min(granted[s] for s in SCHEMES if s != "none") > 0
+
+
 @pytest.mark.parametrize("scenario", SCENARIO_PRESETS)
 def test_grants_equal_allocation_pairs_on_every_preset(tmp_path, scenario):
     """run_drop's grant arrays and the rows a campaign writes to
@@ -797,9 +829,8 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     def largest_first(feasibility):  # maximum, but prefers large columns
         flipped = feasibility.entries[:, ::-1]
         m = flipped.shape[1]
-        picked = allocate_proposed(FeasibilityMatrix(flipped, mode="exact"))
-        return Allocation(tuple(m - 1 - c if c >= 0 else -1
-                                for c in picked.resource_of_pair))
+        picked = allocate_proposed(FeasibilityMatrix(flipped)).resource_of_pair
+        return Allocation(np.where(picked >= 0, m - 1 - picked, -1))
 
     monkeypatch.setattr(cli.rrm, "allocate_proposed", largest_first)
     code = cli.main(["oracle", "--matching-instances", "40",

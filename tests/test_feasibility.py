@@ -47,15 +47,18 @@ def test_baseline_cell_sinr(rng):
                                gs.h_cell * p / 1e-12, rtol=1e-15)
 
 
+def fixed_cell_target(target_db: float, n_cells: int, **kw) -> SinrTargets:
+    """A fixed cellular target: gamma 0 dB below a baseline of the target itself."""
+    return SinrTargets(gamma_cell_db=0.0,
+                       baseline_cell_sinr=np.full(n_cells, 10.0 ** (target_db / 10.0)), **kw)
+
+
 def test_targets_validation(rng):
-    with pytest.raises(ValueError, match="exactly one"):
-        SinrTargets(cell_target_db=10.0, gamma_cell_db=3.0,
-                    baseline_cell_sinr=np.ones(2))
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError):
         SinrTargets()
-    with pytest.raises(ValueError, match="baseline"):
+    with pytest.raises(TypeError, match="baseline"):
         SinrTargets(gamma_cell_db=3.0)
-    t = SinrTargets(d2d_target_db=np.array([0.0, 10.0]), cell_target_db=12.0)
+    t = fixed_cell_target(12.0, 3, d2d_target_db=np.array([0.0, 10.0]))
     np.testing.assert_allclose(t.d2d_threshold_linear(2), [1.0, 10.0])
     np.testing.assert_allclose(t.cell_threshold_linear(3),
                                [10.0 ** 1.2] * 3)
@@ -64,11 +67,6 @@ def test_targets_validation(rng):
                                np.array([8.0, 16.0]) * 10 ** -0.3)
     with pytest.raises(ValueError, match="length"):
         g.cell_threshold_linear(3)
-
-
-def test_ratio_floor_constant():
-    t = SinrTargets(cell_target_db=10.0, ratio_threshold=2.0)
-    np.testing.assert_allclose(t.ratio_floor(np.array([5.0, 9.0])), [2.0, 2.0])
 
 
 def exact_oracle(gs, p_cell, p_d2d, s2c, s2d, targets):
@@ -87,11 +85,11 @@ def exact_oracle(gs, p_cell, p_d2d, s2c, s2d, targets):
 def context_oracle(gs, p_cell, p_d2d, s2c, link, cross, targets):
     n, m = gs.shape
     tc = targets.cell_threshold_linear(m)
-    floor = targets.ratio_floor(link)
+    floor = targets.ratio_threshold * link
     out = np.zeros((n, m), dtype=np.uint8)
     for i in range(n):
         for j in range(m):
-            ok_r = cross[i, j] >= floor[i] * link[i]
+            ok_r = cross[i, j] >= floor[i]
             ok_c = scalar_oracle_cell(gs, p_cell, p_d2d, s2c, i, j) >= tc[j]
             out[i, j] = ok_r and ok_c
     return out
@@ -110,10 +108,9 @@ def test_feasibility_exact_matches_oracle(rng):
     for _ in range(50):
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         gs, p_cell, p_d2d, s2c, s2d = random_instance(rng, n, m)
-        targets = SinrTargets(d2d_target_db=rng.uniform(-5, 10, n),
-                              cell_target_db=float(rng.uniform(0, 15)))
+        d2d_target_db = rng.uniform(-5, 10, n)
+        targets = fixed_cell_target(float(rng.uniform(0, 15)), m, d2d_target_db=d2d_target_db)
         fm = feasibility_exact(gs, p_cell, p_d2d, s2c, s2d, targets)
-        assert fm.mode == "exact"
         np.testing.assert_array_equal(
             fm.entries, exact_oracle(gs, p_cell, p_d2d, s2c, s2d, targets))
 
@@ -129,25 +126,25 @@ def test_feasibility_context_matches_oracle(rng):
                               baseline_cell_sinr=baseline,
                               ratio_threshold=float(rng.uniform(0.5, 2.0)))
         fm = feasibility_context(gs, p_cell, p_d2d, s2c, link, cross, targets)
-        assert fm.mode == "context"
         np.testing.assert_array_equal(
             fm.entries, context_oracle(gs, p_cell, p_d2d, s2c, link, cross, targets))
 
 
 def test_inclusive_boundary_d2d():
     # engineered so sinr_d2d == threshold exactly: inclusive >= admits it
-    gs = GainSet(0, h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
+    gs = GainSet(h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
                  h_d2d_bs=np.array([1e-30]), h_cross=np.array([[0.0]]))
-    targets = SinrTargets(d2d_target_db=0.0, cell_target_db=-300.0)
+    # a zero baseline switches the cellular check off
+    targets = SinrTargets(gamma_cell_db=0.0, baseline_cell_sinr=np.zeros(1), d2d_target_db=0.0)
     fm = feasibility_exact(gs, np.array([1.0]), np.array([1.0]), 1e-3, 1.0, targets)
     # sinr_d2d = 1*1 / (0 + 1.0) = 1.0 == 10^(0/10)
     assert fm.entries[0, 0] == 1
 
 
 def test_inclusive_boundary_ratio():
-    gs = GainSet(0, h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
+    gs = GainSet(h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
                  h_d2d_bs=np.array([1e-30]), h_cross=np.array([[1e-12]]))
-    targets = SinrTargets(cell_target_db=-300.0, ratio_threshold=1.0)
+    targets = SinrTargets(gamma_cell_db=0.0, baseline_cell_sinr=np.zeros(1), ratio_threshold=1.0)
     fm = feasibility_context(gs, np.array([1.0]), np.array([1.0]), 1e-3,
                              np.array([25.0]), np.array([[25.0]]), targets)
     assert fm.entries[0, 0] == 1  # cross == floor * link admits
@@ -174,12 +171,12 @@ def test_gamma_mode_cell_condition_is_per_pair(rng):
 
 def test_shape_validation(rng):
     gs = random_gain_set(rng, 2, 3)
-    targets = SinrTargets(cell_target_db=0.0)
+    targets = fixed_cell_target(0.0, 3)
     with pytest.raises(ValueError, match="distance arrays"):
         feasibility_context(gs, np.ones(3) * 0.1, np.ones(2) * 0.1, 1e-13,
                             np.ones(2), np.ones((3, 2)), targets)
     with pytest.raises(ValueError, match="2-D"):
-        FeasibilityMatrix(entries=np.ones(4), mode="exact")
+        FeasibilityMatrix(entries=np.ones(4))
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,8 +185,8 @@ def test_shape_validation(rng):
 def test_exact_feasibility_property(seed, n, m):
     rng = np.random.default_rng(seed)
     gs, p_cell, p_d2d, s2c, s2d = random_instance(rng, n, m)
-    targets = SinrTargets(d2d_target_db=float(rng.uniform(-5, 10)),
-                          cell_target_db=float(rng.uniform(0, 15)))
+    d2d_target_db = float(rng.uniform(-5, 10))
+    targets = fixed_cell_target(float(rng.uniform(0, 15)), m, d2d_target_db=d2d_target_db)
     fm = feasibility_exact(gs, p_cell, p_d2d, s2c, s2d, targets)
     np.testing.assert_array_equal(
         fm.entries, exact_oracle(gs, p_cell, p_d2d, s2c, s2d, targets))

@@ -25,7 +25,6 @@ def make_sector(kind="macro", share=SHARE_HZ,
     h_cell = np.array([1e-6, 2e-6, 5e-7])
     p_cell = np.array([0.1, 0.2, 0.05])
     gains = GainSet(
-        sector_id=0,
         h_cell=h_cell,
         h_d2d=H_D2D,
         h_d2d_bs=np.array([1e-8, 2e-8]),
@@ -102,7 +101,7 @@ def evaluate(arrays, allocations):
 
 def test_sector_rates_closed_form():
     state = make_state()
-    cell_bps, d2d_bps, cell_sinr, d2d_sinr = rates(state, [Allocation((2, -1))])
+    cell_bps, d2d_bps, cell_sinr, d2d_sinr = rates(state, [Allocation(np.array([2, -1]))])
 
     # pair 0 rides resource 2: both SINRs from the scalar reuse formulas
     sinr_d = 1e-5 * 0.01 / (3e-7 * 0.05 + 1e-10)
@@ -120,10 +119,10 @@ def test_sector_rates_read_only_scheduled_cross_gains():
     full cross-gain matrix, bit for bit, from only the scheduled cross links'
     gains, handed in by position."""
     state = make_state()
-    gains = GainSet(0, h_cell=np.array([1e-6, 2e-6, 5e-7]), h_d2d=H_D2D,
+    gains = GainSet(h_cell=np.array([1e-6, 2e-6, 5e-7]), h_d2d=H_D2D,
                     h_d2d_bs=np.array([1e-8, 2e-8]), h_cross=H_CROSS)
     full = sinr_d2d_matrix(gains, state.p_cell, P_D2D, SIGMA2_D2D)
-    res = state.resource_rows([Allocation((2, 0))])
+    res = state.resource_rows([Allocation(np.array([2, 0]))])
     # one gain per reuse, in pair order: h_cross[m, n] of (rx of pair m, cellular n)
     h_cross = np.array([H_CROSS[0, 2], H_CROSS[1, 0]])
     _, d2d_bps, _, d2d_sinr = link_rates(state, res, h_cross)
@@ -132,13 +131,13 @@ def test_sector_rates_read_only_scheduled_cross_gains():
     np.testing.assert_array_equal(state.cross_links(res), [[0, 1], [2, 0]])
     np.testing.assert_array_equal(cross_gains(state, res), h_cross)
     np.testing.assert_array_equal(
-        state.cross_links(state.resource_rows([Allocation((-1, 1))])), [[1], [1]])
+        state.cross_links(state.resource_rows([Allocation(np.array([-1, 1]))])), [[1], [1]])
     assert state.cross_links(state.resource_rows([allocate_none(2)])).shape == (2, 0)
 
 
 def test_grants_are_sector_id_pair_row_and_column_in_pair_order():
     two = drop_arrays(make_sector(), make_sector(), sector_ids=[4, 9])
-    res = two.resource_rows([Allocation((2, -1)), Allocation((1, 0))])
+    res = two.resource_rows([Allocation(np.array([2, -1])), Allocation(np.array([1, 0]))])
     np.testing.assert_array_equal(res, [2, -1, 4, 3])
     grants = two.grants(res)
     assert grants.dtype == np.int32
@@ -156,7 +155,7 @@ def test_sector_rates_none_keeps_baseline():
 
 
 def test_sector_rates_scale_with_share():
-    allocs = [Allocation((2, 0))]
+    allocs = [Allocation(np.array([2, 0]))]
     c1, d1, _, _ = rates(make_state(share=1000.0), allocs)
     c2, d2, _, _ = rates(make_state(share=2000.0), allocs)
     assert c2 == pytest.approx(2.0 * c1)
@@ -166,24 +165,24 @@ def test_sector_rates_scale_with_share():
 def test_sector_rates_validation():
     state = make_state()
     with pytest.raises(ValueError, match="length"):
-        state.resource_rows([Allocation((0,))])
+        state.resource_rows([Allocation(np.array([0]))])
     with pytest.raises(ValueError, match="length"):
         link_rates(state, np.array([0]), np.zeros(1))
     with pytest.raises(ValueError, match="twice"):
-        link_rates(state, state.resource_rows([Allocation((1, 1))]), np.zeros(2))
+        link_rates(state, state.resource_rows([Allocation(np.array([1, 1]))]), np.zeros(2))
     # a resource row of another sector, or past the sector's last one
     two = drop_arrays(make_sector(), make_sector())
     for res in (np.array([3, -1, -1, -1]), np.array([-1, -1, 2, -1])):
         with pytest.raises(ValueError, match="outside its sector"):
             link_rates(two, res, np.zeros(1))
     with pytest.raises(ValueError, match="outside its sector"):
-        link_rates(state, state.resource_rows([Allocation((3, -1))]), np.zeros(1))
+        link_rates(state, state.resource_rows([Allocation(np.array([3, -1]))]), np.zeros(1))
 
 
 def test_sector_rates_refuses_cross_gains_not_one_per_reuse():
     """One gain for two scheduled reuses would broadcast over both."""
     state = make_state()
-    res = state.resource_rows([Allocation((2, 0))])
+    res = state.resource_rows([Allocation(np.array([2, 0]))])
     for h_cross in (np.array([3e-7]), np.zeros(3), H_CROSS):
         with pytest.raises(ValueError, match="cross-gain count"):
             link_rates(state, res, h_cross)
@@ -194,7 +193,7 @@ def test_sector_rates_refuses_cross_gains_not_one_per_reuse():
 def test_sector_rates_empty_resources():
     sector = make_sector()
     gains = GainSet(
-        sector_id=0, h_cell=np.zeros(0),
+        h_cell=np.zeros(0),
         h_d2d=np.array([1e-5, 2e-5]), h_d2d_bs=np.array([1e-8, 2e-8]))
     sector.update(sinr_cell=sinr_cell_matrix(gains, np.zeros(0), P_D2D, SIGMA2_CELL),
                   p_cell=np.zeros(0), cell_users=np.zeros(0, dtype=int),
@@ -207,7 +206,7 @@ def test_sector_rates_empty_resources():
 
 def test_evaluate_drop_measured_only():
     state = make_state()  # users 0,1 and pair 0 measured
-    allocs = [Allocation((2, 0))]
+    allocs = [Allocation(np.array([2, 0]))]
     report = evaluate(state, allocs)
     cell_bps, d2d_bps, _, _ = rates(state, allocs)
 
@@ -223,7 +222,7 @@ def test_evaluate_drop_measured_only():
 
 def test_evaluate_drop_by_kind_split():
     arrays = drop_arrays(make_sector(kind="macro"), make_sector(kind="micro"))
-    report = evaluate(arrays, [Allocation((2, -1)), allocate_none(2)])
+    report = evaluate(arrays, [Allocation(np.array([2, -1])), allocate_none(2)])
     assert set(report.by_kind) == {"macro", "micro"}
     assert report.by_kind["micro"]["d2d_bps"] == 0.0
     assert report.cell_bps == pytest.approx(
@@ -254,7 +253,7 @@ def test_evaluate_drop_empty():
 def test_evaluate_drop_refuses_lists_not_aligned_with_states():
     """One allocation per sector, and one cross gain per scheduled reuse."""
     state = make_state()
-    alloc = Allocation((2, -1))
+    alloc = Allocation(np.array([2, -1]))
     for allocs in ([], [alloc, alloc]):
         with pytest.raises(ValueError, match="zip"):
             state.resource_rows(allocs)
