@@ -288,12 +288,12 @@ class DropChannel:
 def build_gain_set(
     cell_gain_db: np.ndarray, tx_gain_db: np.ndarray, d2d_gain_db: np.ndarray
 ) -> GainSet:
-    """Assemble the linear gains a sector needs to schedule reuse, h_cross
-    left unset; the caller keeps the sector id.
+    """Assemble the linear gains a drop needs to schedule reuse, h_cross
+    left unset; each sector's gains are views of its rows.
 
-    cell_gain_db are the gains of the sector's cellular uplink users to it
-    and tx_gain_db those of its D2D pairs' transmitting ends, both as the
-    serving gains associate_users gives; d2d_gain_db is the gains that
+    cell_gain_db are the gains of the drop's cellular uplink users to their
+    sectors and tx_gain_db those of its D2D pairs' transmitting ends, both as
+    the serving gains associate_users gives; d2d_gain_db is the gains that
     user_user_gain_db gives over the pairs' tx -> rx links.
     """
     return GainSet(

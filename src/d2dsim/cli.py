@@ -79,6 +79,8 @@ def _override(arg: str) -> dict:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--set {arg!r}: value must be JSON ({exc.msg})") from None
+    except (RecursionError, ValueError) as exc:  # too deep, or an integer too long
+        raise ConfigError(f"--set {key}: JSON value beyond parser limits: {exc}") from None
     for part in reversed(key.strip().split(".")):
         tree = {part: tree}
     return tree

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -152,7 +152,8 @@ def _coerced(current: Any, value: Any, dotted: str) -> Any:
     if isinstance(current, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{dotted}: expected a number")
-        if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+        # json.loads accepts NaN, Infinity and integers beyond the float range
+        if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{dotted}: expected a finite number")
         return float(value)
     raise ConfigError(f"{dotted}: unsupported value {value!r}")
@@ -204,6 +205,8 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or an integer too long
+        raise ConfigError(f"{path}: JSON beyond parser limits: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return config_from_dict(data)
@@ -251,15 +254,17 @@ def validate_config(cfg: ScenarioConfig) -> None:
 # ---------------------------------------------------------------------------
 # named scenario presets
 
-SCENARIO_PRESETS = ("macro-scheme1", "macro-scheme2", "hetnet")
+SCENARIOS = {
+    "macro-scheme1": {"micro_enabled": False, "d2d_snr_target_db": [0.0, 10.0]},
+    "macro-scheme2": {"micro_enabled": False, "d2d_snr_target_db": [7.0, 12.0]},
+    "hetnet": {"micro_enabled": True, "d2d_snr_target_db": [0.0, 10.0]},
+}
+SCENARIO_PRESETS = tuple(SCENARIOS)
 
 
 def apply_scenario(cfg: ScenarioConfig, name: str) -> ScenarioConfig:
-    """Return a copy of `cfg` adjusted to a named measurement scenario."""
-    if name == "macro-scheme1":
-        return dataclasses.replace(cfg, micro_enabled=False, d2d_snr_target_db=(0.0, 10.0))
-    if name == "macro-scheme2":
-        return dataclasses.replace(cfg, micro_enabled=False, d2d_snr_target_db=(7.0, 12.0))
-    if name == "hetnet":
-        return dataclasses.replace(cfg, micro_enabled=True, d2d_snr_target_db=(0.0, 10.0))
-    raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIO_PRESETS}")
+    """Return a copy of `cfg` with a named preset's override tree merged in,
+    the way a config file or --set merges one."""
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIO_PRESETS}")
+    return _merge(cfg, SCENARIOS[name], "")

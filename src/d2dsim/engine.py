@@ -11,22 +11,22 @@ of one (P, 2) array of (tx, rx) user rows.  A user is cellular unless it ends
 a pair, and a pair belongs to the sector serving its transmitting end, so
 only cellular users and pair transmitters are associated; a pair's receiving
 end has no serving sector.  Association hands back each associated user's
-serving gain with its serving sector, so a sector's gain set reads the gains
+serving gain with its serving sector, so a drop's gain set reads the gains
 of its cellular users and pair transmitters instead of rebuilding them.
 
 A drop keeps two views of its evaluated sectors: one DropArrays that lays
 their rows end to end, and one SectorState per sector for the schedulers,
-whose SINRs and SNRs are views of it.  Open-loop powers, no-reuse SNRs, reuse
-SINRs and interferer distances are built once over the whole drop; per
-sector remain its noise powers (numpy's scalar path, from its Python-float
-share), its gain set and its context admission, the last two being calls
-perfbench's tracer counts.  No scheme reads a sector's full cross-link gain
-matrix, so a drop schedules every scheme first, turns each scheme's
-allocations into one flat resource array, and then builds only the cross
-links some scheme scheduled, in one pass, scheme -> sector -> pair; each
-scheme is then evaluated over whole-drop arrays.  The same arrays give each
-scheme's grants (DropArrays.grants), which write_outputs formats into
-allocations.csv.
+whose SINRs, SNRs and gains are views of it.  Linear gains, open-loop
+powers, no-reuse SNRs, reuse SINRs and interferer distances are built once
+over the whole drop; per sector remain its noise powers (numpy's scalar
+path, from its Python-float share), its SINR targets and its context
+admission, a call perfbench's tracer counts.  No scheme reads a sector's
+full cross-link gain matrix, so a drop schedules every scheme first, turns
+each scheme's allocations into one flat resource array, and then builds
+only the cross links some scheme scheduled, in one pass, scheme -> sector
+-> pair; each scheme is then evaluated over whole-drop arrays.  The same
+arrays give each scheme's grants (DropArrays.grants), which write_outputs
+formats into allocations.csv.
 """
 
 from __future__ import annotations
@@ -81,11 +81,6 @@ def _stream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), _STREAMS[label]]))
 
 
-def _shadow_seed(seed: int) -> int:
-    ss = np.random.SeedSequence([int(seed), _STREAMS["shadow"]])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 @dataclass
 class DropState:
     """One fully generated deployment, ready for scheduling."""
@@ -114,7 +109,7 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     # and tx ends are associated: nothing reads a rx end's serving sector
     sends = cellular | (pair_of_tx >= 0)
     associated = np.flatnonzero(sends)
-    channel = DropChannel(env, _shadow_seed(seed), xy)
+    channel = DropChannel(env, drop_seed(seed, _STREAMS["shadow"]), xy)
     serving, serving_gain = associate_users(xy, env, channel, associated)
 
     cell_targets = draw_snr_targets(cfg.cell_snr_target_db, n, _stream(seed, "targets-cell"))
@@ -142,7 +137,6 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     # one UE-UE pass over the D2D links of every evaluated sector, in sector
     # order (each link's bits are independent of the others in the call)
     d2d_db, d2d_dist = channel.user_user_gain_db(tx_users, rx_users)
-    cell_db, tx_db = serving_gain[cell_users], serving_gain[tx_users]
 
     # noise per sector: numpy's array path of 10.0 ** x can differ from its scalar path
     shares = [env.sectors[i].bandwidth_hz / max(m, 1)
@@ -152,7 +146,7 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
                       for share in shares]).reshape(-1, 2)
     sigma2_cell, sigma2_d2d = np.repeat(noise[:, 0], n_cells), np.repeat(noise[:, 1], n_pairs)
     # the whole drop's gains, powers, no-reuse SNRs and reuse SINRs, by row
-    gains = GainSet(db_to_linear(cell_db), db_to_linear(d2d_db), db_to_linear(tx_db))
+    gains = build_gain_set(serving_gain[cell_users], serving_gain[tx_users], d2d_db)
     p_cell, cell_clipped = open_loop_power_w(cell_targets[cell_users], gains.h_cell, sigma2_cell,
                                              cfg.ue_max_power_dbm)
     p_d2d, d2d_clipped = open_loop_power_w(d2d_targets[pair_ids], gains.h_d2d, sigma2_d2d,
@@ -184,16 +178,16 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
     (rx_x, rx_y), (cell_x, cell_y) = channel.users_xy[rx_users].T, channel.users_xy[cell_users].T
     cross_dist = np.hypot(rx_x[pair_row] - cell_x[cell_row], rx_y[pair_row] - cell_y[cell_row])
 
-    # per sector: its gain set, context admission and views of the drop's rows
+    # per sector: its context admission, over views of the drop's rows
     states: list[SectorState] = []
     p, c, e = pair_start.tolist(), cell_start.tolist(), sinr_start.tolist()
     for k, (sector_id, sigma2) in enumerate(zip(sector_ids.tolist(), noise[:, 0].tolist())):
         ps, cs, es = slice(p[k], p[k + 1]), slice(c[k], c[k + 1]), slice(e[k], e[k + 1])
         shape = (p[k + 1] - p[k], c[k + 1] - c[k])
-        sector_gains = build_gain_set(cell_db[cs], tx_db[ps], d2d_db[ps])
         targets = SinrTargets(cfg.gamma_cell_db, baseline[cs],
                               ratio_threshold=cfg.distance_ratio_threshold)
-        feas = feasibility_context(sector_gains, p_cell[cs], p_d2d[ps], sigma2, d2d_dist[ps],
+        feas = feasibility_context(GainSet(gains.h_cell[cs], gains.h_d2d[ps], gains.h_d2d_bs[ps]),
+                                   p_cell[cs], p_d2d[ps], sigma2, d2d_dist[ps],
                                    cross_dist[es].reshape(shape), targets)
         states.append(SectorState(sector_id, arrays.sinr_cell[es].reshape(shape), baseline[cs],
                                   feas))

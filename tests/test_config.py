@@ -56,7 +56,7 @@ def test_type_errors():
         config_from_dict({"gamma_cell_db": None})
     with pytest.raises(ConfigError, match="micro_enabled: expected true/false"):
         config_from_dict({"micro_enabled": None})
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), 10**400, -10**400):
         with pytest.raises(ConfigError, match="intercept_db: expected a finite number"):
             config_from_dict({"channel": {"ue_link": {"intercept_db": bad}}})
 
@@ -86,6 +86,14 @@ def test_json_error_reports_position(tmp_path):
     p.write_text('{\n  "seed": 1,\n}\n')
     with pytest.raises(ConfigError, match="line 3"):
         load_config(str(p))
+
+
+def test_json_beyond_parser_limits_is_a_config_error(tmp_path):
+    p = tmp_path / "deep.json"
+    for value in ("[" * 10_000 + "]" * 10_000, "1" + "0" * 5000):
+        p.write_text('{"seed": ' + value + "}")
+        with pytest.raises(ConfigError, match="deep.json: JSON beyond parser limits"):
+            load_config(str(p))
 
 
 def test_top_level_must_be_object(tmp_path):

@@ -499,24 +499,36 @@ def spy(monkeypatch, name, calls):
 @pytest.mark.parametrize("scenario", SCENARIO_PRESETS)
 def test_build_drop_runs_powers_per_drop_and_admission_per_sector(monkeypatch, scenario):
     """build_drop calls open_loop_power_w twice, over every cellular user and
-    then every pair of its evaluated sectors, and build_gain_set and
-    feasibility_context once per evaluated sector.  Each sector's interferer
-    distances equal, with ==, those user_user_gain_db gives over its cross
-    links."""
+    then every pair of its evaluated sectors, build_gain_set once over all of
+    those rows, and feasibility_context once per evaluated sector, whose
+    gains are views of the drop's.  Each sector's interferer distances equal,
+    with ==, those user_user_gain_db gives over its cross links."""
     cfg = apply_scenario(ScenarioConfig(), scenario)
     calls = {}
     for name in ("open_loop_power_w", "build_gain_set", "feasibility_context"):
         spy(monkeypatch, name, calls)
+    built = []  # and build_gain_set's results, to check the sectors' views
+    build = engine.build_gain_set
+    monkeypatch.setattr(engine, "build_gain_set",
+                        lambda *args: built.append(build(*args)) or built[-1])
     for d in range(2):
         calls.clear()
+        built.clear()
         drop = build_drop(cfg, drop_seed(3, d))
         a = drop.arrays
         k = len(drop.states)
         assert {name: len(c) for name, c in calls.items()} == {
-            "open_loop_power_w": 2, "build_gain_set": k, "feasibility_context": k}
+            "open_loop_power_w": 2, "build_gain_set": 1, "feasibility_context": k}
         assert [len(c[0]) for c in calls["open_loop_power_w"]] == [len(a.p_cell), len(a.rx_users)]
+        cell_db, tx_db, d2d_db = calls["build_gain_set"][0]
+        assert (cell_db == drop.serving_gain[a.cell_users]).all()
+        assert len(tx_db) == len(d2d_db) == len(a.rx_users)
         for j, args in enumerate(calls["feasibility_context"]):
             ps, cs = sector_slices(a, j)
+            for field, rows in (("h_cell", cs), ("h_d2d", ps), ("h_d2d_bs", ps)):
+                got, whole = getattr(args[0], field), getattr(built[0], field)
+                assert got.size == 0 or np.shares_memory(got, whole), (d, j, field)
+                assert (got == whole[rows]).all(), (d, j, field)
             rx, cell = a.rx_users[ps], a.cell_users[cs]
             n, m = len(rx), len(cell)
             want = drop.channel.user_user_gain_db(np.repeat(rx, m), np.tile(cell, n))[1]
@@ -862,6 +874,11 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--schemes", "proposed,bogus"], None, "unknown scheme 'bogus'"),
     (["--set", "num_drops=0"], None, "num_drops must be >= 1"),
     ([], "-3", "worker count must be >= 1"),
+    (["--set", "grid_width_m=1" + "0" * 400], None, "grid_width_m: expected a finite number"),
+    (["--set", "seed=" + "[" * 10_000 + "]" * 10_000], None,
+     "--set seed: JSON value beyond parser limits"),
+    (["--set", "seed=1" + "0" * 5000], None, "--set seed: JSON value beyond parser limits"),
+    (["--config", "deep.json"], None, "deep.json: JSON beyond parser limits"),
 ])
 def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
                                                 extra, env, message):
@@ -870,6 +887,7 @@ def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
     else:
         monkeypatch.setenv(WORKERS_ENV, env)
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "deep.json").write_text("[" * 10_000 + "]" * 10_000, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "x"
     code = cli.main(["run", "--config", write_tiny_json(tmp_path), *extra,

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from d2dsim import scenario
 from d2dsim.channel import LINK_CLASS, DropChannel, site_key
 from d2dsim.config import SCENARIO_PRESETS, ScenarioConfig, apply_scenario
-from d2dsim.engine import _shadow_seed, _stream, drop_seed
+from d2dsim.engine import _STREAMS, _stream, drop_seed
 from d2dsim.geometry import points_in_rects
 from d2dsim.scenario import (MAIN_STREET_Y, associate_users, drop_users,
                              exhaustive_association, generate_environment, pair_users)
@@ -293,7 +293,8 @@ def test_associate_users_bit_equals_exhaustive_on_real_drops(preset):
     for d in range(2):
         seed = drop_seed(1, d)
         xy = drop_users(cfg, env, _stream(seed, "users"))
-        assert_association_exact(xy, env, DropChannel(env, _shadow_seed(seed), xy))
+        channel = DropChannel(env, drop_seed(seed, _STREAMS["shadow"]), xy)
+        assert_association_exact(xy, env, channel)
 
 
 # Exact-evaluated (user, site) links per user over the two drops above:
@@ -318,7 +319,7 @@ def test_association_evaluates_few_sites_per_user_on_real_drops(monkeypatch, pre
     for d in range(2):
         seed = drop_seed(1, d)
         xy = drop_users(cfg, env, _stream(seed, "users"))
-        associate_users(xy, env, DropChannel(env, _shadow_seed(seed), xy))
+        associate_users(xy, env, DropChannel(env, drop_seed(seed, _STREAMS["shadow"]), xy))
         n += len(xy)
     assert len(links) == 4 and sum(links) / n <= most
 
@@ -373,7 +374,7 @@ def test_associate_users_memory_stays_slabbed():
     seed = drop_seed(0, 0)
     env = env_for(cfg)
     xy = drop_users(cfg, env, _stream(seed, "users"))
-    channel = DropChannel(env, _shadow_seed(seed), xy)
+    channel = DropChannel(env, drop_seed(seed, _STREAMS["shadow"]), xy)
     tracemalloc.start()
     try:
         associate_users(xy, env, channel)
