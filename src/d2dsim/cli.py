@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
@@ -93,12 +92,8 @@ def _load(args) -> ScenarioConfig:
         cfg = apply_scenario(cfg, args.scenario)
     for arg in args.sets:
         cfg = _merge(cfg, _override(arg), "")
-    overrides = {}
-    if args.drops is not None:
-        overrides["num_drops"] = args.drops
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = dataclasses.replace(cfg, **overrides)
+    overrides = {"num_drops": args.drops, "seed": args.seed}
+    cfg = _merge(cfg, {k: v for k, v in overrides.items() if v is not None}, "")
     validate_config(cfg)
     return cfg
 
@@ -148,22 +143,14 @@ def _cmd_trace(args) -> int:
     if args.retries < 0:
         return _refuse("--retries must be >= 0")
     response_at = args.retries + 2 if args.outcome == "timeout" else 1
+    accepted = args.outcome == "accepted"
     if args.topology == "single-cell":
-        trace = signaling.run_single_cell(
-            args.outcome == "accepted",
-            discovery_model=args.model,
-            response_on_attempt=response_at,
-            max_retries=args.retries,
-            discoveree_covered=not args.out_of_coverage,
-        )
+        flow, verdicts = signaling.run_single_cell, (accepted,)
     else:
-        trace = signaling.run_multi_cell(
-            args.outcome == "accepted",
-            True,
-            discovery_model=args.model,
-            response_on_attempt=response_at,
-            max_retries=args.retries,
-        )
+        flow, verdicts = signaling.run_multi_cell, (accepted, True)
+    coverage = {"discoveree_covered": False} if args.out_of_coverage else {}
+    trace = flow(*verdicts, discovery_model=args.model, response_on_attempt=response_at,
+                 max_retries=args.retries, **coverage)
     text = trace.to_text()
     if args.out == "-":
         sys.stdout.write(text)

@@ -1,10 +1,11 @@
 """Connection-setup signaling for network-assisted D2D, as message traces.
 
 Two topologies: both ends under one base station (eight numbered steps) or
-split across two (ten steps).  A trace is a sequence of steps, each carrying
-zero or more messages plus internal notes (RRC transitions, scheduler
-verdicts).  Traces are deterministic and serialize to a stable text form so
-goldens can be compared byte for byte.
+split across two (ten steps).  Both open alike: a broadcast from each station,
+then discovery.  A trace is a sequence of steps, each carrying zero or more
+messages plus internal notes (RRC transitions, scheduler verdicts).  Traces
+are deterministic and serialize to a stable text form so goldens can be
+compared byte for byte.
 
 Discovery runs model A ("here I am" announcements) or model B (solicitation);
 the trace structure is identical, only the model annotation differs.  The
@@ -181,42 +182,41 @@ def full_csi_report_count(n_cellular: int, n_pairs: int) -> int:
     return n_cellular * n_pairs + n_cellular + 2 * n_pairs
 
 
-class _TraceBuilder:
-    def __init__(self):
-        self.steps: list[TraceStep] = []
-
-    def step(self, phase: str, messages=(), notes=()) -> None:
-        self.steps.append(TraceStep(len(self.steps) + 1, phase,
-                                    tuple(messages), tuple(notes)))
-
-
-def _validated(discovery_model: str, response_on_attempt: int, max_retries: int) -> None:
-    if discovery_model not in ("A", "B"):
+def _opening(stations, model: str, response_on_attempt: int, max_retries: int) -> list:
+    """Check the discovery arguments, then return the steps both flows start
+    with, as (phase, messages, notes): a broadcast from each station, one
+    announce per attempt made, and the response if it arrives within
+    `1 + max_retries` attempts."""
+    if model not in ("A", "B"):
         raise ValueError("discovery_model must be 'A' or 'B'")
     if response_on_attempt < 1:
         raise ValueError("response_on_attempt must be >= 1")
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
-
-
-def _discovery_phase(
-    tb: _TraceBuilder, model: str, response_on_attempt: int, max_retries: int
-) -> bool:
-    """Announce (with retries) and maybe respond. Returns True when answered."""
     note = "model=" + model
-    attempts_allowed = 1 + max_retries
-    attempts = min(response_on_attempt, attempts_allowed)
-    for a in range(attempts):
-        retry = " retry" if a else ""
-        tb.step("discovery", [Message(
+    steps = [("broadcast", [Message(MessageKind.SIB, bs, "broadcast", body_bytes=SIB_BODY_BYTES)
+                            for bs in stations], ())]
+    for a in range(min(response_on_attempt, 1 + max_retries)):
+        steps.append(("discovery", [Message(
             MessageKind.DISCOVERY_ANNOUNCE, "ue-a", "ue-b",
-            body_bytes=DISCOVERY_BODY_BYTES, note=note + retry)])
-    if response_on_attempt > attempts_allowed:
-        return False
-    tb.step("discovery-response", [Message(
-        MessageKind.DISCOVERY_RESPONSE, "ue-b", "ue-a",
-        context=_END_CONTEXT, note=note)])
-    return True
+            body_bytes=DISCOVERY_BODY_BYTES, note=note + (" retry" if a else ""))], ()))
+    if response_on_attempt <= 1 + max_retries:
+        steps.append(("discovery-response", [Message(
+            MessageKind.DISCOVERY_RESPONSE, "ue-b", "ue-a", context=_END_CONTEXT, note=note)], ()))
+    return steps
+
+
+def _trace(topology: str, model: str, outcome: str, steps: list) -> ProtocolTrace:
+    """Number (phase, messages, notes) steps from 1 into a trace."""
+    return ProtocolTrace(topology, model, outcome, tuple([
+        TraceStep(i, phase, tuple(messages), tuple(notes))
+        for i, (phase, messages, notes) in enumerate(steps, 1)]))
+
+
+def _grant(bs: str, receiver: str, reconfigure: bool) -> Message:
+    return Message(MessageKind.RESOURCE_GRANT, bs, receiver,
+                   body_bytes=GRANT_BODY_BYTES + FLAG_BYTES,
+                   note=f"reconfigure-cellular={str(reconfigure).lower()}")
 
 
 def run_single_cell(
@@ -235,42 +235,31 @@ def run_single_cell(
     request, scheduler decision, resource grant, pair configuration, data
     start.  A rejection ends the trace right after the decision step.
     """
-    _validated(discovery_model, response_on_attempt, max_retries)
+    steps = _opening(("bs-1",), discovery_model, response_on_attempt, max_retries)
     if not (discoverer_covered or discoveree_covered):
         raise ValueError("at least one pair end needs cell coverage")
+    requester, partner = ("ue-a", "ue-b") if discoverer_covered else ("ue-b", "ue-a")
+    if steps[-1][0] != "discovery-response":
+        return _trace("single-cell", discovery_model, "timeout", steps)
 
-    requester = "ue-a" if discoverer_covered else "ue-b"
-    uncovered = None
-    if not discoverer_covered:
-        uncovered = "ue-a"
-    elif not discoveree_covered:
-        uncovered = "ue-b"
-
-    tb = _TraceBuilder()
-    tb.step("broadcast", [Message(MessageKind.SIB, "bs-1", "broadcast",
-                                  body_bytes=SIB_BODY_BYTES)])
-    if not _discovery_phase(tb, discovery_model, response_on_attempt, max_retries):
-        return ProtocolTrace("single-cell", discovery_model, "timeout", tuple(tb.steps))
-
-    tb.step("service-request",
-            [Message(MessageKind.SERVICE_REQUEST, requester, "bs-1", context=_PAIR_CONTEXT)],
-            notes=(f"{requester} rrc idle -> connected",))
-    tb.step("rrm-decision", notes=("bs-1 verdict: " + ("accept" if verdict else "reject"),))
+    steps += [
+        ("service-request",
+         [Message(MessageKind.SERVICE_REQUEST, requester, "bs-1", context=_PAIR_CONTEXT)],
+         (f"{requester} rrc idle -> connected",)),
+        ("rrm-decision", (), ("bs-1 verdict: " + ("accept" if verdict else "reject"),)),
+    ]
     if not verdict:
-        return ProtocolTrace("single-cell", discovery_model, "rejected", tuple(tb.steps))
+        return _trace("single-cell", discovery_model, "rejected", steps)
 
-    tb.step("resource-grant", [Message(
-        MessageKind.RESOURCE_GRANT, "bs-1", "d2d-pair",
-        body_bytes=GRANT_BODY_BYTES + FLAG_BYTES,
-        note=f"reconfigure-cellular={str(reconfigure_cellular).lower()}")])
-    if uncovered is None:
-        tb.step("pair-config", notes=("both ends apply grant",))
+    steps.append(("resource-grant", [_grant("bs-1", "d2d-pair", reconfigure_cellular)], ()))
+    if discoverer_covered and discoveree_covered:
+        steps.append(("pair-config", (), ("both ends apply grant",)))
     else:
-        tb.step("pair-config", [Message(
-            MessageKind.CONFIG_EXCHANGE, requester, uncovered,
-            body_bytes=CONFIG_BODY_BYTES, note="sidelink forward")])
-    tb.step("data-start", [Message(MessageKind.DATA_START, "ue-a", "ue-b")])
-    return ProtocolTrace("single-cell", discovery_model, "accepted", tuple(tb.steps))
+        steps.append(("pair-config", [Message(
+            MessageKind.CONFIG_EXCHANGE, requester, partner,
+            body_bytes=CONFIG_BODY_BYTES, note="sidelink forward")], ()))
+    steps.append(("data-start", [Message(MessageKind.DATA_START, "ue-a", "ue-b")], ()))
+    return _trace("single-cell", discovery_model, "accepted", steps)
 
 
 def run_multi_cell(
@@ -289,50 +278,32 @@ def run_multi_cell(
     bidirectional data start.  Any rejection stops the flow after the grant
     step (only accepting stations transmit one).
     """
-    _validated(discovery_model, response_on_attempt, max_retries)
-    tb = _TraceBuilder()
-    tb.step("broadcast", [
-        Message(MessageKind.SIB, "bs-1", "broadcast", body_bytes=SIB_BODY_BYTES),
-        Message(MessageKind.SIB, "bs-2", "broadcast", body_bytes=SIB_BODY_BYTES),
-    ])
-    if not _discovery_phase(tb, discovery_model, response_on_attempt, max_retries):
-        return ProtocolTrace("multi-cell", discovery_model, "timeout", tuple(tb.steps))
+    steps = _opening(("bs-1", "bs-2"), discovery_model, response_on_attempt, max_retries)
+    ends = (("ue-a", "ue-b", "bs-1", verdict_a), ("ue-b", "ue-a", "bs-2", verdict_b))
+    if steps[-1][0] != "discovery-response":
+        return _trace("multi-cell", discovery_model, "timeout", steps)
 
-    tb.step("context-forward", [Message(
-        MessageKind.CONTEXT_FORWARD, "ue-a", "ue-b", context=_FORWARD_CONTEXT,
-        note="sidelink")])
-    tb.step("service-request", [
-        Message(MessageKind.SERVICE_REQUEST, "ue-a", "bs-1", context=_PAIR_CONTEXT),
-        Message(MessageKind.SERVICE_REQUEST, "ue-b", "bs-2", context=_PAIR_CONTEXT),
-    ], notes=("ue-a rrc idle -> connected", "ue-b rrc idle -> connected"))
-    tb.step("rrm-decision", notes=(
-        "bs-1 verdict: " + ("accept" if verdict_a else "reject"),
-        "bs-2 verdict: " + ("accept" if verdict_b else "reject"),
-    ))
-
-    grants = []
-    if verdict_a:
-        grants.append(Message(MessageKind.RESOURCE_GRANT, "bs-1", "ue-a",
-                              body_bytes=GRANT_BODY_BYTES + FLAG_BYTES,
-                              note="reconfigure-cellular=false"))
-    if verdict_b:
-        grants.append(Message(MessageKind.RESOURCE_GRANT, "bs-2", "ue-b",
-                              body_bytes=GRANT_BODY_BYTES + FLAG_BYTES,
-                              note="reconfigure-cellular=false"))
+    steps += [
+        ("context-forward", [Message(MessageKind.CONTEXT_FORWARD, "ue-a", "ue-b",
+                                     context=_FORWARD_CONTEXT, note="sidelink")], ()),
+        ("service-request",
+         [Message(MessageKind.SERVICE_REQUEST, ue, bs, context=_PAIR_CONTEXT)
+          for ue, _, bs, _ in ends],
+         [f"{ue} rrc idle -> connected" for ue, _, _, _ in ends]),
+        ("rrm-decision", (),
+         [f"{bs} verdict: " + ("accept" if ok else "reject") for _, _, bs, ok in ends]),
+    ]
+    grants = [_grant(bs, ue, False) for ue, _, bs, ok in ends if ok]
     if grants:
-        tb.step("resource-grant", grants)
+        steps.append(("resource-grant", grants, ()))
     if not (verdict_a and verdict_b):
-        return ProtocolTrace("multi-cell", discovery_model, "rejected", tuple(tb.steps))
+        return _trace("multi-cell", discovery_model, "rejected", steps)
 
-    tb.step("config-exchange", [
-        Message(MessageKind.CONFIG_EXCHANGE, "ue-a", "ue-b",
-                body_bytes=CONFIG_BODY_BYTES, note="sidelink"),
-        Message(MessageKind.CONFIG_EXCHANGE, "ue-b", "ue-a",
-                body_bytes=CONFIG_BODY_BYTES, note="sidelink"),
-    ])
-    tb.step("pair-config", notes=("both ends apply exchanged grants",))
-    tb.step("data-start", [
-        Message(MessageKind.DATA_START, "ue-a", "ue-b"),
-        Message(MessageKind.DATA_START, "ue-b", "ue-a"),
-    ])
-    return ProtocolTrace("multi-cell", discovery_model, "accepted", tuple(tb.steps))
+    steps += [
+        ("config-exchange",
+         [Message(MessageKind.CONFIG_EXCHANGE, ue, peer, body_bytes=CONFIG_BODY_BYTES,
+                  note="sidelink") for ue, peer, _, _ in ends], ()),
+        ("pair-config", (), ("both ends apply exchanged grants",)),
+        ("data-start", [Message(MessageKind.DATA_START, ue, peer) for ue, peer, _, _ in ends], ()),
+    ]
+    return _trace("multi-cell", discovery_model, "accepted", steps)

@@ -1,7 +1,11 @@
 """Setup-signaling traces: step counts, byte accounting, report counts."""
 
+import hashlib
+import itertools
+
 import pytest
 
+from d2dsim import cli
 from d2dsim import signaling as sg
 from d2dsim.signaling import (ContextRecord, Message, MessageKind,
                               context_gain_reports, full_csi_report_count,
@@ -192,3 +196,37 @@ def test_to_text_stable_and_framed():
     assert text.endswith("\n")
     step_nums = [int(l.split()[1]) for l in lines if l.startswith("step ")]
     assert step_nums == list(range(1, 9))
+
+
+def _setup_trace_texts(capsys):
+    """Text of every setup trace the library and `trace-protocol` can build."""
+    grid = itertools.product((1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4))
+    for (attempt, retries), model in itertools.product(grid, ("A", "B")):
+        kw = dict(discovery_model=model, response_on_attempt=attempt,
+                  max_retries=retries)
+        for verdict, reconfigure in itertools.product((True, False), repeat=2):
+            for covered in ((True, True), (False, True), (True, False)):
+                yield run_single_cell(verdict, discoverer_covered=covered[0],
+                                      discoveree_covered=covered[1],
+                                      reconfigure_cellular=reconfigure, **kw).to_text()
+        for verdicts in itertools.product((True, False), repeat=2):
+            yield run_multi_cell(*verdicts, **kw).to_text()
+    for topology, outcome, model, retries, uncovered in itertools.product(
+            ("single-cell", "multi-cell"), ("accepted", "rejected", "timeout"),
+            ("A", "B"), (0, 1, 2, 3), (False, True)):
+        if uncovered and topology == "multi-cell":
+            continue
+        argv = ["trace-protocol", "--topology", topology, "--outcome", outcome,
+                "--model", model, "--retries", str(retries)]
+        code = cli.main(argv + ["--out-of-coverage"] * uncovered)
+        yield f"exit {code}\n" + capsys.readouterr().out
+
+
+def test_every_setup_trace_matches_pinned_digest(capsys):
+    """sha256 over 960 library traces and 72 `trace-protocol` outputs: any
+    byte a refactor of the flows changes, in any note or step, shows here."""
+    texts = list(_setup_trace_texts(capsys))
+    assert len(texts) == 960 + 72
+    digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
+    assert digest == (
+        "f67e06b008222edaf1a0ec97d88820e34e801130c9d3d9622bd88ab3dcb6e4a4")
