@@ -16,8 +16,12 @@ from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig, _merge,
 from .feasibility import FeasibilityMatrix
 from .scenario import associate_users, exhaustive_association
 
-# Seed-0 drops per preset that the association oracle checks.
+# Seed-0 drops per preset that the association oracle checks, the random
+# instances of the matching and assignment oracles, and their seed.
 _ASSOCIATION_DROPS = 2
+_MATCHING_INSTANCES = 300
+_ASSIGNMENT_INSTANCES = 200
+_ORACLE_SEED = 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "applied in order)")
     run_p.add_argument("--drops", type=int, help="override the number of drops")
     run_p.add_argument("--seed", type=int, help="override the campaign seed")
-    run_p.add_argument("--scheme", "--schemes", dest="schemes",
+    run_p.add_argument("--scheme", dest="schemes",
                        default=",".join(engine.SCHEMES),
                        help="comma-separated scheme list (default: all)")
     run_p.add_argument("--out", default="out", help="output directory (CSV + summary)")
@@ -62,10 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="single-cell only: the non-requesting end lacks coverage")
     tr_p.add_argument("--out", default="-", help="output file, '-' for stdout")
 
-    or_p = sub.add_parser("oracle", help="run the built-in solver and association cross-checks")
-    or_p.add_argument("--matching-instances", type=int, default=300)
-    or_p.add_argument("--assignment-instances", type=int, default=200)
-    or_p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("oracle", help="run the built-in solver and association cross-checks")
     return parser
 
 
@@ -118,11 +119,7 @@ def _cmd_run(args) -> int:
     progress = None if args.quiet else (lambda msg: print(msg, flush=True))
     campaign = engine.run_campaign(cfg, schemes, out_dir=args.out,
                                    progress=progress, workers=workers)
-    for scheme in schemes:
-        o = campaign.overall_gain(scheme)
-        c = campaign.cellular_gain(scheme)
-        print(f"[{scheme}] overall {engine._pct(o)}  cellular {engine._pct(c)}  "
-              f"pairs/drop {campaign.mean_enabled_pairs(scheme):.1f}")
+    sys.stdout.writelines(engine.summary_lines(campaign))
     print(f"outputs written to {args.out}/")
     return 0
 
@@ -140,8 +137,8 @@ def _cmd_validate(args) -> int:
 def _cmd_trace(args) -> int:
     if args.out_of_coverage and args.topology != "single-cell":
         return _refuse("--out-of-coverage applies to the single-cell topology only")
-    if args.retries < 0:
-        return _refuse("--retries must be >= 0")
+    if not 0 <= args.retries <= signaling.MAX_RETRIES:
+        return _refuse(f"--retries must be >= 0 and <= {signaling.MAX_RETRIES}")
     response_at = args.retries + 2 if args.outcome == "timeout" else 1
     accepted = args.outcome == "accepted"
     if args.topology == "single-cell":
@@ -165,16 +162,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    for flag, value, low in (("--matching-instances", args.matching_instances, 1),
-                             ("--assignment-instances", args.assignment_instances, 1),
-                             ("--seed", args.seed, 0)):
-        if value < low:
-            return _refuse(f"{flag} must be >= {low}")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_ORACLE_SEED)
     ok = True
 
     size_bad = lex_bad = 0
-    for _ in range(args.matching_instances):
+    for _ in range(_MATCHING_INSTANCES):
         n = int(rng.integers(0, 7))
         m = int(rng.integers(0, 7))
         adj = rng.random((n, m)) < rng.uniform(0.1, 0.9)
@@ -183,11 +175,11 @@ def _cmd_oracle(args) -> int:
         lex_bad += tuple(chosen.resource_of_pair.tolist()) != rrm.brute_force_lex_matching(adj)
     for name, bad in (("matching", size_bad), ("lexicographic", lex_bad)):
         line = "PASS" if bad == 0 else f"FAIL ({bad} mismatches)"
-        print(f"{name} oracle [{args.matching_instances} instances]: {line}")
+        print(f"{name} oracle [{_MATCHING_INSTANCES} instances]: {line}")
         ok &= bad == 0
 
     mismatches = 0
-    for _ in range(args.assignment_instances):
+    for _ in range(_ASSIGNMENT_INSTANCES):
         score = rng.uniform(0.0, 8.0, size=(5, 5))
         picked = rrm.allocate_capacity_max(score, np.zeros(5)).pairs()
         total = sum(score[m, n] for m, n in picked)
@@ -196,7 +188,7 @@ def _cmd_oracle(args) -> int:
         if abs(total - best) > 1e-9:
             mismatches += 1
     line = "PASS" if mismatches == 0 else f"FAIL ({mismatches} mismatches)"
-    print(f"assignment oracle [{args.assignment_instances} instances]: {line}")
+    print(f"assignment oracle [{_ASSIGNMENT_INSTANCES} instances]: {line}")
     ok &= mismatches == 0
 
     # bit-level: element-wise gains must not depend on the links around them.

@@ -229,7 +229,7 @@ def run_drop(
     links = [arrays.cross_links(res) for res in resources.values()]
     h_cross = np.split(
         db_to_linear(drop.channel.user_user_gain_db(
-            *np.hstack([np.zeros((2, 0), dtype=int), *links]))[0]),
+            *np.hstack(links))[0]),
         np.cumsum([link.shape[1] for link in links])[:-1])
     reports = {scheme: evaluate_drop(arrays, res, gains)
                for (scheme, res), gains in zip(resources.items(), h_cross)}
@@ -244,7 +244,6 @@ def run_drop(
 class CampaignResult:
     cfg: ScenarioConfig
     schemes: tuple[str, ...]
-    seeds: list[int]
     reports: dict[str, list[CapacityReport]]
     grants: list[dict[str, np.ndarray]]  # per drop: DropResult.grants
 
@@ -305,17 +304,17 @@ def run_campaign(
     validate_config(cfg)
     check_schemes(schemes)
     workers = resolve_workers(workers)
-    seeds = [drop_seed(cfg.seed, i) for i in range(cfg.num_drops)]
+    seeds = (drop_seed(cfg.seed, i) for i in range(cfg.num_drops))
     task = partial(run_drop, cfg, schemes=schemes)
-    tick = max(1, len(seeds) // 10)
+    tick = max(1, cfg.num_drops // 10)
     results: list[DropResult] = []
     with (mp.Pool(workers) if workers > 1 else nullcontext()) as pool:
         for result in (pool.imap if workers > 1 else map)(task, seeds):
             results.append(result)
-            if progress and (len(results) % tick == 0 or len(results) == len(seeds)):
-                progress(f"{len(results)}/{len(seeds)} drops")
+            if progress and (len(results) % tick == 0 or len(results) == cfg.num_drops):
+                progress(f"{len(results)}/{cfg.num_drops} drops")
     reports = {s: [r.reports[s] for r in results] for s in schemes}
-    campaign = CampaignResult(cfg, schemes, seeds, reports, [r.grants for r in results])
+    campaign = CampaignResult(cfg, schemes, reports, [r.grants for r in results])
     if out_dir is not None:
         write_outputs(campaign, out_dir)
     return campaign
@@ -331,7 +330,8 @@ def _write(path: str, header: str, rows) -> None:
         fh.writelines(rows)
 
 
-def _scheme_summary(campaign: CampaignResult):
+def summary_lines(campaign: CampaignResult):
+    """Each scheme's summary.txt lines: its gains, then its gain per site kind."""
     for scheme in campaign.schemes:
         o = campaign.overall_gain(scheme)
         c = campaign.cellular_gain(scheme)
@@ -363,8 +363,8 @@ def write_outputs(campaign: CampaignResult, out_dir: str) -> dict[str, str]:
     _write(paths["allocations"], "drop,sector,scheme,m,n\n",
            ("".join(f"{i},{sector},{scheme},{m},{col}\n" for sector, m, col in zip(*rows.tolist()))
             for i, grants in enumerate(campaign.grants) for scheme, rows in grants.items()))
-    _write(paths["summary"], f"drops: {len(campaign.seeds)}\nseed: {campaign.cfg.seed}\n"
-           f"schemes: {','.join(campaign.schemes)}\n", _scheme_summary(campaign))
+    _write(paths["summary"], f"drops: {campaign.cfg.num_drops}\nseed: {campaign.cfg.seed}\n"
+           f"schemes: {','.join(campaign.schemes)}\n", summary_lines(campaign))
     return paths
 
 

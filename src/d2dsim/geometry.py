@@ -19,8 +19,10 @@ _EDGE_EPS = 1e-9
 # Widen a segment's bounding box by this much before dropping the rects
 # outside it, so rounding at the box edge can never drop a blocking rect.
 _PRUNE_MARGIN = 1e-6
-# Side of the square cells sample_outdoor_points buckets obstacles by.
+# Side of the square cells sample_outdoor_points buckets obstacles by, and
+# the rejection rounds it makes before it gives up.
 _BUCKET_M = 64.0
+_SAMPLE_ROUNDS = 200
 # SiteWedges: bins per full circle of azimuth (1 degree each), the widening
 # of every rect's angular hull, and the slack of its distance rules.  A
 # zero-width rect blocks a band 2 * _EDGE_EPS wide, reaching _EDGE_EPS past
@@ -240,7 +242,6 @@ def sample_outdoor_points(
     count: int,
     buckets: RectBuckets,
     rng: np.random.Generator,
-    max_tries: int = 200,
 ) -> np.ndarray:
     """Uniform points in buckets.bounds rejected against its rects' interiors.
 
@@ -251,7 +252,7 @@ def sample_outdoor_points(
         return np.empty((0, 2))
     got: list[np.ndarray] = []
     need = count
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_ROUNDS):
         m = max(int(need * 1.8) + 8, 16)
         pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(m, 2))
         keep = pts[~buckets.contains(pts)]

@@ -51,6 +51,8 @@ VELOCITY_BYTES = 12
 GAIN_REPORT_BYTES = 4
 QOS_BYTES = 4
 PRIORITY_BYTES = 1
+# Discovery retries a flow accepts: each attempt is one announce step.
+MAX_RETRIES = 100
 
 
 class MessageKind(str, Enum):
@@ -191,8 +193,8 @@ def _opening(stations, model: str, response_on_attempt: int, max_retries: int) -
         raise ValueError("discovery_model must be 'A' or 'B'")
     if response_on_attempt < 1:
         raise ValueError("response_on_attempt must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
+    if not 0 <= max_retries <= MAX_RETRIES:
+        raise ValueError(f"max_retries must be >= 0 and <= {MAX_RETRIES}")
     note = "model=" + model
     steps = [("broadcast", [Message(MessageKind.SIB, bs, "broadcast", body_bytes=SIB_BODY_BYTES)
                             for bs in stations], ())]

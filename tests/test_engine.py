@@ -770,12 +770,18 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "[proposed] overall" in stdout
     assert read_all(out)  # all four files exist and are readable
-    # same invocation through the --schemes spelling
-    out2 = tmp_path / "out2"
-    code = cli.main(["run", "--config", cfg_path, "--drops", "2", "--seed", "9",
-                     "--schemes", "proposed,none", "--out", str(out2), "--quiet"])
+
+
+def test_cli_run_prints_the_summary_it_writes(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", "hetnet", "--drops", "1", "--workers", "1",
+                     "--out", str(out), "--quiet"])
     assert code == 0
-    assert read_all(out) == read_all(out2)
+    printed = capsys.readouterr().out.splitlines()
+    written = (out / "summary.txt").read_text(encoding="utf-8").splitlines()[3:]
+    assert any(" macro overall-gain:" in line for line in written)
+    assert any(" micro overall-gain:" in line for line in written)
+    assert printed == [*written, f"outputs written to {out}/"]
 
 
 def test_cli_run_rejects_unknown_scheme(tmp_path, capsys):
@@ -803,6 +809,9 @@ def test_cli_trace_protocol_stdout(capsys):
     out = capsys.readouterr().out
     assert "outcome: timeout" in out
     assert out.count("discovery-announce") == 3  # 1 attempt + 2 retries
+    # the largest retry count trace-protocol accepts
+    assert cli.main(["trace-protocol", "--outcome", "timeout", "--retries", "100"]) == 0
+    assert capsys.readouterr().out.count("discovery-announce") == 101
 
 
 def test_cli_trace_protocol_file(tmp_path, capsys):
@@ -815,12 +824,11 @@ def test_cli_trace_protocol_file(tmp_path, capsys):
 
 
 def test_cli_oracle(capsys):
-    code = cli.main(["oracle", "--matching-instances", "40",
-                     "--assignment-instances", "10", "--seed", "1"])
+    code = cli.main(["oracle"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
-    assert "lexicographic oracle [40 instances]: PASS" in out
+    assert "lexicographic oracle [300 instances]: PASS" in out
     assert "association oracle [2 seed-0 drops per preset]: PASS" in out
 
 
@@ -831,7 +839,7 @@ def test_cli_oracle_flags_a_wrong_association(capsys, monkeypatch):
         return serving, gain
 
     monkeypatch.setattr(cli.engine, "associate_users", second_best)
-    code = cli.main(["oracle", "--matching-instances", "1", "--assignment-instances", "1"])
+    code = cli.main(["oracle"])
     assert code == 1
     out = capsys.readouterr().out
     assert "association oracle [2 seed-0 drops per preset]: FAIL (6 users)" in out
@@ -845,12 +853,11 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
         return Allocation(np.where(picked >= 0, m - 1 - picked, -1))
 
     monkeypatch.setattr(cli.rrm, "allocate_proposed", largest_first)
-    code = cli.main(["oracle", "--matching-instances", "40",
-                     "--assignment-instances", "1", "--seed", "1"])
+    code = cli.main(["oracle"])
     assert code == 1
     out = capsys.readouterr().out
-    assert "matching oracle [40 instances]: PASS" in out
-    assert "lexicographic oracle [40 instances]: FAIL" in out
+    assert "matching oracle [300 instances]: PASS" in out
+    assert "lexicographic oracle [300 instances]: FAIL" in out
 
 
 @pytest.mark.parametrize("extra, env, message", [
@@ -869,9 +876,9 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--set", "gamma_cell_db"], None, "expected dotted.key=<JSON value>"),
     (["--set", "macro=1"], None, "macro: expected an object"),
     (["--set", "micro_enabled=null"], None, "micro_enabled: expected true/false"),
-    (["--schemes", ","], None, "empty scheme list"),
-    (["--schemes", "proposed,proposed"], None, "scheme 'proposed' listed twice"),
-    (["--schemes", "proposed,bogus"], None, "unknown scheme 'bogus'"),
+    (["--scheme", ","], None, "empty scheme list"),
+    (["--scheme", "proposed,proposed"], None, "scheme 'proposed' listed twice"),
+    (["--scheme", "proposed,bogus"], None, "unknown scheme 'bogus'"),
     (["--set", "num_drops=0"], None, "num_drops must be >= 1"),
     ([], "-3", "worker count must be >= 1"),
     (["--set", "grid_width_m=1" + "0" * 400], None, "grid_width_m: expected a finite number"),
@@ -923,13 +930,6 @@ def load_perfbench_child():
     return module
 
 
-TRACED_SPANS = ("engine.run_drop", "engine.build_drop", "scenario.environment",
-                "scenario.drop_users", "scenario.pair_users", "scenario.associate",
-                "channel.gain_sets", "power.open_loop", "feasibility.context",
-                "rrm.proposed", "rrm.capacity_max", "rrm.random", "metrics.evaluate_drop",
-                "engine.write_outputs", "geometry.segments_blocked")
-
-
 def test_perfbench_tracer_hooks_count_every_drop(tmp_path, monkeypatch):
     """The benchmark's tracer still sees each drop's users, pairs and
     association, and every span it installs records calls: a stage the
@@ -949,12 +949,18 @@ def test_perfbench_tracer_hooks_count_every_drop(tmp_path, monkeypatch):
                 monkeypatch.setattr(target, name, value)
     tracer = load_perfbench_child().Tracer()
     tracer.install()
+    # the name of every span the tracer installed, read from its wrappers
+    spans = {inspect.getclosurevars(fn).nonlocals["name"]
+             for target in (engine, channel, channel.DropChannel)
+             for fn in vars(target).values()
+             if getattr(fn, "__qualname__", "") == "Tracer.span.<locals>.wrapper"}
+    assert spans
     code = cli.main(["run", "--config", write_tiny_json(tmp_path), "--workers", "1",
                      "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 0
     assert {name: tracer.counts[name] for name in want} == want
     assert tracer.proposed and tracer.check_proposed() == []
-    assert {name for name in TRACED_SPANS if not tracer.calls[name]} == set()
+    assert {name for name in spans if not tracer.calls[name]} == set()
     assert tracer.counts["channel.links"] > 0 and tracer.counts["feasibility.entries"] > 0
 
 
@@ -997,9 +1003,7 @@ def test_cli_run_refuses_unknown_scenario(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["trace-protocol", "--retries", "-1"], "--retries must be >= 0"),
     (["trace-protocol", "--out", "no/such/dir/trace.txt"], "cannot write"),
-    (["oracle", "--seed", "-1"], "--seed must be >= 0"),
-    (["oracle", "--matching-instances", "-3"], "--matching-instances must be >= 1"),
-    (["oracle", "--assignment-instances", "0"], "--assignment-instances must be >= 1"),
+    (["trace-protocol", "--retries", "101"], "--retries must be >= 0 and <= 100"),
 ])
 def test_cli_tools_reject_bad_flags_in_one_line(tmp_path, capsys, monkeypatch,
                                                 argv, message):

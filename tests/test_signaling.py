@@ -159,6 +159,7 @@ def test_model_b_same_structure():
     {"discovery_model": "C"},
     {"response_on_attempt": 0},
     {"max_retries": -1},
+    {"max_retries": 101},
 ])
 def test_validation_errors(kwargs):
     with pytest.raises(ValueError):
