@@ -13,14 +13,16 @@ works on these linear gains.
 No drop builds every site link.  site_power_bound_db bounds, per (site,
 user) over the users association is given (a drop's D2D receive ends are
 not among them), the biased DL power of every sector of the site from the
-distance, a 4096-bin quantile ceiling on the shadowing and the site's
-largest antenna gain alone; site_sector_gains_db builds exact gains, LOS
-test and antenna term included, element-wise over the (user, site) links
-association picks from those bounds.  The per-site and per-sector columns
-both read depend on the config alone and come from the Environment.  UE-UE
-gains are built only where read: one user_user_gain_db call over the D2D
-links of every evaluated sector, and one over the cross link of every reuse
-that some scheme schedules, in scheme -> sector -> pair order.
+distance, a 4096-bin quantile ceiling on the shadowing and, within LOS
+reach, the link's azimuth bin: its power ceiling and its SiteWedges far
+length, past which the link is surely NLOS.  site_sector_gains_db builds
+exact gains, LOS test and antenna term included, element-wise over the
+(user, site) links association picks from those bounds.  The per-site,
+per-bin and per-sector columns both read depend on the config alone and
+come from the Environment.  UE-UE gains are built only where read: one
+user_user_gain_db call over the D2D links of every evaluated sector, and one
+over the cross link of every reuse that some scheme schedules, in scheme ->
+sector -> pair order.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .config import AntennaPattern, PathlossParams
-from .geometry import segments_blocked
+from .geometry import _ranges, azimuth_bin, segments_blocked
 from .units import db_to_linear, dbm_to_watts
 
 if TYPE_CHECKING:  # scenario imports this module
@@ -44,8 +46,8 @@ _SITE_KEY_BASE = np.uint64(1) << np.uint64(33)
 LINK_CLASS = {"macro": 1, "micro": 2, "ue": 3}
 
 # Sites per slab of the association bound pass: a slab's (sites x users)
-# temporaries stay small.
-_SITE_SLAB = 4
+# temporaries stay small (8 measured fastest on the hetnet preset).
+_SITE_SLAB = 8
 # Slack of a site's power bound over any sector's exact biased power: about
 # 1e7 times the rounding by which 0.5 log10(d^2) and log10(hypot) may differ,
 # and by which ndtri, monotone only to the ulp, may top its _Z_CEIL entry.
@@ -192,36 +194,59 @@ class DropChannel:
         """(sites x len(users)) upper bounds on the biased DL power of every
         sector of a site at user users[j], indexed by site id and j.
 
-        A bound takes the site's largest dl_power + selection_offset +
-        antenna gain, a 4096-bin quantile ceiling on the shadowing
-        (ShadowField.ceil_rounded_db), and a pathloss no link can
-        undercut: min(LOS, NLOS) wherever the link may be LOS (d^2 within
-        reach^2 (1 + 1e-9)), NLOS beyond.  The distance enters as
-        0.5 log10(d^2), so no azimuth, LOS test or antenna term is built;
-        _BOUND_MARGIN_DB covers the rounding that the exact path, which
-        takes log10(hypot), may differ by.  Built _SITE_SLAB sites at a time.
+        A bound adds a 4096-bin quantile ceiling on the shadowing
+        (ShadowField.ceil_rounded_db) to a power and a pathloss that no
+        sector's exact power and no link's exact pathloss can beat:
+        - beyond reach (d^2 > reach^2 (1 + 1e-9)) a link is NLOS, and the
+          power is the site's largest dl_power + selection_offset +
+          antenna gain (site_bound_db);
+        - within reach, the link's azimuth bin, the one site_sector_gains_db
+          finds, picks the power that bounds every sector of the site over
+          the bin (site_bin_bound_db) and the bin's far length
+          (SiteWedges.far): a link longer than far is blocked, so NLOS,
+          and a shorter one takes min(LOS, NLOS).
+        The distance enters as 0.5 log10(d^2) and no antenna term or slab
+        test is built; _BOUND_MARGIN_DB covers the rounding that the exact
+        path, which takes log10(hypot) and sums in another order, may differ
+        by.  Built _SITE_SLAB sites at a time.
         """
         env = self.env
-        site_xy = env.site_wedges.sites  # row s is site id s
+        wedges = env.site_wedges
         x, y = self.users_xy[users].T
         user_rounds = self.user_rounds[users]
         reach2 = self.params.los_max_distance_m ** 2 * (1.0 + 1e-9)
         min_d2 = self.params.min_distance_m ** 2
-        bound = np.empty((len(site_xy), len(x)))
-        for s0 in range(0, len(site_xy), _SITE_SLAB):
+        bound = np.empty((len(wedges.sites), len(x)))
+        within = np.empty(bound.shape, dtype=bool)
+        for s0 in range(0, len(wedges.sites), _SITE_SLAB):
             rows = slice(s0, s0 + _SITE_SLAB)
-            dx = x - site_xy[rows, 0:1]
-            dy = y - site_xy[rows, 1:2]
+            dx = x - wedges.sites[rows, 0:1]
+            dy = y - wedges.sites[rows, 1:2]
             d2 = dx * dx + dy * dy
-            logd = 0.5 * np.log10(np.maximum(d2, min_d2))
+            within[rows] = d2 <= reach2
             pl = PathlossParams(*env.site_pathloss[:, rows])
-            pl_nlos = pl.intercept_db + pl.slope_nlos_db * logd + pl.nlos_penalty_db
-            pl_low = np.where(d2 <= reach2, np.minimum(
-                pl.intercept_db + pl.slope_los_db * logd, pl_nlos), pl_nlos)
+            pl_nlos = (pl.intercept_db + pl.slope_nlos_db * (0.5 * np.log10(np.maximum(d2, min_d2)))
+                       + pl.nlos_penalty_db)
             shadow = self.shadow.ceil_rounded_db(
                 env.site_link_class[rows], user_rounds, env.site_keys[rows],
                 pl.shadow_sigma_db)
-            bound[rows] = env.site_bound_db[rows] + (shadow - pl_low) + _BOUND_MARGIN_DB
+            bound[rows] = shadow - pl_nlos
+        # the links within reach: their bin's power, and LOS up to its far length
+        k = np.flatnonzero(within)
+        site, u = np.divmod(k, len(x))
+        dx = x[u] - wedges.sites[site, 0]
+        dy = y[u] - wedges.sites[site, 1]
+        d2 = dx * dx + dy * dy
+        b = azimuth_bin(np.degrees(np.arctan2(dy, dx)))
+        # by how much the LOS pathloss may undercut the NLOS one
+        _, slope_los, slope_nlos, penalty, _ = env.site_pathloss[:, :, 0]
+        los_gain = np.maximum((slope_nlos - slope_los)[site]
+                              * (0.5 * np.log10(np.maximum(d2, min_d2))) + penalty[site], 0.0)
+        flat = bound.reshape(-1)  # a view: bound is contiguous
+        within_gain = flat[k] + np.where(d2 > wedges.far[site, b] ** 2, 0.0, los_gain)
+        bound += env.site_bound_db
+        flat[k] = env.site_bin_bound_db[site, b] + within_gain
+        bound += _BOUND_MARGIN_DB
         return bound
 
     def site_sector_gains_db(self, users, sites) -> tuple[np.ndarray, np.ndarray]:
@@ -250,9 +275,7 @@ class DropChannel:
             env.site_link_class[sites, 0], self.user_rounds[users], env.site_keys[sites, 0],
             pl.shadow_sigma_db)
         first = env.site_sectors[sites]
-        count = env.site_sectors[sites + 1] - first
-        link = np.repeat(np.arange(len(sites)), count)
-        sector = np.arange(len(link)) + np.repeat(first - (np.cumsum(count) - count), count)
+        link, sector = _ranges(first, env.site_sectors[sites + 1] - first)
         ant = antenna_gain_db(AntennaPattern(*env.sector_antenna[:, sector]),
                               azimuth[link] - env.sector_boresight[sector])
         return neg_pl[link] + ant + shadow[link], sector

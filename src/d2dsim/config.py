@@ -21,6 +21,7 @@ __all__ = [
     "NoiseParams",
     "ScenarioConfig",
     "ConfigError",
+    "MAX_USERS_PER_DROP",
     "load_config",
     "config_from_dict",
     "validate_config",
@@ -31,6 +32,11 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
+
+
+# The most users a drop may hold, fixed or on average: ~130 times the
+# hetnet preset at 4x density, far below where positions alone exhaust memory.
+MAX_USERS_PER_DROP = 10**6
 
 
 @dataclass(frozen=True)
@@ -247,6 +253,15 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _check(cfg.channel.los_max_distance_m > 0, "channel.los_max_distance_m must be positive")
     _check(cfg.channel.min_distance_m > 0, "channel.min_distance_m must be positive")
     _check(cfg.replica_rings in (0, 1), "replica_rings must be 0 or 1")
+    if cfg.fixed_user_count is not None:
+        _check(cfg.fixed_user_count <= MAX_USERS_PER_DROP,
+               f"fixed_user_count must be <= {MAX_USERS_PER_DROP}")
+    else:
+        grids = (2 * cfg.replica_rings + 1) ** 2
+        mean = cfg.user_density_per_km2 * grids * cfg.grid_width_m * cfg.grid_height_m * 1e-6
+        _check(mean <= MAX_USERS_PER_DROP,
+               f"user_density_per_km2 gives {mean:.3g} users per drop on average over "
+               f"{grids} grid(s); at most {MAX_USERS_PER_DROP} are allowed")
     _check(cfg.num_drops >= 1, "num_drops must be >= 1")
     _check(cfg.seed >= 0, "seed must be >= 0")
 

@@ -4,9 +4,14 @@ Rectangles are float arrays of shape (K, 4) laid out as (xmin, ymin, xmax, ymax)
 All tests are purely horizontal (2D); antenna/site heights never enter the
 line-of-sight decision.  Both LOS paths slab-test only the rects that can
 block a link (segments_blocked: those reaching its own bounding box;
-SiteWedges: those of its azimuth bin), so each equals the full test.  The
-lookup tables (SiteWedges, RectBuckets) depend on the layout alone, so a
-scenario builds them once and every drop reads them.
+SiteWedges: those of its azimuth bin), so each equals the full test.
+SiteWedges also keeps, per site and azimuth bin, a length below which no
+rect of the bin can be reached and one above which a rect that fills the
+whole bin is surely crossed; each lies _WEDGE_SLACK_M on the safe side, far
+beyond rounding, so a link answered from them gets the slab test's answer,
+and association's site bound reads the second to take NLOS.  The lookup
+tables (SiteWedges, RectBuckets) depend on the layout alone, so a scenario
+builds them once and every drop reads them.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ _SAMPLE_ROUNDS = 200
 _WEDGE_BINS = 360
 _WEDGE_MARGIN_DEG = 1e-6
 _WEDGE_SLACK_M = 1.0
+# SiteWedges.far: a rect must be this much thicker than nothing, far above
+# the 2 * _EDGE_EPS its open interior loses, to surely block a link.
+_WEDGE_MIN_SIDE_M = 1e-6
 
 
 def points_in_rects(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
@@ -76,6 +84,13 @@ def _crosses(px, py, dx, dy, rx0, ry0, rx1, ry1):
     return np.maximum(np.maximum(nx, ny), 0.0) < np.minimum(np.minimum(fx, fy), 1.0)
 
 
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, first[i] + j) for every i and 0 <= j < count[i], i ascending,
+    then j."""
+    i = np.repeat(np.arange(len(count)), count)
+    return i, first[i] + (np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count))
+
+
 def _mark_crossings(out, link, rect, x, y, dx, dy, inner):
     """Set out[link[i]] where link link[i], p + t*d with p = (x, y)[link[i]]
     and d = (dx, dy)[link[i]], crosses the inner rect rect[i]."""
@@ -116,21 +131,45 @@ def segments_blocked(
     return out
 
 
+def azimuth_bin(azimuth_deg) -> np.ndarray:
+    """The SiteWedges bin of each azimuth (degrees in [-180, 180])."""
+    return np.floor(np.asarray(azimuth_deg) + 180.0).astype(np.intp) % _WEDGE_BINS
+
+
 class SiteWedges:
-    """Per-site azimuth bins listing the rects that can block a link to the site.
+    """Per-site azimuth bins listing the rects that can block a link to the
+    site, and the link lengths below which no rect of a bin blocks and above
+    which one surely does.
 
     Bin b of a site holds the azimuths (degrees, from the site) in
-    [b - 180, b - 179), with +180 in bin 0.  It lists, in CSR form, every
-    rect whose angular hull seen from the site, widened by _WEDGE_MARGIN_DEG
-    each way, overlaps the bin.  A rect within _WEDGE_SLACK_M of the site
-    joins every bin (its hull may be the whole circle), and a rect farther
-    than reach + _WEDGE_SLACK_M joins none (it cannot meet a segment of
-    length <= reach that ends at the site).
+    [b - 180, b - 179), with +180 in bin 0 (azimuth_bin).  It lists, in CSR
+    form, every rect whose angular hull seen from the site, widened by
+    _WEDGE_MARGIN_DEG each way, overlaps the bin.  A rect within
+    _WEDGE_SLACK_M of the site joins every bin (its hull may be the whole
+    circle), and a rect farther than reach + _WEDGE_SLACK_M joins none (it
+    cannot meet a segment of length <= reach that ends at the site).
 
     A rect can block a segment from a site only if the direction of the
     segment's other end lies inside the rect's hull; blocked() slab-tests
     exactly those candidates with segments_blocked's arithmetic, so it
     equals segments_blocked for every segment no longer than reach.
+
+    near[site, b] and far[site, b] bound every segment from the site whose
+    other end lies in bin b, whatever its length:
+    - one shorter than near is clear.  near is the smallest gap from the
+      site to a rect of the bin, and at most reach + _WEDGE_SLACK_M, minus
+      _WEDGE_SLACK_M and at least 0; every rect not listed lies outside the
+      bin's directions or farther than reach + _WEDGE_SLACK_M.
+    - one longer than far is blocked.  far is the smallest farthest-corner
+      distance, plus _WEDGE_SLACK_M, of a rect that lies more than
+      _WEDGE_SLACK_M from the site, whose sides exceed _WEDGE_MIN_SIDE_M and
+      whose hull covers the whole closed bin with _WEDGE_MARGIN_DEG to
+      spare.  A ray in the bin then passes through that rect's shrunk
+      interior at least ~1.7e-8 m (1e-6 degrees at 1 m) clear of its
+      corners, over ten times the ~1.4e-9 m the shrink moves a corner, and
+      a segment that long holds the whole crossing: the slab test finds it
+      far above rounding.  far is inf where no rect qualifies or the
+      smallest such length exceeds reach (no link tested is that long).
     """
 
     def __init__(self, sites: np.ndarray, rects: np.ndarray, reach: float):
@@ -145,25 +184,43 @@ class SiteWedges:
         # a rect away from the site spans less than 180 degrees around it
         centre = np.degrees(np.arctan2(0.5 * (r[:, 1] + r[:, 3]) - sy,
                                        0.5 * (r[:, 0] + r[:, 2]) - sx))
-        corner = np.degrees(np.arctan2(r[:, [1, 1, 3, 3]] - sy[..., None],
-                                       r[:, [0, 2, 0, 2]] - sx[..., None]))
-        rel = (corner - centre[..., None] + 180.0) % 360.0 - 180.0
-        first = np.floor(centre + rel.min(axis=-1) - _WEDGE_MARGIN_DEG + 180.0)
-        last = np.floor(centre + rel.max(axis=-1) + _WEDGE_MARGIN_DEG + 180.0)
+        # (4, S, K): corners first, so reducing over them is cheap
+        corner = np.degrees(np.arctan2(r.T[[1, 1, 3, 3], None, :] - sy,
+                                       r.T[[0, 2, 0, 2], None, :] - sx))
+        rel = (corner - centre + 180.0) % 360.0 - 180.0
+        hull_lo = centre + rel.min(axis=0)
+        hull_hi = centre + rel.max(axis=0)
+        first = np.floor(hull_lo - _WEDGE_MARGIN_DEG + 180.0)
+        last = np.floor(hull_hi + _WEDGE_MARGIN_DEG + 180.0)
         count = (last - first + 1).astype(np.intp)
-        near = gap <= _WEDGE_SLACK_M
-        first[near] = 0
-        count[near] = _WEDGE_BINS
+        close = gap <= _WEDGE_SLACK_M
+        first[close] = 0
+        count[close] = _WEDGE_BINS
         count[gap > self.reach + _WEDGE_SLACK_M] = 0
         # one entry per (site, rect, bin), expanded from each pair's bin range
-        count = count.ravel()
-        pair = np.repeat(np.arange(count.size), count)
-        step = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-        site, rect = np.divmod(pair, len(r))
-        key = site * _WEDGE_BINS + (first.ravel().astype(np.intp)[pair] + step) % _WEDGE_BINS
-        self.rect_idx = rect[np.argsort(key, kind="stable")]
+        pair, b = _ranges(first.ravel().astype(np.intp), count.ravel())
+        key = pair // len(r) * _WEDGE_BINS + b % _WEDGE_BINS
+        # (a stable sort of 16-bit keys is a radix sort)
+        order = np.argsort(key.astype(np.min_scalar_type(len(s) * _WEDGE_BINS)), kind="stable")
+        self.rect_idx = (pair % len(r))[order]
         self.start = np.concatenate(
             [[0], np.cumsum(np.bincount(key, minlength=len(s) * _WEDGE_BINS))])
+        near = np.full(len(s) * _WEDGE_BINS, self.reach + _WEDGE_SLACK_M)
+        np.minimum.at(near, key, gap.ravel()[pair])
+        self.near = np.maximum(near - _WEDGE_SLACK_M, 0.0).reshape(len(s), _WEDGE_BINS)
+        # far: the entries whose whole closed bin, widened by the margin,
+        # lies in the hull of a rect that is solid, away from the site and
+        # near enough (its farthest corner plus the slack) to bound a link
+        # no longer than reach
+        through = np.hypot(np.maximum(abs(r[:, 0] - sx), abs(r[:, 2] - sx)),
+                           np.maximum(abs(r[:, 1] - sy), abs(r[:, 3] - sy))) + _WEDGE_SLACK_M
+        solid = ((through <= self.reach) & (gap > _WEDGE_SLACK_M)
+                 & (np.minimum(r[:, 2] - r[:, 0], r[:, 3] - r[:, 1]) > _WEDGE_MIN_SIDE_M))
+        cover = ((b >= np.where(solid, hull_lo + _WEDGE_MARGIN_DEG + 180.0, np.inf).ravel()[pair])
+                 & (b <= (hull_hi - _WEDGE_MARGIN_DEG + 179.0).ravel()[pair]))
+        far = np.full(len(s) * _WEDGE_BINS, np.inf)
+        np.minimum.at(far, key[cover], through.ravel()[pair[cover]])
+        self.far = far.reshape(len(s), _WEDGE_BINS)
 
     def blocked(self, site: np.ndarray, points: np.ndarray,
                 azimuth_deg: np.ndarray) -> np.ndarray:
@@ -171,22 +228,24 @@ class SiteWedges:
 
         azimuth_deg[i] must be the direction of points[i] from its site,
         np.degrees(np.arctan2(dy, dx)) with (dx, dy) = points[i] minus the
-        site; every segment must be no longer than reach.
+        site; every segment must be no longer than reach.  A segment shorter
+        than its bin's near or longer than its far is answered without a
+        slab test.
         """
         p = np.atleast_2d(np.asarray(points, dtype=float))
         site = np.asarray(site, dtype=np.intp)
-        key = site * _WEDGE_BINS + np.floor(
-            np.asarray(azimuth_deg) + 180.0).astype(np.intp) % _WEDGE_BINS
-        first = self.start[key]
-        count = self.start[key + 1] - first
-        # candidate (link, rect) pairs, the rects of each link's bin in turn
-        link = np.repeat(np.arange(len(key)), count)
-        rect = self.rect_idx[
-            np.arange(len(link)) + np.repeat(first - (np.cumsum(count) - count), count)]
+        b = azimuth_bin(azimuth_deg)
         x, y = p[:, 0], p[:, 1]
-        out = np.zeros(len(key), dtype=bool)
-        _mark_crossings(out, link, rect, x, y, self.sites[site, 0] - x,
-                        self.sites[site, 1] - y, self.inner)
+        dx = self.sites[site, 0] - x
+        dy = self.sites[site, 1] - y
+        d2 = dx * dx + dy * dy
+        out = d2 > self.far[site, b] ** 2
+        key = site * _WEDGE_BINS + b
+        first = self.start[key]
+        count = np.where(out | (d2 < self.near[site, b] ** 2), 0, self.start[key + 1] - first)
+        # candidate (link, rect) pairs, the rects of each link's bin in turn
+        link, pos = _ranges(first, count)
+        _mark_crossings(out, link, self.rect_idx[pos], x, y, dx, dy, self.inner)
         return out
 
 

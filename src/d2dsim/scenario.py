@@ -11,9 +11,10 @@ so that cell-border users see realistic neighbour sectors.
 
 An Environment holds everything that depends on the config alone: the
 footprints bucketed for outdoor sampling, the site wedge table, each site's
-pathloss parameters, shadow link class, shadow key, power bound and run of
-sector ids, and each sector's boresight, antenna, DL power and selection
-offset.  It is built once per config and shared, read-only, by every drop.
+pathloss parameters, shadow link class, shadow key, power bounds (over all
+azimuths and per azimuth bin) and run of sector ids, and each sector's
+boresight, antenna, DL power and selection offset.  It is built once per
+config and shared, read-only, by every drop.
 
 Association is an exact, bound-pruned search over the users it is given:
 every (site, user) gets a cheap upper bound on the biased power of the
@@ -33,9 +34,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .channel import LINK_CLASS, DropChannel, site_key
+from .channel import LINK_CLASS, DropChannel, antenna_gain_db, site_key
 from .config import AntennaPattern, ChannelParams, ScenarioConfig
-from .geometry import RectBuckets, SiteWedges, sample_outdoor_points
+from .geometry import (_WEDGE_BINS, _WEDGE_MARGIN_DEG, RectBuckets, SiteWedges,
+                       sample_outdoor_points)
 
 # Canonical block layout on the 387 x 552 m reference grid (scaled for other
 # dimensions).  Tuples are (min, max) coordinates of building columns/rows.
@@ -83,6 +85,7 @@ class Environment:
     site_link_class: np.ndarray  # (S, 1) LINK_CLASS of its kind
     site_keys: np.ndarray  # (S, 1) its shadowing key
     site_bound_db: np.ndarray  # (S, 1) dl_power + selection_offset + max antenna gain
+    site_bin_bound_db: np.ndarray  # (S, bins) the same, over each site_wedges azimuth bin
     site_sectors: np.ndarray  # (S + 1,) first sector id of each site, then the sector count
     # per sector id
     sector_boresight: np.ndarray  # (C,) boresight_deg
@@ -109,6 +112,26 @@ def _block_rects(width: float, height: float) -> list[tuple]:
             else:
                 rects.append(rect)
     return rects
+
+
+def _bin_bound_db(sectors: list[Sector]) -> np.ndarray:
+    """(bins,) the largest dl_power + selection_offset + antenna gain that
+    any of the sectors reaches over each SiteWedges azimuth bin, the bin's
+    closed interval widened by _WEDGE_MARGIN_DEG each way.
+
+    The margin holds the rounding of any azimuth the bin gets.  The gain
+    falls as the offset from boresight, wrapped to [-180, 180), grows, and
+    over an interval narrower than 180 degrees that offset is least at zero,
+    if the interval holds a multiple of 360, or else at one of its ends.
+    """
+    bore = np.array([[s.boresight_deg] for s in sectors])
+    antenna = AntennaPattern(*np.array([astuple(s.antenna) for s in sectors]).T[..., None])
+    power = np.array([[s.dl_power_dbm + s.selection_offset_db] for s in sectors])
+    lo = np.arange(_WEDGE_BINS) - 180.0 - _WEDGE_MARGIN_DEG - bore  # (sectors, bins)
+    hi = lo + (1.0 + 2.0 * _WEDGE_MARGIN_DEG)
+    gain = np.where(np.floor(hi / 360.0) >= np.ceil(lo / 360.0), antenna_gain_db(antenna, 0.0),
+                    np.maximum(antenna_gain_db(antenna, lo), antenna_gain_db(antenna, hi)))
+    return (power + gain).max(axis=0)
 
 
 def _grid_offsets(width: float, height: float, rings: int) -> np.ndarray:
@@ -181,7 +204,11 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
     site_link_class = np.array([[LINK_CLASS[k]] for k in site_kinds], dtype=np.uint64)
     site_keys = site_key(np.arange(len(site_kinds))[:, None])
     sites = {"macro": cfg.macro, "micro": cfg.micro}
+    # every site of a kind has the same sectors, turned the same way
+    bin_bound = {k: _bin_bound_db([s for s in sectors if s.site_id == site_kinds.index(k)])
+                 for k in set(site_kinds)}
     columns = {
+        "site_bin_bound_db": np.array([bin_bound[k] for k in site_kinds]),
         "site_bound_db": np.array([[sites[k].dl_power_dbm + sites[k].selection_offset_db
                                     + sites[k].antenna.max_gain_dbi] for k in site_kinds]),
         "site_sectors": np.array(site_sectors),
@@ -191,8 +218,9 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
         "sector_offset_db": np.array([s.selection_offset_db for s in sectors]),
     }
     for a in (rects, wedges.sites, wedges.rects, wedges.inner, wedges.rect_idx,
-              wedges.start, buckets.origin, buckets.shape, buckets.cell_rects,
-              site_pathloss, site_link_class, site_keys, *columns.values()):
+              wedges.start, wedges.near, wedges.far, buckets.origin, buckets.shape,
+              buckets.cell_rects, site_pathloss, site_link_class, site_keys,
+              *columns.values()):
         a.flags.writeable = False
     return Environment(
         width_m=w,
@@ -280,7 +308,10 @@ def associate_users(
     result does not depend on which other users are given.
 
     The search is exact and prunes whole sites.  channel.site_power_bound_db
-    bounds every sector of a site from above; the sectors of each user's
+    bounds every sector of a site from above: from the distance and the
+    shadowing ceiling, and within LOS reach from the link's azimuth bin,
+    whose power ceiling tops every sector over the bin and whose far length
+    (SiteWedges) proves the link NLOS.  The sectors of each user's
     best-bound site are evaluated first, then those of every other site
     whose bound reaches the user's best power so far.  A site left out has
     every power strictly below that best, so it can neither win nor tie.

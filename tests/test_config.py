@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from d2dsim.config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig,
+from d2dsim.config import (MAX_USERS_PER_DROP, SCENARIO_PRESETS, ConfigError, ScenarioConfig,
                            apply_scenario, config_from_dict,
                            load_config, validate_config)
 
@@ -127,6 +127,22 @@ def test_top_level_must_be_object(tmp_path):
 def test_validation_rejects(patch, msg):
     with pytest.raises(ConfigError, match=msg):
         config_from_dict(patch)
+
+
+def test_validate_config_caps_users_per_drop():
+    """A fixed count, or else the mean count over every replica grid, above
+    MAX_USERS_PER_DROP is refused before any drop allocates positions."""
+    validate_config(ScenarioConfig(fixed_user_count=MAX_USERS_PER_DROP))
+    with pytest.raises(ConfigError, match=f"fixed_user_count must be <= {MAX_USERS_PER_DROP}"):
+        validate_config(ScenarioConfig(fixed_user_count=MAX_USERS_PER_DROP + 1))
+    # a fixed count overrides the density, which then draws nobody
+    validate_config(ScenarioConfig(fixed_user_count=10, user_density_per_km2=1e12))
+    for rings, grids in ((0, 1), (1, 9)):
+        cfg = ScenarioConfig(replica_rings=rings, grid_width_m=1000.0, grid_height_m=1000.0)
+        validate_config(dataclasses.replace(cfg, user_density_per_km2=MAX_USERS_PER_DROP / grids))
+        with pytest.raises(ConfigError, match=f"per drop on average over {grids} grid"):
+            validate_config(dataclasses.replace(
+                cfg, user_density_per_km2=1.001 * MAX_USERS_PER_DROP / grids))
 
 
 def test_presets():

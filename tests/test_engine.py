@@ -886,6 +886,9 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
      "--set seed: JSON value beyond parser limits"),
     (["--set", "seed=1" + "0" * 5000], None, "--set seed: JSON value beyond parser limits"),
     (["--config", "deep.json"], None, "deep.json: JSON beyond parser limits"),
+    (["--set", "fixed_user_count=null", "--set", "user_density_per_km2=1e12"], None,
+     "user_density_per_km2 gives 2.14e+11 users per drop on average"),
+    (["--set", "fixed_user_count=1000000000000"], None, "fixed_user_count must be <= 1000000"),
 ])
 def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
                                                 extra, env, message):

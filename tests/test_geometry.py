@@ -1,5 +1,6 @@
 """Rectangle containment, segment blocking and outdoor sampling."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dsim import channel, engine
-from d2dsim.config import ScenarioConfig, apply_scenario
-from d2dsim.geometry import (_BUCKET_M, _EDGE_EPS, RectBuckets, SiteWedges, _slab_interval,
-                             points_in_rects, sample_outdoor_points, segments_blocked)
+from d2dsim.config import AntennaPattern, ScenarioConfig, apply_scenario
+from d2dsim.geometry import (_BUCKET_M, _EDGE_EPS, _WEDGE_BINS, RectBuckets, SiteWedges,
+                             _slab_interval, azimuth_bin, points_in_rects,
+                             sample_outdoor_points, segments_blocked)
 from d2dsim.scenario import generate_environment
+from conftest import tiny_config
 
 RECT = np.array([[10.0, 10.0, 20.0, 30.0]])
 
@@ -381,6 +384,110 @@ def test_site_wedges_exact_cases():
         got, want = wedge_and_unpruned(*case)
         assert want.all()
         np.testing.assert_array_equal(got, want)
+
+
+def test_site_wedge_near_and_far_exact_case():
+    """A wall 10-20 m east of the site, 100 m tall: links due east shorter
+    than 9 m are clear, and longer than its far corner plus 1 m blocked."""
+    wedges = SiteWedges([(0.0, 0.0)], [(10.0, -50.0, 20.0, 50.0)], 300.0)
+    east = azimuth_bin(0.0)
+    assert wedges.near[0, east] == 9.0
+    assert wedges.far[0, east] == np.hypot(20.0, 50.0) + 1.0
+    assert wedges.near[0, azimuth_bin(180.0)] == 300.0  # nothing west within reach
+    assert wedges.far[0, azimuth_bin(180.0)] == np.inf
+    # the wall spans +-78.7 degrees, so the bins at its edges are not whole
+    assert wedges.far[0, azimuth_bin(78.5)] == np.inf > wedges.far[0, azimuth_bin(77.5)]
+    assert wedges.far[0, azimuth_bin(-78.5)] == np.inf > wedges.far[0, azimuth_bin(-77.5)]
+
+
+@st.composite
+def _table_case(draw):
+    """(sites, rects, reach, seed): lattice rects and walls 0, 1 and 2
+    _EDGE_EPS thick; sites free, on walls and corners and inside rects."""
+    rects = draw(st.lists(_rect(), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        x0, y0, x1, y1 = draw(_rect())
+        t = draw(st.sampled_from((0.0, _EDGE_EPS, 2 * _EDGE_EPS)))
+        rects.append((x0, y0, x0 + t, y1) if draw(st.booleans()) else (x0, y0, x1, y0 + t))
+    sites = draw(st.lists(_wedge_site(rects), min_size=1, max_size=3))
+    reach = draw(st.sampled_from((5.0, 5000.0)) | st.floats(5.0, 5000.0))
+    return sites, rects, reach, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_table_case())
+def test_site_wedge_near_and_far_agree_with_slab_test(case):
+    """Every link the near and far tables answer, shorter than near (clear)
+    or longer than far (blocked), gets segments_blocked's answer; blocked()
+    equals segments_blocked within reach.  Links leave the site along each
+    bin's lower edge and at a random azimuth inside it, at +-180 degrees,
+    at near and far and one ulp either side, and at random lengths."""
+    sites, rects, reach, seed = case
+    wedges = SiteWedges(sites, rects, reach)
+    rng = np.random.default_rng(seed)
+    lo = np.arange(_WEDGE_BINS) - 180.0
+    for i, site in enumerate(wedges.sites):
+        ends = []
+        for t in (0.0, rng.uniform(0.0, 1.0, _WEDGE_BINS)):
+            unit = np.column_stack([np.cos(np.radians(lo + t)), np.sin(np.radians(lo + t))])
+            for length in (wedges.near[i], np.minimum(wedges.far[i], 2.0 * reach),
+                           rng.uniform(0.0, 1.5 * reach, _WEDGE_BINS)):
+                for ulp in (-np.inf, None, np.inf):
+                    d = length if ulp is None else np.nextafter(length, ulp)
+                    ends.append(site + d[:, None] * unit)
+        for d in (wedges.near[i, 0], min(wedges.far[i, 0], 2.0 * reach), reach):
+            ends.append(site + [[-d, 0.0], [-d, -0.0]])  # +180 and -180 exactly
+        p = np.vstack(ends)
+        dxy = p - site
+        az = np.degrees(np.arctan2(dxy[:, 1], dxy[:, 0]))
+        b = azimuth_bin(az)
+        d2 = dxy[:, 0] * dxy[:, 0] + dxy[:, 1] * dxy[:, 1]
+        want = segments_blocked(p, np.broadcast_to(site, p.shape), wedges.rects)
+        assert not want[d2 < wedges.near[i, b] ** 2].any()
+        assert want[d2 > wedges.far[i, b] ** 2].all()
+        keep = np.hypot(dxy[:, 0], dxy[:, 1]) <= reach
+        np.testing.assert_array_equal(
+            wedges.blocked(np.full(keep.sum(), i), p[keep], az[keep]), want[keep])
+
+
+@st.composite
+def _sector_config(draw):
+    """A single grid whose macro and micro sites have drawn sector counts,
+    rotations, antennas, powers and offsets."""
+    base = ScenarioConfig()
+
+    def site(params):
+        antenna = AntennaPattern(
+            max_gain_dbi=draw(st.floats(-10.0, 30.0)),
+            beamwidth_deg=draw(st.sampled_from([65.0, 360.0, 1e-3]) | st.floats(1e-3, 720.0)),
+            front_to_back_db=draw(st.sampled_from([0.0, 25.0]) | st.floats(0.0, 1000.0)))
+        return dataclasses.replace(
+            params, sectors_per_site=draw(st.integers(1, 6)),
+            sector_rotation_deg=draw(st.sampled_from([0.0, 45.0, 90.0]) | st.floats(0.0, 360.0)),
+            dl_power_dbm=draw(st.floats(0.0, 60.0)),
+            selection_offset_db=draw(st.floats(-60.0, 60.0)), antenna=antenna)
+
+    return tiny_config(micro_enabled=True, macro=site(base.macro), micro=site(base.micro))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_sector_config(), seed=st.integers(0, 2 ** 32 - 1))
+def test_site_bin_bound_tops_every_sector(cfg, seed):
+    """Each (site, bin) power ceiling is at least every sector's dl_power +
+    selection_offset + antenna gain at both edges of the bin, at +180 for
+    bin 0, and at random azimuths inside it, and never above the site's
+    bound over all azimuths."""
+    env = generate_environment(cfg)
+    lo = np.arange(_WEDGE_BINS) - 180.0
+    inside = lo + np.random.default_rng(seed).uniform(0.0, 1.0, (8, _WEDGE_BINS))
+    az = np.concatenate([lo, lo + 1.0, [180.0], inside.ravel()])
+    b = np.concatenate([np.arange(_WEDGE_BINS), np.arange(_WEDGE_BINS), [0],
+                        np.tile(np.arange(_WEDGE_BINS), 8)])
+    for s in env.sectors:
+        power = (s.dl_power_dbm + s.selection_offset_db
+                 + channel.antenna_gain_db(s.antenna, az - s.boresight_deg))
+        assert (power <= env.site_bin_bound_db[s.site_id, b]).all()
+    assert (env.site_bin_bound_db <= env.site_bound_db).all()
 
 
 _BOUNDS = (-20.0, -10.0, 300.0, 200.0)

@@ -299,9 +299,11 @@ def test_associate_users_bit_equals_exhaustive_on_real_drops(preset):
 
 # Exact-evaluated (user, site) links per user over the two drops above:
 # 1.5313 (both macro presets) and 3.1000 (hetnet) with the exact shadowing in
-# the site bound, 1.5336 and 3.0992 with its 4096-bin quantile ceiling.
-@pytest.mark.parametrize("preset, most", [("macro-scheme1", 1.54), ("macro-scheme2", 1.54),
-                                          ("hetnet", 3.11)])
+# the site bound, 1.5336 and 3.0992 with its 4096-bin quantile ceiling, and
+# 1.3297 and 1.6494 once links within reach take their azimuth bin's power
+# ceiling and, beyond the bin's far length, NLOS.
+@pytest.mark.parametrize("preset, most", [("macro-scheme1", 1.34), ("macro-scheme2", 1.34),
+                                          ("hetnet", 1.66)])
 def test_association_evaluates_few_sites_per_user_on_real_drops(monkeypatch, preset, most):
     """The bit-exact oracle cannot see a bound that prunes too little; count
     the (user, site) links the exact stage is handed."""
@@ -327,7 +329,8 @@ def test_association_evaluates_few_sites_per_user_on_real_drops(monkeypatch, pre
 @st.composite
 def association_cases(draw):
     """Adversarial single- and nine-grid configs, with users on, within 1 m
-    of, and far from the sites."""
+    of, and far from the sites, on azimuth-bin edges, and at bins' near and
+    far lengths."""
     base = ScenarioConfig()
     sigma = draw(st.sampled_from([0.0, 20.0]) | st.floats(0.0, 20.0))
 
@@ -355,7 +358,19 @@ def association_cases(draw):
     near = [sites[i] + (dx, dy) for i, dx, dy in draw(st.lists(st.tuples(
         which, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)), max_size=8))]
     far = draw(st.lists(st.tuples(st.floats(xmin, xmax), st.floats(ymin, ymax)), max_size=20))
-    xy = np.array(on + near + far, dtype=float).reshape(-1, 2)
+    # users on azimuth-bin edges, and at a bin's near and far lengths from
+    # its site (one ulp either side too), where the site bound is tightest
+    wedges = env.site_wedges
+    edges = []
+    for i, b, kind, t, ulp in draw(st.lists(st.tuples(
+            which, st.integers(0, 359), st.sampled_from(("edge", "near", "far")),
+            st.floats(0.0, 1.0), st.sampled_from((-1, 0, 1))), max_size=10)):
+        dist = {"edge": wedges.reach * t, "near": wedges.near[i, b],
+                "far": min(wedges.far[i, b], 2.0 * wedges.reach)}[kind]
+        angle = np.radians(b - 180.0 + (0.0 if kind == "edge" else t))
+        dist = np.nextafter(dist, ulp * np.inf) if ulp else dist
+        edges.append(sites[i] + dist * np.array([np.cos(angle), np.sin(angle)]))
+    xy = np.array(on + near + far + edges, dtype=float).reshape(-1, 2)
     return env, xy, draw(st.integers(0, 2 ** 64 - 1))
 
 
@@ -405,13 +420,16 @@ def test_environment_is_memoized_and_read_only():
     assert generate_environment(dataclasses.replace(cfg)) is env  # equal, not identical
     wedges, buckets = env.site_wedges, env.buckets
     for a in (env.building_rects, wedges.sites, wedges.rects, wedges.inner,
-              wedges.rect_idx, wedges.start, buckets.origin, buckets.shape,
-              buckets.cell_rects, env.site_pathloss, env.site_link_class, env.site_keys,
-              env.site_bound_db, env.site_sectors, env.sector_boresight, env.sector_antenna,
-              env.sector_dl_dbm, env.sector_offset_db):
+              wedges.rect_idx, wedges.start, wedges.near, wedges.far, buckets.origin,
+              buckets.shape, buckets.cell_rects, env.site_pathloss, env.site_link_class,
+              env.site_keys, env.site_bound_db, env.site_bin_bound_db, env.site_sectors,
+              env.sector_boresight, env.sector_antenna, env.sector_dl_dbm,
+              env.sector_offset_db):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+    assert env.site_bin_bound_db.shape == wedges.near.shape == wedges.far.shape == (
+        len(wedges.sites), 360)
     # the per-site link columns, one row per site id
     kinds = [next(s.kind for s in env.sectors if s.site_id == i)
              for i in range(len(wedges.sites))]
