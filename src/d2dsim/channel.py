@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .config import AntennaPattern, PathlossParams
-from .geometry import _ranges, azimuth_bin, segments_blocked
+from .geometry import _ranges, azimuth_bin, segments_blocked, wrap_deg
 from .units import db_to_linear, dbm_to_watts
 
 if TYPE_CHECKING:  # scenario imports this module
@@ -121,12 +121,7 @@ def pathloss_db(
 
 def antenna_gain_db(pattern: AntennaPattern, off_boresight_deg) -> np.ndarray:
     """Parabolic-in-dB pattern with a front-to-back floor."""
-    # (x + 180) % 360 - 180, bit for bit: numpy's float remainder is fmod
-    # plus the divisor when negative, and +0.0 when zero (-0.0 + 0.0 = +0.0)
-    a = np.fmod(np.asarray(off_boresight_deg, dtype=float) + 180.0, 360.0)
-    a += 360.0 * (a < 0.0)
-    a -= 180.0
-    att = 12.0 * (a / pattern.beamwidth_deg) ** 2
+    att = 12.0 * (wrap_deg(off_boresight_deg) / pattern.beamwidth_deg) ** 2
     return pattern.max_gain_dbi - np.minimum(att, pattern.front_to_back_db)
 
 

@@ -1,6 +1,10 @@
 """2D geometry helpers: axis-aligned rectangles, segment blocking, outdoor sampling.
 
 Rectangles are float arrays of shape (K, 4) laid out as (xmin, ymin, xmax, ymax).
+Outdoor sampling tests points against closed rects by slab point location
+(RectBuckets): each coordinate's slot among the rects' distinct edges along
+its axis, then one table read per point, equal to the test against every
+rect.
 All tests are purely horizontal (2D); antenna/site heights never enter the
 line-of-sight decision.  Both LOS paths slab-test only the rects that can
 block a link (segments_blocked: those reaching its own bounding box;
@@ -24,9 +28,12 @@ _EDGE_EPS = 1e-9
 # Widen a segment's bounding box by this much before dropping the rects
 # outside it, so rounding at the box edge can never drop a blocking rect.
 _PRUNE_MARGIN = 1e-6
-# Side of the square cells sample_outdoor_points buckets obstacles by, and
-# the rejection rounds it makes before it gives up.
-_BUCKET_M = 64.0
+# RectBuckets: the side of the cells that give a coordinate's slot among
+# the rect edges, and the most cells per axis (the side grows past it, so
+# the lookup stays small on any layout).  sample_outdoor_points: the
+# rejection rounds it makes before it gives up.
+_CELL_M = 1.0
+_MAX_CELLS = 4096
 _SAMPLE_ROUNDS = 200
 # SiteWedges: bins per full circle of azimuth (1 degree each), the widening
 # of every rect's angular hull, and the slack of its distance rules.  A
@@ -131,6 +138,17 @@ def segments_blocked(
     return out
 
 
+def wrap_deg(angle_deg) -> np.ndarray:
+    """Angles (degrees) wrapped to [-180, 180): the bits of
+    (x + 180) % 360 - 180, signed zeros too, for less time.  numpy's float
+    remainder is fmod plus the divisor when negative, and +0.0 when zero
+    (-0.0 + 0.0 = +0.0)."""
+    a = np.fmod(np.asarray(angle_deg, dtype=float) + 180.0, 360.0)
+    a += 360.0 * (a < 0.0)
+    a -= 180.0
+    return a
+
+
 def azimuth_bin(azimuth_deg) -> np.ndarray:
     """The SiteWedges bin of each azimuth (degrees in [-180, 180])."""
     return np.floor(np.asarray(azimuth_deg) + 180.0).astype(np.intp) % _WEDGE_BINS
@@ -187,7 +205,7 @@ class SiteWedges:
         # (4, S, K): corners first, so reducing over them is cheap
         corner = np.degrees(np.arctan2(r.T[[1, 1, 3, 3], None, :] - sy,
                                        r.T[[0, 2, 0, 2], None, :] - sx))
-        rel = (corner - centre + 180.0) % 360.0 - 180.0
+        rel = wrap_deg(corner - centre)
         hull_lo = centre + rel.min(axis=0)
         hull_hi = centre + rel.max(axis=0)
         first = np.floor(hull_lo - _WEDGE_MARGIN_DEG + 180.0)
@@ -250,51 +268,62 @@ class SiteWedges:
 
 
 class RectBuckets:
-    """Rects bucketed by the square cells of a grid over `bounds`
-    (xmin, ymin, xmax, ymax).
+    """Closed-rect containment by slab point location over the rects' edges
+    (Dobkin & Lipton) within `bounds` (xmin, ymin, xmax, ymax).
 
-    contains(points) equals points_in_rects(points, rects) but tests each
-    point only against the rects of its cell.  A rect joins every cell its
-    closed extent overlaps.  Subtraction, division by the positive cell side,
-    floor and clipping never reverse an order, so a point inside a rect lands
-    in a cell between the rect's first and last, and the comparisons made are
-    the very ones points_in_rects makes.
+    contains(points) equals points_in_rects(points, rects).  Each axis is cut
+    at the distinct rect edges e_0 < e_1 < ... along it: a coordinate equal
+    to e_i lies in slot 2i + 1, one strictly between e_(i-1) and e_i in slot
+    2i (the last slot lies past every edge).  A closed rect [e_a, e_b] covers
+    the slots 2a + 1 to 2b + 1 of its axis, so table[x slot, y slot] holds
+    whether any rect contains the points of that slot pair.
+
+    A coordinate's slot comes from a lookup over the cells of side
+    max(_CELL_M, extent / _MAX_CELLS) that cover the bounds along its axis;
+    points outside the bounds fall into the end cells.  Subtraction,
+    division by the positive side, floor and clipping never reverse an
+    order, so every coordinate in a cell that no edge falls into lies
+    strictly between the same two edges, and the cell gives its slot.
+    Coordinates in the other cells take searchsorted.
     """
 
     def __init__(self, rects: np.ndarray, bounds: tuple[float, float, float, float]):
         r = np.asarray(rects, dtype=float).reshape(-1, 4)
         self.bounds = tuple(bounds)
         self.origin = np.array(bounds[:2], dtype=float)
-        self.shape = np.maximum(
-            np.ceil((np.array(bounds[2:]) - self.origin) / _BUCKET_M).astype(int), 1)
-        lo = self._cell(r[:, :2])
-        hi = self._cell(r[:, 2:])
-        ix = np.arange(self.shape[0])[:, None, None]
-        iy = np.arange(self.shape[1])[None, :, None]
-        hit = ((lo[:, 0] <= ix) & (ix <= hi[:, 0])
-               & (lo[:, 1] <= iy) & (iy <= hi[:, 1])).reshape(self.shape.prod(), len(r))
-        # each cell's rects in rect order, padded with a NaN rect that
-        # contains nothing
-        cell, rect = np.nonzero(hit)
-        count = hit.sum(axis=1)
-        slot = np.arange(len(cell)) - (np.cumsum(count) - count)[cell]
-        cand = np.full((len(hit), max(int(count.max(initial=0)), 1)), len(r))
-        cand[cell, slot] = rect
-        self.cell_rects = np.vstack([r, np.full((1, 4), np.nan)])[cand]  # (C, W, 4)
+        extent = np.array(bounds[2:], dtype=float) - self.origin
+        self.side = np.maximum(extent / _MAX_CELLS, _CELL_M)
+        self.shape = np.clip(np.ceil(extent / self.side), 1, _MAX_CELLS).astype(np.intp)
+        self.edges = tuple(np.unique(r[:, [a, a + 2]]) for a in (0, 1))
+        # each rect's first and last slot per axis: (xlo, ylo, xhi, yhi)
+        cover = 2 * np.column_stack([np.searchsorted(self.edges[i % 2], r[:, i])
+                                     for i in range(4)]) + 1
+        self.table = np.zeros([2 * len(e) + 1 for e in self.edges], dtype=bool)
+        for x0, y0, x1, y1 in cover.tolist():
+            self.table[x0:x1 + 1, y0:y1 + 1] = True
+        # per axis, each cell's slot, or -1 where an edge falls into the cell
+        self.cell_slot = ()
+        for a, e in enumerate(self.edges):
+            ecell = self._cell(e, a)
+            slot = 2 * np.searchsorted(ecell, np.arange(self.shape[a]))
+            slot[ecell] = -1
+            self.cell_slot += (slot,)
 
-    def _cell(self, p: np.ndarray) -> np.ndarray:
-        c = np.floor((p - self.origin) / _BUCKET_M)
-        return np.clip(c, 0, self.shape - 1).astype(int)
+    def _cell(self, v: np.ndarray, axis: int) -> np.ndarray:
+        c = np.floor((v - self.origin[axis]) / self.side[axis])
+        return np.clip(c, 0, self.shape[axis] - 1, out=c).astype(np.intp)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """True for each (finite) point lying inside (closed) any of the rects."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        c = self._cell(p)
-        r = self.cell_rects[c[:, 0] * self.shape[1] + c[:, 1]]  # (P, W, 4)
-        x = p[:, 0:1]
-        y = p[:, 1:2]
-        inside = (x >= r[..., 0]) & (x <= r[..., 2]) & (y >= r[..., 1]) & (y <= r[..., 3])
-        return inside.any(axis=1)
+        slot = []
+        for a, e in enumerate(self.edges):
+            v = p[:, a]
+            s = self.cell_slot[a][self._cell(v, a)]
+            near = np.flatnonzero(s < 0)
+            s[near] = np.searchsorted(e, v[near]) + np.searchsorted(e, v[near], side="right")
+            slot.append(s)
+        return self.table[slot[0], slot[1]]
 
 
 def sample_outdoor_points(

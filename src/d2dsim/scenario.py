@@ -10,7 +10,7 @@ The measured grid sits at the centre of a 3 x 3 tiling of identical replicas
 so that cell-border users see realistic neighbour sectors.
 
 An Environment holds everything that depends on the config alone: the
-footprints bucketed for outdoor sampling, the site wedge table, each site's
+footprints' slot table for outdoor sampling, the site wedge table, each site's
 pathloss parameters, shadow link class, shadow key, power bounds (over all
 azimuths and per azimuth bin) and run of sector ids, and each sector's
 boresight, antenna, DL power and selection offset.  It is built once per
@@ -76,7 +76,7 @@ class Environment:
     height_m: float
     bounds: tuple[float, float, float, float]  # (xmin, ymin, xmax, ymax) of all grids
     building_rects: np.ndarray  # (B, 4) footprints of every replica grid, central grid first
-    buckets: RectBuckets  # building_rects over bounds, for outdoor sampling
+    buckets: RectBuckets  # building_rects' slot table over bounds, for outdoor sampling
     sectors: tuple[Sector, ...]
     site_wedges: SiteWedges  # buildings per azimuth bin of each site
     channel: ChannelParams  # site_wedges reaches its los_max_distance_m
@@ -218,8 +218,9 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
         "sector_offset_db": np.array([s.selection_offset_db for s in sectors]),
     }
     for a in (rects, wedges.sites, wedges.rects, wedges.inner, wedges.rect_idx,
-              wedges.start, wedges.near, wedges.far, buckets.origin, buckets.shape,
-              buckets.cell_rects, site_pathloss, site_link_class, site_keys,
+              wedges.start, wedges.near, wedges.far, buckets.origin, buckets.side,
+              buckets.shape, *buckets.edges, buckets.table, *buckets.cell_slot,
+              site_pathloss, site_link_class, site_keys,
               *columns.values()):
         a.flags.writeable = False
     return Environment(
@@ -258,9 +259,14 @@ def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) ->
 
     A d2d_fraction share of users is eligible; eligible users are scanned in
     id order and paired with their nearest unpaired eligible neighbour within
-    max_pair_distance_m.  A user is cellular unless it is an end of a pair.
-    The lower-id end of each pair transmits (and initiates the protocol), so
-    the (P, 2) int array of (tx, rx) user rows returned has ascending tx.
+    max_pair_distance_m, ties going to the lowest id.  A user is cellular
+    unless it is an end of a pair.  The lower-id end of each pair transmits
+    (and initiates the protocol), so the (P, 2) int array of (tx, rx) user
+    rows returned has ascending tx.
+
+    No candidate list is sorted: each scanning user's nearest candidate is
+    found for all users at once, and the scan reads a user's other
+    candidates only when that one is already paired.
     """
     n = len(xy)
     k = int(round(cfg.d2d_fraction * n))
@@ -274,23 +280,30 @@ def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) ->
     a_idx, b_idx = cKDTree(pos, balanced_tree=False, compact_nodes=False).query_pairs(
         cfg.max_pair_distance_m, output_type="ndarray").T
     dist = np.hypot(pos[b_idx, 0] - pos[a_idx, 0], pos[b_idx, 1] - pos[a_idx, 1])
-    # each user's candidates by (distance, index): ties go to the lowest index.
-    # Complex numbers sort by real part, then imaginary part.
-    _, rank = np.unique(dist + 1j * b_idx, return_inverse=True)
-    cand = b_idx[np.argsort(a_idx * len(a_idx) + rank)].tolist()
-    ends = np.cumsum(np.bincount(a_idx, minlength=k)).tolist()
+    # each scanning user's candidates as one run (a stable sort of small
+    # integer keys is a radix sort); its first choice is the least
+    # (distance, index), ties going to the lowest index
+    order = np.argsort(a_idx.astype(np.min_scalar_type(k)), kind="stable")
+    cand, dist = b_idx[order], dist[order]
+    count = np.bincount(a_idx, minlength=k)
+    scanner = np.flatnonzero(count)
+    width = count[scanner]
+    start = np.cumsum(width) - width
+    near = np.minimum.reduceat(dist, start)
+    first = np.minimum.reduceat(np.where(dist == np.repeat(near, width), cand, k), start)
     paired = [False] * k
-    pairs: list[tuple[int, int]] = []
-    start = 0
-    for a, end in enumerate(ends):
-        if not paired[a]:
-            for j in range(start, end):
-                b = cand[j]
-                if not paired[b]:
-                    paired[a] = paired[b] = True
-                    pairs.append((a, b))
-                    break
-        start = end
+    pairs: list[int] = []
+    for a, b, s, w in zip(scanner.tolist(), first.tolist(), start.tolist(), width.tolist()):
+        if paired[a]:
+            continue
+        if paired[b]:  # first choice taken: the least (distance, index) still free
+            free = [(d, c) for d, c in zip(dist[s:s + w].tolist(), cand[s:s + w].tolist())
+                    if not paired[c]]
+            if not free:
+                continue
+            b = min(free)[1]
+        paired[a] = paired[b] = True
+        pairs += (a, b)
     return ids[np.array(pairs, dtype=int).reshape(-1, 2)]
 
 

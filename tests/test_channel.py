@@ -12,7 +12,7 @@ from d2dsim.channel import (LINK_CLASS, DropChannel, ShadowField, antenna_gain_d
                             pathloss_db, site_key)
 from d2dsim.config import (AntennaPattern, PathlossParams, ScenarioConfig,
                            apply_scenario)
-from d2dsim.geometry import segments_blocked
+from d2dsim.geometry import segments_blocked, wrap_deg
 from d2dsim.scenario import associate_users, drop_users, generate_environment
 from d2dsim.units import db_to_linear
 from conftest import tiny_config
@@ -59,7 +59,8 @@ def test_antenna_pattern():
 
 
 def test_antenna_wrap_is_bitwise_float_remainder():
-    """The fmod wrap gives the bits of (x + 180) % 360 - 180, signed zeros too."""
+    """The fmod wrap (geometry.wrap_deg, which SiteWedges also reads) gives
+    the bits of (x + 180) % 360 - 180, signed zeros too."""
     pat = AntennaPattern(17.0, 65.0, 25.0)
     special = [0.0, -0.0, 180.0, -180.0, 360.0, -360.0, 540.0, -540.0, -1e-300, 1e-300,
                179.99999999999997, -180.00000000000003, 1e6 + 0.1, -1e6 - 0.1]
@@ -67,6 +68,7 @@ def test_antenna_wrap_is_bitwise_float_remainder():
     x = np.concatenate([special, rng.uniform(-720.0, 720.0, 5000),
                         rng.uniform(-1e5, 1e5, 5000)])
     a = (x + 180.0) % 360.0 - 180.0
+    np.testing.assert_array_equal(wrap_deg(x).view(np.int64), a.view(np.int64))
     att = 12.0 * (a / pat.beamwidth_deg) ** 2
     want = pat.max_gain_dbi - np.minimum(att, pat.front_to_back_db)
     got = antenna_gain_db(pat, x)

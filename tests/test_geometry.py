@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from d2dsim import channel, engine
 from d2dsim.config import AntennaPattern, ScenarioConfig, apply_scenario
-from d2dsim.geometry import (_BUCKET_M, _EDGE_EPS, _WEDGE_BINS, RectBuckets, SiteWedges,
+from d2dsim.geometry import (_EDGE_EPS, _MAX_CELLS, _WEDGE_BINS, RectBuckets, SiteWedges,
                              _slab_interval, azimuth_bin, points_in_rects,
                              sample_outdoor_points, segments_blocked)
 from d2dsim.scenario import generate_environment
@@ -491,11 +491,13 @@ def test_site_bin_bound_tops_every_sector(cfg, seed):
 
 
 _BOUNDS = (-20.0, -10.0, 300.0, 200.0)
-# Rect edges and points on a lattice that holds the bucket cell seams of
-# _BOUNDS, so points fall on edges, corners and seams; free floats cover
-# general position, and some fall outside the bounds.
-_bcoord = st.one_of(st.integers(-2, 2 * int(320 / _BUCKET_M) + 2).map(
-                        lambda v: -20.0 + v * _BUCKET_M / 2),
+_LATTICE_M = 64.0
+# Rect edges and points on a 32 m lattice from the corner of _BOUNDS and a
+# 7.5 m one from 0, so points fall on edges, corners and shared lattice
+# lines; free floats cover general position, and some fall outside the
+# bounds.
+_bcoord = st.one_of(st.integers(-2, 2 * int(320 / _LATTICE_M) + 2).map(
+                        lambda v: -20.0 + v * _LATTICE_M / 2),
                     st.integers(-8, 48).map(lambda v: v * 7.5),
                     st.floats(-40.0, 320.0, allow_nan=False))
 
@@ -519,6 +521,53 @@ def test_rect_buckets_equal_all_rects_test(rects, pts, corners):
     np.testing.assert_array_equal(RectBuckets(r, _BOUNDS).contains(p), points_in_rects(p, r))
 
 
+@st.composite
+def _slot_cases(draw):
+    """Bounds, some wide enough to meet the cell cap, with rects (some of
+    zero width or height) and points whose coordinates lie on the table's
+    cell seams, at free positions or outside the bounds."""
+    extent = st.sampled_from([1.0, 387.0, 4096.0, 1e7]) | st.floats(0.5, 1e12)
+    lo = np.array([draw(st.floats(-1e4, 1e4)) for _ in range(2)])
+    bounds = (*lo, *(lo + [draw(extent), draw(extent)]))
+    empty = RectBuckets(np.empty((0, 4)), bounds)  # its cells depend on the bounds alone
+
+    def coord(a):
+        return st.one_of(  # a seam, some beyond the bounds, or a free position
+            st.integers(-3, int(empty.shape[a]) + 3).map(
+                lambda i: empty.origin[a] + i * empty.side[a]),
+            st.floats(-0.2, 1.2).map(lambda f: bounds[a] + f * (bounds[a + 2] - bounds[a])))
+
+    x, y = coord(0), coord(1)
+    flat = st.sampled_from(["x", "y", "both", None])
+    rects = []
+    for _ in range(draw(st.integers(0, 8))):
+        x0, x1 = sorted([draw(x), draw(x)])
+        y0, y1 = sorted([draw(y), draw(y)])
+        f = draw(flat)
+        rects.append((x0, y0, x0 if f in ("x", "both") else x1, y0 if f in ("y", "both") else y1))
+    pts = draw(st.lists(st.tuples(x, y), max_size=30))
+    return bounds, np.array(rects, dtype=float).reshape(-1, 4), np.array(pts).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_cases())
+def test_rect_buckets_equal_all_rects_test_on_cell_seams_and_edges(case):
+    """The slot table against the closed test on its own boundaries: cell
+    seams, rect edges and corners and one ulp to either side of them, zero-
+    width rects, points outside the bounds, and bounds wide enough that the
+    cells grow past _CELL_M to stay within _MAX_CELLS per axis."""
+    bounds, r, p = case
+    corners = np.vstack([r[:, [0, 1]], r[:, [2, 3]], r[:, [0, 3]], r[:, [2, 1]]])
+    up, down = np.nextafter(corners, np.inf), np.nextafter(corners, -np.inf)
+    p = np.vstack([p, corners, up, down, np.column_stack([up[:, 0], down[:, 1]]),
+                   np.column_stack([down[:, 0], up[:, 1]]),
+                   [bounds[:2], bounds[2:], [-1e300, 0.0], [1e300, 1e300]]])
+    buckets = RectBuckets(r, bounds)
+    assert (buckets.shape <= _MAX_CELLS).all()
+    assert all(len(s) == n for s, n in zip(buckets.cell_slot, buckets.shape))
+    np.testing.assert_array_equal(buckets.contains(p), points_in_rects(p, r))
+
+
 def test_rect_buckets_on_hetnet_footprints():
     env = generate_environment(apply_scenario(ScenarioConfig(), "hetnet"))
     r = env.building_rects
@@ -526,9 +575,20 @@ def test_rect_buckets_on_hetnet_footprints():
     pts = np.vstack([pts, r[:, :2], r[:, 2:], r[:, [0, 3]], r[:, [2, 1]]])
     buckets = env.buckets  # the environment's table, built once per config
     assert buckets.bounds == env.bounds
-    assert buckets.cell_rects.shape[1] < len(r) // 10  # a few rects per cell
+    # one slot per distinct edge and one per gap along each axis, and 1 m
+    # cells of which few hold an edge
+    assert buckets.table.shape == (37, 73) == tuple(2 * len(np.unique(r[:, [a, a + 2]])) + 1
+                                                    for a in (0, 1))
+    np.testing.assert_array_equal(buckets.side, 1.0)
+    for a in (0, 1):
+        assert len(buckets.cell_slot[a]) == buckets.shape[a] == int(np.ceil(
+            env.bounds[2 + a] - env.bounds[a]))
+        assert (buckets.cell_slot[a] < 0).sum() <= len(buckets.edges[a])
     np.testing.assert_array_equal(buckets.contains(pts), points_in_rects(pts, r))
-    np.testing.assert_array_equal(RectBuckets(r, env.bounds).cell_rects, buckets.cell_rects)
+    fresh = RectBuckets(r, env.bounds)
+    np.testing.assert_array_equal(fresh.table, buckets.table)
+    for a in (0, 1):
+        np.testing.assert_array_equal(fresh.cell_slot[a], buckets.cell_slot[a])
 
 
 def test_sample_outdoor_points_avoids_obstacles(rng):

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 
 from d2dsim import scenario
 from d2dsim.channel import LINK_CLASS, DropChannel, site_key
-from d2dsim.config import SCENARIO_PRESETS, ScenarioConfig, apply_scenario
+from d2dsim.config import SCENARIO_PRESETS, ScenarioConfig, apply_scenario, validate_config
 from d2dsim.engine import _STREAMS, _stream, drop_seed
 from d2dsim.geometry import points_in_rects
 from d2dsim.scenario import (MAIN_STREET_Y, associate_users, drop_users,
@@ -214,6 +214,42 @@ def test_pair_users_matches_loop_on_real_drops(preset):
     assert_pairing_matches_loop(cfg, xy, lambda: _stream(0, "pairing"))
 
 
+@st.composite
+def shared_neighbour_layouts(draw):
+    """Many eligible users around a few hubs listed last, so that scanning
+    users find their first choice (the hub) taken and fall back to the
+    others, which sit on a lattice around it at exactly tied distances."""
+    r = draw(st.sampled_from([35.0, 7.5, 1.0, 0.3]))
+    step = r / draw(st.sampled_from([2, 3, 4]))
+    hubs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                         max_size=3))
+    offset = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda o: o != (0, 0))
+    spokes = [(hx * 4 + i, hy * 4 + j)
+              for hx, hy in hubs
+              for i, j in draw(st.lists(offset, min_size=1, max_size=16))]
+    xy = np.array(spokes + [(4 * hx, 4 * hy) for hx, hy in hubs], dtype=float) * step
+    fraction = draw(st.sampled_from([1.0]) | st.floats(0.5, 1.0))
+    cfg = dataclasses.replace(ScenarioConfig(), d2d_fraction=fraction, max_pair_distance_m=r)
+    return cfg, xy, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_neighbour_layouts())
+def test_pair_users_matches_loop_when_first_choices_are_taken(case):
+    cfg, xy, seed = case
+    assert_pairing_matches_loop(cfg, xy, lambda: np.random.default_rng(seed))
+
+
+def test_pair_users_falls_back_past_a_taken_hub():
+    """Users 0-3 all have the hub (4) as nearest.  0 takes it; 1 falls back
+    to 2 and 3, tied at sqrt(2), and takes 2, the lower id; 3 stays alone."""
+    xy = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)])
+    cfg = dataclasses.replace(ScenarioConfig(), d2d_fraction=1.0, max_pair_distance_m=2.0)
+    pairs = pair_users(cfg, xy, np.random.default_rng(0))
+    np.testing.assert_array_equal(pairs, [[0, 4], [1, 2]])
+    assert_pairing_matches_loop(cfg, xy, lambda: np.random.default_rng(0))
+
+
 def assert_association_exact(xy, env, ch):
     """Serving ids and serving gains equal the exhaustive reference bit for
     bit; returns the serving ids."""
@@ -414,6 +450,26 @@ def test_environment_build_memory_is_bounded():
     assert peak < 4e6
 
 
+def test_environment_memory_is_bounded_on_a_large_grid():
+    """A valid config with 24 km x 24 km grids (72 km across its replicas)
+    builds its environment, outdoor table included, at ~0.3 MB of numpy
+    allocations; a (64 m cell x rect) mask over this area would take 342 MB."""
+    cfg = dataclasses.replace(apply_scenario(ScenarioConfig(), "macro-scheme1"),
+                              grid_width_m=24000.0, grid_height_m=24000.0,
+                              user_density_per_km2=1.0)
+    validate_config(cfg)
+    tracemalloc.start()
+    try:
+        env = generate_environment.__wrapped__(cfg)  # a fresh build, past the memo
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    np.testing.assert_array_equal(env.buckets.shape, 4096)  # cells of 72000 / 4096 m
+    xy = drop_users(cfg, env, np.random.default_rng(0))
+    assert not points_in_rects(xy, env.building_rects).any()
+
+
 def test_environment_is_memoized_and_read_only():
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     env = generate_environment(cfg)
@@ -421,7 +477,8 @@ def test_environment_is_memoized_and_read_only():
     wedges, buckets = env.site_wedges, env.buckets
     for a in (env.building_rects, wedges.sites, wedges.rects, wedges.inner,
               wedges.rect_idx, wedges.start, wedges.near, wedges.far, buckets.origin,
-              buckets.shape, buckets.cell_rects, env.site_pathloss, env.site_link_class,
+              buckets.side, buckets.shape, *buckets.edges, buckets.table, *buckets.cell_slot,
+              env.site_pathloss, env.site_link_class,
               env.site_keys, env.site_bound_db, env.site_bin_bound_db, env.site_sectors,
               env.sector_boresight, env.sector_antenna, env.sector_dl_dbm,
               env.sector_offset_db):
