@@ -138,15 +138,12 @@ class GainSet:
     """Linear uplink gains of a set of D2D pairs and cellular users: one
     sector's, or a whole drop's laid end to end; it carries no sector id.
 
-    Rows index the D2D pairs (m), columns the cellular users (n):
-    h_cross[m, n] is cellular transmitter n into pair m's receiving end.  The
-    engine leaves it unset (only exact-admission oracles read it in full).
+    Rows index the D2D pairs (m), columns the cellular users (n).
     """
 
     h_cell: np.ndarray  # (M,) cellular UE -> serving sector
     h_d2d: np.ndarray  # (N,) pair tx end -> pair rx end
     h_d2d_bs: np.ndarray  # (N,) pair tx end -> sector
-    h_cross: np.ndarray | None = None  # (N, M)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -281,6 +278,8 @@ class DropChannel:
         """Channel gain (dB, antenna included) between users and a sector.
 
         user_idx is any numpy index of users; slice(None) takes them all.
+        d2dsim run never calls it; d2dsim oracle does (exhaustive_association),
+        and perfbench's tracer wraps it.
         """
         users = np.arange(len(self.users_xy))[user_idx]
         gain, sectors = self.site_sector_gains_db(users, np.full(len(users), sector.site_id))
@@ -306,8 +305,8 @@ class DropChannel:
 def build_gain_set(
     cell_gain_db: np.ndarray, tx_gain_db: np.ndarray, d2d_gain_db: np.ndarray
 ) -> GainSet:
-    """Assemble the linear gains a drop needs to schedule reuse, h_cross
-    left unset; each sector's gains are views of its rows.
+    """Assemble the linear gains a drop needs to schedule reuse; each
+    sector's gains are views of its rows.
 
     cell_gain_db are the gains of the drop's cellular uplink users to their
     sectors and tx_gain_db those of its D2D pairs' transmitting ends, both as

@@ -85,8 +85,6 @@ def _stream(seed: int, label: str) -> np.random.Generator:
 class DropState:
     """One fully generated deployment, ready for scheduling."""
 
-    n_users: int
-    n_pairs: int
     serving: np.ndarray  # sector id per user, -1 at a pair's rx end
     serving_gain: np.ndarray  # dB, antenna included, per user; nan at a pair's rx end
     states: list[SectorState]  # evaluated sectors, ascending sector id
@@ -191,8 +189,8 @@ def build_drop(cfg: ScenarioConfig, seed: int) -> DropState:
                                    cross_dist[es].reshape(shape), targets)
         states.append(SectorState(sector_id, arrays.sinr_cell[es].reshape(shape), baseline[cs],
                                   feas))
-    return DropState(n_users=n, n_pairs=len(pairs), serving=serving, serving_gain=serving_gain,
-                     states=states, arrays=arrays, channel=channel)
+    return DropState(serving=serving, serving_gain=serving_gain, states=states, arrays=arrays,
+                     channel=channel)
 
 
 def check_schemes(schemes: tuple[str, ...]) -> None:

@@ -26,8 +26,10 @@ import numpy as np
 # grazing exactly along a wall does not count as obstructed.
 _EDGE_EPS = 1e-9
 # Widen a segment's bounding box by this much before dropping the rects
-# outside it, so rounding at the box edge can never drop a blocking rect.
+# outside it, so rounding at the box edge can never drop a blocking rect;
+# its masks compare _SEGMENT_CHUNK segments with the rects at a time.
 _PRUNE_MARGIN = 1e-6
+_SEGMENT_CHUNK = 1024
 # RectBuckets: the side of the cells that give a coordinate's slot among
 # the rect edges, and the most cells per axis (the side grows past it, so
 # the lookup stays small on any layout).  sample_outdoor_points: the
@@ -47,18 +49,6 @@ _WEDGE_SLACK_M = 1.0
 # SiteWedges.far: a rect must be this much thicker than nothing, far above
 # the 2 * _EDGE_EPS its open interior loses, to surely block a link.
 _WEDGE_MIN_SIDE_M = 1e-6
-
-
-def points_in_rects(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
-    """True for each point lying inside (closed) any of the rectangles."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))  # (P, 2)
-    r = np.atleast_2d(np.asarray(rects, dtype=float))  # (K, 4)
-    if r.size == 0:
-        return np.zeros(len(p), dtype=bool)
-    x = p[:, 0:1]
-    y = p[:, 1:2]
-    inside = (x >= r[:, 0]) & (x <= r[:, 2]) & (y >= r[:, 1]) & (y <= r[:, 3])
-    return inside.any(axis=1)
 
 
 def _slab_interval(p, d, lo, hi):
@@ -104,20 +94,18 @@ def _mark_crossings(out, link, rect, x, y, dx, dy, inner):
     out[link[_crosses(x[link], y[link], dx[link], dy[link], *inner[:, rect])]] = True
 
 
-def segments_blocked(
-    p0: np.ndarray, p1: np.ndarray, rects: np.ndarray, chunk: int = 1024
-) -> np.ndarray:
+def segments_blocked(p0: np.ndarray, p1: np.ndarray, rects: np.ndarray) -> np.ndarray:
     """True for each segment p0[i]->p1[i] that crosses the interior of any rect.
 
     Liang-Barsky slab clipping; touching a wall or corner exactly does not
     block.  Each segment meets only the rects whose open interior overlaps
-    its own bounding box widened by _PRUNE_MARGIN, compared chunk segments
-    at a time so the masks stay (chunk x rects).  A crossing counts only at
-    some t in [0, 1], a point inside the segment's box, and lies within
-    rounding of the open interior (for a rect thinner than 2 * _EDGE_EPS,
-    of the band between its swapped shrunk bounds), far inside
-    _PRUNE_MARGIN.  So a rect that misses the widened box cannot block the
-    segment, and the result equals the slab test against every rect.
+    its own bounding box widened by _PRUNE_MARGIN, compared _SEGMENT_CHUNK
+    segments at a time.  A crossing counts only at some t in [0, 1], a
+    point inside the segment's box, and lies within rounding of the open
+    interior (for a rect thinner than 2 * _EDGE_EPS, of the band between its
+    swapped shrunk bounds), far inside _PRUNE_MARGIN.  So a rect that
+    misses the widened box cannot block the segment, and the result equals
+    the slab test against every rect.
     """
     a = np.atleast_2d(np.asarray(p0, dtype=float))
     b = np.atleast_2d(np.asarray(p1, dtype=float))
@@ -129,7 +117,7 @@ def segments_blocked(
     lo = np.minimum(a, b) - _PRUNE_MARGIN
     hi = np.maximum(a, b) + _PRUNE_MARGIN
     d = b - a
-    out = np.zeros(n, dtype=bool)
+    out, chunk = np.zeros(n, dtype=bool), _SEGMENT_CHUNK
     for s in range(0, n, chunk):
         link, rect = np.divmod(np.flatnonzero(
             (inner[0] <= hi[s:s + chunk, 0:1]) & (inner[2] >= lo[s:s + chunk, 0:1])
@@ -271,7 +259,7 @@ class RectBuckets:
     """Closed-rect containment by slab point location over the rects' edges
     (Dobkin & Lipton) within `bounds` (xmin, ymin, xmax, ymax).
 
-    contains(points) equals points_in_rects(points, rects).  Each axis is cut
+    contains(points) is True for each point inside any rect.  Each axis is cut
     at the distinct rect edges e_0 < e_1 < ... along it: a coordinate equal
     to e_i lies in slot 2i + 1, one strictly between e_(i-1) and e_i in slot
     2i (the last slot lies past every edge).  A closed rect [e_a, e_b] covers

@@ -7,8 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from d2dsim.channel import GainSet
 from d2dsim.config import PathlossParams, ScenarioConfig, SiteParams
+from reference import FullGainSet
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -24,10 +24,10 @@ def tiny_config(**overrides) -> ScenarioConfig:
     return dataclasses.replace(ScenarioConfig(), **base)
 
 
-def random_gain_set(rng: np.random.Generator, n_pairs: int, n_cells: int) -> GainSet:
+def random_gain_set(rng: np.random.Generator, n_pairs: int, n_cells: int) -> FullGainSet:
     """Synthetic linear gains spanning several orders of magnitude."""
     g = lambda size: 10.0 ** rng.uniform(-12.0, -4.0, size=size)
-    return GainSet(
+    return FullGainSet(
         h_cell=g(n_cells),
         h_d2d=g(n_pairs),
         h_d2d_bs=g(n_pairs),

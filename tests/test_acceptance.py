@@ -13,18 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from d2dsim.channel import GainSet
 from d2dsim.config import ScenarioConfig, apply_scenario
 from d2dsim.engine import SCHEMES, run_campaign
-from d2dsim.feasibility import (SinrTargets, feasibility_context,
-                                feasibility_exact, sinr_cell,
-                                sinr_cell_matrix, sinr_d2d, sinr_d2d_matrix)
+from d2dsim.feasibility import feasibility_context, sinr_cell_matrix
 from d2dsim.rrm import (allocate_capacity_max, allocate_proposed,
                         brute_force_max_matching)
 from d2dsim.feasibility import FeasibilityMatrix
 from d2dsim.signaling import (MessageKind, context_gain_reports,
                               full_csi_report_count, run_multi_cell,
                               run_single_cell)
+from reference import ExactTargets as SinrTargets, FullGainSet as GainSet
+from reference import feasibility_exact, sinr_cell, sinr_d2d, sinr_d2d_matrix
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

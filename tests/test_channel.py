@@ -291,7 +291,8 @@ def test_build_gain_set_shapes_and_convention():
     gs = build_gain_set(gain_db[cell_idx], gain_db[tx], ue_gain_db(ch, tx, rx))
     assert gs.shape == (2, 2)
     assert gs.h_cell.shape == (2,) and gs.h_d2d.shape == (2,)
-    assert gs.h_cross is None  # cross gains are built per scheduled reuse
+    # cross gains are built per scheduled reuse
+    assert [f.name for f in dataclasses.fields(gs)] == ["h_cell", "h_d2d", "h_d2d_bs"]
     # linear conversion and the cross convention: h_cross[m, n] is cellular n
     # into the receiving end of pair m, the link (rx of m, n)
     want = 10.0 ** (ue_gain_db(ch, [rx[1]], [cell_idx[0]])[0] / 10.0)

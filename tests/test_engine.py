@@ -14,11 +14,11 @@ import pytest
 from conftest import tiny_config
 
 from d2dsim import channel, cli, engine
-from d2dsim.channel import GainSet, noise_power_watts
+from d2dsim.channel import noise_power_watts
 from d2dsim.config import SCENARIO_PRESETS, ConfigError, ScenarioConfig, apply_scenario
 from d2dsim.engine import (SCHEDULERS, SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, write_outputs)
-from d2dsim.feasibility import FeasibilityMatrix, sinr_d2d_matrix
+from d2dsim.feasibility import FeasibilityMatrix
 from d2dsim.metrics import CapacityReport, link_rates
 from d2dsim.power import draw_snr_targets, open_loop_power_w
 from d2dsim.rrm import (Allocation, allocate_capacity_max, allocate_none, allocate_proposed,
@@ -26,6 +26,7 @@ from d2dsim.rrm import (Allocation, allocate_capacity_max, allocate_none, alloca
 from d2dsim.scenario import associate_users, drop_users, generate_environment, pair_users
 from d2dsim.signaling import run_single_cell
 from d2dsim.units import db_to_linear
+from reference import FullGainSet, sinr_d2d_matrix
 
 
 def test_drop_seed_stable_and_distinct():
@@ -50,12 +51,16 @@ def first_state_fingerprint(drop):
             st.feas_context.entries.tobytes())
 
 
+def counts(drop):
+    """A drop's (users, pairs), recounted from serving: a pair's rx end is -1."""
+    return len(drop.serving), int(np.count_nonzero(drop.serving == -1))
+
+
 def test_build_drop_reproducible():
     cfg = tiny_config()
     a = build_drop(cfg, 42)
     b = build_drop(cfg, 42)
-    assert a.n_users == b.n_users
-    assert a.n_pairs == b.n_pairs
+    assert counts(a) == counts(b)
     assert np.array_equal(a.serving, b.serving)
     assert first_state_fingerprint(a) == first_state_fingerprint(b)
     c = build_drop(cfg, 43)
@@ -136,8 +141,8 @@ def test_scheduled_d2d_sinr_equals_full_cross_gain_matrix(scenario):
             if n == 0:
                 continue
             # d2d_signal is h_d2d * p_d2d, so the pairs get unit power here
-            gains = GainSet(h_cell=np.zeros(m), h_d2d=a.d2d_signal[ps],
-                            h_d2d_bs=np.zeros(n), h_cross=db_to_linear(db))
+            gains = FullGainSet(h_cell=np.zeros(m), h_d2d=a.d2d_signal[ps],
+                                h_d2d_bs=np.zeros(n), h_cross=db_to_linear(db))
             full = sinr_d2d_matrix(gains, a.p_cell[cs], np.ones(n), a.sigma2_d2d[ps][0])
             rows, cols = np.array(plan[k].pairs(), dtype=int).reshape(-1, 2).T
             np.testing.assert_array_equal(d2d_sinr[ps][rows], full[rows, cols])
@@ -337,13 +342,14 @@ def test_build_drop_associates_only_cellular_users_and_pair_transmitters(monkeyp
         drop = build_drop(cfg, seed)
         ch = drop.channel
         pairs = pair_users(cfg, ch.users_xy, engine._stream(seed, "pairing"))
-        rx = np.zeros(drop.n_users, dtype=bool)
+        n_users, n_pairs = counts(drop)
+        rx = np.zeros(n_users, dtype=bool)
         rx[pairs[:, 1]] = True
         rows = np.flatnonzero(~rx)
-        assert rx.any() and [len(b) for b in bounded] == [drop.n_users - drop.n_pairs]
+        assert rx.any() and [len(b) for b in bounded] == [n_users - n_pairs]
         np.testing.assert_array_equal(bounded.pop(), rows)
         serving, gain = associate_users(ch.users_xy, env, ch)
-        assert [len(b) for b in bounded] == [drop.n_users]
+        assert [len(b) for b in bounded] == [n_users]
         bounded.clear()
         assert (drop.serving[rows] == serving[rows]).all()
         assert (drop.serving_gain[rows].view(np.int64) == gain[rows].view(np.int64)).all()
@@ -357,7 +363,7 @@ def test_tiny_drops_with_every_user_paired_build(count):
     cfg = tiny_config(fixed_user_count=count, d2d_fraction=1.0, max_pair_distance_m=1e4)
     for d in range(3):
         drop = build_drop(cfg, drop_seed(cfg.seed, d))
-        assert (drop.n_users, drop.n_pairs) == (count, count // 2)
+        assert counts(drop) == (count, count // 2)
         assert np.count_nonzero(drop.serving == -1) == count // 2
         assert np.count_nonzero(np.isnan(drop.serving_gain)) == count // 2
         assert run_drop(cfg, drop_seed(cfg.seed, d)).reports
@@ -940,9 +946,9 @@ def test_perfbench_tracer_hooks_count_every_drop(tmp_path, monkeypatch):
     cfg = tiny_config()
     n_sectors = len(generate_environment(cfg).sectors)
     drops = [build_drop(cfg, drop_seed(cfg.seed, i)) for i in range(cfg.num_drops)]
-    want = {"scenario.users": sum(d.n_users for d in drops),
-            "scenario.pairs": sum(d.n_pairs for d in drops),
-            "scenario.associate.evals": sum(d.n_users for d in drops) * n_sectors}
+    n_users, n_pairs = np.sum([counts(d) for d in drops], axis=0).tolist()
+    want = {"scenario.users": n_users, "scenario.pairs": n_pairs,
+            "scenario.associate.evals": n_users * n_sectors}
     assert want["scenario.pairs"] > 0
     # the tracer wraps functions in place; setting each to itself first lets
     # monkeypatch's undo put the originals back

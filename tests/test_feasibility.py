@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dsim.channel import GainSet
-from d2dsim.feasibility import (FeasibilityMatrix, SinrTargets,
-                                baseline_cell_sinr, feasibility_context,
-                                feasibility_exact, sinr_cell,
-                                sinr_cell_matrix, sinr_d2d, sinr_d2d_matrix)
+from d2dsim.feasibility import (FeasibilityMatrix, SinrTargets, baseline_cell_sinr,
+                                feasibility_context, sinr_cell_matrix)
 from conftest import random_gain_set
+from reference import (ExactTargets, FullGainSet, feasibility_exact, sinr_cell, sinr_d2d,
+                       sinr_d2d_matrix)
 
 
 def scalar_oracle_d2d(gs, p_cell, p_d2d, s2, m, n):
@@ -47,10 +47,10 @@ def test_baseline_cell_sinr(rng):
                                gs.h_cell * p / 1e-12, rtol=1e-15)
 
 
-def fixed_cell_target(target_db: float, n_cells: int, **kw) -> SinrTargets:
+def fixed_cell_target(target_db: float, n_cells: int, **kw) -> ExactTargets:
     """A fixed cellular target: gamma 0 dB below a baseline of the target itself."""
-    return SinrTargets(gamma_cell_db=0.0,
-                       baseline_cell_sinr=np.full(n_cells, 10.0 ** (target_db / 10.0)), **kw)
+    return ExactTargets(gamma_cell_db=0.0,
+                        baseline_cell_sinr=np.full(n_cells, 10.0 ** (target_db / 10.0)), **kw)
 
 
 def test_targets_validation(rng):
@@ -130,20 +130,39 @@ def test_feasibility_context_matches_oracle(rng):
             fm.entries, context_oracle(gs, p_cell, p_d2d, s2c, link, cross, targets))
 
 
+def test_program_forms_equal_on_reference_types(rng):
+    """feasibility_context and baseline_cell_sinr give ==-equal results on
+    FullGainSet/ExactTargets and on GainSet/SinrTargets of the same arrays,
+    so the acceptance gate, which builds the reference types, judges the
+    program's own arithmetic."""
+    for _ in range(50):
+        n, m = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        full, p_cell, p_d2d, s2c, _ = random_instance(rng, n, m)
+        gs = GainSet(full.h_cell, full.h_d2d, full.h_d2d_bs)
+        baseline = baseline_cell_sinr(gs, p_cell, s2c)
+        assert (baseline_cell_sinr(full, p_cell, s2c) == baseline).all()
+        kw = dict(gamma_cell_db=float(rng.uniform(0, 12)), baseline_cell_sinr=baseline,
+                  ratio_threshold=float(rng.uniform(0.5, 2.0)))
+        exact = ExactTargets(d2d_target_db=rng.uniform(-5, 10, n), **kw)
+        link, cross = rng.uniform(1.0, 40.0, n), rng.uniform(1.0, 300.0, (n, m))
+        want = feasibility_context(gs, p_cell, p_d2d, s2c, link, cross, SinrTargets(**kw))
+        got = feasibility_context(full, p_cell, p_d2d, s2c, link, cross, exact)
+        assert got.entries.shape == (n, m) and (got.entries == want.entries).all()
+
+
 def test_inclusive_boundary_d2d():
     # engineered so sinr_d2d == threshold exactly: inclusive >= admits it
-    gs = GainSet(h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
-                 h_d2d_bs=np.array([1e-30]), h_cross=np.array([[0.0]]))
+    gs = FullGainSet(h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
+                     h_d2d_bs=np.array([1e-30]), h_cross=np.array([[0.0]]))
     # a zero baseline switches the cellular check off
-    targets = SinrTargets(gamma_cell_db=0.0, baseline_cell_sinr=np.zeros(1), d2d_target_db=0.0)
+    targets = ExactTargets(gamma_cell_db=0.0, baseline_cell_sinr=np.zeros(1), d2d_target_db=0.0)
     fm = feasibility_exact(gs, np.array([1.0]), np.array([1.0]), 1e-3, 1.0, targets)
     # sinr_d2d = 1*1 / (0 + 1.0) = 1.0 == 10^(0/10)
     assert fm.entries[0, 0] == 1
 
 
 def test_inclusive_boundary_ratio():
-    gs = GainSet(h_cell=np.array([1.0]), h_d2d=np.array([1.0]),
-                 h_d2d_bs=np.array([1e-30]), h_cross=np.array([[1e-12]]))
+    gs = GainSet(h_cell=np.array([1.0]), h_d2d=np.array([1.0]), h_d2d_bs=np.array([1e-30]))
     targets = SinrTargets(gamma_cell_db=0.0, baseline_cell_sinr=np.zeros(1), ratio_threshold=1.0)
     fm = feasibility_context(gs, np.array([1.0]), np.array([1.0]), 1e-3,
                              np.array([25.0]), np.array([[25.0]]), targets)
@@ -159,8 +178,8 @@ def test_gamma_mode_cell_condition_is_per_pair(rng):
     s2c = 1e-13
     baseline = baseline_cell_sinr(gs, p_cell, s2c)
     gamma = 10.0
-    targets = SinrTargets(d2d_target_db=-300.0, gamma_cell_db=gamma,
-                          baseline_cell_sinr=baseline)
+    targets = ExactTargets(d2d_target_db=-300.0, gamma_cell_db=gamma,
+                           baseline_cell_sinr=baseline)
     fm = feasibility_exact(gs, p_cell, p_d2d, s2c, 1e30, targets)
     # d2d side always passes (target -300 dB); rows must be constant
     for row in fm.entries:

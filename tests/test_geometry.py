@@ -2,19 +2,21 @@
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dsim import channel, engine
+from d2dsim import channel, engine, geometry
 from d2dsim.config import AntennaPattern, ScenarioConfig, apply_scenario
 from d2dsim.geometry import (_EDGE_EPS, _MAX_CELLS, _WEDGE_BINS, RectBuckets, SiteWedges,
-                             _slab_interval, azimuth_bin, points_in_rects,
-                             sample_outdoor_points, segments_blocked)
+                             _slab_interval, azimuth_bin, sample_outdoor_points,
+                             segments_blocked)
 from d2dsim.scenario import generate_environment
 from conftest import tiny_config
+from reference import points_in_rects
 
 RECT = np.array([[10.0, 10.0, 20.0, 30.0]])
 
@@ -145,7 +147,8 @@ def test_pruned_blocking_equals_unpruned_slab_test(rects, segs, chunk):
     r = np.array(rects, dtype=float).reshape(-1, 4)
     s = np.array(segs, dtype=float)
     want = unpruned_segments_blocked(s[:, :2], s[:, 2:], r)
-    np.testing.assert_array_equal(segments_blocked(s[:, :2], s[:, 2:], r, chunk=chunk), want)
+    with mock.patch.object(geometry, "_SEGMENT_CHUNK", chunk):
+        np.testing.assert_array_equal(segments_blocked(s[:, :2], s[:, 2:], r), want)
     np.testing.assert_array_equal(segments_blocked(s[:, :2], s[:, 2:], r), want)
 
 
@@ -237,8 +240,9 @@ def test_blocking_chunk_without_candidate_rects():
     p0 = np.array([[500.0, 500.0], [600.0, 500.0], [0.0, 20.0], [0.0, 0.0]])
     p1 = np.array([[500.0, 600.0], [600.0, 600.0], [30.0, 20.0], [5.0, 40.0]])
     for chunk in (2, 1024):
-        np.testing.assert_array_equal(segments_blocked(p0, p1, RECT, chunk=chunk),
-                                      [False, False, True, False])
+        with mock.patch.object(geometry, "_SEGMENT_CHUNK", chunk):
+            np.testing.assert_array_equal(segments_blocked(p0, p1, RECT),
+                                          [False, False, True, False])
 
 
 def test_blocking_chunk_boundary_between_segment_and_its_rect():
@@ -251,9 +255,9 @@ def test_blocking_chunk_boundary_between_segment_and_its_rect():
     p1[1::2] = p0[1::2] - [0.0, 1.0]  # odd segments stop short of their rect
     want = np.arange(7) % 2 == 0
     for chunk in range(1, 9):
-        np.testing.assert_array_equal(segments_blocked(p0, p1, rects, chunk=chunk), want)
-        np.testing.assert_array_equal(
-            segments_blocked(p0, p1, rects[::-1], chunk=chunk), want)
+        with mock.patch.object(geometry, "_SEGMENT_CHUNK", chunk):
+            np.testing.assert_array_equal(segments_blocked(p0, p1, rects), want)
+            np.testing.assert_array_equal(segments_blocked(p0, p1, rects[::-1]), want)
 
 
 def test_blocking_without_rects():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from d2dsim.channel import GainSet
-from d2dsim.feasibility import sinr_cell_matrix, sinr_d2d_matrix
+from d2dsim.feasibility import sinr_cell_matrix
 from d2dsim.metrics import DropArrays, aggregate_gain, evaluate_drop, link_rates
 from d2dsim.rrm import Allocation, allocate_none
+from reference import FullGainSet, sinr_d2d_matrix
 
 SHARE_HZ = 1000.0
 P_D2D = np.array([0.01, 0.02])
@@ -119,8 +120,8 @@ def test_sector_rates_read_only_scheduled_cross_gains():
     full cross-gain matrix, bit for bit, from only the scheduled cross links'
     gains, handed in by position."""
     state = make_state()
-    gains = GainSet(h_cell=np.array([1e-6, 2e-6, 5e-7]), h_d2d=H_D2D,
-                    h_d2d_bs=np.array([1e-8, 2e-8]), h_cross=H_CROSS)
+    gains = FullGainSet(h_cell=np.array([1e-6, 2e-6, 5e-7]), h_d2d=H_D2D,
+                        h_d2d_bs=np.array([1e-8, 2e-8]), h_cross=H_CROSS)
     full = sinr_d2d_matrix(gains, state.p_cell, P_D2D, SIGMA2_D2D)
     res = state.resource_rows([Allocation(np.array([2, 0]))])
     # one gain per reuse, in pair order: h_cross[m, n] of (rx of pair m, cellular n)

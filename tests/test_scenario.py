@@ -13,10 +13,10 @@ from d2dsim import scenario
 from d2dsim.channel import LINK_CLASS, DropChannel, site_key
 from d2dsim.config import SCENARIO_PRESETS, ScenarioConfig, apply_scenario, validate_config
 from d2dsim.engine import _STREAMS, _stream, drop_seed
-from d2dsim.geometry import points_in_rects
 from d2dsim.scenario import (MAIN_STREET_Y, associate_users, drop_users,
                              exhaustive_association, generate_environment, pair_users)
 from conftest import tiny_config
+from reference import points_in_rects
 
 
 def env_for(cfg):
