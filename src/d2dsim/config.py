@@ -22,6 +22,8 @@ __all__ = [
     "ScenarioConfig",
     "ConfigError",
     "MAX_USERS_PER_DROP",
+    "MAX_MICRO_SITES_PER_GRID",
+    "MAX_SECTORS_PER_SITE",
     "load_config",
     "config_from_dict",
     "validate_config",
@@ -37,6 +39,10 @@ class ConfigError(ValueError):
 # The most users a drop may hold, fixed or on average: ~130 times the
 # hetnet preset at 4x density, far below where positions alone exhaust memory.
 MAX_USERS_PER_DROP = 10**6
+# The most micro sites per grid and sectors per site: the environment build's
+# memory grows with the sites, and at both caps it peaks at ~23 MB.
+MAX_MICRO_SITES_PER_GRID = 32
+MAX_SECTORS_PER_SITE = 12
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         _check(cfg.fixed_user_count >= 0, "fixed_user_count must be >= 0")
     _check(0.0 <= cfg.d2d_fraction <= 1.0, "d2d_fraction must lie in [0, 1]")
     _check(cfg.max_pair_distance_m > 0, "max_pair_distance_m must be positive")
-    _check(cfg.micro_sites_per_grid >= 0, "micro_sites_per_grid must be >= 0")
+    _check(0 <= cfg.micro_sites_per_grid <= MAX_MICRO_SITES_PER_GRID,
+           f"micro_sites_per_grid must lie in [0, {MAX_MICRO_SITES_PER_GRID}]")
     for name, interval in (("cell_snr_target_db", cfg.cell_snr_target_db),
                            ("d2d_snr_target_db", cfg.d2d_snr_target_db)):
         _check(interval[0] <= interval[1], f"{name}: low must be <= high")
@@ -238,7 +245,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _check(cfg.distance_ratio_threshold >= 0, "distance_ratio_threshold must be >= 0")
     for site_name, site in (("macro", cfg.macro), ("micro", cfg.micro)):
         _check(site.uplink_bandwidth_hz > 0, f"{site_name}.uplink_bandwidth_hz must be positive")
-        _check(site.sectors_per_site >= 1, f"{site_name}.sectors_per_site must be >= 1")
+        _check(1 <= site.sectors_per_site <= MAX_SECTORS_PER_SITE,
+               f"{site_name}.sectors_per_site must lie in [1, {MAX_SECTORS_PER_SITE}]")
         _check(site.antenna.beamwidth_deg > 0, f"{site_name}.antenna.beamwidth_deg must be positive")
         _check(site.antenna.front_to_back_db >= 0,
                f"{site_name}.antenna.front_to_back_db must be >= 0")

@@ -9,13 +9,11 @@ All tests are purely horizontal (2D); antenna/site heights never enter the
 line-of-sight decision.  Both LOS paths slab-test only the rects that can
 block a link (segments_blocked: those reaching its own bounding box;
 SiteWedges: those of its azimuth bin), so each equals the full test.
-SiteWedges also keeps, per site and azimuth bin, a length below which no
-rect of the bin can be reached and one above which a rect that fills the
-whole bin is surely crossed; each lies _WEDGE_SLACK_M on the safe side, far
-beyond rounding, so a link answered from them gets the slab test's answer,
-and association's site bound reads the second to take NLOS.  The lookup
-tables (SiteWedges, RectBuckets) depend on the layout alone, so a scenario
-builds them once and every drop reads them.
+SiteWedges also keeps, per site and azimuth bin, a length above which a
+rect that fills the whole bin is surely crossed, _WEDGE_SLACK_M on the safe
+side, far beyond rounding; association's site bound reads it to take NLOS.
+The lookup tables (SiteWedges, RectBuckets) depend on the layout alone, so
+a scenario builds them once and every drop reads them.
 """
 
 from __future__ import annotations
@@ -144,8 +142,7 @@ def azimuth_bin(azimuth_deg) -> np.ndarray:
 
 class SiteWedges:
     """Per-site azimuth bins listing the rects that can block a link to the
-    site, and the link lengths below which no rect of a bin blocks and above
-    which one surely does.
+    site, and the link length above which a rect of a bin surely blocks.
 
     Bin b of a site holds the azimuths (degrees, from the site) in
     [b - 180, b - 179), with +180 in bin 0 (azimuth_bin).  It lists, in CSR
@@ -160,22 +157,17 @@ class SiteWedges:
     exactly those candidates with segments_blocked's arithmetic, so it
     equals segments_blocked for every segment no longer than reach.
 
-    near[site, b] and far[site, b] bound every segment from the site whose
-    other end lies in bin b, whatever its length:
-    - one shorter than near is clear.  near is the smallest gap from the
-      site to a rect of the bin, and at most reach + _WEDGE_SLACK_M, minus
-      _WEDGE_SLACK_M and at least 0; every rect not listed lies outside the
-      bin's directions or farther than reach + _WEDGE_SLACK_M.
-    - one longer than far is blocked.  far is the smallest farthest-corner
-      distance, plus _WEDGE_SLACK_M, of a rect that lies more than
-      _WEDGE_SLACK_M from the site, whose sides exceed _WEDGE_MIN_SIDE_M and
-      whose hull covers the whole closed bin with _WEDGE_MARGIN_DEG to
-      spare.  A ray in the bin then passes through that rect's shrunk
-      interior at least ~1.7e-8 m (1e-6 degrees at 1 m) clear of its
-      corners, over ten times the ~1.4e-9 m the shrink moves a corner, and
-      a segment that long holds the whole crossing: the slab test finds it
-      far above rounding.  far is inf where no rect qualifies or the
-      smallest such length exceeds reach (no link tested is that long).
+    far[site, b] bounds every segment from the site whose other end lies in
+    bin b, whatever its length: one longer than far is blocked.  far is the
+    smallest farthest-corner distance, plus _WEDGE_SLACK_M, of a rect that
+    lies more than _WEDGE_SLACK_M from the site, whose sides exceed
+    _WEDGE_MIN_SIDE_M and whose hull covers the whole closed bin with
+    _WEDGE_MARGIN_DEG to spare.  A ray in the bin then passes through that
+    rect's shrunk interior at least ~1.7e-8 m (1e-6 degrees at 1 m) clear of
+    its corners, over ten times the ~1.4e-9 m the shrink moves a corner, and
+    a segment that long holds the whole crossing: the slab test finds it far
+    above rounding.  far is inf where no rect qualifies or the smallest such
+    length exceeds reach (no link tested is that long).
     """
 
     def __init__(self, sites: np.ndarray, rects: np.ndarray, reach: float):
@@ -211,9 +203,6 @@ class SiteWedges:
         self.rect_idx = (pair % len(r))[order]
         self.start = np.concatenate(
             [[0], np.cumsum(np.bincount(key, minlength=len(s) * _WEDGE_BINS))])
-        near = np.full(len(s) * _WEDGE_BINS, self.reach + _WEDGE_SLACK_M)
-        np.minimum.at(near, key, gap.ravel()[pair])
-        self.near = np.maximum(near - _WEDGE_SLACK_M, 0.0).reshape(len(s), _WEDGE_BINS)
         # far: the entries whose whole closed bin, widened by the margin,
         # lies in the hull of a rect that is solid, away from the site and
         # near enough (its farthest corner plus the slack) to bound a link
@@ -234,24 +223,18 @@ class SiteWedges:
 
         azimuth_deg[i] must be the direction of points[i] from its site,
         np.degrees(np.arctan2(dy, dx)) with (dx, dy) = points[i] minus the
-        site; every segment must be no longer than reach.  A segment shorter
-        than its bin's near or longer than its far is answered without a
-        slab test.
+        site; every segment must be no longer than reach.
         """
         p = np.atleast_2d(np.asarray(points, dtype=float))
         site = np.asarray(site, dtype=np.intp)
-        b = azimuth_bin(azimuth_deg)
+        key = site * _WEDGE_BINS + azimuth_bin(azimuth_deg)
         x, y = p[:, 0], p[:, 1]
-        dx = self.sites[site, 0] - x
-        dy = self.sites[site, 1] - y
-        d2 = dx * dx + dy * dy
-        out = d2 > self.far[site, b] ** 2
-        key = site * _WEDGE_BINS + b
         first = self.start[key]
-        count = np.where(out | (d2 < self.near[site, b] ** 2), 0, self.start[key + 1] - first)
         # candidate (link, rect) pairs, the rects of each link's bin in turn
-        link, pos = _ranges(first, count)
-        _mark_crossings(out, link, self.rect_idx[pos], x, y, dx, dy, self.inner)
+        link, pos = _ranges(first, self.start[key + 1] - first)
+        out = np.zeros(len(p), dtype=bool)
+        _mark_crossings(out, link, self.rect_idx[pos], x, y,
+                        self.sites[site, 0] - x, self.sites[site, 1] - y, self.inner)
         return out
 
 

@@ -218,7 +218,7 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
         "sector_offset_db": np.array([s.selection_offset_db for s in sectors]),
     }
     for a in (rects, wedges.sites, wedges.rects, wedges.inner, wedges.rect_idx,
-              wedges.start, wedges.near, wedges.far, buckets.origin, buckets.side,
+              wedges.start, wedges.far, buckets.origin, buckets.side,
               buckets.shape, *buckets.edges, buckets.table, *buckets.cell_slot,
               site_pathloss, site_link_class, site_keys,
               *columns.values()):

@@ -6,9 +6,9 @@ import os
 
 import pytest
 
-from d2dsim.config import (MAX_USERS_PER_DROP, SCENARIO_PRESETS, ConfigError, ScenarioConfig,
-                           apply_scenario, config_from_dict,
-                           load_config, validate_config)
+from d2dsim.config import (MAX_MICRO_SITES_PER_GRID, MAX_SECTORS_PER_SITE,
+                           MAX_USERS_PER_DROP, SCENARIO_PRESETS, ConfigError, ScenarioConfig,
+                           apply_scenario, config_from_dict, load_config, validate_config)
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -143,6 +143,24 @@ def test_validate_config_caps_users_per_drop():
         with pytest.raises(ConfigError, match=f"per drop on average over {grids} grid"):
             validate_config(dataclasses.replace(
                 cfg, user_density_per_km2=1.001 * MAX_USERS_PER_DROP / grids))
+
+
+def test_validate_config_caps_sites_and_sectors():
+    """Micro sites per grid and sectors per site are accepted up to their
+    caps and refused one past them, before the environment is built."""
+    validate_config(ScenarioConfig(micro_sites_per_grid=MAX_MICRO_SITES_PER_GRID))
+    with pytest.raises(ConfigError, match=r"micro_sites_per_grid must lie in \[0, 32\]"):
+        validate_config(ScenarioConfig(micro_sites_per_grid=MAX_MICRO_SITES_PER_GRID + 1))
+    for name in ("macro", "micro"):
+        site = getattr(ScenarioConfig(), name)
+
+        def with_sectors(n):
+            return dataclasses.replace(
+                ScenarioConfig(), **{name: dataclasses.replace(site, sectors_per_site=n)})
+
+        validate_config(with_sectors(MAX_SECTORS_PER_SITE))
+        with pytest.raises(ConfigError, match=rf"{name}.sectors_per_site must lie in \[1, 12\]"):
+            validate_config(with_sectors(MAX_SECTORS_PER_SITE + 1))
 
 
 def test_presets():

@@ -895,6 +895,8 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--set", "fixed_user_count=null", "--set", "user_density_per_km2=1e12"], None,
      "user_density_per_km2 gives 2.14e+11 users per drop on average"),
     (["--set", "fixed_user_count=1000000000000"], None, "fixed_user_count must be <= 1000000"),
+    (["--set", "micro_sites_per_grid=100000"], None, "micro_sites_per_grid must lie in [0, 32]"),
+    (["--set", "micro.sectors_per_site=13"], None, "micro.sectors_per_site must lie in [1, 12]"),
 ])
 def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
                                                 extra, env, message):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dsim import channel, engine, geometry
-from d2dsim.config import AntennaPattern, ScenarioConfig, apply_scenario
+from d2dsim.config import SCENARIO_PRESETS, AntennaPattern, ScenarioConfig, apply_scenario
 from d2dsim.geometry import (_EDGE_EPS, _MAX_CELLS, _WEDGE_BINS, RectBuckets, SiteWedges,
                              _slab_interval, azimuth_bin, sample_outdoor_points,
                              segments_blocked)
@@ -152,9 +152,11 @@ def test_pruned_blocking_equals_unpruned_slab_test(rects, segs, chunk):
     np.testing.assert_array_equal(segments_blocked(s[:, :2], s[:, 2:], r), want)
 
 
-def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
-    """Every LOS test of one hetnet drop: the site links through SiteWedges,
-    the UE-UE links through segments_blocked."""
+@pytest.mark.parametrize("preset", SCENARIO_PRESETS)
+def test_pruned_blocking_equals_unpruned_on_preset_drop(monkeypatch, preset):
+    """Every LOS test of one drop of each preset: the site links through
+    SiteWedges, the UE-UE links through segments_blocked.  The association
+    oracle cannot see a blocked() fault, since it goes through blocked() too."""
     wedge_blocked = SiteWedges.blocked
     site_calls, ue_calls = [], []
 
@@ -176,7 +178,7 @@ def test_pruned_blocking_equals_unpruned_on_hetnet_drop(monkeypatch):
     monkeypatch.setattr(SiteWedges, "blocked", recording_wedges)
     monkeypatch.setattr(channel.DropChannel, "site_sector_gains_db", recording_exact)
     monkeypatch.setattr(channel, "segments_blocked", recording)
-    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    cfg = apply_scenario(ScenarioConfig(), preset)
     engine.build_drop(cfg, engine.drop_seed(0, 0))
     env = generate_environment(cfg)
     sites = {(s.x, s.y) for s in env.sectors}
@@ -390,15 +392,13 @@ def test_site_wedges_exact_cases():
         np.testing.assert_array_equal(got, want)
 
 
-def test_site_wedge_near_and_far_exact_case():
-    """A wall 10-20 m east of the site, 100 m tall: links due east shorter
-    than 9 m are clear, and longer than its far corner plus 1 m blocked."""
+def test_site_wedge_far_exact_case():
+    """A wall 10-20 m east of the site, 100 m tall: links due east longer
+    than its far corner plus 1 m are blocked."""
     wedges = SiteWedges([(0.0, 0.0)], [(10.0, -50.0, 20.0, 50.0)], 300.0)
     east = azimuth_bin(0.0)
-    assert wedges.near[0, east] == 9.0
     assert wedges.far[0, east] == np.hypot(20.0, 50.0) + 1.0
-    assert wedges.near[0, azimuth_bin(180.0)] == 300.0  # nothing west within reach
-    assert wedges.far[0, azimuth_bin(180.0)] == np.inf
+    assert wedges.far[0, azimuth_bin(180.0)] == np.inf  # nothing west within reach
     # the wall spans +-78.7 degrees, so the bins at its edges are not whole
     assert wedges.far[0, azimuth_bin(78.5)] == np.inf > wedges.far[0, azimuth_bin(77.5)]
     assert wedges.far[0, azimuth_bin(-78.5)] == np.inf > wedges.far[0, azimuth_bin(-77.5)]
@@ -420,12 +420,12 @@ def _table_case(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_table_case())
-def test_site_wedge_near_and_far_agree_with_slab_test(case):
-    """Every link the near and far tables answer, shorter than near (clear)
-    or longer than far (blocked), gets segments_blocked's answer; blocked()
-    equals segments_blocked within reach.  Links leave the site along each
-    bin's lower edge and at a random azimuth inside it, at +-180 degrees,
-    at near and far and one ulp either side, and at random lengths."""
+def test_site_wedge_far_agrees_with_slab_test(case):
+    """Every link longer than its bin's far length is blocked by
+    segments_blocked; blocked() equals segments_blocked within reach.  Links
+    leave the site along each bin's lower edge and at a random azimuth
+    inside it, at +-180 degrees, at far and one ulp either side, and at
+    random lengths."""
     sites, rects, reach, seed = case
     wedges = SiteWedges(sites, rects, reach)
     rng = np.random.default_rng(seed)
@@ -434,12 +434,12 @@ def test_site_wedge_near_and_far_agree_with_slab_test(case):
         ends = []
         for t in (0.0, rng.uniform(0.0, 1.0, _WEDGE_BINS)):
             unit = np.column_stack([np.cos(np.radians(lo + t)), np.sin(np.radians(lo + t))])
-            for length in (wedges.near[i], np.minimum(wedges.far[i], 2.0 * reach),
+            for length in (np.minimum(wedges.far[i], 2.0 * reach),
                            rng.uniform(0.0, 1.5 * reach, _WEDGE_BINS)):
                 for ulp in (-np.inf, None, np.inf):
                     d = length if ulp is None else np.nextafter(length, ulp)
                     ends.append(site + d[:, None] * unit)
-        for d in (wedges.near[i, 0], min(wedges.far[i, 0], 2.0 * reach), reach):
+        for d in (min(wedges.far[i, 0], 2.0 * reach), reach):
             ends.append(site + [[-d, 0.0], [-d, -0.0]])  # +180 and -180 exactly
         p = np.vstack(ends)
         dxy = p - site
@@ -447,7 +447,6 @@ def test_site_wedge_near_and_far_agree_with_slab_test(case):
         b = azimuth_bin(az)
         d2 = dxy[:, 0] * dxy[:, 0] + dxy[:, 1] * dxy[:, 1]
         want = segments_blocked(p, np.broadcast_to(site, p.shape), wedges.rects)
-        assert not want[d2 < wedges.near[i, b] ** 2].any()
         assert want[d2 > wedges.far[i, b] ** 2].all()
         keep = np.hypot(dxy[:, 0], dxy[:, 1]) <= reach
         np.testing.assert_array_equal(

@@ -11,7 +11,8 @@ from scipy.spatial import cKDTree
 
 from d2dsim import scenario
 from d2dsim.channel import LINK_CLASS, DropChannel, site_key
-from d2dsim.config import SCENARIO_PRESETS, ScenarioConfig, apply_scenario, validate_config
+from d2dsim.config import (MAX_MICRO_SITES_PER_GRID, MAX_SECTORS_PER_SITE, SCENARIO_PRESETS,
+                           ScenarioConfig, apply_scenario, validate_config)
 from d2dsim.engine import _STREAMS, _stream, drop_seed
 from d2dsim.scenario import (MAIN_STREET_Y, associate_users, drop_users,
                              exhaustive_association, generate_environment, pair_users)
@@ -365,8 +366,8 @@ def test_association_evaluates_few_sites_per_user_on_real_drops(monkeypatch, pre
 @st.composite
 def association_cases(draw):
     """Adversarial single- and nine-grid configs, with users on, within 1 m
-    of, and far from the sites, on azimuth-bin edges, and at bins' near and
-    far lengths."""
+    of, and far from the sites, on azimuth-bin edges, and at bins' far
+    lengths."""
     base = ScenarioConfig()
     sigma = draw(st.sampled_from([0.0, 20.0]) | st.floats(0.0, 20.0))
 
@@ -394,14 +395,14 @@ def association_cases(draw):
     near = [sites[i] + (dx, dy) for i, dx, dy in draw(st.lists(st.tuples(
         which, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)), max_size=8))]
     far = draw(st.lists(st.tuples(st.floats(xmin, xmax), st.floats(ymin, ymax)), max_size=20))
-    # users on azimuth-bin edges, and at a bin's near and far lengths from
-    # its site (one ulp either side too), where the site bound is tightest
+    # users on azimuth-bin edges, and at a bin's far length from its site
+    # (one ulp either side too), where the site bound is tightest
     wedges = env.site_wedges
     edges = []
     for i, b, kind, t, ulp in draw(st.lists(st.tuples(
-            which, st.integers(0, 359), st.sampled_from(("edge", "near", "far")),
+            which, st.integers(0, 359), st.sampled_from(("edge", "far")),
             st.floats(0.0, 1.0), st.sampled_from((-1, 0, 1))), max_size=10)):
-        dist = {"edge": wedges.reach * t, "near": wedges.near[i, b],
+        dist = {"edge": wedges.reach * t,
                 "far": min(wedges.far[i, b], 2.0 * wedges.reach)}[kind]
         angle = np.radians(b - 180.0 + (0.0 if kind == "edge" else t))
         dist = np.nextafter(dist, ulp * np.inf) if ulp else dist
@@ -450,6 +451,28 @@ def test_environment_build_memory_is_bounded():
     assert peak < 4e6
 
 
+def test_environment_build_memory_is_bounded_at_the_site_caps():
+    """At MAX_MICRO_SITES_PER_GRID micro sites per grid and
+    MAX_SECTORS_PER_SITE sectors per site, the hetnet environment (297
+    sites) builds at ~23 MB of numpy allocations; its memory grows by ~0.7
+    MB per micro site per grid."""
+    cfg = apply_scenario(ScenarioConfig(), "hetnet")
+    cfg = dataclasses.replace(
+        cfg, micro_sites_per_grid=MAX_MICRO_SITES_PER_GRID,
+        macro=dataclasses.replace(cfg.macro, sectors_per_site=MAX_SECTORS_PER_SITE),
+        micro=dataclasses.replace(cfg.micro, sectors_per_site=MAX_SECTORS_PER_SITE))
+    validate_config(cfg)
+    tracemalloc.start()
+    try:
+        env = generate_environment.__wrapped__(cfg)  # a fresh build, past the memo
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(env.site_wedges.sites) == 9 * (1 + MAX_MICRO_SITES_PER_GRID)
+    assert len(env.sectors) == len(env.site_wedges.sites) * MAX_SECTORS_PER_SITE
+    assert peak < 32e6
+
+
 def test_environment_memory_is_bounded_on_a_large_grid():
     """A valid config with 24 km x 24 km grids (72 km across its replicas)
     builds its environment, outdoor table included, at ~0.3 MB of numpy
@@ -476,7 +499,7 @@ def test_environment_is_memoized_and_read_only():
     assert generate_environment(dataclasses.replace(cfg)) is env  # equal, not identical
     wedges, buckets = env.site_wedges, env.buckets
     for a in (env.building_rects, wedges.sites, wedges.rects, wedges.inner,
-              wedges.rect_idx, wedges.start, wedges.near, wedges.far, buckets.origin,
+              wedges.rect_idx, wedges.start, wedges.far, buckets.origin,
               buckets.side, buckets.shape, *buckets.edges, buckets.table, *buckets.cell_slot,
               env.site_pathloss, env.site_link_class,
               env.site_keys, env.site_bound_db, env.site_bin_bound_db, env.site_sectors,
@@ -485,7 +508,7 @@ def test_environment_is_memoized_and_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
-    assert env.site_bin_bound_db.shape == wedges.near.shape == wedges.far.shape == (
+    assert env.site_bin_bound_db.shape == wedges.far.shape == (
         len(wedges.sites), 360)
     # the per-site link columns, one row per site id
     kinds = [next(s.kind for s in env.sectors if s.site_id == i)
