@@ -359,7 +359,7 @@ def write_outputs(campaign: CampaignResult, out_dir: str) -> dict[str, str]:
             for scheme in campaign.schemes for i, r in enumerate(campaign.reports[scheme])
             for kind, k in sorted(r.by_kind.items())))
     _write(paths["allocations"], "drop,sector,scheme,m,n\n",
-           ("".join(f"{i},{sector},{scheme},{m},{col}\n" for sector, m, col in zip(*rows.tolist()))
+           ("".join(map(f"{i},{{}},{scheme},{{}},{{}}\n".format, *rows.tolist()))
             for i, grants in enumerate(campaign.grants) for scheme, rows in grants.items()))
     _write(paths["summary"], f"drops: {campaign.cfg.num_drops}\nseed: {campaign.cfg.seed}\n"
            f"schemes: {','.join(campaign.schemes)}\n", summary_lines(campaign))

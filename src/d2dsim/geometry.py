@@ -302,21 +302,32 @@ def sample_outdoor_points(
     buckets: RectBuckets,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Uniform points in buckets.bounds rejected against its rects' interiors.
+    """Uniform points in buckets.bounds that lie in none of its closed rects
+    (a point on a wall is rejected too).  Returns an array of shape (count, 2).
 
-    Returns an array of shape (count, 2).
+    Each round takes m = max(int(need * 1.8) + 8, 16) points and keeps the
+    first `need` outdoor ones.  The rounds read the generator in round order,
+    from batches of 2m points drawn ahead when a round needs more than is
+    left, so the points equal a round-by-round draw; the last batch may run
+    past the last round, leaving `rng` in an unspecified state (drop_users
+    passes a stream that nothing else reads).
     """
-    xmin, ymin, xmax, ymax = buckets.bounds
+    lo, hi = buckets.bounds[:2], buckets.bounds[2:]
     if count == 0:
         return np.empty((0, 2))
     got: list[np.ndarray] = []
-    need = count
+    need, pts, out, pos, a = count, np.empty((0, 2)), np.empty(0, dtype=np.intp), 0, 0
     for _ in range(_SAMPLE_ROUNDS):
         m = max(int(need * 1.8) + 8, 16)
-        pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(m, 2))
-        keep = pts[~buckets.contains(pts)]
-        got.append(keep[:need])
-        need -= len(keep[:need])
+        if pos + m > len(pts):  # keep the unread points and their outdoor indices
+            new = rng.uniform(lo, hi, size=(2 * m, 2))
+            out = np.concatenate([out[a:] - pos,
+                                  len(pts) - pos + np.flatnonzero(~buckets.contains(new))])
+            pts, pos, a = np.concatenate([pts[pos:], new]), 0, 0
+        b = int(np.searchsorted(out, pos + m))  # out[a:b] are this round's outdoor points
+        got.append(pts[out[a:a + min(need, b - a)]])
+        need -= len(got[-1])
         if need == 0:
             return np.concatenate(got)
+        pos, a = pos + m, b
     raise RuntimeError("outdoor sampling failed to converge; obstacles too dense")

@@ -11,11 +11,12 @@ resource inside a sector):
 * random        — uniform injective assignment, feasibility ignored;
 * none          — keep every pair silent (baseline).
 
-The proposed scheme finds one maximum matching by iterative augmenting-path
-search over column bitmasks, then walks the rows in order and moves each
-onto the smallest column that some maximum matching still gives it; one
-alternating-path search per candidate column decides.  The brute-force
-enumerators exist only as oracles.
+The proposed scheme finds one maximum matching over column bitmasks, seating
+a row on its lowest free column when it meets one and otherwise by iterative
+augmenting-path search (a greedy start: Duff, Kaya & Ucar, ACM TOMS 2011),
+then walks the rows in order and moves each onto the smallest column that
+some maximum matching still gives it; one alternating-path search per
+candidate column decides.  The brute-force enumerators exist only as oracles.
 """
 
 from __future__ import annotations
@@ -72,7 +73,13 @@ class _Matching:
         self.match = [-1] * n
         self.free = (1 << m) - 1
         seen = 0  # columns a failed search entered: dead until a row is seated
-        for r in range(n):
+        for r, mask in enumerate(self.masks):
+            hit = mask & self.free
+            if hit:  # augment's first step, as seen never holds a free column
+                col = (hit & -hit).bit_length() - 1
+                self.free ^= 1 << col
+                self.owner[col], self.match[r], seen = r, col, 0
+                continue
             found, seen = self.augment(r, seen)
             if found:
                 seen = 0

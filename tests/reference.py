@@ -10,6 +10,10 @@ SINR target, or test every point against every rect:
 
 feasibility_exact admits (m, n) when both SINRs meet their targets, with the
 same inclusive (>=) comparisons in the linear domain as the program.
+
+sample_outdoor_points_by_rounds and AugmentOnlyMatching are frozen plain
+forms of the outdoor sampler and of the first maximum matching; the
+program's batched sampler and direct seating must give the same state.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import numpy as np
 
 from d2dsim.channel import GainSet
 from d2dsim.feasibility import FeasibilityMatrix, SinrTargets, sinr_cell_matrix
+from d2dsim.geometry import _SAMPLE_ROUNDS, RectBuckets
+from d2dsim.rrm import _Matching
 from d2dsim.units import db_to_linear
 
 
@@ -93,3 +99,44 @@ def points_in_rects(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
     y = p[:, 1:2]
     inside = (x >= r[:, 0]) & (x <= r[:, 2]) & (y >= r[:, 1]) & (y <= r[:, 3])
     return inside.any(axis=1)
+
+
+def sample_outdoor_points_by_rounds(
+    count: int,
+    buckets: RectBuckets,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Frozen reference: the outdoor sampler that draws and tests each
+    rejection round's points in turn."""
+    xmin, ymin, xmax, ymax = buckets.bounds
+    if count == 0:
+        return np.empty((0, 2))
+    got: list[np.ndarray] = []
+    need = count
+    for _ in range(_SAMPLE_ROUNDS):
+        m = max(int(need * 1.8) + 8, 16)
+        pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(m, 2))
+        keep = pts[~buckets.contains(pts)]
+        got.append(keep[:need])
+        need -= len(keep[:need])
+        if need == 0:
+            return np.concatenate(got)
+    raise RuntimeError("outdoor sampling failed to converge; obstacles too dense")
+
+
+class AugmentOnlyMatching(_Matching):
+    """Frozen reference: _Matching built by one augment call per row, with
+    the failed searches' seen columns carried until a row is seated."""
+
+    def __init__(self, adj: np.ndarray):
+        n, m = adj.shape
+        packed = np.packbits(adj, axis=1, bitorder="little")
+        self.masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self.owner = [-1] * m
+        self.match = [-1] * n
+        self.free = (1 << m) - 1
+        seen = 0  # columns a failed search entered: dead until a row is seated
+        for r in range(n):
+            found, seen = self.augment(r, seen)
+            if found:
+                seen = 0

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dsim.feasibility import FeasibilityMatrix
-from d2dsim.rrm import (allocate_capacity_max, allocate_none, allocate_proposed,
+from d2dsim.rrm import (_Matching, allocate_capacity_max, allocate_none, allocate_proposed,
                         allocate_random, brute_force_lex_matching,
                         brute_force_max_matching, max_matching_size)
+from reference import AugmentOnlyMatching
 
 
 def feas(entries) -> FeasibilityMatrix:
@@ -153,6 +154,51 @@ def test_proposed_matches_kuhn_reference():
         adj = rng.random((n, m)) < rng.uniform(0.05, 0.95)
         assert vec(allocate_proposed(feas(adj))) == kuhn_allocate(adj)
         checked += 1
+
+
+class _AugmentLog(_Matching):
+    """The program's _Matching, logging (carried a seen mask, found) per augment call."""
+
+    def __init__(self, adj):
+        self.log = []
+        super().__init__(adj)
+
+    def augment(self, root, seen):
+        found, out = super().augment(root, seen)
+        self.log.append((seen != 0, found))
+        return found, out
+
+
+def same_start(adj):
+    """Assert that _Matching's construction leaves the frozen reference's
+    state; return its augment log."""
+    got, want = _AugmentLog(adj), AugmentOnlyMatching(adj)
+    assert (got.owner, got.match, got.free) == (want.owner, want.match, want.free)
+    return got.log
+
+
+def test_matching_start_equals_augment_only_reference():
+    # test_proposed_matches_kuhn_reference's instances, in its order
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 10_000:
+        n, m = (int(x) for x in rng.integers(0, 41, size=2))
+        if n * m > 1000:
+            continue
+        same_start(rng.random((n, m)) < rng.uniform(0.05, 0.95))
+        checked += 1
+    # dense early rows take every column, or all but one or two; the sparse
+    # later rows augment past them, each failed search's seen carried on
+    rng = np.random.default_rng(29)
+    log = []
+    for _ in range(2000):
+        m = int(rng.integers(1, 30))
+        early = max(m - int(rng.integers(0, 3)), 0)
+        adj = rng.random((early + int(rng.integers(1, 30)), m)) < 0.15
+        adj[:early] |= rng.random((early, m)) < 0.8
+        log += same_start(adj)
+    assert (True, True) in log and (True, False) in log
+    assert same_start(chain(1500)) == [(False, True)]
 
 
 def test_matcher_has_no_recursion_limit():
