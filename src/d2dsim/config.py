@@ -24,6 +24,7 @@ __all__ = [
     "MAX_USERS_PER_DROP",
     "MAX_MICRO_SITES_PER_GRID",
     "MAX_SECTORS_PER_SITE",
+    "MAX_LENGTH_M",
     "load_config",
     "config_from_dict",
     "validate_config",
@@ -43,6 +44,10 @@ MAX_USERS_PER_DROP = 10**6
 # memory grows with the sites, and at both caps it peaks at ~23 MB.
 MAX_MICRO_SITES_PER_GRID = 32
 MAX_SECTORS_PER_SITE = 12
+# The longest grid side and channel distance (m), 10,000 km: the lengths a
+# drop squares, the k-d tree's bounds and the outdoor slot table all stay
+# finite far past it.
+MAX_LENGTH_M = 1e7
 
 
 @dataclass(frozen=True)
@@ -260,6 +265,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         _check(pl.shadow_sigma_db >= 0, f"channel.{link_name}.shadow_sigma_db must be >= 0")
     _check(cfg.channel.los_max_distance_m > 0, "channel.los_max_distance_m must be positive")
     _check(cfg.channel.min_distance_m > 0, "channel.min_distance_m must be positive")
+    for name, length in (("grid_width_m", cfg.grid_width_m), ("grid_height_m", cfg.grid_height_m),
+                         ("channel.los_max_distance_m", cfg.channel.los_max_distance_m),
+                         ("channel.min_distance_m", cfg.channel.min_distance_m)):
+        _check(length <= MAX_LENGTH_M, f"{name} must be <= {MAX_LENGTH_M:g} m")
     _check(cfg.replica_rings in (0, 1), "replica_rings must be 0 or 1")
     if cfg.fixed_user_count is not None:
         _check(cfg.fixed_user_count <= MAX_USERS_PER_DROP,

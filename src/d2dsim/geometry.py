@@ -13,7 +13,7 @@ SiteWedges also keeps, per site and azimuth bin, a length above which a
 rect that fills the whole bin is surely crossed, _WEDGE_SLACK_M on the safe
 side, far beyond rounding; association's site bound reads it to take NLOS.
 The lookup tables (SiteWedges, RectBuckets) depend on the layout alone, so
-a scenario builds them once and every drop reads them.
+a scenario builds them once and every drop reads them (read-only).
 """
 
 from __future__ import annotations
@@ -124,6 +124,15 @@ def segments_blocked(p0: np.ndarray, p1: np.ndarray, rects: np.ndarray) -> np.nd
     return out
 
 
+def freeze_arrays(obj) -> None:
+    """Make every array attribute of obj, and every array in a tuple
+    attribute, read-only."""
+    for value in vars(obj).values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+
 def wrap_deg(angle_deg) -> np.ndarray:
     """Angles (degrees) wrapped to [-180, 180): the bits of
     (x + 180) % 360 - 180, signed zeros too, for less time.  numpy's float
@@ -173,7 +182,7 @@ class SiteWedges:
     def __init__(self, sites: np.ndarray, rects: np.ndarray, reach: float):
         s = np.asarray(sites, dtype=float).reshape(-1, 2)
         r = np.asarray(rects, dtype=float).reshape(-1, 4)
-        self.sites, self.rects, self.reach = s, r, float(reach)
+        self.sites, self.reach = s, float(reach)
         self.inner = _open_interiors(r)
         sx, sy = s[:, 0:1], s[:, 1:2]  # (S, 1) against (K,) rect columns
         gap = np.hypot(np.maximum(np.maximum(r[:, 0] - sx, sx - r[:, 2]), 0.0),
@@ -216,10 +225,12 @@ class SiteWedges:
         far = np.full(len(s) * _WEDGE_BINS, np.inf)
         np.minimum.at(far, key[cover], through.ravel()[pair[cover]])
         self.far = far.reshape(len(s), _WEDGE_BINS)
+        freeze_arrays(self)
 
     def blocked(self, site: np.ndarray, points: np.ndarray,
                 azimuth_deg: np.ndarray) -> np.ndarray:
-        """segments_blocked(points, self.sites[site], self.rects), element-wise.
+        """segments_blocked(points, self.sites[site], rects), element-wise,
+        rects being the ones the table was built from.
 
         azimuth_deg[i] must be the direction of points[i] from its site,
         np.degrees(np.arctan2(dy, dx)) with (dx, dy) = points[i] minus the
@@ -279,6 +290,7 @@ class RectBuckets:
             slot = 2 * np.searchsorted(ecell, np.arange(self.shape[a]))
             slot[ecell] = -1
             self.cell_slot += (slot,)
+        freeze_arrays(self)
 
     def _cell(self, v: np.ndarray, axis: int) -> np.ndarray:
         c = np.floor((v - self.origin[axis]) / self.side[axis])

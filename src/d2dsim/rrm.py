@@ -13,10 +13,11 @@ resource inside a sector):
 
 The proposed scheme finds one maximum matching over column bitmasks, seating
 a row on its lowest free column when it meets one and otherwise by iterative
-augmenting-path search (a greedy start: Duff, Kaya & Ucar, ACM TOMS 2011),
-then walks the rows in order and moves each onto the smallest column that
-some maximum matching still gives it; one alternating-path search per
-candidate column decides.  The brute-force enumerators exist only as oracles.
+augmenting-path search (a greedy start: Duff, Kaya & Ucar, ACM TOMS 2011)
+until every column is owned.  It then walks the rows in order and moves each
+onto the smallest column that some maximum matching still gives it; one
+alternating-path search per candidate column decides.  The brute-force
+enumerators exist only as oracles.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class _Matching:
         self.free = (1 << m) - 1
         seen = 0  # columns a failed search entered: dead until a row is seated
         for r, mask in enumerate(self.masks):
+            if not self.free:  # every column owned: no path seats another row
+                break
             hit = mask & self.free
             if hit:  # augment's first step, as seen never holds a free column
                 col = (hit & -hit).bit_length() - 1

@@ -35,8 +35,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .channel import LINK_CLASS, DropChannel, antenna_gain_db, site_key
-from .config import AntennaPattern, ChannelParams, ScenarioConfig
-from .geometry import (_WEDGE_BINS, _WEDGE_MARGIN_DEG, RectBuckets, SiteWedges,
+from .config import AntennaPattern, ChannelParams, ScenarioConfig, SiteParams
+from .geometry import (_WEDGE_BINS, _WEDGE_MARGIN_DEG, RectBuckets, SiteWedges, freeze_arrays,
                        sample_outdoor_points)
 
 # Canonical block layout on the 387 x 552 m reference grid (scaled for other
@@ -59,8 +59,6 @@ class Sector:
     sector_id: int
     site_id: int
     kind: str  # "macro" | "micro"
-    x: float
-    y: float
     boresight_deg: float
     bandwidth_hz: float
     dl_power_dbm: float
@@ -84,8 +82,8 @@ class Environment:
     site_pathloss: np.ndarray  # (5, S, 1) its PathlossParams fields, in order
     site_link_class: np.ndarray  # (S, 1) LINK_CLASS of its kind
     site_keys: np.ndarray  # (S, 1) its shadowing key
-    site_bound_db: np.ndarray  # (S, 1) dl_power + selection_offset + max antenna gain
-    site_bin_bound_db: np.ndarray  # (S, bins) the same, over each site_wedges azimuth bin
+    site_bound_db: np.ndarray  # (S, 1) the row maximum of site_bin_bound_db
+    site_bin_bound_db: np.ndarray  # (S, bins) top dl_power + selection_offset + gain per bin
     site_sectors: np.ndarray  # (S + 1,) first sector id of each site, then the sector count
     # per sector id
     sector_boresight: np.ndarray  # (C,) boresight_deg
@@ -114,35 +112,23 @@ def _block_rects(width: float, height: float) -> list[tuple]:
     return rects
 
 
-def _bin_bound_db(sectors: list[Sector]) -> np.ndarray:
+def _bin_bound_db(site: SiteParams, boresights: list[float]) -> np.ndarray:
     """(bins,) the largest dl_power + selection_offset + antenna gain that
-    any of the sectors reaches over each SiteWedges azimuth bin, the bin's
-    closed interval widened by _WEDGE_MARGIN_DEG each way.
+    any sector of the site, one per boresight, reaches over each SiteWedges
+    azimuth bin, the bin's closed interval widened by _WEDGE_MARGIN_DEG each
+    way.
 
     The margin holds the rounding of any azimuth the bin gets.  The gain
     falls as the offset from boresight, wrapped to [-180, 180), grows, and
     over an interval narrower than 180 degrees that offset is least at zero,
     if the interval holds a multiple of 360, or else at one of its ends.
     """
-    bore = np.array([[s.boresight_deg] for s in sectors])
-    antenna = AntennaPattern(*np.array([astuple(s.antenna) for s in sectors]).T[..., None])
-    power = np.array([[s.dl_power_dbm + s.selection_offset_db] for s in sectors])
-    lo = np.arange(_WEDGE_BINS) - 180.0 - _WEDGE_MARGIN_DEG - bore  # (sectors, bins)
-    hi = lo + (1.0 + 2.0 * _WEDGE_MARGIN_DEG)
+    lo = np.arange(_WEDGE_BINS) - 180.0 - _WEDGE_MARGIN_DEG - np.array(boresights)[:, None]
+    hi = lo + (1.0 + 2.0 * _WEDGE_MARGIN_DEG)  # (sectors, bins), like lo
+    antenna = site.antenna
     gain = np.where(np.floor(hi / 360.0) >= np.ceil(lo / 360.0), antenna_gain_db(antenna, 0.0),
                     np.maximum(antenna_gain_db(antenna, lo), antenna_gain_db(antenna, hi)))
-    return (power + gain).max(axis=0)
-
-
-def _grid_offsets(width: float, height: float, rings: int) -> np.ndarray:
-    if rings == 0:
-        return np.array([[0.0, 0.0]])
-    offs = [(0.0, 0.0)]
-    for iy in (-1, 0, 1):
-        for ix in (-1, 0, 1):
-            if (ix, iy) != (0, 0):
-                offs.append((ix * width, iy * height))
-    return np.array(offs)
+    return (site.dl_power_dbm + site.selection_offset_db + gain).max(axis=0)
 
 
 @lru_cache(maxsize=8)
@@ -154,89 +140,60 @@ def generate_environment(cfg: ScenarioConfig) -> Environment:
     Memoized, so equal configs share one Environment.
     """
     w, h = cfg.grid_width_m, cfg.grid_height_m
+    rings = range(-cfg.replica_rings, cfg.replica_rings + 1)
+    # the central grid first, then the others row by row
+    offsets = np.array([(0.0, 0.0)] + [(ix * w, iy * h) for iy in rings for ix in rings
+                                       if (ix, iy) != (0, 0)])
     base_rects = _block_rects(w, h)
-    offsets = _grid_offsets(w, h, cfg.replica_rings)
     rects = np.array([(x0 + ox, y0 + oy, x1 + ox, y1 + oy)
                       for ox, oy in offsets for x0, y0, x1, y1 in base_rects])
-
-    street_mid = 0.5 * (MAIN_STREET_Y[0] + MAIN_STREET_Y[1]) * (h / _REF_H)
     bounds = (*offsets.min(axis=0), *(offsets.max(axis=0) + (w, h)))
-    sectors: list[Sector] = []
-    site_xy: list[tuple[float, float]] = []
-    site_kinds: list[str] = []
-    site_sectors = [0]
-    site_id = 0
-    sector_id = 0
-    for ox, oy in offsets:
-        site_positions: list[tuple[str, float, float]] = [("macro", w / 2 + ox, street_mid + oy)]
-        if cfg.micro_enabled:
-            n = cfg.micro_sites_per_grid
-            for i in range(n):
-                # evenly spread along the main street, nudged off the macro site
-                mx = w * (2 * i + 1) / (2 * n) + ox
-                site_positions.append(("micro", mx, street_mid - 3.75 + oy))
-        for kind, sx, sy in site_positions:
-            site_xy.append((sx, sy))
-            site_kinds.append(kind)
-            params = cfg.macro if kind == "macro" else cfg.micro
-            for k in range(params.sectors_per_site):
-                sectors.append(Sector(
-                    sector_id=sector_id,
-                    site_id=site_id,
-                    kind=kind,
-                    x=sx,
-                    y=sy,
-                    boresight_deg=(params.sector_rotation_deg
-                                   + 360.0 * k / params.sectors_per_site) % 360.0,
-                    bandwidth_hz=params.uplink_bandwidth_hz,
-                    dl_power_dbm=params.dl_power_dbm,
-                    selection_offset_db=params.selection_offset_db,
-                    antenna=params.antenna,
-                ))
-                sector_id += 1
-            site_id += 1
-            site_sectors.append(sector_id)
 
-    wedges = SiteWedges(site_xy, rects, cfg.channel.los_max_distance_m)
-    buckets = RectBuckets(rects, bounds)
-    links = {"macro": cfg.channel.macro_link, "micro": cfg.channel.micro_link}
-    site_pathloss = np.array([astuple(links[k]) for k in site_kinds]).T[..., None]
-    site_link_class = np.array([[LINK_CLASS[k]] for k in site_kinds], dtype=np.uint64)
-    site_keys = site_key(np.arange(len(site_kinds))[:, None])
-    sites = {"macro": cfg.macro, "micro": cfg.micro}
+    # one grid's sites: the macro site, then the micro sites evenly spread
+    # along the main street, nudged off the macro site
+    street_mid = 0.5 * (MAIN_STREET_Y[0] + MAIN_STREET_Y[1]) * (h / _REF_H)
+    n = cfg.micro_sites_per_grid if cfg.micro_enabled else 0
+    grid_sites = [("macro", w / 2, street_mid)] + [
+        ("micro", w * (2 * i + 1) / (2 * n), street_mid - 3.75) for i in range(n)]
+    site_kinds = [kind for _ in offsets for kind, _, _ in grid_sites]
+    wedges = SiteWedges([(x + ox, y + oy) for ox, oy in offsets for _, x, y in grid_sites],
+                        rects, cfg.channel.los_max_distance_m)
+    params = {"macro": cfg.macro, "micro": cfg.micro}
     # every site of a kind has the same sectors, turned the same way
-    bin_bound = {k: _bin_bound_db([s for s in sectors if s.site_id == site_kinds.index(k)])
-                 for k in set(site_kinds)}
-    columns = {
-        "site_bin_bound_db": np.array([bin_bound[k] for k in site_kinds]),
-        "site_bound_db": np.array([[sites[k].dl_power_dbm + sites[k].selection_offset_db
-                                    + sites[k].antenna.max_gain_dbi] for k in site_kinds]),
-        "site_sectors": np.array(site_sectors),
-        "sector_boresight": np.array([s.boresight_deg for s in sectors]),
-        "sector_antenna": np.array([astuple(s.antenna) for s in sectors]).reshape(-1, 3).T,
-        "sector_dl_dbm": np.array([s.dl_power_dbm for s in sectors]),
-        "sector_offset_db": np.array([s.selection_offset_db for s in sectors]),
-    }
-    for a in (rects, wedges.sites, wedges.rects, wedges.inner, wedges.rect_idx,
-              wedges.start, wedges.far, buckets.origin, buckets.side,
-              buckets.shape, *buckets.edges, buckets.table, *buckets.cell_slot,
-              site_pathloss, site_link_class, site_keys,
-              *columns.values()):
-        a.flags.writeable = False
-    return Environment(
+    boresights = {k: [(p.sector_rotation_deg + 360.0 * i / p.sectors_per_site) % 360.0
+                      for i in range(p.sectors_per_site)] for k, p in params.items()}
+    kind_fields = {k: (p.uplink_bandwidth_hz, p.dl_power_dbm, p.selection_offset_db, p.antenna)
+                   for k, p in params.items()}
+    # per sector, in id order: a sector's id is its position, as a site's is
+    layout = [(site_id, kind, bore) for site_id, kind in enumerate(site_kinds)
+              for bore in boresights[kind]]
+    sectors = tuple(Sector(sector_id, site_id, kind, bore, *kind_fields[kind])
+                    for sector_id, (site_id, kind, bore) in enumerate(layout))
+    bin_bound = {k: _bin_bound_db(params[k], boresights[k]) for k in set(site_kinds)}
+    site_bin_bound_db = np.array([bin_bound[k] for k in site_kinds])
+    links = {"macro": cfg.channel.macro_link, "micro": cfg.channel.micro_link}
+    env = Environment(
         width_m=w,
         height_m=h,
         bounds=bounds,
         building_rects=rects,
-        buckets=buckets,
-        sectors=tuple(sectors),
+        buckets=RectBuckets(rects, bounds),
+        sectors=sectors,
         site_wedges=wedges,
         channel=cfg.channel,
-        site_pathloss=site_pathloss,
-        site_link_class=site_link_class,
-        site_keys=site_keys,
-        **columns,
+        site_pathloss=np.array([astuple(links[k]) for k in site_kinds]).T[..., None],
+        site_link_class=np.array([[LINK_CLASS[k]] for k in site_kinds], dtype=np.uint64),
+        site_keys=site_key(np.arange(len(site_kinds))[:, None]),
+        site_bound_db=site_bin_bound_db.max(axis=1, keepdims=True),
+        site_bin_bound_db=site_bin_bound_db,
+        site_sectors=np.cumsum([0] + [params[k].sectors_per_site for k in site_kinds]),
+        sector_boresight=np.array([s.boresight_deg for s in sectors]),
+        sector_antenna=np.array([astuple(s.antenna) for s in sectors]).reshape(-1, 3).T,
+        sector_dl_dbm=np.array([s.dl_power_dbm for s in sectors]),
+        sector_offset_db=np.array([s.selection_offset_db for s in sectors]),
     )
+    freeze_arrays(env)
+    return env
 
 
 def drop_users(cfg: ScenarioConfig, env: Environment, rng: np.random.Generator) -> np.ndarray:

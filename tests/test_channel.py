@@ -165,12 +165,12 @@ def test_user_sector_gain_hand_computed():
     # one user on the main street near the macro site: LOS, known distance
     cfg, env, ch = make_channel([[243.5, 276.0], [243.5, 100.0]])
     sector = env.sectors[0]  # boresight 90 deg
-    d0 = np.hypot(243.5 - sector.x, 276.0 - sector.y)
-    los = not segments_blocked([[243.5, 276.0]], [[sector.x, sector.y]],
-                               env.building_rects)[0]
+    sx, sy = env.site_wedges.sites[sector.site_id]
+    d0 = np.hypot(243.5 - sx, 276.0 - sy)
+    los = not segments_blocked([[243.5, 276.0]], [[sx, sy]], env.building_rects)[0]
     assert los
     pl = pathloss_db(d0, True, cfg.channel.macro_link)
-    az = np.degrees(np.arctan2(276.0 - sector.y, 243.5 - sector.x))
+    az = np.degrees(np.arctan2(276.0 - sy, 243.5 - sx))
     ant = antenna_gain_db(sector.antenna, az - sector.boresight_deg)
     got = ch.user_sector_gain_db([0], sector)[0]
     assert got == pytest.approx(-pl + ant, abs=1e-9)
@@ -181,12 +181,12 @@ def test_user_behind_building_is_nlos():
     # it and the site
     cfg, env, ch = make_channel([[243.5, 276.0], [131.0, 50.0]])
     sector = env.sectors[0]
-    blocked = segments_blocked([[131.0, 50.0]], [[sector.x, sector.y]],
-                               env.building_rects)[0]
+    sx, sy = env.site_wedges.sites[sector.site_id]
+    blocked = segments_blocked([[131.0, 50.0]], [[sx, sy]], env.building_rects)[0]
     assert blocked
-    d = np.hypot(131.0 - sector.x, 50.0 - sector.y)
+    d = np.hypot(131.0 - sx, 50.0 - sy)
     pl = pathloss_db(d, False, cfg.channel.macro_link)
-    az = np.degrees(np.arctan2(50.0 - sector.y, 131.0 - sector.x))
+    az = np.degrees(np.arctan2(50.0 - sy, 131.0 - sx))
     ant = antenna_gain_db(sector.antenna, az - sector.boresight_deg)
     assert ch.user_sector_gain_db([1], sector)[0] == pytest.approx(-pl + ant, abs=1e-9)
 
@@ -341,7 +341,7 @@ def test_site_view_cache_consistent():
 def per_sector_gain_db(ch, idx, sector):
     """Reference: the per-sector formula, recomputing pathloss, azimuth and
     shadowing for each sector."""
-    site = np.array([sector.x, sector.y])
+    site = ch.env.site_wedges.sites[sector.site_id]
     delta = ch.users_xy - site
     dist = np.hypot(delta[:, 0], delta[:, 1])
     los = dist <= ch.params.los_max_distance_m

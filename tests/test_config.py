@@ -4,9 +4,10 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from d2dsim.config import (MAX_MICRO_SITES_PER_GRID, MAX_SECTORS_PER_SITE,
+from d2dsim.config import (MAX_LENGTH_M, MAX_MICRO_SITES_PER_GRID, MAX_SECTORS_PER_SITE,
                            MAX_USERS_PER_DROP, SCENARIO_PRESETS, ConfigError, ScenarioConfig,
                            apply_scenario, config_from_dict, load_config, validate_config)
 
@@ -161,6 +162,22 @@ def test_validate_config_caps_sites_and_sectors():
         validate_config(with_sectors(MAX_SECTORS_PER_SITE))
         with pytest.raises(ConfigError, match=rf"{name}.sectors_per_site must lie in \[1, 12\]"):
             validate_config(with_sectors(MAX_SECTORS_PER_SITE + 1))
+
+
+def test_validate_config_caps_lengths():
+    """Grid sides and channel distances are accepted up to MAX_LENGTH_M,
+    all four at once, and refused one float past it, each on its own."""
+    cfg = config_from_dict({
+        "fixed_user_count": 30, "grid_width_m": MAX_LENGTH_M, "grid_height_m": MAX_LENGTH_M,
+        "channel": {"los_max_distance_m": MAX_LENGTH_M, "min_distance_m": MAX_LENGTH_M}})
+    assert cfg.grid_height_m == cfg.channel.min_distance_m == MAX_LENGTH_M
+    past = float(np.nextafter(MAX_LENGTH_M, np.inf))
+    for name, tree in (("grid_width_m", {"grid_width_m": past}),
+                       ("grid_height_m", {"grid_height_m": past}),
+                       ("channel.los_max_distance_m", {"channel": {"los_max_distance_m": past}}),
+                       ("channel.min_distance_m", {"channel": {"min_distance_m": past}})):
+        with pytest.raises(ConfigError, match=rf"^{name} must be <= 1e\+07 m$"):
+            config_from_dict({"fixed_user_count": 30, **tree})
 
 
 def test_presets():

@@ -15,7 +15,8 @@ from conftest import tiny_config
 
 from d2dsim import channel, cli, engine
 from d2dsim.channel import noise_power_watts
-from d2dsim.config import SCENARIO_PRESETS, ConfigError, ScenarioConfig, apply_scenario
+from d2dsim.config import (MAX_LENGTH_M, SCENARIO_PRESETS, ConfigError, ScenarioConfig,
+                           apply_scenario)
 from d2dsim.engine import (SCHEDULERS, SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, write_outputs)
 from d2dsim.feasibility import FeasibilityMatrix
@@ -866,6 +867,12 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     assert "lexicographic oracle [300 instances]: FAIL" in out
 
 
+# the lengths MAX_LENGTH_M caps: squared, or past a tree's or a table's
+# bounds, a longer one crashed a run
+_CAPPED_LENGTHS = ("grid_width_m", "grid_height_m", "channel.los_max_distance_m",
+                   "channel.min_distance_m")
+
+
 @pytest.mark.parametrize("extra, env, message", [
     (["--drops", "0"], None, "num_drops must be >= 1"),
     (["--seed", "-1"], None, "seed must be >= 0"),
@@ -897,6 +904,8 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--set", "fixed_user_count=1000000000000"], None, "fixed_user_count must be <= 1000000"),
     (["--set", "micro_sites_per_grid=100000"], None, "micro_sites_per_grid must lie in [0, 32]"),
     (["--set", "micro.sectors_per_site=13"], None, "micro.sectors_per_site must lie in [1, 12]"),
+    *[(["--set", f"{key}={float(np.nextafter(MAX_LENGTH_M, np.inf))!r}"], None,
+       f"{key} must be <= 1e+07 m") for key in _CAPPED_LENGTHS],
 ])
 def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
                                                 extra, env, message):
@@ -915,6 +924,15 @@ def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and message in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_run_completes_with_every_length_at_its_cap(tmp_path, monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    out = tmp_path / "out"
+    at_cap = [a for key in _CAPPED_LENGTHS for a in ("--set", f"{key}={MAX_LENGTH_M!r}")]
+    assert cli.main(["run", "--scenario", "hetnet", "--set", "fixed_user_count=30", *at_cap,
+                     "--drops", "1", "--out", str(out), "--quiet"]) == 0
+    assert (out / "summary.txt").exists()
 
 
 def test_cli_run_refuses_unusable_out_before_any_drop(tmp_path, capsys, monkeypatch):

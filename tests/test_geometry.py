@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dsim import channel, engine, geometry
-from d2dsim.config import SCENARIO_PRESETS, AntennaPattern, ScenarioConfig, apply_scenario
+from d2dsim.config import (MAX_SECTORS_PER_SITE, SCENARIO_PRESETS, AntennaPattern, ScenarioConfig,
+                           apply_scenario, validate_config)
 from d2dsim.geometry import (_EDGE_EPS, _MAX_CELLS, _WEDGE_BINS, RectBuckets, SiteWedges,
                              _slab_interval, azimuth_bin, sample_outdoor_points,
                              segments_blocked)
@@ -181,7 +182,7 @@ def test_pruned_blocking_equals_unpruned_on_preset_drop(monkeypatch, preset):
     cfg = apply_scenario(ScenarioConfig(), preset)
     engine.build_drop(cfg, engine.drop_seed(0, 0))
     env = generate_environment(cfg)
-    sites = {(s.x, s.y) for s in env.sectors}
+    sites = set(map(tuple, env.site_wedges.sites))
     # both link kinds were tested, each through its own path
     assert site_calls and ue_calls
     assert not any(set(map(tuple, p1)) <= sites for _, p1, _ in ue_calls)
@@ -446,7 +447,7 @@ def test_site_wedge_far_agrees_with_slab_test(case):
         az = np.degrees(np.arctan2(dxy[:, 1], dxy[:, 0]))
         b = azimuth_bin(az)
         d2 = dxy[:, 0] * dxy[:, 0] + dxy[:, 1] * dxy[:, 1]
-        want = segments_blocked(p, np.broadcast_to(site, p.shape), wedges.rects)
+        want = segments_blocked(p, np.broadcast_to(site, p.shape), rects)
         assert want[d2 > wedges.far[i, b] ** 2].all()
         keep = np.hypot(dxy[:, 0], dxy[:, 1]) <= reach
         np.testing.assert_array_equal(
@@ -491,6 +492,37 @@ def test_site_bin_bound_tops_every_sector(cfg, seed):
                  + channel.antenna_gain_db(s.antenna, az - s.boresight_deg))
         assert (power <= env.site_bin_bound_db[s.site_id, b]).all()
     assert (env.site_bin_bound_db <= env.site_bound_db).all()
+
+
+def test_site_bound_is_each_kinds_peak_power():
+    """site_bound_db, the row maximum of the bin table, is bit for bit
+    dl_power + selection_offset + max antenna gain of the site's kind (each
+    sector's boresight bin reaches the peak gain, and no bin tops it), on
+    the presets and on seeded random sites."""
+    rng = np.random.default_rng(30)
+    base = ScenarioConfig()
+
+    def site(params):
+        antenna = AntennaPattern(
+            max_gain_dbi=float(rng.uniform(-10.0, 30.0)),
+            beamwidth_deg=float(rng.choice([1e-3, 1e4, 10.0 ** rng.uniform(-3.0, 4.0)])),
+            front_to_back_db=float(rng.choice([0.0, rng.uniform(0.0, 100.0)])))
+        return dataclasses.replace(
+            params, sectors_per_site=int(rng.integers(1, MAX_SECTORS_PER_SITE + 1)),
+            sector_rotation_deg=float(rng.choice([0.0, 45.0, rng.uniform(-1e3, 1e3)])),
+            dl_power_dbm=float(rng.uniform(0.0, 60.0)),
+            selection_offset_db=float(rng.uniform(-60.0, 60.0)), antenna=antenna)
+
+    cfgs = [apply_scenario(base, name) for name in SCENARIO_PRESETS]
+    cfgs += [tiny_config(micro_enabled=True, macro=site(base.macro), micro=site(base.micro))
+             for _ in range(150)]
+    for cfg in cfgs:
+        validate_config(cfg)
+        env = generate_environment(cfg)
+        for i, first in enumerate(env.site_sectors[:-1]):
+            p = cfg.macro if env.sectors[first].kind == "macro" else cfg.micro
+            want = p.dl_power_dbm + p.selection_offset_db + p.antenna.max_gain_dbi
+            assert float(env.site_bound_db[i, 0]).hex() == want.hex()
 
 
 _BOUNDS = (-20.0, -10.0, 300.0, 200.0)

@@ -55,8 +55,7 @@ def test_macro_only_sector_layout():
     assert sorted(s.boresight_deg for s in env.sectors) == [90.0, 210.0, 330.0]
     street_mid = 0.5 * (MAIN_STREET_Y[0] + MAIN_STREET_Y[1])
     for s in env.sectors:
-        assert s.x == cfg.grid_width_m / 2
-        assert s.y == street_mid
+        assert tuple(env.site_wedges.sites[s.site_id]) == (cfg.grid_width_m / 2, street_mid)
         assert s.bandwidth_hz == cfg.macro.uplink_bandwidth_hz
 
 
@@ -68,10 +67,11 @@ def test_hetnet_sector_layout():
     assert len(macro) == 3 and len(micro) == 3 * 2
     assert sorted({s.boresight_deg for s in micro}) == [0.0, 180.0]  # along the street
     w = cfg.grid_width_m
-    xs = sorted({s.x for s in micro})
+    sites = env.site_wedges.sites
+    xs = sorted({sites[s.site_id, 0] for s in micro})
     np.testing.assert_allclose(xs, [w / 6, w / 2, 5 * w / 6])
     street_mid = 0.5 * (MAIN_STREET_Y[0] + MAIN_STREET_Y[1])
-    assert {s.y for s in micro} == {street_mid - 3.75}
+    assert {sites[s.site_id, 1] for s in micro} == {street_mid - 3.75}
     # ids contiguous, site ids distinct per site
     assert [s.sector_id for s in env.sectors] == list(range(9))
     assert len({s.site_id for s in env.sectors}) == 4
@@ -498,13 +498,13 @@ def test_environment_is_memoized_and_read_only():
     env = generate_environment(cfg)
     assert generate_environment(dataclasses.replace(cfg)) is env  # equal, not identical
     wedges, buckets = env.site_wedges, env.buckets
-    for a in (env.building_rects, wedges.sites, wedges.rects, wedges.inner,
-              wedges.rect_idx, wedges.start, wedges.far, buckets.origin,
-              buckets.side, buckets.shape, *buckets.edges, buckets.table, *buckets.cell_slot,
-              env.site_pathloss, env.site_link_class,
-              env.site_keys, env.site_bound_db, env.site_bin_bound_db, env.site_sectors,
-              env.sector_boresight, env.sector_antenna, env.sector_dl_dbm,
-              env.sector_offset_db):
+    arrays = []
+    for owner in (env, wedges, buckets):
+        for value in vars(owner).values():
+            arrays += [a for a in (value if isinstance(value, tuple) else (value,))
+                       if isinstance(a, np.ndarray)]
+    assert len(arrays) == 11 + 5 + 8  # the Environment's, SiteWedges', RectBuckets'
+    for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
