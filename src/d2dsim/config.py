@@ -2,7 +2,8 @@
 
 Config files are plain JSON mirroring the dataclass tree; every leaf has a
 default so a file only needs the keys it overrides.  Unknown keys are errors
-(they are almost always typos) and report the full dotted path.
+(they are almost always typos) and report the full dotted path.  The range
+of every numeric leaf lives in one table, RANGES, keyed by field name.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ __all__ = [
     "ScenarioConfig",
     "ConfigError",
     "MAX_USERS_PER_DROP",
-    "MAX_MICRO_SITES_PER_GRID",
-    "MAX_SECTORS_PER_SITE",
-    "MAX_LENGTH_M",
+    "RANGES",
     "load_config",
     "config_from_dict",
     "validate_config",
@@ -40,14 +39,6 @@ class ConfigError(ValueError):
 # The most users a drop may hold, fixed or on average: ~130 times the
 # hetnet preset at 4x density, far below where positions alone exhaust memory.
 MAX_USERS_PER_DROP = 10**6
-# The most micro sites per grid and sectors per site: the environment build's
-# memory grows with the sites, and at both caps it peaks at ~23 MB.
-MAX_MICRO_SITES_PER_GRID = 32
-MAX_SECTORS_PER_SITE = 12
-# The longest grid side and channel distance (m), 10,000 km: the lengths a
-# drop squares, the k-d tree's bounds and the outdoor slot table all stay
-# finite far past it.
-MAX_LENGTH_M = 1e7
 
 
 @dataclass(frozen=True)
@@ -67,22 +58,6 @@ class SiteParams:
     selection_offset_db: float = 0.0  # cell-range-expansion bias, association only
     sector_rotation_deg: float = 0.0  # boresight of sector 0; others spaced evenly
     antenna: AntennaPattern = field(default_factory=AntennaPattern)
-
-
-def _macro_site() -> SiteParams:
-    # boresight 90 deg points sector 0 up the long grid axis, away from the
-    # main street, so street-level D2D pairs sit off the macro main lobes
-    return SiteParams(sector_rotation_deg=90.0)
-
-
-def _micro_site() -> SiteParams:
-    return SiteParams(
-        uplink_bandwidth_hz=40.0e6,
-        sectors_per_site=2,
-        dl_power_dbm=30.0,
-        selection_offset_db=15.0,
-        antenna=AntennaPattern(max_gain_dbi=7.0, beamwidth_deg=70.0, front_to_back_db=20.0),
-    )
 
 
 @dataclass(frozen=True)
@@ -131,9 +106,14 @@ class ScenarioConfig:
     # D2D candidates
     d2d_fraction: float = 0.85  # fraction of users eligible for pairing
     max_pair_distance_m: float = 35.0
-    # radio sites
-    macro: SiteParams = field(default_factory=_macro_site)
-    micro: SiteParams = field(default_factory=_micro_site)
+    # radio sites; the macro boresight of 90 deg points sector 0 up the long
+    # grid axis, away from the main street, so street-level D2D pairs sit off
+    # the macro main lobes
+    macro: SiteParams = field(default_factory=lambda: SiteParams(sector_rotation_deg=90.0))
+    micro: SiteParams = field(default_factory=lambda: SiteParams(
+        uplink_bandwidth_hz=40.0e6, sectors_per_site=2, dl_power_dbm=30.0,
+        selection_offset_db=15.0,
+        antenna=AntennaPattern(max_gain_dbi=7.0, beamwidth_deg=70.0, front_to_back_db=20.0)))
     micro_enabled: bool = True
     micro_sites_per_grid: int = 3
     # targets and admission
@@ -229,58 +209,75 @@ def load_config(path: str) -> ScenarioConfig:
     return config_from_dict(data)
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
+# The closed range of each numeric leaf, by field name: macro and micro share
+# the SiteParams rows, the three links the PathlossParams rows.  The bounds are
+# physical and keep every dB sum a drop forms within a few thousand dB, so no
+# sum leaves the float range or absorbs another term.
+RANGES = {
+    "grid_width_m": (1e-3, 1e7),  # 10,000 km: a drop's squared lengths, the k-d tree's
+    "grid_height_m": (1e-3, 1e7),  # bounds and the outdoor slot table stay finite far past it
+    "replica_rings": (0, 1),
+    "user_density_per_km2": (0.0, 1e7),  # ten users per m2, past any crowd
+    "fixed_user_count": (0, MAX_USERS_PER_DROP),
+    "ue_max_power_dbm": (-100.0, 100.0),
+    "d2d_fraction": (0.0, 1.0),
+    "max_pair_distance_m": (1e-3, 1e7),
+    "micro_sites_per_grid": (0, 32),  # the environment build's memory grows with the
+    "sectors_per_site": (1, 12),  # sites; at both caps it peaks at ~23 MB
+    "uplink_bandwidth_hz": (1.0, 1e12),
+    "dl_power_dbm": (-100.0, 100.0),
+    "selection_offset_db": (-100.0, 100.0),
+    "sector_rotation_deg": (-3600.0, 3600.0),  # ten turns either way
+    "max_gain_dbi": (-50.0, 50.0),
+    "beamwidth_deg": (1e-3, 1e4),
+    "front_to_back_db": (0.0, 100.0),
+    "cell_snr_target_db": (-50.0, 50.0),  # both ends of the interval
+    "d2d_snr_target_db": (-50.0, 50.0),
+    "gamma_cell_db": (0.0, 100.0),
+    "distance_ratio_threshold": (0.0, 100.0),
+    "intercept_db": (-100.0, 200.0),
+    "slope_los_db": (1.0, 100.0),  # dB per decade of distance
+    "slope_nlos_db": (1.0, 100.0),
+    "nlos_penalty_db": (1e-3, 100.0),
+    "shadow_sigma_db": (0.0, 30.0),
+    "los_max_distance_m": (1e-3, 1e7),
+    "min_distance_m": (1e-3, 1e7),
+    "thermal_density_dbm_hz": (-200.0, -100.0),  # kT is -174 dBm/Hz at 290 K
+    "bs_noise_figure_db": (0.0, 50.0),
+    "ue_noise_figure_db": (0.0, 50.0),
+    "num_drops": (1, 10**6),  # every drop's reports and grants stay in memory
+    "seed": (0, 2**64 - 1),
+}
+
+
+def _numeric_leaves(obj: Any, path: str = ""):
+    """(dotted key, field name, value) of each numeric leaf of a config tree;
+    a null fixed_user_count is none."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numeric_leaves(value, f"{path}{f.name}.")
+        elif not isinstance(value, bool) and value is not None:
+            yield f"{path}{f.name}", f.name, value
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    _check(cfg.grid_width_m > 0 and cfg.grid_height_m > 0, "grid dimensions must be positive")
-    _check(cfg.user_density_per_km2 >= 0, "user_density_per_km2 must be >= 0")
-    if cfg.fixed_user_count is not None:
-        _check(cfg.fixed_user_count >= 0, "fixed_user_count must be >= 0")
-    _check(0.0 <= cfg.d2d_fraction <= 1.0, "d2d_fraction must lie in [0, 1]")
-    _check(cfg.max_pair_distance_m > 0, "max_pair_distance_m must be positive")
-    _check(0 <= cfg.micro_sites_per_grid <= MAX_MICRO_SITES_PER_GRID,
-           f"micro_sites_per_grid must lie in [0, {MAX_MICRO_SITES_PER_GRID}]")
-    for name, interval in (("cell_snr_target_db", cfg.cell_snr_target_db),
-                           ("d2d_snr_target_db", cfg.d2d_snr_target_db)):
-        _check(interval[0] <= interval[1], f"{name}: low must be <= high")
-    _check(cfg.gamma_cell_db >= 0, "gamma_cell_db must be >= 0")
-    _check(cfg.distance_ratio_threshold >= 0, "distance_ratio_threshold must be >= 0")
-    for site_name, site in (("macro", cfg.macro), ("micro", cfg.micro)):
-        _check(site.uplink_bandwidth_hz > 0, f"{site_name}.uplink_bandwidth_hz must be positive")
-        _check(1 <= site.sectors_per_site <= MAX_SECTORS_PER_SITE,
-               f"{site_name}.sectors_per_site must lie in [1, {MAX_SECTORS_PER_SITE}]")
-        _check(site.antenna.beamwidth_deg > 0, f"{site_name}.antenna.beamwidth_deg must be positive")
-        _check(site.antenna.front_to_back_db >= 0,
-               f"{site_name}.antenna.front_to_back_db must be >= 0")
-    for link_name, pl in (("macro_link", cfg.channel.macro_link),
-                          ("micro_link", cfg.channel.micro_link),
-                          ("ue_link", cfg.channel.ue_link)):
-        _check(pl.slope_los_db > 0, f"channel.{link_name}.slope_los_db must be positive")
-        _check(pl.slope_nlos_db >= pl.slope_los_db,
-               f"channel.{link_name}: slope_nlos_db must be >= slope_los_db")
-        _check(pl.nlos_penalty_db > 0, f"channel.{link_name}.nlos_penalty_db must be positive")
-        _check(pl.shadow_sigma_db >= 0, f"channel.{link_name}.shadow_sigma_db must be >= 0")
-    _check(cfg.channel.los_max_distance_m > 0, "channel.los_max_distance_m must be positive")
-    _check(cfg.channel.min_distance_m > 0, "channel.min_distance_m must be positive")
-    for name, length in (("grid_width_m", cfg.grid_width_m), ("grid_height_m", cfg.grid_height_m),
-                         ("channel.los_max_distance_m", cfg.channel.los_max_distance_m),
-                         ("channel.min_distance_m", cfg.channel.min_distance_m)):
-        _check(length <= MAX_LENGTH_M, f"{name} must be <= {MAX_LENGTH_M:g} m")
-    _check(cfg.replica_rings in (0, 1), "replica_rings must be 0 or 1")
-    if cfg.fixed_user_count is not None:
-        _check(cfg.fixed_user_count <= MAX_USERS_PER_DROP,
-               f"fixed_user_count must be <= {MAX_USERS_PER_DROP}")
-    else:
-        grids = (2 * cfg.replica_rings + 1) ** 2
-        mean = cfg.user_density_per_km2 * grids * cfg.grid_width_m * cfg.grid_height_m * 1e-6
-        _check(mean <= MAX_USERS_PER_DROP,
-               f"user_density_per_km2 gives {mean:.3g} users per drop on average over "
-               f"{grids} grid(s); at most {MAX_USERS_PER_DROP} are allowed")
-    _check(cfg.num_drops >= 1, "num_drops must be >= 1")
-    _check(cfg.seed >= 0, "seed must be >= 0")
+    for dotted, name, value in _numeric_leaves(cfg):
+        low, high = RANGES[name]
+        ends = value if isinstance(value, tuple) else (value,)
+        if not all(low <= v <= high for v in ends):
+            raise ConfigError(f"{dotted} must lie in [{low:g}, {high:g}]")
+        if isinstance(value, tuple) and value[0] > value[1]:
+            raise ConfigError(f"{dotted}: low must be <= high")
+    for link in ("macro_link", "micro_link", "ue_link"):
+        pl = getattr(cfg.channel, link)
+        if pl.slope_nlos_db < pl.slope_los_db:
+            raise ConfigError(f"channel.{link}: slope_nlos_db must be >= slope_los_db")
+    grids = (2 * cfg.replica_rings + 1) ** 2
+    mean = cfg.user_density_per_km2 * grids * cfg.grid_width_m * cfg.grid_height_m * 1e-6
+    if cfg.fixed_user_count is None and mean > MAX_USERS_PER_DROP:
+        raise ConfigError(f"user_density_per_km2 gives {mean:.3g} users per drop on average "
+                          f"over {grids} grid(s); at most {MAX_USERS_PER_DROP} are allowed")
 
 
 # ---------------------------------------------------------------------------

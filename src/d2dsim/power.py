@@ -38,4 +38,5 @@ def draw_snr_targets(
     lo, hi = interval_db
     if lo > hi:
         raise ValueError("target interval low must be <= high")
-    return rng.uniform(lo, hi, size=count)
+    # numpy refuses a high that is -0.0 over a 0.0 low; + 0.0 makes it 0.0
+    return rng.uniform(lo, hi + 0.0, size=count)

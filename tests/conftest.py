@@ -24,6 +24,17 @@ def tiny_config(**overrides) -> ScenarioConfig:
     return dataclasses.replace(ScenarioConfig(), **base)
 
 
+def config_leaves(cfg, path: str = ""):
+    """(dotted key, field name, value) of every leaf of a config tree, in
+    field order."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from config_leaves(value, f"{path}{f.name}.")
+        else:
+            yield f"{path}{f.name}", f.name, value
+
+
 def random_gain_set(rng: np.random.Generator, n_pairs: int, n_cells: int) -> FullGainSet:
     """Synthetic linear gains spanning several orders of magnitude."""
     g = lambda size: 10.0 ** rng.uniform(-12.0, -4.0, size=size)

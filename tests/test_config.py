@@ -2,16 +2,24 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from conftest import config_leaves
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from d2dsim.config import (MAX_LENGTH_M, MAX_MICRO_SITES_PER_GRID, MAX_SECTORS_PER_SITE,
-                           MAX_USERS_PER_DROP, SCENARIO_PRESETS, ConfigError, ScenarioConfig,
-                           apply_scenario, config_from_dict, load_config, validate_config)
+from d2dsim import cli, engine
+from d2dsim.config import (MAX_USERS_PER_DROP, RANGES, SCENARIO_PRESETS, ConfigError,
+                           ScenarioConfig, _merge, apply_scenario, config_from_dict, load_config,
+                           validate_config)
+from d2dsim.engine import WORKERS_ENV
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+# (dotted key, field name, default) of every leaf but the true/false one
+NUMERIC = [leaf for leaf in config_leaves(ScenarioConfig()) if not isinstance(leaf[2], bool)]
 
 
 def test_defaults_validate():
@@ -134,10 +142,11 @@ def test_validate_config_caps_users_per_drop():
     """A fixed count, or else the mean count over every replica grid, above
     MAX_USERS_PER_DROP is refused before any drop allocates positions."""
     validate_config(ScenarioConfig(fixed_user_count=MAX_USERS_PER_DROP))
-    with pytest.raises(ConfigError, match=f"fixed_user_count must be <= {MAX_USERS_PER_DROP}"):
+    with pytest.raises(ConfigError, match=r"fixed_user_count must lie in \[0, 1e\+06\]"):
         validate_config(ScenarioConfig(fixed_user_count=MAX_USERS_PER_DROP + 1))
     # a fixed count overrides the density, which then draws nobody
-    validate_config(ScenarioConfig(fixed_user_count=10, user_density_per_km2=1e12))
+    validate_config(ScenarioConfig(fixed_user_count=10,
+                                   user_density_per_km2=RANGES["user_density_per_km2"][1]))
     for rings, grids in ((0, 1), (1, 9)):
         cfg = ScenarioConfig(replica_rings=rings, grid_width_m=1000.0, grid_height_m=1000.0)
         validate_config(dataclasses.replace(cfg, user_density_per_km2=MAX_USERS_PER_DROP / grids))
@@ -148,10 +157,11 @@ def test_validate_config_caps_users_per_drop():
 
 def test_validate_config_caps_sites_and_sectors():
     """Micro sites per grid and sectors per site are accepted up to their
-    caps and refused one past them, before the environment is built."""
-    validate_config(ScenarioConfig(micro_sites_per_grid=MAX_MICRO_SITES_PER_GRID))
+    table rows' caps and refused one past them, before the environment is built."""
+    max_sites, max_sectors = RANGES["micro_sites_per_grid"][1], RANGES["sectors_per_site"][1]
+    validate_config(ScenarioConfig(micro_sites_per_grid=max_sites))
     with pytest.raises(ConfigError, match=r"micro_sites_per_grid must lie in \[0, 32\]"):
-        validate_config(ScenarioConfig(micro_sites_per_grid=MAX_MICRO_SITES_PER_GRID + 1))
+        validate_config(ScenarioConfig(micro_sites_per_grid=max_sites + 1))
     for name in ("macro", "micro"):
         site = getattr(ScenarioConfig(), name)
 
@@ -159,25 +169,132 @@ def test_validate_config_caps_sites_and_sectors():
             return dataclasses.replace(
                 ScenarioConfig(), **{name: dataclasses.replace(site, sectors_per_site=n)})
 
-        validate_config(with_sectors(MAX_SECTORS_PER_SITE))
+        validate_config(with_sectors(max_sectors))
         with pytest.raises(ConfigError, match=rf"{name}.sectors_per_site must lie in \[1, 12\]"):
-            validate_config(with_sectors(MAX_SECTORS_PER_SITE + 1))
+            validate_config(with_sectors(max_sectors + 1))
 
 
 def test_validate_config_caps_lengths():
-    """Grid sides and channel distances are accepted up to MAX_LENGTH_M,
-    all four at once, and refused one float past it, each on its own."""
+    """Grid sides and channel distances are accepted up to their table rows'
+    high bound, all four at once, and refused one float past it, each on its own."""
+    cap = RANGES["grid_width_m"][1]
+    assert cap == RANGES["grid_height_m"][1] == RANGES["los_max_distance_m"][1] \
+        == RANGES["min_distance_m"][1] == 1e7
     cfg = config_from_dict({
-        "fixed_user_count": 30, "grid_width_m": MAX_LENGTH_M, "grid_height_m": MAX_LENGTH_M,
-        "channel": {"los_max_distance_m": MAX_LENGTH_M, "min_distance_m": MAX_LENGTH_M}})
-    assert cfg.grid_height_m == cfg.channel.min_distance_m == MAX_LENGTH_M
-    past = float(np.nextafter(MAX_LENGTH_M, np.inf))
+        "fixed_user_count": 30, "grid_width_m": cap, "grid_height_m": cap,
+        "channel": {"los_max_distance_m": cap, "min_distance_m": cap}})
+    assert cfg.grid_height_m == cfg.channel.min_distance_m == cap
+    past = float(np.nextafter(cap, np.inf))
     for name, tree in (("grid_width_m", {"grid_width_m": past}),
                        ("grid_height_m", {"grid_height_m": past}),
                        ("channel.los_max_distance_m", {"channel": {"los_max_distance_m": past}}),
                        ("channel.min_distance_m", {"channel": {"min_distance_m": past}})):
-        with pytest.raises(ConfigError, match=rf"^{name} must be <= 1e\+07 m$"):
+        with pytest.raises(ConfigError, match=rf"^{name} must lie in \[0\.001, 1e\+07\]$"):
             config_from_dict({"fixed_user_count": 30, **tree})
+
+
+def test_range_table_has_one_row_per_numeric_field_name():
+    """A config field cannot land without a range, nor leave a stale row."""
+    leaves = list(config_leaves(ScenarioConfig()))
+    assert len(leaves) == 52
+    assert [dotted for dotted, _, value in leaves if isinstance(value, bool)] == ["micro_enabled"]
+    assert set(RANGES) == {name for _, name, _ in NUMERIC}
+    assert len(RANGES) == 33
+
+
+def test_presets_and_default_file_lie_inside_the_table():
+    cfgs = [apply_scenario(ScenarioConfig(), name) for name in SCENARIO_PRESETS]
+    with open(os.path.join(ROOT, "configs", "default.json"), encoding="utf-8") as fh:
+        cfgs.append(_merge(ScenarioConfig(), json.load(fh), ""))
+    for cfg in cfgs:
+        for dotted, name, value in config_leaves(cfg):
+            if name in RANGES and value is not None:
+                low, high = RANGES[name]
+                assert all(low <= v <= high for v in np.atleast_1d(value)), dotted
+
+
+def _with_leaves(cfg, values):
+    """cfg with each dotted key of values set, the way --set sets it."""
+    for dotted, value in values.items():
+        for part in reversed(dotted.split(".")):
+            value = {part: value}
+        cfg = _merge(cfg, value, "")
+    return cfg
+
+
+def _at_bound(end, leaves=NUMERIC):
+    """Each leaf (both ends of an interval) at its low (0) or high (1) bound."""
+    return {dotted: [RANGES[name][end]] * 2 if isinstance(default, tuple) else RANGES[name][end]
+            for dotted, name, default in leaves}
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_every_leaf_at_its_bound_is_accepted(end):
+    validate_config(_with_leaves(ScenarioConfig(), _at_bound(end)))
+
+
+def _beyond(bound, way):
+    """One step past a bound: the next float, or the next integer."""
+    return bound + way if isinstance(bound, int) else float(np.nextafter(bound, way * np.inf))
+
+
+@pytest.mark.parametrize("dotted, name, default", NUMERIC, ids=[leaf[0] for leaf in NUMERIC])
+def test_one_step_outside_a_bound_is_refused_in_one_line(tmp_path, capsys, monkeypatch,
+                                                         dotted, name, default):
+    """Each leaf one step below its low bound and one step above its high
+    bound (each end of an interval in turn) is refused by `run` with exit
+    status 2 and the one message, before any output directory exists."""
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    low, high = RANGES[name]
+    below, above = _beyond(low, -1), _beyond(high, 1)
+    values = ([[below, low], [low, below], [above, high], [high, above]]
+              if isinstance(default, tuple) else [below, above])
+    out = tmp_path / "out"
+    for value in values:
+        code = cli.main(["run", "--scenario", "hetnet", "--set", "fixed_user_count=30",
+                         "--set", f"{dotted}={json.dumps(value)}", "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {dotted} must lie in [{low:g}, {high:g}]\n"
+        assert not out.exists()
+
+
+# the leaves a drop reads: a fixed user count overrides the density
+_DRAWN = [leaf for leaf in NUMERIC if leaf[1] not in ("fixed_user_count", "user_density_per_km2")]
+
+
+@st.composite
+def _box_values(draw):
+    """A few leaves drawn from their rows, ends included, each link's
+    slopes kept in order."""
+    values = {}
+    for dotted, name, default in draw(st.lists(st.sampled_from(_DRAWN), min_size=1, max_size=8,
+                                               unique=True)):
+        low, high = RANGES[name]
+        number = st.sampled_from([low, high]) | (
+            st.integers(low, high) if isinstance(low, int) else st.floats(low, high))
+        values[dotted] = (sorted([draw(number), draw(number)]) if isinstance(default, tuple)
+                          else draw(number))
+    for link in ("macro_link", "micro_link", "ue_link"):
+        pl = getattr(ScenarioConfig().channel, link)
+        los, nlos = f"channel.{link}.slope_los_db", f"channel.{link}.slope_nlos_db"
+        values[los], values[nlos] = sorted([values.get(los, pl.slope_los_db),
+                                            values.get(nlos, pl.slope_nlos_db)])
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_box_values(), seed=st.integers(0, 2 ** 32 - 1))
+@example(values=_at_bound(0, _DRAWN), seed=0)
+@example(values=_at_bound(1, _DRAWN), seed=0)
+@example(values={"cell_snr_target_db": [0.0, -0.0], "d2d_snr_target_db": [0.0, -0.0]}, seed=0)
+def test_a_drop_anywhere_in_the_table_completes_with_finite_reports(values, seed):
+    cfg = _with_leaves(apply_scenario(ScenarioConfig(fixed_user_count=12), "hetnet"), values)
+    validate_config(cfg)
+    for report in engine.run_drop(cfg, seed).reports.values():
+        numbers = [v for key, v in dataclasses.asdict(report).items() if key != "by_kind"]
+        numbers += [v for kind in report.by_kind.values() for v in kind.values()]
+        assert all(math.isfinite(v) for v in numbers)
 
 
 def test_presets():

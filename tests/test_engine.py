@@ -6,17 +6,17 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tiny_config
+from conftest import config_leaves, tiny_config
 
 from d2dsim import channel, cli, engine
 from d2dsim.channel import noise_power_watts
-from d2dsim.config import (MAX_LENGTH_M, SCENARIO_PRESETS, ConfigError, ScenarioConfig,
-                           apply_scenario)
+from d2dsim.config import RANGES, SCENARIO_PRESETS, ConfigError, ScenarioConfig, apply_scenario
 from d2dsim.engine import (SCHEDULERS, SCHEMES, WORKERS_ENV, build_drop, drop_seed,
                            resolve_workers, run_campaign, run_drop, write_outputs)
 from d2dsim.feasibility import FeasibilityMatrix
@@ -283,7 +283,7 @@ def test_schedule_dispatch(monkeypatch):
     ({}, (), "empty scheme list"),
     ({}, ("proposed", "proposed"), "scheme 'proposed' listed twice"),
     ({}, ("proposed", "bogus"), "unknown scheme 'bogus'"),
-    ({"num_drops": 0}, ("proposed",), "num_drops must be >= 1"),
+    ({"num_drops": 0}, ("proposed",), "num_drops must lie in [1, 1e+06]"),
 ])
 def test_library_refuses_bad_input_before_any_drop(tmp_path, monkeypatch, overrides,
                                                    schemes, message):
@@ -294,11 +294,11 @@ def test_library_refuses_bad_input_before_any_drop(tmp_path, monkeypatch, overri
     for name in ("run_drop", "build_drop"):
         monkeypatch.setattr(engine, name, lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "x"
-    with pytest.raises(ConfigError, match=message) as info:
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
         run_campaign(tiny_config(**overrides), schemes, out_dir=str(out), workers=1)
     assert type(info.value) is ConfigError and "\n" not in str(info.value)
     if not overrides:
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             run_drop(tiny_config(), 3, schemes=schemes)  # the unpatched run_drop
     assert calls == [] and not out.exists()
 
@@ -867,15 +867,9 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     assert "lexicographic oracle [300 instances]: FAIL" in out
 
 
-# the lengths MAX_LENGTH_M caps: squared, or past a tree's or a table's
-# bounds, a longer one crashed a run
-_CAPPED_LENGTHS = ("grid_width_m", "grid_height_m", "channel.los_max_distance_m",
-                   "channel.min_distance_m")
-
-
 @pytest.mark.parametrize("extra, env, message", [
-    (["--drops", "0"], None, "num_drops must be >= 1"),
-    (["--seed", "-1"], None, "seed must be >= 0"),
+    (["--drops", "0"], None, "num_drops must lie in [1, 1e+06]"),
+    (["--seed", "-1"], None, "seed must lie in [0, 1.84467e+19]"),
     (["--workers", "0"], None, "worker count must be >= 1"),
     ([], "abc", f"{WORKERS_ENV} must be an integer"),
     (["--config", "no/such/file.json"], None, "cannot read"),
@@ -885,14 +879,14 @@ _CAPPED_LENGTHS = ("grid_width_m", "grid_height_m", "channel.los_max_distance_m"
      "unknown config key: 'channel.ue_link.sigma_los_db'"),
     (["--set", "gamma_cell_db=abc"], None, "value must be JSON"),
     (["--set", "gamma_cell_db=6,10"], None, "value must be JSON"),
-    (["--set", "gamma_cell_db=-1"], None, "gamma_cell_db must be >= 0"),
+    (["--set", "gamma_cell_db=-1"], None, "gamma_cell_db must lie in [0, 100]"),
     (["--set", "gamma_cell_db"], None, "expected dotted.key=<JSON value>"),
     (["--set", "macro=1"], None, "macro: expected an object"),
     (["--set", "micro_enabled=null"], None, "micro_enabled: expected true/false"),
     (["--scheme", ","], None, "empty scheme list"),
     (["--scheme", "proposed,proposed"], None, "scheme 'proposed' listed twice"),
     (["--scheme", "proposed,bogus"], None, "unknown scheme 'bogus'"),
-    (["--set", "num_drops=0"], None, "num_drops must be >= 1"),
+    (["--set", "num_drops=0"], None, "num_drops must lie in [1, 1e+06]"),
     ([], "-3", "worker count must be >= 1"),
     (["--set", "grid_width_m=1" + "0" * 400], None, "grid_width_m: expected a finite number"),
     (["--set", "seed=" + "[" * 10_000 + "]" * 10_000], None,
@@ -900,12 +894,21 @@ _CAPPED_LENGTHS = ("grid_width_m", "grid_height_m", "channel.los_max_distance_m"
     (["--set", "seed=1" + "0" * 5000], None, "--set seed: JSON value beyond parser limits"),
     (["--config", "deep.json"], None, "deep.json: JSON beyond parser limits"),
     (["--set", "fixed_user_count=null", "--set", "user_density_per_km2=1e12"], None,
-     "user_density_per_km2 gives 2.14e+11 users per drop on average"),
-    (["--set", "fixed_user_count=1000000000000"], None, "fixed_user_count must be <= 1000000"),
+     "user_density_per_km2 must lie in [0, 1e+07]"),
+    (["--set", "fixed_user_count=1000000000000"], None, "fixed_user_count must lie in [0, 1e+06]"),
     (["--set", "micro_sites_per_grid=100000"], None, "micro_sites_per_grid must lie in [0, 32]"),
     (["--set", "micro.sectors_per_site=13"], None, "micro.sectors_per_site must lie in [1, 12]"),
-    *[(["--set", f"{key}={float(np.nextafter(MAX_LENGTH_M, np.inf))!r}"], None,
-       f"{key} must be <= 1e+07 m") for key in _CAPPED_LENGTHS],
+    (["--set", "fixed_user_count=null", "--set", "user_density_per_km2=1e7"], None,
+     "user_density_per_km2 gives 2.14e+06 users per drop on average"),
+    # a traceback after the output directory was made (noise power 0, a
+    # non-finite matrix), every gain nan, or every user on one sector
+    (["--set", "macro.uplink_bandwidth_hz=1e-308"], None,
+     "macro.uplink_bandwidth_hz must lie in [1, 1e+12]"),
+    (["--set", "macro.antenna.max_gain_dbi=1e308"], None,
+     "macro.antenna.max_gain_dbi must lie in [-50, 50]"),
+    (["--set", "channel.macro_link.intercept_db=-1e4"], None,
+     "channel.macro_link.intercept_db must lie in [-100, 200]"),
+    (["--set", "macro.dl_power_dbm=1e300"], None, "macro.dl_power_dbm must lie in [-100, 100]"),
 ])
 def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
                                                 extra, env, message):
@@ -927,9 +930,12 @@ def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_run_completes_with_every_length_at_its_cap(tmp_path, monkeypatch):
+    """Every length (m) at the high bound of its RANGES row, all at once."""
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     out = tmp_path / "out"
-    at_cap = [a for key in _CAPPED_LENGTHS for a in ("--set", f"{key}={MAX_LENGTH_M!r}")]
+    at_cap = [a for key, name, _ in config_leaves(ScenarioConfig()) if name.endswith("_m")
+              for a in ("--set", f"{key}={RANGES[name][1]!r}")]
+    assert len(at_cap) == 2 * 5
     assert cli.main(["run", "--scenario", "hetnet", "--set", "fixed_user_count=30", *at_cap,
                      "--drops", "1", "--out", str(out), "--quiet"]) == 0
     assert (out / "summary.txt").exists()

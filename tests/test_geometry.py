@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dsim import channel, engine, geometry
-from d2dsim.config import (MAX_SECTORS_PER_SITE, SCENARIO_PRESETS, AntennaPattern, ScenarioConfig,
+from d2dsim.config import (RANGES, SCENARIO_PRESETS, AntennaPattern, ScenarioConfig,
                            apply_scenario, validate_config)
 from d2dsim.geometry import (_EDGE_EPS, _MAX_CELLS, _WEDGE_BINS, RectBuckets, SiteWedges,
                              _slab_interval, azimuth_bin, sample_outdoor_points,
@@ -508,7 +508,7 @@ def test_site_bound_is_each_kinds_peak_power():
             beamwidth_deg=float(rng.choice([1e-3, 1e4, 10.0 ** rng.uniform(-3.0, 4.0)])),
             front_to_back_db=float(rng.choice([0.0, rng.uniform(0.0, 100.0)])))
         return dataclasses.replace(
-            params, sectors_per_site=int(rng.integers(1, MAX_SECTORS_PER_SITE + 1)),
+            params, sectors_per_site=int(rng.integers(1, RANGES["sectors_per_site"][1] + 1)),
             sector_rotation_deg=float(rng.choice([0.0, 45.0, rng.uniform(-1e3, 1e3)])),
             dl_power_dbm=float(rng.uniform(0.0, 60.0)),
             selection_offset_db=float(rng.uniform(-60.0, 60.0)), antenna=antenna)

@@ -11,8 +11,8 @@ from scipy.spatial import cKDTree
 
 from d2dsim import scenario
 from d2dsim.channel import LINK_CLASS, DropChannel, site_key
-from d2dsim.config import (MAX_MICRO_SITES_PER_GRID, MAX_SECTORS_PER_SITE, SCENARIO_PRESETS,
-                           ScenarioConfig, apply_scenario, validate_config)
+from d2dsim.config import (RANGES, SCENARIO_PRESETS, ScenarioConfig, apply_scenario,
+                           validate_config)
 from d2dsim.engine import _STREAMS, _stream, drop_seed
 from d2dsim.scenario import (MAIN_STREET_Y, associate_users, drop_users,
                              exhaustive_association, generate_environment, pair_users)
@@ -452,15 +452,15 @@ def test_environment_build_memory_is_bounded():
 
 
 def test_environment_build_memory_is_bounded_at_the_site_caps():
-    """At MAX_MICRO_SITES_PER_GRID micro sites per grid and
-    MAX_SECTORS_PER_SITE sectors per site, the hetnet environment (297
-    sites) builds at ~23 MB of numpy allocations; its memory grows by ~0.7
-    MB per micro site per grid."""
+    """At the most micro sites per grid and sectors per site that RANGES
+    allows, the hetnet environment (297 sites) builds at ~23 MB of numpy
+    allocations; its memory grows by ~0.7 MB per micro site per grid."""
+    micro_sites, sectors = RANGES["micro_sites_per_grid"][1], RANGES["sectors_per_site"][1]
     cfg = apply_scenario(ScenarioConfig(), "hetnet")
     cfg = dataclasses.replace(
-        cfg, micro_sites_per_grid=MAX_MICRO_SITES_PER_GRID,
-        macro=dataclasses.replace(cfg.macro, sectors_per_site=MAX_SECTORS_PER_SITE),
-        micro=dataclasses.replace(cfg.micro, sectors_per_site=MAX_SECTORS_PER_SITE))
+        cfg, micro_sites_per_grid=micro_sites,
+        macro=dataclasses.replace(cfg.macro, sectors_per_site=sectors),
+        micro=dataclasses.replace(cfg.micro, sectors_per_site=sectors))
     validate_config(cfg)
     tracemalloc.start()
     try:
@@ -468,8 +468,8 @@ def test_environment_build_memory_is_bounded_at_the_site_caps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(env.site_wedges.sites) == 9 * (1 + MAX_MICRO_SITES_PER_GRID)
-    assert len(env.sectors) == len(env.site_wedges.sites) * MAX_SECTORS_PER_SITE
+    assert len(env.site_wedges.sites) == 9 * (1 + micro_sites)
+    assert len(env.sectors) == len(env.site_wedges.sites) * sectors
     assert peak < 32e6
 
 
