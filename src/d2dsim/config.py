@@ -266,7 +266,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         low, high = RANGES[name]
         ends = value if isinstance(value, tuple) else (value,)
         if not all(low <= v <= high for v in ends):
-            raise ConfigError(f"{dotted} must lie in [{low:g}, {high:g}]")
+            fmt = "d" if isinstance(low, int) and isinstance(high, int) else "g"
+            raise ConfigError(f"{dotted} must lie in [{low:{fmt}}, {high:{fmt}}]")
         if isinstance(value, tuple) and value[0] > value[1]:
             raise ConfigError(f"{dotted}: low must be <= high")
     for link in ("macro_link", "micro_link", "ue_link"):

@@ -18,6 +18,19 @@ until every column is owned.  It then walks the rows in order and moves each
 onto the smallest column that some maximum matching still gives it; one
 alternating-path search per candidate column decides.  The brute-force
 enumerators exist only as oracles.
+
+Capacity-max scores pair m on resource n by log2(1 + S_n / (I_m + sigma2))
+- log2(1 + S_n / sigma2), with one noise power sigma2 per sector.  The cross
+derivative of log(1 + S / (I + sigma2)) in S and I is negative, so with pairs
+by ascending I and resources by descending S the score is a Monge matrix
+(Hoffman 1963; Burkard, Klinz & Rudolf, Discrete Appl. Math. 70, 1996).
+Where every resource is reused (N >= M) the optimum is then closed-form: the
+M least-interfering pairs, the least interfering on the strongest resource.
+allocate_capacity_max_sorted finds it with two sorts, of one column of reuse
+SINRs and of the no-reuse SNRs: IEEE division and addition are monotone, so
+where neither key has an exact tie they order the pairs by I_m and the
+resources by S_n.  Where N < M or a key ties, the engine falls back to
+linear assignment over the log2 capacities (allocate_capacity_max).
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ __all__ = [
     "brute_force_lex_matching",
     "allocate_proposed",
     "allocate_capacity_max",
+    "allocate_capacity_max_sorted",
     "allocate_random",
     "allocate_none",
 ]
@@ -251,6 +265,29 @@ def allocate_capacity_max(
     out = np.full(n, -1)
     rows, cols = linear_sum_assignment(cap - base[None, :], maximize=True)
     out[rows] = cols
+    return Allocation(out)
+
+
+def allocate_capacity_max_sorted(
+    sinr_cell: np.ndarray, baseline_sinr: np.ndarray
+) -> Allocation | None:
+    """allocate_capacity_max's optimum by two sorts, where every resource is reused.
+
+    One sector's reuse SINRs sinr_cell[m, n] = S_n / (I_m + sigma2) and
+    no-reuse SNRs baseline_sinr[n] = S_n / sigma2, with one sigma2.  Returns
+    None when N < M or either sort key has an exact tie.
+    """
+    n, m = sinr_cell.shape
+    if n < m:
+        return None
+    out = np.full(n, -1)
+    if m:
+        row_key = sinr_cell[:, 0]  # never rises as I_m rises
+        rows, cols = row_key.argsort(), baseline_sinr.argsort()
+        r, c = row_key[rows], baseline_sinr[cols]
+        if not ((r[1:] > r[:-1]).all() and (c[1:] > c[:-1]).all()):
+            return None
+        out[rows[n - m:]] = cols  # the least interfering pair on the strongest resource
     return Allocation(out)
 
 

@@ -142,7 +142,7 @@ def test_validate_config_caps_users_per_drop():
     """A fixed count, or else the mean count over every replica grid, above
     MAX_USERS_PER_DROP is refused before any drop allocates positions."""
     validate_config(ScenarioConfig(fixed_user_count=MAX_USERS_PER_DROP))
-    with pytest.raises(ConfigError, match=r"fixed_user_count must lie in \[0, 1e\+06\]"):
+    with pytest.raises(ConfigError, match=r"fixed_user_count must lie in \[0, 1000000\]"):
         validate_config(ScenarioConfig(fixed_user_count=MAX_USERS_PER_DROP + 1))
     # a fixed count overrides the density, which then draws nobody
     validate_config(ScenarioConfig(fixed_user_count=10,
@@ -233,6 +233,11 @@ def test_every_leaf_at_its_bound_is_accepted(end):
     validate_config(_with_leaves(ScenarioConfig(), _at_bound(end)))
 
 
+def _shown(bound):
+    """A bound as the refusal prints it: an integer exactly, a float by :g."""
+    return str(bound) if isinstance(bound, int) else f"{bound:g}"
+
+
 def _beyond(bound, way):
     """One step past a bound: the next float, or the next integer."""
     return bound + way if isinstance(bound, int) else float(np.nextafter(bound, way * np.inf))
@@ -255,7 +260,7 @@ def test_one_step_outside_a_bound_is_refused_in_one_line(tmp_path, capsys, monke
                          "--set", f"{dotted}={json.dumps(value)}", "--out", str(out), "--quiet"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"config error: {dotted} must lie in [{low:g}, {high:g}]\n"
+        assert err == f"config error: {dotted} must lie in [{_shown(low)}, {_shown(high)}]\n"
         assert not out.exists()
 
 

@@ -279,11 +279,30 @@ def test_schedule_dispatch(monkeypatch):
     assert SCHEDULERS["none"](st, rng) == ("wrapped", n)
 
 
+@pytest.mark.parametrize("scenario", ["macro-scheme1", "hetnet"])
+def test_capacity_max_equals_linear_assignment_on_every_sector(monkeypatch, scenario):
+    """On every sector of a real drop the capacity-max adapter's allocation
+    equals allocate_capacity_max on the log2 capacities, whether it sorted
+    or fell back through the engine name; the drop takes both paths."""
+    drop = build_drop(apply_scenario(ScenarioConfig(), scenario), drop_seed(3, 0))
+    calls = []
+    monkeypatch.setattr(engine, "allocate_capacity_max",
+                        lambda *args: calls.append(args) or allocate_capacity_max(*args))
+    fell_back = []
+    for st in drop.states:
+        before = len(calls)
+        got = SCHEDULERS["capacity-max"](st, None)
+        fell_back.append(len(calls) > before)
+        want = allocate_capacity_max(np.log2(1.0 + st.sinr_cell), np.log2(1.0 + st.baseline_sinr))
+        np.testing.assert_array_equal(got.resource_of_pair, want.resource_of_pair)
+    assert set(fell_back) == {False, True}
+
+
 @pytest.mark.parametrize("overrides, schemes, message", [
     ({}, (), "empty scheme list"),
     ({}, ("proposed", "proposed"), "scheme 'proposed' listed twice"),
     ({}, ("proposed", "bogus"), "unknown scheme 'bogus'"),
-    ({"num_drops": 0}, ("proposed",), "num_drops must lie in [1, 1e+06]"),
+    ({"num_drops": 0}, ("proposed",), "num_drops must lie in [1, 1000000]"),
 ])
 def test_library_refuses_bad_input_before_any_drop(tmp_path, monkeypatch, overrides,
                                                    schemes, message):
@@ -868,8 +887,8 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("extra, env, message", [
-    (["--drops", "0"], None, "num_drops must lie in [1, 1e+06]"),
-    (["--seed", "-1"], None, "seed must lie in [0, 1.84467e+19]"),
+    (["--drops", "0"], None, "num_drops must lie in [1, 1000000]"),
+    (["--seed", "-1"], None, "seed must lie in [0, 18446744073709551615]"),
     (["--workers", "0"], None, "worker count must be >= 1"),
     ([], "abc", f"{WORKERS_ENV} must be an integer"),
     (["--config", "no/such/file.json"], None, "cannot read"),
@@ -886,7 +905,7 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--scheme", ","], None, "empty scheme list"),
     (["--scheme", "proposed,proposed"], None, "scheme 'proposed' listed twice"),
     (["--scheme", "proposed,bogus"], None, "unknown scheme 'bogus'"),
-    (["--set", "num_drops=0"], None, "num_drops must lie in [1, 1e+06]"),
+    (["--set", "num_drops=0"], None, "num_drops must lie in [1, 1000000]"),
     ([], "-3", "worker count must be >= 1"),
     (["--set", "grid_width_m=1" + "0" * 400], None, "grid_width_m: expected a finite number"),
     (["--set", "seed=" + "[" * 10_000 + "]" * 10_000], None,
@@ -895,7 +914,7 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--config", "deep.json"], None, "deep.json: JSON beyond parser limits"),
     (["--set", "fixed_user_count=null", "--set", "user_density_per_km2=1e12"], None,
      "user_density_per_km2 must lie in [0, 1e+07]"),
-    (["--set", "fixed_user_count=1000000000000"], None, "fixed_user_count must lie in [0, 1e+06]"),
+    (["--set", "fixed_user_count=1000000000000"], None, "fixed_user_count must lie in [0, 1000000]"),
     (["--set", "micro_sites_per_grid=100000"], None, "micro_sites_per_grid must lie in [0, 32]"),
     (["--set", "micro.sectors_per_site=13"], None, "micro.sectors_per_site must lie in [1, 12]"),
     (["--set", "fixed_user_count=null", "--set", "user_density_per_km2=1e7"], None,

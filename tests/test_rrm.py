@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dsim.feasibility import FeasibilityMatrix
-from d2dsim.rrm import (_Matching, allocate_capacity_max, allocate_none, allocate_proposed,
-                        allocate_random, brute_force_lex_matching,
-                        brute_force_max_matching, max_matching_size)
+from d2dsim.feasibility import FeasibilityMatrix, reuse_cell_sinr
+from d2dsim.rrm import (_Matching, allocate_capacity_max, allocate_capacity_max_sorted,
+                        allocate_none, allocate_proposed, allocate_random,
+                        brute_force_lex_matching, brute_force_max_matching, max_matching_size)
 from reference import AugmentOnlyMatching
 
 
@@ -279,6 +279,66 @@ def test_capacity_max_validation(rng):
         allocate_capacity_max(rng.uniform(0, 1, (2, 3)), np.zeros(2))
     a = allocate_capacity_max(np.zeros((0, 3)), np.zeros(3))
     assert vec(a) == ()
+
+
+def sector_sinrs(signal, interference, sigma2):
+    """One sector's reuse SINRs and no-reuse SNRs, the way build_drop forms them."""
+    signal, interference = np.asarray(signal, dtype=float), np.asarray(interference, dtype=float)
+    return (reuse_cell_sinr(signal[None, :], interference[:, None], sigma2),
+            signal / sigma2)
+
+
+def linear_assignment(sinr, baseline):
+    """allocate_capacity_max on the log2 capacities, as the engine's fallback calls it."""
+    return allocate_capacity_max(np.log2(1.0 + sinr), np.log2(1.0 + baseline))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.one_of(st.integers(0, 6), st.integers(7, 30)).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_sorted_capacity_max_equals_linear_assignment(seed, shape):
+    """Where every resource is reused (N >= M), the two sorts give the
+    assignment linear_sum_assignment gives, and for N <= 6 the exhaustive
+    optimum."""
+    n, m = shape
+    rng = np.random.default_rng(seed)
+    sigma2 = 10.0 ** rng.uniform(-16.0, -12.0)
+    # cellular SNRs -10..40 dB; interference -30..30 dB over the noise
+    sinr, base = sector_sinrs(sigma2 * 10.0 ** rng.uniform(-1.0, 4.0, m),
+                              sigma2 * 10.0 ** rng.uniform(-3.0, 3.0, n), sigma2)
+    alloc = allocate_capacity_max_sorted(sinr, base)
+    assert alloc is not None  # continuous draws: no key ties
+    assert vec(alloc) == vec(linear_assignment(sinr, base))
+    assert alloc.enabled_pairs == m
+    if n <= 6:
+        cap, cap_base = np.log2(1.0 + sinr), np.log2(1.0 + base)
+        assert realized_total(cap, cap_base, alloc) == pytest.approx(
+            capacity_oracle(cap, cap_base), abs=1e-9)
+
+
+@pytest.mark.parametrize("signal, interference, sigma2", [
+    ([1.0, 2.0], [3.0, 3.0, 1.0], 1.0),  # tied interference
+    ([1.0, 2.0], [0.0, 1e-30, 1.0], 1e-13),  # distinct interference, one sum with the noise
+    ([2.0, 1.0, 2.0], [1.0, 2.0, 3.0], 1.0),  # tied signals
+])
+def test_sorted_capacity_max_falls_back_on_tied_keys(signal, interference, sigma2):
+    assert allocate_capacity_max_sorted(*sector_sinrs(signal, interference, sigma2)) is None
+
+
+@pytest.mark.parametrize("n, m, want", [
+    (3, 0, (-1, -1, -1)),  # no resources: every pair stays silent
+    (0, 0, ()),
+    (0, 2, None),  # N < M: linear assignment decides
+    (2, 3, None),
+    (1, 1, (0,)),
+])
+def test_sorted_capacity_max_edge_shapes(n, m, want):
+    sinr, base = sector_sinrs(np.arange(1.0, m + 1), np.arange(1.0, n + 1), 0.5)
+    alloc = allocate_capacity_max_sorted(sinr, base)
+    assert (None if alloc is None else vec(alloc)) == want
+    if alloc is not None:
+        assert vec(alloc) == vec(linear_assignment(sinr, base))
 
 
 def test_allocate_random_properties():
