@@ -13,14 +13,15 @@ import numpy as np
 from . import engine, rrm, signaling
 from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig, _merge,
                      apply_scenario, load_config, validate_config)
-from .feasibility import FeasibilityMatrix
+from .feasibility import FeasibilityMatrix, reuse_cell_sinr
 from .scenario import associate_users, exhaustive_association
 
 # Seed-0 drops per preset that the association oracle checks, the random
-# instances of the matching and assignment oracles, and their seed.
+# instances of the matching, assignment and capacity-max oracles, and their seed.
 _ASSOCIATION_DROPS = 2
 _MATCHING_INSTANCES = 300
 _ASSIGNMENT_INSTANCES = 200
+_CAPACITY_SECTORS = 300
 _ORACLE_SEED = 0
 
 
@@ -161,6 +162,22 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _verdict(name: str, bad: int, unit: str = "mismatches") -> bool:
+    """Print one oracle line; True when it passes."""
+    print(f"{name}: " + ("PASS" if bad == 0 else f"FAIL ({bad} {unit})"))
+    return bad == 0
+
+
+def _misses_optimum(score: np.ndarray, alloc: rrm.Allocation) -> bool:
+    """Exhaustive oracle: alloc's summed score is below the best injective one's."""
+    total = sum(score[m, n] for m, n in alloc.pairs())
+    if score.shape[0] > score.shape[1]:
+        score = score.T
+    n, m = score.shape
+    picks = np.array(list(itertools.permutations(range(m), n)), dtype=int)
+    return abs(total - score[np.arange(n), picks].sum(axis=1).max()) > 1e-9
+
+
 def _cmd_oracle(args) -> int:
     rng = np.random.default_rng(_ORACLE_SEED)
     ok = True
@@ -174,22 +191,29 @@ def _cmd_oracle(args) -> int:
         chosen = rrm.allocate_proposed(FeasibilityMatrix(adj))
         lex_bad += tuple(chosen.resource_of_pair.tolist()) != rrm.brute_force_lex_matching(adj)
     for name, bad in (("matching", size_bad), ("lexicographic", lex_bad)):
-        line = "PASS" if bad == 0 else f"FAIL ({bad} mismatches)"
-        print(f"{name} oracle [{_MATCHING_INSTANCES} instances]: {line}")
-        ok &= bad == 0
+        ok &= _verdict(f"{name} oracle [{_MATCHING_INSTANCES} instances]", bad)
 
     mismatches = 0
     for _ in range(_ASSIGNMENT_INSTANCES):
         score = rng.uniform(0.0, 8.0, size=(5, 5))
-        picked = rrm.allocate_capacity_max(score, np.zeros(5)).pairs()
-        total = sum(score[m, n] for m, n in picked)
-        best = max(sum(score[i, p[i]] for i in range(5))
-                   for p in itertools.permutations(range(5)))
-        if abs(total - best) > 1e-9:
-            mismatches += 1
-    line = "PASS" if mismatches == 0 else f"FAIL ({mismatches} mismatches)"
-    print(f"assignment oracle [{_ASSIGNMENT_INSTANCES} instances]: {line}")
-    ok &= mismatches == 0
+        mismatches += _misses_optimum(score, rrm.max_score_assignment(score))
+    ok &= _verdict(f"assignment oracle [{_ASSIGNMENT_INSTANCES} instances]", mismatches)
+
+    # capacity-max on sectors built like build_drop's, N and M in 0..8: the
+    # general assignment's schedule, and for N <= 6 the exhaustive optimum
+    mismatches = 0
+    for _ in range(_CAPACITY_SECTORS):
+        n, m = rng.integers(0, 9, 2).tolist()
+        sigma2 = 10.0 ** rng.uniform(-16.0, -12.0)
+        signal = sigma2 * 10.0 ** rng.uniform(-1.0, 4.0, m)  # SNR -10..40 dB
+        interference = sigma2 * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))  # -30..30 dB over noise
+        sinr, base = reuse_cell_sinr(signal, interference, sigma2), signal / sigma2
+        score = np.log2(1.0 + sinr) - np.log2(1.0 + base)
+        got = rrm.allocate_capacity_max(sinr, base)
+        mismatches += (not np.array_equal(got.resource_of_pair,
+                                          rrm.max_score_assignment(score).resource_of_pair)
+                       or n <= 6 and _misses_optimum(score, got))
+    ok &= _verdict(f"capacity-max oracle [{_CAPACITY_SECTORS} sectors]", mismatches, "sectors")
 
     # bit-level: element-wise gains must not depend on the links around them.
     # A user fails when associate_users over every user, or build_drop at a
@@ -207,9 +231,8 @@ def _cmd_oracle(args) -> int:
                 | ((drop.serving >= 0)
                    & ((drop.serving != serving)
                       | (drop.serving_gain.view(np.int64) != gain.view(np.int64)))))
-    line = "PASS" if mismatches == 0 else f"FAIL ({mismatches} users)"
-    print(f"association oracle [{_ASSOCIATION_DROPS} seed-0 drops per preset]: {line}")
-    ok &= mismatches == 0
+    ok &= _verdict(f"association oracle [{_ASSOCIATION_DROPS} seed-0 drops per preset]",
+                   mismatches, "users")
     return 0 if ok else 1
 
 

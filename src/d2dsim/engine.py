@@ -46,8 +46,8 @@ from .feasibility import (SinrTargets, baseline_cell_sinr, feasibility_context,
                           reuse_cell_sinr)
 from .metrics import CapacityReport, DropArrays, SectorState, aggregate_gain, evaluate_drop
 from .power import draw_snr_targets, open_loop_power_w
-from .rrm import (Allocation, allocate_capacity_max, allocate_capacity_max_sorted,
-                  allocate_none, allocate_proposed, allocate_random)
+from .rrm import (Allocation, allocate_capacity_max, allocate_none, allocate_proposed,
+                  allocate_random)
 from .scenario import associate_users, drop_users, generate_environment, pair_users
 from .units import db_to_linear
 
@@ -57,11 +57,7 @@ from .units import db_to_linear
 # time, so a wrapper set on those names (perfbench's tracer) sees every call.
 SCHEDULERS: dict[str, Callable[[SectorState, np.random.Generator], Allocation]] = {
     "proposed": lambda st, rng: allocate_proposed(st.feas_context),
-    # the sorted optimum where it applies (an Allocation is always true),
-    # else linear assignment over the log2 capacities
-    "capacity-max": lambda st, rng: (
-        allocate_capacity_max_sorted(st.sinr_cell, st.baseline_sinr)
-        or allocate_capacity_max(np.log2(1.0 + st.sinr_cell), np.log2(1.0 + st.baseline_sinr))),
+    "capacity-max": lambda st, rng: allocate_capacity_max(st.sinr_cell, st.baseline_sinr),
     "random": lambda st, rng: allocate_random(*st.shape, rng),
     "none": lambda st, rng: allocate_none(st.shape[0]),
 }

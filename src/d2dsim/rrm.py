@@ -23,14 +23,15 @@ Capacity-max scores pair m on resource n by log2(1 + S_n / (I_m + sigma2))
 - log2(1 + S_n / sigma2), with one noise power sigma2 per sector.  The cross
 derivative of log(1 + S / (I + sigma2)) in S and I is negative, so with pairs
 by ascending I and resources by descending S the score is a Monge matrix
-(Hoffman 1963; Burkard, Klinz & Rudolf, Discrete Appl. Math. 70, 1996).
-Where every resource is reused (N >= M) the optimum is then closed-form: the
-M least-interfering pairs, the least interfering on the strongest resource.
-allocate_capacity_max_sorted finds it with two sorts, of one column of reuse
-SINRs and of the no-reuse SNRs: IEEE division and addition are monotone, so
-where neither key has an exact tie they order the pairs by I_m and the
-resources by S_n.  Where N < M or a key ties, the engine falls back to
-linear assignment over the log2 capacities (allocate_capacity_max).
+(Hoffman 1963; Burkard, Klinz & Rudolf, Discrete Appl. Math. 70, 1996); where
+I_m > 0 it also falls strictly as S_n grows.  The optimum is then closed-form:
+the min(N, M) least-interfering pairs on the min(N, M) weakest resources, the
+least interfering on the strongest of them.  Two sorts find it, of one column
+of reuse SINRs and of the no-reuse SNRs: IEEE division and addition are
+monotone, so where neither key ties they order the pairs by I_m and the
+resources by S_n.  Where a key ties or a pair's interference vanishes against
+the noise, linear assignment over the log2 capacities decides
+(max_score_assignment, the one importer of scipy.optimize).
 """
 
 from __future__ import annotations
@@ -38,21 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .feasibility import FeasibilityMatrix
 
-__all__ = [
-    "Allocation",
-    "max_matching_size",
-    "brute_force_max_matching",
-    "brute_force_lex_matching",
-    "allocate_proposed",
-    "allocate_capacity_max",
-    "allocate_capacity_max_sorted",
-    "allocate_random",
-    "allocate_none",
-]
+__all__ = ["Allocation", "max_matching_size", "brute_force_max_matching",
+           "brute_force_lex_matching", "allocate_proposed", "allocate_capacity_max",
+           "max_score_assignment", "allocate_random", "allocate_none"]
 
 
 @dataclass(frozen=True)
@@ -248,46 +240,35 @@ def allocate_proposed(feasibility: FeasibilityMatrix) -> Allocation:
     return Allocation(np.array(mt.match, dtype=int))
 
 
-def allocate_capacity_max(
-    cell_capacity: np.ndarray, baseline_capacity: np.ndarray
-) -> Allocation:
+def allocate_capacity_max(sinr_cell: np.ndarray, baseline_sinr: np.ndarray) -> Allocation:
     """Reuse min(N, M) resources so summed cellular capacity is maximal.
 
-    cell_capacity[m, n] is the cellular rate of resource n under reuse by
-    pair m; unreused resources keep baseline_capacity[n].  Always schedules
-    min(N, M) pairs — this comparator never declines a reuse opportunity.
-    """
-    cap = np.asarray(cell_capacity, dtype=float)
-    base = np.asarray(baseline_capacity, dtype=float)
-    n, m = cap.shape
-    if base.shape != (m,):
-        raise ValueError("baseline_capacity length must match resource count")
-    out = np.full(n, -1)
-    rows, cols = linear_sum_assignment(cap - base[None, :], maximize=True)
-    out[rows] = cols
-    return Allocation(out)
-
-
-def allocate_capacity_max_sorted(
-    sinr_cell: np.ndarray, baseline_sinr: np.ndarray
-) -> Allocation | None:
-    """allocate_capacity_max's optimum by two sorts, where every resource is reused.
-
     One sector's reuse SINRs sinr_cell[m, n] = S_n / (I_m + sigma2) and
-    no-reuse SNRs baseline_sinr[n] = S_n / sigma2, with one sigma2.  Returns
-    None when N < M or either sort key has an exact tie.
+    no-reuse SNRs baseline_sinr[n] = S_n / sigma2, with one sigma2.
     """
     n, m = sinr_cell.shape
-    if n < m:
-        return None
+    if baseline_sinr.shape != (m,):
+        raise ValueError("baseline_sinr length must match resource count")
+    k = min(n, m)
     out = np.full(n, -1)
-    if m:
+    if k:
         row_key = sinr_cell[:, 0]  # never rises as I_m rises
         rows, cols = row_key.argsort(), baseline_sinr.argsort()
         r, c = row_key[rows], baseline_sinr[cols]
-        if not ((r[1:] > r[:-1]).all() and (c[1:] > c[:-1]).all()):
-            return None
-        out[rows[n - m:]] = cols  # the least interfering pair on the strongest resource
+        # no pair's interference vanishes if the least interfering pair's does not
+        if not ((r[1:] > r[:-1]).all() and (c[1:] > c[:-1]).all()
+                and (sinr_cell[rows[-1]] < baseline_sinr).all()):
+            return max_score_assignment(np.log2(1.0 + sinr_cell) - np.log2(1.0 + baseline_sinr))
+        out[rows[n - k:]] = cols[:k]  # the least interfering pair on the strongest resource
+    return Allocation(out)
+
+
+def max_score_assignment(score: np.ndarray) -> Allocation:
+    """Assign min(N, M) rows to distinct columns so the summed score is maximal."""
+    from scipy.optimize import linear_sum_assignment  # ~11 MB that most runs never need
+    out = np.full(len(score), -1)
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    out[rows] = cols
     return Allocation(out)
 
 

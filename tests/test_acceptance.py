@@ -16,8 +16,7 @@ import pytest
 from d2dsim.config import ScenarioConfig, apply_scenario
 from d2dsim.engine import SCHEMES, run_campaign
 from d2dsim.feasibility import feasibility_context, sinr_cell_matrix
-from d2dsim.rrm import (allocate_capacity_max, allocate_proposed,
-                        brute_force_max_matching)
+from d2dsim.rrm import allocate_proposed, brute_force_max_matching, max_score_assignment
 from d2dsim.feasibility import FeasibilityMatrix
 from d2dsim.signaling import (MessageKind, context_gain_reports,
                               full_csi_report_count, run_multi_cell,
@@ -79,7 +78,7 @@ def test_capacity_allocator_equals_permutation_max():
     for _ in range(500):
         cap = rng.uniform(0.0, 10.0, (5, 5))
         base = rng.uniform(0.0, 10.0, 5)
-        alloc = allocate_capacity_max(cap, base)
+        alloc = max_score_assignment(cap - base[None, :])
         got = sum(cap[r, c] for r, c in alloc.pairs())
         best = max(sum(cap[i, p[i]] for i in range(5))
                    for p in itertools.permutations(range(5)))

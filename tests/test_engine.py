@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import config_leaves, tiny_config
 
-from d2dsim import channel, cli, engine
+from d2dsim import channel, cli, engine, rrm
 from d2dsim.channel import noise_power_watts
 from d2dsim.config import RANGES, SCENARIO_PRESETS, ConfigError, ScenarioConfig, apply_scenario
 from d2dsim.engine import (SCHEDULERS, SCHEMES, WORKERS_ENV, build_drop, drop_seed,
@@ -23,7 +23,7 @@ from d2dsim.feasibility import FeasibilityMatrix
 from d2dsim.metrics import CapacityReport, link_rates
 from d2dsim.power import draw_snr_targets, open_loop_power_w
 from d2dsim.rrm import (Allocation, allocate_capacity_max, allocate_none, allocate_proposed,
-                        allocate_random)
+                        allocate_random, max_score_assignment)
 from d2dsim.scenario import associate_users, drop_users, generate_environment, pair_users
 from d2dsim.signaling import run_single_cell
 from d2dsim.units import db_to_linear
@@ -271,31 +271,39 @@ def test_schedule_dispatch(monkeypatch):
     assert same(SCHEDULERS["proposed"](st, rng), allocate_proposed(st.feas_context))
     assert same(SCHEDULERS["none"](st, rng), allocate_none(n))
     cap = SCHEDULERS["capacity-max"](st, rng)
-    assert same(cap, allocate_capacity_max(np.log2(1.0 + st.sinr_cell),
-                                           np.log2(1.0 + st.baseline_sinr)))
+    assert same(cap, allocate_capacity_max(st.sinr_cell, st.baseline_sinr))
     assert cap.enabled_pairs == min(n, m)
     assert same(SCHEDULERS["random"](st, rng), allocate_random(n, m, np.random.default_rng(5)))
     monkeypatch.setattr(engine, "allocate_none", lambda n_pairs: ("wrapped", n_pairs))
     assert SCHEDULERS["none"](st, rng) == ("wrapped", n)
+    monkeypatch.setattr(engine, "allocate_capacity_max", lambda *args: "wrapped")
+    assert SCHEDULERS["capacity-max"](st, rng) == "wrapped"
 
 
 @pytest.mark.parametrize("scenario", ["macro-scheme1", "hetnet"])
 def test_capacity_max_equals_linear_assignment_on_every_sector(monkeypatch, scenario):
     """On every sector of a real drop the capacity-max adapter's allocation
-    equals allocate_capacity_max on the log2 capacities, whether it sorted
-    or fell back through the engine name; the drop takes both paths."""
-    drop = build_drop(apply_scenario(ScenarioConfig(), scenario), drop_seed(3, 0))
+    equals the general assignment on the log2 capacities.  The preset drop
+    takes the closed form in every sector; with one cellular SNR target the
+    no-reuse SNRs tie, and the same drop falls back through rrm."""
     calls = []
-    monkeypatch.setattr(engine, "allocate_capacity_max",
-                        lambda *args: calls.append(args) or allocate_capacity_max(*args))
-    fell_back = []
-    for st in drop.states:
-        before = len(calls)
-        got = SCHEDULERS["capacity-max"](st, None)
-        fell_back.append(len(calls) > before)
-        want = allocate_capacity_max(np.log2(1.0 + st.sinr_cell), np.log2(1.0 + st.baseline_sinr))
-        np.testing.assert_array_equal(got.resource_of_pair, want.resource_of_pair)
-    assert set(fell_back) == {False, True}
+    monkeypatch.setattr(rrm, "max_score_assignment",
+                        lambda score: calls.append(score) or max_score_assignment(score))
+
+    def fell_back(cfg) -> list[bool]:
+        took = []
+        for st in build_drop(cfg, drop_seed(3, 0)).states:
+            before = len(calls)
+            got = SCHEDULERS["capacity-max"](st, None)
+            took.append(len(calls) > before)
+            want = max_score_assignment(np.log2(1.0 + st.sinr_cell)
+                                        - np.log2(1.0 + st.baseline_sinr))
+            np.testing.assert_array_equal(got.resource_of_pair, want.resource_of_pair)
+        return took
+
+    preset = apply_scenario(ScenarioConfig(), scenario)
+    assert not any(fell_back(preset))
+    assert any(fell_back(dataclasses.replace(preset, cell_snr_target_db=(10.0, 10.0))))
 
 
 @pytest.mark.parametrize("overrides, schemes, message", [
@@ -853,8 +861,9 @@ def test_cli_oracle(capsys):
     code = cli.main(["oracle"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 5
     assert "lexicographic oracle [300 instances]: PASS" in out
+    assert "capacity-max oracle [300 sectors]: PASS" in out
     assert "association oracle [2 seed-0 drops per preset]: PASS" in out
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dsim import rrm
 from d2dsim.feasibility import FeasibilityMatrix, reuse_cell_sinr
-from d2dsim.rrm import (_Matching, allocate_capacity_max, allocate_capacity_max_sorted,
-                        allocate_none, allocate_proposed, allocate_random,
-                        brute_force_lex_matching, brute_force_max_matching, max_matching_size)
+from d2dsim.rrm import (_Matching, allocate_capacity_max, allocate_none, allocate_proposed,
+                        allocate_random, brute_force_lex_matching, brute_force_max_matching,
+                        max_matching_size, max_score_assignment)
 from reference import AugmentOnlyMatching
 
 
@@ -265,13 +266,21 @@ def realized_total(cap, base, alloc):
 
 @pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 2), (5, 5), (1, 1)])
 def test_capacity_max_matches_exhaustive(n, m, rng):
+    """The general assignment on any capacities, and capacity-max on one
+    sector's SINRs, reach the exhaustive optimum."""
     for _ in range(60):
         cap = rng.uniform(0.0, 8.0, (n, m))
         base = rng.uniform(0.0, 8.0, m)
-        alloc = allocate_capacity_max(cap, base)
+        alloc = max_score_assignment(cap - base[None, :])
         assert alloc.enabled_pairs == min(n, m)  # never declines
         got = realized_total(cap, base, alloc)
         assert got == pytest.approx(capacity_oracle(cap, base), abs=1e-9)
+        sinr, sinr_base = random_sector(rng, n, m)
+        cap, base = np.log2(1.0 + sinr), np.log2(1.0 + sinr_base)
+        alloc = allocate_capacity_max(sinr, sinr_base)
+        assert alloc.enabled_pairs == min(n, m)
+        assert realized_total(cap, base, alloc) == pytest.approx(capacity_oracle(cap, base),
+                                                                 abs=1e-9)
 
 
 def test_capacity_max_validation(rng):
@@ -288,30 +297,46 @@ def sector_sinrs(signal, interference, sigma2):
             signal / sigma2)
 
 
+def random_sector(rng, n, m):
+    """A sector with cellular SNRs -10..40 dB and interference -30..30 dB
+    over the noise."""
+    sigma2 = 10.0 ** rng.uniform(-16.0, -12.0)
+    return sector_sinrs(sigma2 * 10.0 ** rng.uniform(-1.0, 4.0, m),
+                        sigma2 * 10.0 ** rng.uniform(-3.0, 3.0, n), sigma2)
+
+
 def linear_assignment(sinr, baseline):
-    """allocate_capacity_max on the log2 capacities, as the engine's fallback calls it."""
-    return allocate_capacity_max(np.log2(1.0 + sinr), np.log2(1.0 + baseline))
+    """The general assignment on the log2 capacities, as capacity-max falls back to it."""
+    return max_score_assignment(np.log2(1.0 + sinr) - np.log2(1.0 + baseline)[None, :])
+
+
+def capacity_max_path(sinr, baseline):
+    """allocate_capacity_max's allocation, and whether it fell back to the
+    general assignment."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rrm, "max_score_assignment",
+                   lambda score: calls.append(score) or max_score_assignment(score))
+        alloc = allocate_capacity_max(sinr, baseline)
+    return alloc, bool(calls)
+
+
+SIZES = st.one_of(st.integers(0, 6), st.integers(7, 30))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.one_of(st.integers(0, 6), st.integers(7, 30)).flatmap(
-           lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.tuples(SIZES, SIZES))
 def test_sorted_capacity_max_equals_linear_assignment(seed, shape):
-    """Where every resource is reused (N >= M), the two sorts give the
-    assignment linear_sum_assignment gives, and for N <= 6 the exhaustive
-    optimum."""
+    """Both where every resource is reused (N >= M) and where pairs are fewer
+    (N < M), the two sorts give the assignment linear_sum_assignment gives,
+    and for N, M <= 6 the exhaustive optimum."""
     n, m = shape
-    rng = np.random.default_rng(seed)
-    sigma2 = 10.0 ** rng.uniform(-16.0, -12.0)
-    # cellular SNRs -10..40 dB; interference -30..30 dB over the noise
-    sinr, base = sector_sinrs(sigma2 * 10.0 ** rng.uniform(-1.0, 4.0, m),
-                              sigma2 * 10.0 ** rng.uniform(-3.0, 3.0, n), sigma2)
-    alloc = allocate_capacity_max_sorted(sinr, base)
-    assert alloc is not None  # continuous draws: no key ties
+    sinr, base = random_sector(np.random.default_rng(seed), n, m)
+    alloc, fell_back = capacity_max_path(sinr, base)
+    assert not fell_back  # continuous draws: no key ties, no absorbed pair
     assert vec(alloc) == vec(linear_assignment(sinr, base))
-    assert alloc.enabled_pairs == m
-    if n <= 6:
+    assert alloc.enabled_pairs == min(n, m)
+    if max(n, m) <= 6:
         cap, cap_base = np.log2(1.0 + sinr), np.log2(1.0 + base)
         assert realized_total(cap, cap_base, alloc) == pytest.approx(
             capacity_oracle(cap, cap_base), abs=1e-9)
@@ -321,24 +346,27 @@ def test_sorted_capacity_max_equals_linear_assignment(seed, shape):
     ([1.0, 2.0], [3.0, 3.0, 1.0], 1.0),  # tied interference
     ([1.0, 2.0], [0.0, 1e-30, 1.0], 1e-13),  # distinct interference, one sum with the noise
     ([2.0, 1.0, 2.0], [1.0, 2.0, 3.0], 1.0),  # tied signals
+    ([1.0, 2.0, 3.0], [1e-30, 1.0], 1e-13),  # distinct keys, but pair 0 absorbed: I + sigma2 == sigma2
 ])
 def test_sorted_capacity_max_falls_back_on_tied_keys(signal, interference, sigma2):
-    assert allocate_capacity_max_sorted(*sector_sinrs(signal, interference, sigma2)) is None
+    sinr, base = sector_sinrs(signal, interference, sigma2)
+    alloc, fell_back = capacity_max_path(sinr, base)
+    assert fell_back
+    assert vec(alloc) == vec(linear_assignment(sinr, base))
 
 
 @pytest.mark.parametrize("n, m, want", [
     (3, 0, (-1, -1, -1)),  # no resources: every pair stays silent
     (0, 0, ()),
-    (0, 2, None),  # N < M: linear assignment decides
-    (2, 3, None),
+    (0, 2, ()),
+    (2, 3, (1, 0)),  # N < M: the two weakest resources, pair 1 on the weakest
     (1, 1, (0,)),
 ])
 def test_sorted_capacity_max_edge_shapes(n, m, want):
     sinr, base = sector_sinrs(np.arange(1.0, m + 1), np.arange(1.0, n + 1), 0.5)
-    alloc = allocate_capacity_max_sorted(sinr, base)
-    assert (None if alloc is None else vec(alloc)) == want
-    if alloc is not None:
-        assert vec(alloc) == vec(linear_assignment(sinr, base))
+    alloc, fell_back = capacity_max_path(sinr, base)
+    assert not fell_back
+    assert vec(alloc) == want == vec(linear_assignment(sinr, base))
 
 
 def test_allocate_random_properties():
