@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import engine, rrm, signaling
 from .config import (SCENARIO_PRESETS, ConfigError, ScenarioConfig, _merge,
-                     apply_scenario, load_config, validate_config)
+                     apply_scenario, load_config)
 from .feasibility import FeasibilityMatrix, reuse_cell_sinr
 from .scenario import associate_users, exhaustive_association
 
@@ -47,9 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=",".join(engine.SCHEMES),
                        help="comma-separated scheme list (default: all)")
     run_p.add_argument("--out", default="out", help="output directory (CSV + summary)")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help=f"parallel drop workers, capped at the CPU count "
-                            f"(default ${engine.WORKERS_ENV} or 1)")
+    run_p.add_argument("--workers", type=int, default=1,
+                       help="parallel drop workers, capped at the CPU count (default 1)")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     val_p = sub.add_parser("validate-config", help="check a config file and exit")
@@ -88,16 +86,15 @@ def _override(arg: str) -> dict:
 
 
 def _load(args) -> ScenarioConfig:
-    """Config file (or defaults), preset, each --set, --drops/--seed; validated."""
+    """Config file (or defaults), preset, each --set, --drops/--seed; run_campaign
+    validates the result."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.scenario:
         cfg = apply_scenario(cfg, args.scenario)
     for arg in args.sets:
         cfg = _merge(cfg, _override(arg), "")
     overrides = {"num_drops": args.drops, "seed": args.seed}
-    cfg = _merge(cfg, {k: v for k, v in overrides.items() if v is not None}, "")
-    validate_config(cfg)
-    return cfg
+    return _merge(cfg, {k: v for k, v in overrides.items() if v is not None}, "")
 
 
 def _refuse(message: str) -> int:
@@ -106,20 +103,13 @@ def _refuse(message: str) -> int:
 
 
 def _cmd_run(args) -> int:
+    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+    progress = None if args.quiet else (lambda msg: print(msg, flush=True))
     try:
-        cfg = _load(args)
-        schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-        engine.check_schemes(schemes)
-        workers = engine.resolve_workers(args.workers)
+        campaign = engine.run_campaign(_load(args), schemes, out_dir=args.out,
+                                       progress=progress, workers=args.workers)
     except ConfigError as exc:
         return _refuse(f"config error: {exc}")
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        return _refuse(f"{args.out}: cannot create output directory: {exc.strerror or exc}")
-    progress = None if args.quiet else (lambda msg: print(msg, flush=True))
-    campaign = engine.run_campaign(cfg, schemes, out_dir=args.out,
-                                   progress=progress, workers=workers)
     sys.stdout.writelines(engine.summary_lines(campaign))
     print(f"outputs written to {args.out}/")
     return 0

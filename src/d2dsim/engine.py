@@ -63,8 +63,6 @@ SCHEDULERS: dict[str, Callable[[SectorState, np.random.Generator], Allocation]] 
 }
 SCHEMES = tuple(SCHEDULERS)
 
-WORKERS_ENV = "D2DSIM_WORKERS"
-
 # Fixed stream ids: a stream never moves when another is added or retired.
 _STREAMS = {"users": 2, "pairing": 3, "targets-cell": 4,
             "targets-d2d": 5, "random-alloc": 6, "shadow": 7}
@@ -267,40 +265,32 @@ class CampaignResult:
         return float(np.mean([r.clip_rate for r in self.reports[scheme]]))
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count from the argument, else $D2DSIM_WORKERS, else 1.
-
-    Capped at os.cpu_count(); a count below 1 or a non-integer environment
-    value raises ConfigError.
-    """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV) or "1"
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
-
-
 def run_campaign(
     cfg: ScenarioConfig,
     schemes: tuple[str, ...] = SCHEMES,
     out_dir: str | None = None,
     progress=None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> CampaignResult:
     """Run cfg.num_drops paired drops and optionally write CSV/summary files.
 
-    Worker count comes from resolve_workers(workers).  Results, files and
-    progress lines are identical for any worker count.  The config and the
-    scheme list are checked before the first drop.
+    Before the first drop it checks the config, the scheme list and the
+    worker count, and makes out_dir; each refusal is one one-line
+    ConfigError.  The worker count is capped at os.cpu_count().  Results,
+    files and progress lines are identical for any worker count.
     """
     schemes = tuple(schemes)
     validate_config(cfg)
     check_schemes(schemes)
-    workers = resolve_workers(workers)
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"{out_dir}: cannot create output directory: {exc.strerror or exc}") from None
+    workers = min(workers, os.cpu_count() or 1)
     seeds = (drop_seed(cfg.seed, i) for i in range(cfg.num_drops))
     task = partial(run_drop, cfg, schemes=schemes)
     tick = max(1, cfg.num_drops // 10)
@@ -343,8 +333,8 @@ def summary_lines(campaign: CampaignResult):
 def write_outputs(campaign: CampaignResult, out_dir: str) -> dict[str, str]:
     """drops.csv + kinds.csv + allocations.csv + summary.txt, each streamed
     from a generator (allocations.csv one drop's scheme at a time, formatted
-    from its grant array); stable bytes for a given campaign."""
-    os.makedirs(out_dir, exist_ok=True)
+    from its grant array) into the existing out_dir; stable bytes for a
+    given campaign."""
     paths = {name.partition(".")[0]: os.path.join(out_dir, name)
              for name in ("drops.csv", "kinds.csv", "allocations.csv", "summary.txt")}
     _write(paths["drops"], "drop,scheme,cell_bps,d2d_bps,overall_bps,enabled_pairs,clip_rate\n",

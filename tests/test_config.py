@@ -15,7 +15,6 @@ from d2dsim import cli, engine
 from d2dsim.config import (MAX_USERS_PER_DROP, RANGES, SCENARIO_PRESETS, ConfigError,
                            ScenarioConfig, _merge, apply_scenario, config_from_dict, load_config,
                            validate_config)
-from d2dsim.engine import WORKERS_ENV
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 # (dotted key, field name, default) of every leaf but the true/false one
@@ -244,12 +243,11 @@ def _beyond(bound, way):
 
 
 @pytest.mark.parametrize("dotted, name, default", NUMERIC, ids=[leaf[0] for leaf in NUMERIC])
-def test_one_step_outside_a_bound_is_refused_in_one_line(tmp_path, capsys, monkeypatch,
+def test_one_step_outside_a_bound_is_refused_in_one_line(tmp_path, capsys,
                                                          dotted, name, default):
     """Each leaf one step below its low bound and one step above its high
     bound (each end of an interval in turn) is refused by `run` with exit
     status 2 and the one message, before any output directory exists."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     low, high = RANGES[name]
     below, above = _beyond(low, -1), _beyond(high, 1)
     values = ([[below, low], [low, below], [above, high], [high, above]]

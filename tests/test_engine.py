@@ -17,8 +17,8 @@ from conftest import config_leaves, tiny_config
 from d2dsim import channel, cli, engine, rrm
 from d2dsim.channel import noise_power_watts
 from d2dsim.config import RANGES, SCENARIO_PRESETS, ConfigError, ScenarioConfig, apply_scenario
-from d2dsim.engine import (SCHEDULERS, SCHEMES, WORKERS_ENV, build_drop, drop_seed,
-                           resolve_workers, run_campaign, run_drop, write_outputs)
+from d2dsim.engine import (SCHEDULERS, SCHEMES, build_drop, drop_seed, run_campaign, run_drop,
+                           write_outputs)
 from d2dsim.feasibility import FeasibilityMatrix
 from d2dsim.metrics import CapacityReport, link_rates
 from d2dsim.power import draw_snr_targets, open_loop_power_w
@@ -736,29 +736,31 @@ def test_campaign_progress_same_for_any_worker_count():
     assert lines[2] == lines[1]
 
 
-def test_campaign_workers_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "1")
-    cfg = tiny_config(num_drops=1)
-    campaign = run_campaign(cfg, ("none",), out_dir=str(tmp_path))
-    assert len(campaign.reports["none"]) == 1
+@pytest.mark.parametrize("workers, out_under_file, message", [
+    (0, False, "worker count must be >= 1, got 0"),
+    (-3, False, "worker count must be >= 1, got -3"),
+    (1, True, "cannot create output directory"),
+])
+def test_run_campaign_refuses_workers_and_out_before_any_drop(tmp_path, monkeypatch, workers,
+                                                              out_under_file, message):
+    """A worker count below 1, or an out_dir that cannot be made, is one
+    one-line ConfigError before any drop, and nothing is created."""
+    calls = []
+    monkeypatch.setattr(engine, "run_drop", lambda *args, **kwargs: calls.append(args))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / ("file" if out_under_file else "dir") / "out"
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
+        run_campaign(tiny_config(num_drops=5), ("none",), out_dir=str(out), workers=workers)
+    assert type(info.value) is ConfigError and "\n" not in str(info.value)
+    assert calls == [] and sorted(os.listdir(tmp_path)) == ["file"]
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv(WORKERS_ENV, "")
-    assert resolve_workers() == 1
+def test_run_campaign_caps_workers_at_the_cpu_count(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert resolve_workers(2) == 1  # capped at the CPU count
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    assert resolve_workers() == 1
-    for bad, message in (("abc", "must be an integer"), ("1.5", "must be an integer"),
-                         ("0", ">= 1"), ("-3", ">= 1")):
-        monkeypatch.setenv(WORKERS_ENV, bad)
-        with pytest.raises(ConfigError, match=message):
-            resolve_workers()
-    with pytest.raises(ConfigError, match=">= 1"):
-        resolve_workers(0)
+    monkeypatch.setattr(engine.mp, "Pool", lambda *args: pytest.fail("pool on one CPU"))
+    campaign = run_campaign(tiny_config(num_drops=2), ("none",), out_dir=str(tmp_path),
+                            workers=2)
+    assert len(campaign.reports["none"]) == 2
 
 
 def test_write_outputs_schema(tmp_path):
@@ -895,11 +897,11 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     assert "lexicographic oracle [300 instances]: FAIL" in out
 
 
-@pytest.mark.parametrize("extra, env, message", [
+@pytest.mark.parametrize("extra, out_parent, message", [
     (["--drops", "0"], None, "num_drops must lie in [1, 1000000]"),
     (["--seed", "-1"], None, "seed must lie in [0, 18446744073709551615]"),
     (["--workers", "0"], None, "worker count must be >= 1"),
-    ([], "abc", f"{WORKERS_ENV} must be an integer"),
+    ([], "file", "cannot create output directory"),
     (["--config", "no/such/file.json"], None, "cannot read"),
     (["--config", "binary.json"], None, "not UTF-8 text"),
     (["--set", "foo.bar=1"], None, "unknown config key: 'foo'"),
@@ -915,7 +917,7 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--scheme", "proposed,proposed"], None, "scheme 'proposed' listed twice"),
     (["--scheme", "proposed,bogus"], None, "unknown scheme 'bogus'"),
     (["--set", "num_drops=0"], None, "num_drops must lie in [1, 1000000]"),
-    ([], "-3", "worker count must be >= 1"),
+    (["--workers", "-3"], None, "worker count must be >= 1"),
     (["--set", "grid_width_m=1" + "0" * 400], None, "grid_width_m: expected a finite number"),
     (["--set", "seed=" + "[" * 10_000 + "]" * 10_000], None,
      "--set seed: JSON value beyond parser limits"),
@@ -939,15 +941,12 @@ def test_cli_oracle_flags_a_non_lexicographic_matcher(capsys, monkeypatch):
     (["--set", "macro.dl_power_dbm=1e300"], None, "macro.dl_power_dbm must lie in [-100, 100]"),
 ])
 def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
-                                                extra, env, message):
-    if env is None:
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(WORKERS_ENV, env)
+                                                extra, out_parent, message):
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
     (tmp_path / "deep.json").write_text("[" * 10_000 + "]" * 10_000, encoding="utf-8")
+    (tmp_path / "file").write_text("", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    out = tmp_path / "x"
+    out = tmp_path / (out_parent or ".") / "x"
     code = cli.main(["run", "--config", write_tiny_json(tmp_path), *extra,
                      "--out", str(out), "--quiet"])
     assert code == 2
@@ -957,9 +956,8 @@ def test_cli_run_rejects_bad_input_in_one_line(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-def test_cli_run_completes_with_every_length_at_its_cap(tmp_path, monkeypatch):
+def test_cli_run_completes_with_every_length_at_its_cap(tmp_path):
     """Every length (m) at the high bound of its RANGES row, all at once."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     out = tmp_path / "out"
     at_cap = [a for key, name, _ in config_leaves(ScenarioConfig()) if name.endswith("_m")
               for a in ("--set", f"{key}={RANGES[name][1]!r}")]
@@ -970,7 +968,6 @@ def test_cli_run_completes_with_every_length_at_its_cap(tmp_path, monkeypatch):
 
 
 def test_cli_run_refuses_unusable_out_before_any_drop(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     calls = []
     inner = engine.run_drop
     monkeypatch.setattr(engine, "run_drop",
@@ -983,6 +980,41 @@ def test_cli_run_refuses_unusable_out_before_any_drop(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert "cannot create output directory" in err and err.count("\n") == 1
     assert calls == []
+
+
+def test_cli_run_propagates_a_drop_that_raises(tmp_path, monkeypatch):
+    """A drop that raises ends the campaign with that exception; the output
+    directory, made before the first drop, holds no CSV and no summary."""
+    inner = engine.run_drop
+    seen = []
+
+    def second_drop_raises(*args, **kwargs):
+        seen.append(args)
+        if len(seen) == 2:
+            raise FloatingPointError("drop 1")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_drop", second_drop_raises)
+    out = tmp_path / "out"
+    with pytest.raises(FloatingPointError, match="drop 1"):
+        cli.main(["run", "--config", write_tiny_json(tmp_path), "--drops", "3",
+                  "--out", str(out), "--workers", "1", "--quiet"])
+    assert len(seen) == 2 and out.is_dir() and os.listdir(out) == []
+
+
+@pytest.mark.parametrize("flag", ["--drops", "--seed", "--workers"])
+@pytest.mark.parametrize("value", ["1.5", "abc"])
+def test_cli_run_refuses_a_non_integer_count_with_usage(tmp_path, capsys, flag, value):
+    """argparse refuses a non-integer --drops, --seed or --workers with its
+    usage message and exit status 2, before any output directory exists."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--config", write_tiny_json(tmp_path), flag, value,
+                  "--out", str(out), "--quiet"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: d2dsim run") and f"invalid int value: '{value}'" in err
+    assert not out.exists()
 
 
 def load_perfbench_child():

@@ -9,6 +9,9 @@ count.  Likewise a field that no package code reads is dead weight: each
 annotated class-body name (a dataclass field) and each `self.<name> =`
 attribute must be loaded as an attribute, `x.<name>`, somewhere in the
 package.
+
+No module reads an environment variable: every setting of a run arrives as
+a config key or a CLI flag.
 """
 
 import ast
@@ -73,3 +76,10 @@ def test_every_class_field_is_read_in_the_package():
                     fields.append((path.stem, node.name, sub.attr))
     unread = {f for f in fields if f[2] not in loaded}
     assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def test_no_module_reads_an_environment_variable():
+    found = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in names_in(ast.parse(path.read_text(encoding="utf-8")))
+             if name in ("environ", "environb", "getenv", "getenvb")]
+    assert found == []

@@ -369,6 +369,30 @@ def test_sorted_capacity_max_edge_shapes(n, m, want):
     assert vec(alloc) == want == vec(linear_assignment(sinr, base))
 
 
+def test_capacity_max_is_optimal_where_interference_vanishes_in_the_noise():
+    """Interference 1e-17..1e-14 of the noise passes the closed form's guard
+    (I + sigma2 > sigma2) while every score is a few ulps of the log2
+    capacities, so the two sorts and linear assignment may pick different
+    schedules.  They are equal optima up to rounding: the closed form's
+    summed score is never below the assignment's by more than one ulp of
+    the largest no-reuse capacity per reused pair (the worst schedule falls
+    further below in most sectors)."""
+    rng = np.random.default_rng(34)
+    differ = 0
+    for _ in range(2000):
+        n, m = rng.integers(1, 25, 2).tolist()
+        sigma2 = 10.0 ** rng.uniform(-16.0, -12.0)
+        sinr, base = sector_sinrs(sigma2 * 10.0 ** rng.uniform(-1.0, 4.0, m),
+                                  sigma2 * 10.0 ** rng.uniform(-17.0, -14.0, n), sigma2)
+        score = np.log2(1.0 + sinr) - np.log2(1.0 + base)[None, :]
+        got, want = allocate_capacity_max(sinr, base), max_score_assignment(score)
+        ulps = min(n, m) * np.spacing(np.log2(1.0 + base).max())
+        assert sum(map(score.__getitem__, got.pairs())) >= \
+            sum(map(score.__getitem__, want.pairs())) - ulps
+        differ += vec(got) != vec(want)
+    assert differ > 0  # the test reaches the regime where the schedules part
+
+
 def test_allocate_random_properties():
     rng = np.random.default_rng(0)
     for n, m in ((5, 3), (3, 5), (4, 4), (0, 3), (3, 0)):
