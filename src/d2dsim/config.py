@@ -214,8 +214,8 @@ def load_config(path: str) -> ScenarioConfig:
 # physical and keep every dB sum a drop forms within a few thousand dB, so no
 # sum leaves the float range or absorbs another term.
 RANGES = {
-    "grid_width_m": (1e-3, 1e7),  # 10,000 km: a drop's squared lengths, the k-d tree's
-    "grid_height_m": (1e-3, 1e7),  # bounds and the outdoor slot table stay finite far past it
+    "grid_width_m": (1e-3, 1e7),  # 10,000 km: a drop's squared lengths, the pair grid's
+    "grid_height_m": (1e-3, 1e7),  # keys and the outdoor slot table stay finite far past it
     "replica_rings": (0, 1),
     "user_density_per_km2": (0.0, 1e7),  # ten users per m2, past any crowd
     "fixed_user_count": (0, MAX_USERS_PER_DROP),

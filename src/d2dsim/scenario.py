@@ -32,7 +32,6 @@ from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .channel import LINK_CLASS, DropChannel, antenna_gain_db, site_key
 from .config import AntennaPattern, ChannelParams, ScenarioConfig, SiteParams
@@ -52,6 +51,9 @@ MAIN_STREET_Y = (265.5, 286.5)  # between rows 1 and 2
 # Site links per chunk of association's exact stage, so that its LOS and
 # antenna temporaries stay small.
 _LINK_CHUNK = 4096
+# Candidate tests per block of pairing's radius search, so that its
+# temporaries stay small at any density.
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -230,13 +232,9 @@ def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) ->
     if k < 2:
         return np.zeros((0, 2), dtype=int)
     ids = np.sort(rng.permutation(n)[:k])
-    pos = xy[ids]
     # (a, b) with a < b: a user scanned later than b never pairs with b,
     # because b, unpaired and within reach of an unpaired a, pairs first.
-    # (an unbalanced, uncompacted tree builds faster and finds the same pairs)
-    a_idx, b_idx = cKDTree(pos, balanced_tree=False, compact_nodes=False).query_pairs(
-        cfg.max_pair_distance_m, output_type="ndarray").T
-    dist = np.hypot(pos[b_idx, 0] - pos[a_idx, 0], pos[b_idx, 1] - pos[a_idx, 1])
+    a_idx, b_idx, dist = _near_pairs(xy[ids], cfg.max_pair_distance_m)
     # each scanning user's candidates as one run (a stable sort of small
     # integer keys is a radix sort); its first choice is the least
     # (distance, index), ties going to the lowest index
@@ -262,6 +260,64 @@ def pair_users(cfg: ScenarioConfig, xy: np.ndarray, rng: np.random.Generator) ->
         paired[a] = paired[b] = True
         pairs += (a, b)
     return ids[np.array(pairs, dtype=int).reshape(-1, 2)]
+
+
+def _near_pairs(pos: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (a, b) of rows of pos, a < b, whose dx = pos[b] - pos[a]
+    passes dx[0]*dx[0] + dx[1]*dx[1] <= r*r, the float test of
+    cKDTree.query_pairs, so that the two find the same pairs.  Returns a, b
+    (int32) and np.hypot(*dx), in no set order.
+
+    Linked cells: the points are sorted by cell, and each tests the later
+    points of its own cell and all points of the cells above it, to its
+    upper right, right and lower right: two runs of sorted points, those
+    of its own column and those of the next.  Points are taken in blocks
+    of about _PAIR_BLOCK tests, so the search's temporaries stay small.
+
+    The cells are squares of side h = r (1 + 2^-20) + X 2^-30, X the
+    largest |coordinate|, and a point p lies in cell floor(fl(p / h)).  With
+    u = 2^-53 and r*r not subnormal, a pair that passes has
+    fl(dx)^2 <= r^2 (1 + 3u), so its exact |dx| is within r (1 + 3u) on
+    each axis, and each quotient fl(p / h) is off by at most u X / h.  The
+    two quotients then differ by less than (r (1 + 3u) + 2 u X) / h < 1, h
+    rounded or not, so their cells are the same or adjacent.  Cell
+    coordinates lie within +-2^30 (|p| / h <= 2^30), so the keys
+    column * (rows + 2) + row stay below 2^63.
+    """
+    k = len(pos)
+    found = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]
+    if k < 2:
+        return found[0]
+    h = r * (1.0 + 2.0 ** -20) + float(np.abs(pos).max()) * 2.0 ** -30
+    cell = np.floor(pos / h).astype(np.int64)
+    cell -= cell.min(axis=0)
+    rows = int(cell[:, 1].max()) + 2  # a padding row: row -1 or +1 stays in its column
+    key = cell[:, 0] * rows + cell[:, 1]
+    order = np.argsort(key).astype(np.int32)  # k is at most MAX_USERS_PER_DROP
+    key = key[order]
+    x, y = pos[order, 0], pos[order, 1]
+    # per sorted point, its two runs [first, first + count): from the next
+    # point to the end of the cell above, and the next column's three cells
+    end_above, first_right, end_right = np.searchsorted(
+        key, key + np.array([[2], [rows - 1], [rows + 2]]))
+    first = np.stack([np.arange(1, k + 1), first_right], axis=1)
+    count = np.stack([end_above, end_right], axis=1) - first
+    tests = count.sum(axis=1)
+    cum = np.cumsum(tests)
+    edges = np.unique(np.concatenate([[0], np.searchsorted(
+        cum, np.arange(_PAIR_BLOCK, cum[-1], _PAIR_BLOCK), side="right"), [k]]))
+    r2 = r * r
+    for i0, i1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        run, size = first[i0:i1].ravel(), count[i0:i1].ravel()
+        end = np.cumsum(size)
+        j = np.arange(end[-1]) + np.repeat(run - end + size, size)
+        i = np.repeat(np.arange(i0, i1), tests[i0:i1])
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        near = np.flatnonzero(dx * dx + dy * dy <= r2)  # (a boolean index is slower)
+        a, b = order[i[near]], order[j[near]]
+        # np.hypot ignores the signs of dx, so it is the same from either end
+        found.append((np.minimum(a, b), np.maximum(a, b), np.hypot(dx[near], dy[near])))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def associate_users(

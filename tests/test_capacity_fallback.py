@@ -1,5 +1,7 @@
 """Capacity-max's fallback: pinned bytes where it runs, no scipy.optimize where it does not.
 
+No preset run imports scipy.spatial either: pairing needs none of it.
+
 In every preset sector capacity-max's two sorts decide, so a preset campaign
 never reaches the general assignment (rrm.max_score_assignment) and never
 imports scipy.optimize.  One cellular SNR target for every user makes the
@@ -72,16 +74,28 @@ out, sets = sys.argv[1], sys.argv[2:]
 for preset in SCENARIO_PRESETS:
     assert cli.main(["run", "--scenario", preset, *sets, "--drops", "2", "--workers", "1",
                      "--out", f"{out}/{preset}", "--quiet"]) == 0
-print("scipy.optimize" in sys.modules)
+print(*sorted({"scipy.optimize", "scipy.spatial"} & sys.modules.keys()))
 """
+
+
+def probe(tmp_path, sets):
+    """The heavy scipy modules that a fresh `d2dsim run` of every preset
+    loads, as PROBE prints them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(d2dsim.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path), *sets], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1].split()
 
 
 @pytest.mark.parametrize("sets, loaded", [([], False), (["--set", TIED], True)])
 def test_scipy_optimize_loads_only_where_capacity_max_falls_back(sets, loaded, tmp_path):
     """A fresh `d2dsim run` of every preset leaves scipy.optimize unloaded;
     the tied config, which falls back, loads it (the control)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(d2dsim.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path), *sets], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == str(loaded)
+    assert ("scipy.optimize" in probe(tmp_path, sets)) == loaded
+
+
+def test_preset_runs_load_neither_scipy_spatial_nor_scipy_optimize(tmp_path):
+    """Pairing searches a numpy cell grid, so a fresh `d2dsim run` of every
+    preset imports neither scipy.spatial nor scipy.optimize."""
+    assert probe(tmp_path, []) == []

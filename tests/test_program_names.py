@@ -12,9 +12,15 @@ package.
 
 No module reads an environment variable: every setting of a run arrives as
 a config key or a CLI flag.
+
+The package imports numpy and scipy.special at module level and nothing else
+outside the standard library; scipy.optimize only inside the one function
+that needs it.  A new heavy import, which every run would pay for in start-up
+time and memory, then shows up as an edit here.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "d2dsim"
@@ -83,3 +89,37 @@ def test_no_module_reads_an_environment_variable():
              for name in names_in(ast.parse(path.read_text(encoding="utf-8")))
              if name in ("environ", "environb", "getenv", "getenvb")]
     assert found == []
+
+
+# third-party modules the package imports: at module level, and inside a
+# function, by (module, function)
+THIRD_PARTY_IMPORTS = {"numpy", "scipy.special"}
+LOCAL_THIRD_PARTY_IMPORTS = {("rrm", "max_score_assignment", "scipy.optimize")}
+
+
+def third_party(node):
+    """The third-party modules an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return []
+    return [name for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+
+
+def test_module_level_third_party_imports_are_numpy_and_scipy_special():
+    top, local = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inside = {id(sub) for f in functions for sub in ast.walk(f) if sub is not f}
+        for node in ast.walk(tree):
+            if id(node) not in inside:
+                top.update(third_party(node))
+        for f in functions:
+            local.update((path.stem, f.name, name) for stmt in f.body
+                         for sub in ast.walk(stmt) for name in third_party(sub))
+    assert top == THIRD_PARTY_IMPORTS
+    assert local == LOCAL_THIRD_PARTY_IMPORTS

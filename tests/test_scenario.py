@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,6 +250,114 @@ def test_pair_users_falls_back_past_a_taken_hub():
     pairs = pair_users(cfg, xy, np.random.default_rng(0))
     np.testing.assert_array_equal(pairs, [[0, 4], [1, 2]])
     assert_pairing_matches_loop(cfg, xy, lambda: np.random.default_rng(0))
+
+
+def assert_near_pairs_equal_query_pairs(pos, r):
+    """scenario._near_pairs finds the pairs cKDTree.query_pairs finds (kept
+    here as the oracle), each once as (lower row, higher row) with the
+    np.hypot length of pos[b] - pos[a], whole and in blocks of a few tests."""
+    want = sorted(map(tuple, cKDTree(pos).query_pairs(r, output_type="ndarray").tolist()))
+    for block in (scenario._PAIR_BLOCK, 3):
+        with mock.patch.object(scenario, "_PAIR_BLOCK", block):
+            a, b, dist = scenario._near_pairs(pos, r)
+        assert a.dtype == b.dtype == np.int32
+        assert sorted(zip(a.tolist(), b.tolist())) == want
+        length = np.hypot(pos[b, 0] - pos[a, 0], pos[b, 1] - pos[a, 1])
+        np.testing.assert_array_equal(dist.view(np.int64), length.view(np.int64))
+
+
+@st.composite
+def extreme_layouts(draw):
+    """Clusters of points near +-3e7 m, the largest coordinates RANGES allows
+    (three 1e7 m grids), at about r = 1e-3 m, the smallest pairing radius:
+    lattices spaced r (exactly, at r = 2^-10) jittered by a few ulps,
+    clusters a cell or more apart, coincident points, and radii at one
+    pair's length or one ulp either side of it."""
+    corner = draw(st.tuples(st.sampled_from([-3e7, 3e7]), st.sampled_from([-3e7, 3e7])))
+    r = draw(st.sampled_from([1e-3, 2.0 ** -10]))
+    ulp = np.spacing(3e7)
+    shift = st.floats(0.0, 0.2)  # cells here are ~0.03 m wide
+    centres = draw(st.lists(st.tuples(shift, shift), min_size=1, max_size=4))
+    step, jitter = st.integers(-3, 3), st.integers(-2, 2)
+    pts = [(corner[0] + cx + i * r + e * ulp, corner[1] + cy + j * r + f * ulp)
+           for (cx, cy), i, j, e, f in draw(st.lists(
+               st.tuples(st.sampled_from(centres), step, step, jitter, jitter), max_size=40))]
+    pos = np.array(pts, dtype=float).reshape(-1, 2)
+    if len(pos) >= 2 and draw(st.booleans()):
+        p, q = draw(st.lists(st.integers(0, len(pos) - 1), min_size=2, max_size=2, unique=True))
+        dx, dy = pos[q] - pos[p]
+        length = float(np.sqrt(dx * dx + dy * dy))
+        if length > 0.0:
+            r = float(np.nextafter(length, draw(st.sampled_from([0.0, length, np.inf]))))
+    return pos, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_layouts())
+def test_near_pairs_equal_query_pairs_at_the_extremes(case):
+    assert_near_pairs_equal_query_pairs(*case)
+
+
+def test_near_pairs_lattice_at_exactly_r_and_one_ulp_either_side():
+    """Near 3e7 m a lattice spaced r = 2^-10 is exact: its neighbours are
+    exactly r apart, so they pair at r and at r + 1 ulp but not at r - 1 ulp,
+    and diagonal neighbours pair at none of the three."""
+    steps = np.arange(-4, 5) * 2.0 ** -10
+    for corner in (3e7, -3e7):
+        pos = np.stack(np.meshgrid(corner + steps, -corner + steps), axis=-1).reshape(-1, 2)
+        for r, pairs in ((2.0 ** -10, 144), (np.nextafter(2.0 ** -10, 1.0), 144),
+                         (np.nextafter(2.0 ** -10, 0.0), 0)):
+            assert len(scenario._near_pairs(pos, r)[0]) == pairs
+            assert_near_pairs_equal_query_pairs(pos, r)
+
+
+@pytest.mark.parametrize("pos, r", [
+    (np.zeros((0, 2)), 1e-3),
+    (np.array([[3e7, 3e7]]), 1e-3),
+    (np.array([[3e7, -3e7], [3e7 + 2.0 ** -10, -3e7]]), 2.0 ** -10),
+    (np.array([[-3e7, 3e7], [-3e7, 3e7 - 2.0 ** -9]]), 2.0 ** -10),
+    (np.full((30, 2), -3e7), 1e-3),  # coincident
+    (np.repeat(np.random.default_rng(0).uniform(-3e7, 3e7, (6, 2)), 5, axis=0), 1e-3),
+    (np.random.default_rng(1).uniform(0.0, 1.0, (50, 2)), 10.0),  # r beyond the extent
+    (np.random.default_rng(2).uniform(-3e7, 3e7, (50, 2)), 1e8),
+    (np.array([[-3e7, -3e7], [3e7, 3e7]]), 1e7),
+], ids=["0 points", "1 point", "2 apart r", "2 apart 2r", "coincident",
+        "coincident groups", "r past the extent", "r past 6e7 m", "corners"])
+def test_near_pairs_equal_query_pairs_on_edge_cases(pos, r):
+    assert_near_pairs_equal_query_pairs(pos, r)
+
+
+def test_pair_users_matches_loop_where_many_users_share_a_nearest_neighbour():
+    """Stars of five spokes 1 m from a hub (72 degrees apart, so each spoke's
+    nearest user is the hub) at r = 2.5 m, hubs given the highest ids: the
+    first spoke scanned takes its hub, and the other four fall back to spokes
+    of their own star or of the stars that overlap it.  Whole and in blocks
+    of a few tests."""
+    rng = np.random.default_rng(0)
+    hubs = rng.uniform(0.0, 100.0, (300, 2))
+    angle = np.radians(72.0 * np.arange(5))
+    spokes = (hubs[:, None, :] + np.stack([np.cos(angle), np.sin(angle)], axis=1)).reshape(-1, 2)
+    xy = np.concatenate([spokes[rng.permutation(len(spokes))], hubs])
+    cfg = dataclasses.replace(ScenarioConfig(), d2d_fraction=1.0, max_pair_distance_m=2.5)
+    for block in (scenario._PAIR_BLOCK, 64):
+        with mock.patch.object(scenario, "_PAIR_BLOCK", block):
+            assert_pairing_matches_loop(cfg, xy, lambda: np.random.default_rng(0))
+
+
+def test_pair_users_memory_is_bounded_per_user():
+    """On a small dense drop (4000 users on one grid, ~51 candidate pairs
+    each) pairing peaks at ~1.9 kB of numpy allocations per user: the
+    candidate pairs and one block of the search.  The whole search at once
+    took ~6.4 kB per user."""
+    cfg = tiny_config(fixed_user_count=4000, d2d_fraction=1.0)
+    xy = drop_users(cfg, env_for(cfg), np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        pair_users(cfg, xy, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2400 * len(xy)
 
 
 def assert_association_exact(xy, env, ch):
